@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .matrices import Mat2, content_gcd, enumerate_LE, nu_L, xi
@@ -43,6 +44,12 @@ def s_n_closed_form(n: int) -> BoundBreakdown:
             x = xi(j, t)
             terms.append(BoundTerm(t, j, x, 2 * (x // 2) + 1))
     return BoundBreakdown(n, tuple(terms), sum(tm.term for tm in terms))
+
+
+@lru_cache(maxsize=None)
+def s_n_total(n: int) -> int:
+    """The total of S_n, memoised; only the int is kept, not the breakdown's terms."""
+    return s_n_closed_form(n).total
 
 
 def s_n_via_transducer(n: int) -> int:
@@ -95,7 +102,7 @@ def check_bound(n: int, per_x: int, per_hx: int) -> str:
     """Verdict for per_x/S_n <= per_hx <= S_n*per_x."""
     if n < 1 or per_x < 1 or per_hx < 1:
         raise ValueError("all arguments must be positive")
-    s = s_n_closed_form(n).total
+    s = s_n_total(n)
     if per_hx > s * per_x:
         return "violates_upper"
     if Fraction(per_hx) < Fraction(per_x, s):

@@ -13,7 +13,7 @@ import random
 import sys
 import time
 
-from .bounds import breakdown_to_json, check_bound, s_n_closed_form
+from .bounds import breakdown_to_json, check_bound, s_n_closed_form, s_n_total
 from .matrices import (
     J_MAT,
     Mat2,
@@ -152,7 +152,7 @@ def cmd_transform(m: Mat2, cf: PeriodicCF, fmt: str = "text") -> tuple[str, int]
     result_cf = cf_from_surd(apply_mobius(m, surd_from_cf(cf)))
     per_x = per(cf)
     per_hx = image_period(m, cf)
-    s_n = s_n_closed_form(n).total
+    s_n = s_n_total(n)
     verdict = check_bound(n, per_x, per_hx)
     status = 0
     if per_hx != per(result_cf):
@@ -182,6 +182,7 @@ def cmd_verify(
     jobs: int = 1,
 ) -> tuple[str, int]:
     t0 = time.monotonic()
+    jobs = min(jobs, os.cpu_count() or 1)
     tasks = [(n, seed, i, max_period, max_quotient) for i in range(samples)]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:

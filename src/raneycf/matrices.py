@@ -66,10 +66,6 @@ def associated(m: Mat2) -> Mat2:
     return Mat2(m.d, m.c, m.b, m.a)
 
 
-def negate(m: Mat2) -> Mat2:
-    return Mat2(-m.a, -m.b, -m.c, -m.d)
-
-
 def xi(a: int, c: int) -> int:
     """Number of division steps of the Euclidean algorithm on (a, c).
 

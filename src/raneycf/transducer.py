@@ -86,8 +86,20 @@ class _Out:
         else:
             self.totR += k
 
-    def word(self) -> LRWord:
-        return LRWord.from_runs((l, e) for l, e in self.runs)
+    def snap(self):
+        """The current end of the output: (number of runs, last run's count)."""
+        return (len(self.runs), self.runs[-1][1] if self.runs else 0)
+
+    def word(self, start=(0, 0), stop=None) -> LRWord:
+        """The output between two snaps; by default all of it."""
+        i, a = start
+        j, b = self.snap() if stop is None else stop
+        runs = self.runs[max(i - 1, 0) : j]  # a copy: the edits below stay local
+        if j:
+            runs[-1] = (runs[-1][0], b)
+        if i:
+            runs[0] = (runs[0][0], runs[0][1] - a)
+        return LRWord.from_runs(runs)
 
 
 def _peel(t, out):
@@ -288,62 +300,44 @@ def transduce_cycle(t, start: Mat2, repetend: LRWord) -> ClosedWalk:
         raise ValueError(f"{start!r} is not a state of T_{n}")
     if len({l for l, _ in repetend.runs}) < 2:
         raise ValueError("repetend must contain both letters")
+    out = _Out()
+    snaps = [out.snap()]  # snaps[p]: end of the output after p passes
     boundary = {start.entries: 0}
-    outputs: list[LRWord] = []
-    states = [start.entries]
     cur = start.entries
     while True:
-        out = _Out()
         cur = _feed_word(n, cur, repetend.runs, out)
-        outputs.append(out.word())
-        states.append(cur)
         idx = boundary.get(cur)
         if idx is not None:
-            gamma = len(states) - 1 - idx
-            output = LRWord(())
-            for w in outputs[idx:]:
-                output = output + w
-            return ClosedWalk(Mat2(*states[idx]), repetend**gamma, output, gamma)
-        boundary[cur] = len(states) - 1
+            gamma = len(snaps) - idx
+            return ClosedWalk(Mat2(*cur), repetend**gamma, out.word(snaps[idx]), gamma)
+        boundary[cur] = len(snaps)
+        snaps.append(out.snap())
 
 
 def lr_cycle_to_period(cycle: LRWord) -> int:
     """Period of the number whose LR tail repeats `cycle`.
 
-    After reducing to the primitive root: sigma/2 when some conjugate with
-    distinct first/last letters splits as V1 * star(V1), else sigma.  Works
-    directly on the run encoding; conjugates with distinct end letters share
-    their run count (the cyclic run count, always even).
+    After reducing to the primitive root, read its runs as a cyclic
+    sequence c of even length 2h: when the first and last letters agree
+    (odd run count), the wrap-around pair fuses into one run.  The period
+    is h when c[i+h] = star(c[i]) for all i < h, i.e. some conjugate with
+    distinct end letters splits as V1 * star(V1), else 2h.  That condition
+    is invariant under rotating c, so one check covers every conjugate.
     """
     letters = {l for l, _ in cycle.runs}
     if len(letters) < 2:
         raise ValueError("cycle must contain both letters")
     root, _ = primitive_root(cycle)
     rs = root.runs
-    k = len(rs)
-    if k % 2 == 0:
-        # end letters already differ at every run-boundary cut, and the
-        # V1*star(V1) pairing {i, i+k/2} is invariant under those cuts
-        half = k // 2
-        if all(
-            rs[i + half][1] == rs[i][1] and rs[i + half][0] != rs[i][0]
-            for i in range(half)
-        ):
-            return half
-        return k
-    # odd run count: first and last letters agree, so each usable cut
-    # merges the wrap-around pair into one run of k-1 runs total
-    half = (k - 1) // 2
-    for j in range(1, k):
-        rot = rs[j:] + rs[:j]
-        m = k - 1 - j
-        merged = rot[:m] + ((rot[m][0], rot[m][1] + rot[m + 1][1]),) + rot[m + 2 :]
-        if all(
-            merged[i + half][1] == merged[i][1] and merged[i + half][0] != merged[i][0]
-            for i in range(half)
-        ):
-            return half
-    return k - 1
+    if len(rs) % 2:
+        rs = ((rs[0][0], rs[0][1] + rs[-1][1]),) + rs[1:-1]
+    half = len(rs) // 2
+    if all(
+        rs[i + half][1] == rs[i][1] and rs[i + half][0] != rs[i][0]
+        for i in range(half)
+    ):
+        return half
+    return len(rs)
 
 
 def lr_repetend(cf: PeriodicCF) -> LRWord:
@@ -476,12 +470,11 @@ def walk_LE(t, m: Mat2, i: int):
 
     for _ in range(i):
         cur, _ = step(cur, L)
-    completions = []  # (j, state, runs_len, last_run_count)
+    completions = []  # (j, state, snap)
     for j in range(1, 3 * n + 1):
         cur, at_state = step(cur, R)
         if at_state:
-            snap = (len(out.runs), out.runs[-1][1] if out.runs else 0)
-            completions.append((j, Mat2(*cur), snap))
+            completions.append((j, Mat2(*cur), out.snap()))
     re_states = {s for _, s, _ in completions if is_RE(s)}
     if len(re_states) != 1:
         raise RuntimeError(f"expected a unique recurring RE state, saw {re_states}")
@@ -494,12 +487,8 @@ def walk_LE(t, m: Mat2, i: int):
     ]
     if len(hits) != 1:
         raise RuntimeError(f"expected one window hit for {target!r}, got {hits}")
-    j, (nruns, last) = hits[0]
-    runs = [tuple(r) for r in out.runs[: nruns - 1]]
-    if nruns:
-        runs.append((out.runs[nruns - 1][0], last))
-    w = LRWord.from_runs(runs)
-    return target, j, w
+    j, snap = hits[0]
+    return target, j, out.word(stop=snap)
 
 
 # ---------------------------------------------------------------------------

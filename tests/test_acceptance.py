@@ -261,3 +261,12 @@ def test_9_lemma_suites():
                 for i in range(nu_L(mm), 2 * nu_L(mm)):
                     _, _, w = walk_LE(nn, mm, i)
                     assert sigma(w) == 2 * (xi(i * m1 + u1, t1) // 2) + 2, (n, m, i)
+
+
+def test_10_large_det_cycle_is_linear():
+    # n = 1859: the walk makes 1859 passes over the repetend; the output
+    # cycle must be built once, not re-joined per pass
+    m, cf = Mat2(-28, 5, 47, 58), parse_cf("[2;1,22]")
+    with stopwatch(1):
+        assert image_period(m, cf) == 5206
+        assert per(cf_from_surd(apply_mobius(m, surd_from_cf(cf)))) == 5206

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from raneycf import cli
 from raneycf.cli import main
 
 
@@ -137,6 +138,29 @@ def test_verify_parallel_matches_serial(capsys):
     a, b = json.loads(serial), json.loads(parallel)
     a.pop("elapsed"), b.pop("elapsed")
     assert a == b
+
+
+def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    code, out, _ = run(capsys, "verify", "4", "--samples", "8", "--jobs", "100000")
+    assert code == 0 and json.loads(out)["failures"] == []
+    assert sizes == [2]
 
 
 # -- search -----------------------------------------------------------------------

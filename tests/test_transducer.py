@@ -28,7 +28,9 @@ from raneycf.words import (
     mu,
     parse_word,
     primitive_root,
+    rotate,
     sigma,
+    star,
     star_letter,
 )
 
@@ -108,6 +110,61 @@ def test_transduce_cycle_closure_identity():
         assert walk.gamma >= 1
 
 
+def test_transduce_cycle_matches_per_pass_concatenation():
+    """Reference: one fresh accumulator per pass, the cycle's passes joined."""
+
+    def ref(n, start, rep):
+        boundary = {start.entries: 0}
+        outputs = []
+        cur = start.entries
+        while True:
+            out = _Out()
+            cur = _feed_word(n, cur, rep.runs, out)
+            outputs.append(out.word())
+            if cur in boundary:
+                break
+            boundary[cur] = len(outputs)
+        idx = boundary[cur]
+        joined = [r for w in outputs[idx:] for r in w.runs]
+        before = [r for w in outputs[:idx] for r in w.runs]
+        straddles = bool(before and joined and before[-1][0] == joined[0][0])
+        return idx, len(outputs) - idx, LRWord.from_runs(joined), straddles
+
+    rng = random.Random(29)
+    seen = {"gamma>=2": 0, "idx>0": 0, "straddle": 0}
+    for _ in range(400):
+        n = rng.randint(1, 30)
+        start = rng.choice(sorted(enumerate_DB(n), key=lambda m: m.entries))
+        rep = random_word(rng, max_runs=6, max_exp=9, min_runs=2)
+        if len({l for l, _ in rep.runs}) < 2:
+            continue
+        idx, gamma, output, straddles = ref(n, start, rep)
+        walk = transduce_cycle(n, start, rep)
+        assert (walk.gamma, walk.output) == (gamma, output)
+        seen["gamma>=2"] += gamma >= 2
+        seen["idx>0"] += idx > 0
+        seen["straddle"] += straddles
+    assert all(seen.values()), seen
+
+
+def test_out_word_slices_between_snaps():
+    rng = random.Random(31)
+    for _ in range(300):
+        out = _Out()
+        letters = []
+        snaps = [(out.snap(), 0)]  # (snap, its position in letters)
+        for _ in range(rng.randint(1, 12)):
+            letter, k = rng.choice("LR"), rng.randint(0, 4)
+            out.emit(letter, k)
+            letters.extend(letter * k)
+            snaps.append((out.snap(), len(letters)))
+        (s0, p0), (s1, p1) = sorted(rng.sample(snaps, 2), key=lambda s: s[1])
+        assert out.word(s0, s1) == LRWord.from_letters(letters[p0:p1])
+        assert out.word(s0) == LRWord.from_letters(letters[p0:])
+        assert out.word(stop=s1) == LRWord.from_letters(letters[:p1])
+        assert out.word() == LRWord.from_letters(letters)
+
+
 def test_transduce_cycle_rejects_single_letter():
     with pytest.raises(ValueError):
         transduce_cycle(14, Mat2(7, 0, 0, 2), parse_word("L^7"))
@@ -147,6 +204,21 @@ def test_lr_cycle_to_period_matches_conjugate_scan():
             continue
         w = w ** rng.randint(1, 3)
         assert lr_cycle_to_period(w) == ref(w)
+
+    # odd run counts up to ~41, and V*star(V) rotated off its run boundaries
+    odd = halves = 0
+    for _ in range(1500):
+        v = random_word(rng, max_runs=21, max_exp=4, min_runs=1)
+        w = v + star(v) if rng.random() < 0.5 else random_word(rng, 41, 4, 2)
+        if len({l for l, _ in w.runs}) < 2:
+            continue
+        w = rotate(w, rng.randrange(len(w)))
+        k = len(primitive_root(w)[0].runs)
+        odd += k % 2
+        p = lr_cycle_to_period(w)
+        halves += k % 2 == 1 and p == (k - 1) // 2
+        assert p == ref(w)
+    assert odd and halves, (odd, halves)
 
 
 def test_lr_cycle_to_period_matches_surd_oracle():
