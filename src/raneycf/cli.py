@@ -85,39 +85,36 @@ def _random_cf(rng: random.Random, max_period: int, max_quotient: int) -> Period
 
 def run_trial(args) -> dict | None:
     """One verify trial; deterministic in (seed, index). Returns a failure
-    record or None."""
+    record, with a `repro` command line, or None."""
     n, seed, idx, max_period, max_quotient = args
     rng = random.Random(f"{seed}:{idx}")
     cf = _random_cf(rng, max_period, max_quotient)
     m = _random_matrix(rng, n)
     assert abs(det(m)) == n and content_gcd(m) == 1
     per_x = per(cf)
-    oracle_cf = cf_from_surd(apply_mobius(m, surd_from_cf(cf)))
-    oracle_per = per(oracle_cf)
-    try:
-        per_hx = image_period(m, cf)
-    except Exception as exc:  # a crash is a failure, not an abort
+    oracle_per = per(cf_from_surd(apply_mobius(m, surd_from_cf(cf))))
+
+    def failure(per_hx, verdict):
+        # --matrix=... keeps argparse from reading a negative entry as a flag
         return {
             "index": idx,
             "matrix": format_mat2(m),
             "cf": format_cf(cf),
             "per_x": per_x,
-            "per_hx": None,
-            "verdict": f"error: {exc}",
+            "per_hx": per_hx,
+            "verdict": verdict,
             "oracle_per": oracle_per,
+            "repro": f'raneycf transform --matrix={format_mat2(m)} --cf "{format_cf(cf)}"',
         }
+
+    try:
+        per_hx = image_period(m, cf)
+    except Exception as exc:  # a crash is a failure, not an abort
+        return failure(None, f"error: {exc}")
     verdict = check_bound(n, per_x, per_hx)
     if per_hx == oracle_per and verdict == "holds":
         return None
-    return {
-        "index": idx,
-        "matrix": format_mat2(m),
-        "cf": format_cf(cf),
-        "per_x": per_x,
-        "per_hx": per_hx,
-        "verdict": verdict if per_hx == oracle_per else f"{verdict}; oracle mismatch",
-        "oracle_per": oracle_per,
-    }
+    return failure(per_hx, verdict if per_hx == oracle_per else f"{verdict}; oracle mismatch")
 
 
 def cmd_bound(n: int, breakdown: bool = False, fmt: str = "text") -> str:

@@ -12,8 +12,6 @@ from math import gcd, isqrt
 
 from .matrices import Mat2, det as mat_det
 
-_MAX_EXPANSION_STEPS = 1_000_000
-
 
 def _is_square(n: int) -> bool:
     if n < 0:
@@ -71,10 +69,15 @@ def surd(P: int, Q: int, D: int) -> QuadraticSurd:
 
 
 def floor_surd(x: QuadraticSurd) -> int:
-    num = x.P + isqrt(x.D)  # floor(P + sqrt(D)), exact since D is nonsquare
-    if x.Q > 0:
-        return num // x.Q
-    return -(num // -x.Q) - 1
+    return _floor(x.P, x.Q, isqrt(x.D))
+
+
+def _floor(P: int, Q: int, r: int) -> int:
+    """floor((P + sqrt(D))/Q) for r = isqrt(D), D nonsquare."""
+    num = P + r  # floor(P + sqrt(D)), exact since D is nonsquare
+    if Q > 0:
+        return num // Q
+    return -(num // -Q) - 1
 
 
 def approx(x: QuadraticSurd, digits: int = 30) -> Fraction:
@@ -132,21 +135,67 @@ def per(cf: PeriodicCF) -> int:
     return len(cf.repetend)
 
 
+def _preperiod_bound(Q: int, r: int) -> int:
+    """An upper bound on the index of the first reduced complete quotient of
+    (P + sqrt(D))/Q, where r = isqrt(D).
+
+    Let p_j/q_j be the convergents of x and x_k its complete quotients, so
+    x = (p_{k-1} x_k + p_{k-2})/(q_{k-1} x_k + q_{k-2}).  Conjugating and
+    solving for x_k' gives x_k' = -(q_{k-2} x' - p_{k-2})/(q_{k-1} x' - p_{k-1}).
+    Write q_j x' - p_j = q_j (x' - x) + eta_j with |eta_j| < 1/q_{j+1}, and
+    |x - x'| = 2 sqrt(D)/|Q|.  For k >= 3, q_{k-1} - q_{k-2} >= q_{k-3}, so
+    q_{k-3} q_{k-1} sqrt(D) >= |Q| makes numerator and denominator share
+    the sign of x' - x, the numerator strictly smaller in absolute value:
+    x_k' lies in (-1, 0), and x_k > 1 because k >= 1, so x_k is reduced.  The q_j grow at least like
+    the Fibonacci numbers, q_j >= F_{j+1} >= phi^(j-1), hence
+    q_{k-3} q_{k-1} >= phi^(2k-6) >= 2^(k-3), and 2^(k-3) r >= |Q| suffices.
+    That holds for k - 3 = max(0, bitlen|Q| - bitlen r + 1).
+    """
+    return 3 + max(0, abs(Q).bit_length() - r.bit_length() + 1)
+
+
 def cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
-    """Classical complete-quotient expansion with exact integer floors."""
+    """The periodic continued fraction of x, by the complete-quotient
+    expansion x_k = (P_k + sqrt(D))/Q_k with exact integer floors.
+
+    One isqrt: floor(x_k) comes from P_k + isqrt(D), and the next Q from the
+    additive recurrence Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), which keeps
+    Q_k Q_{k-1} = D - P_k^2, seeded with Q_{-1} = (D - P_0^2)/Q_0.
+
+    Closing the cycle (Galois): x_k is purely periodic exactly when it is
+    reduced, x_k > 1 and -1 < x_k' < 0; in integers Q > 0, P <= r < P + Q
+    and Q - P <= r.  Complete quotients of a reduced surd are reduced, so the
+    index k of the first reduced one is the minimal preperiod, and the first
+    return of (P_k, Q_k) closes the primitive period.  The preperiod's last
+    quotient never equals the repetend's last (x_{k-1} would then equal a
+    reduced complete quotient), so the result is already normal.  k is at
+    most `_preperiod_bound`; past it lies a bug, not an input.  From there
+    the step is an injective map of the at most r(r+1) reduced pairs
+    (1 <= P <= r, r - P < Q <= r + P), so the pair must come back.
+    """
     P, Q, D = x.P, x.Q, x.D
-    seen: dict[tuple[int, int], int] = {}
+    r = isqrt(D)
+    Q_prev = (D - P * P) // Q
+    limit = _preperiod_bound(Q, r)
     quotients: list[int] = []
-    for step in range(_MAX_EXPANSION_STEPS):
-        if (P, Q) in seen:
-            s = seen[(P, Q)]
-            return PeriodicCF.create(quotients[:s], quotients[s:])
-        seen[(P, Q)] = step
-        a = floor_surd(QuadraticSurd(P, Q, D))
+    while not (Q > 0 and P <= r < P + Q and Q - P <= r):
+        if len(quotients) >= limit:
+            raise RuntimeError(f"no reduced complete quotient within {limit} steps")
+        a = _floor(P, Q, r)
         quotients.append(a)
         P1 = a * Q - P
-        P, Q = P1, (D - P1 * P1) // Q
-    raise RuntimeError("continued fraction expansion did not close")
+        P, Q, Q_prev = P1, Q_prev + a * (P - P1), Q
+    start = len(quotients)
+    P0, Q0 = P, Q
+    while True:
+        a = (P + r) // Q  # Q > 0 on reduced pairs
+        quotients.append(a)
+        P1 = a * Q - P
+        P, Q, Q_prev = P1, Q_prev + a * (P - P1), Q
+        if P == P0 and Q == Q0:
+            break
+    assert Q * Q_prev == D - P * P
+    return PeriodicCF(tuple(quotients[:start]), tuple(quotients[start:]))
 
 
 def surd_from_cf(cf: PeriodicCF) -> QuadraticSurd:

@@ -270,3 +270,11 @@ def test_10_large_det_cycle_is_linear():
     with stopwatch(1):
         assert image_period(m, cf) == 5206
         assert per(cf_from_surd(apply_mobius(m, surd_from_cf(cf)))) == 5206
+
+
+def test_11_oracle_closes_a_million_step_period():
+    # the expansion needs 1,158,480 steps after its preperiod; no step cap
+    # may stop it short of the cycle
+    m, cf = Mat2(420, 373, 1415, 404), parse_cf("[;20,2,24,27,11]")
+    with stopwatch(15):
+        assert per(cf_from_surd(apply_mobius(m, surd_from_cf(cf)))) == 1158480

@@ -1,5 +1,6 @@
 """CLI surface: rendering, exit codes, reproducibility."""
 import json
+import shlex
 
 import pytest
 
@@ -161,6 +162,31 @@ def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "4", "--samples", "8", "--jobs", "100000")
     assert code == 0 and json.loads(out)["failures"] == []
     assert sizes == [2]
+
+
+def _assert_repro(record):
+    argv = shlex.split(record["repro"])
+    assert argv[0] == "raneycf"
+    args = cli._build_parser().parse_args(argv[1:])
+    assert args.command == "transform"
+    assert (args.matrix, args.cf) == (record["matrix"], record["cf"])
+
+
+def test_verify_failure_records_carry_repro(monkeypatch):
+    monkeypatch.setattr(cli, "image_period", lambda m, cf: 10**9)
+    records = [cli.run_trial((6, 11, idx, 8, 50)) for idx in range(20)]
+    assert any(r["matrix"].startswith("-") for r in records)
+    for r in records:
+        assert r["verdict"].endswith("oracle mismatch")
+        _assert_repro(r)
+
+    def crash(m, cf):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "image_period", crash)
+    r = cli.run_trial((6, 11, 0, 8, 50))
+    assert r["verdict"] == "error: boom"
+    _assert_repro(r)
 
 
 # -- search -----------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Quadratic surd oracle: expansion, periods, exact Moebius application."""
+import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from raneycf.matrices import IDENTITY, L_MAT, Mat2, R_MAT, inverse_times_det
+from raneycf.matrices import IDENTITY, L_MAT, Mat2, R_MAT, det, inverse_times_det
 from raneycf.surds import (
     PeriodicCF,
     QuadraticSurd,
+    _preperiod_bound,
     apply_mobius,
     approx,
     cf_from_surd,
@@ -21,6 +25,7 @@ from raneycf.surds import (
     surd,
     surd_from_cf,
 )
+from raneycf.transducer import image_period
 
 X3 = parse_cf(
     "[-1,1,11;7,1,6,8,399,8,6,1,7,3,2,7,1,2,1,1,7,1,1,2,1,7,2,3]"
@@ -85,6 +90,87 @@ def test_cf_from_surd_examples():
     assert cf_from_surd(surd(1, 1, 2)) == parse_cf("[;2]")
     assert cf_from_surd(surd(0, 1, 2)) == parse_cf("[1;2]")
     assert per(cf_from_surd(surd_from_cf(X3))) == 24
+
+
+# Reference: the textbook per-step expansion, with a validated QuadraticSurd
+# and a fresh isqrt per step, the next Q by division, and a dict of every (P, Q).
+def _reference_cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
+    P, Q, D = x.P, x.Q, x.D
+    seen: dict[tuple[int, int], int] = {}
+    quotients: list[int] = []
+    while (P, Q) not in seen:
+        seen[(P, Q)] = len(quotients)
+        a = floor_surd(QuadraticSurd(P, Q, D))
+        quotients.append(a)
+        P1 = a * Q - P
+        P, Q = P1, (D - P1 * P1) // Q
+    s = seen[(P, Q)]
+    return PeriodicCF.create(quotients[:s], quotients[s:])
+
+
+@st.composite
+def direct_surds(draw):
+    """(P + sqrt(D))/Q with either sign of Q and D nonsquare below ~10^5,
+    which keeps the period short."""
+    P = draw(st.integers(-(10**6), 10**6))
+    Q = draw(st.integers(-1000, 1000).filter(bool))
+    D0 = draw(st.integers(2, 10**5))
+    D = D0 + (P * P - D0) % abs(Q)  # the least D >= D0 with Q | D - P^2
+    assume(isqrt(D) ** 2 != D)
+    return QuadraticSurd(P, Q, D)
+
+
+# preperiods with an optional signed head down to -10^6, quotients to 10^6
+wide_cfs = st.builds(
+    lambda head, tail, rep: PeriodicCF.create(head + tail, rep),
+    st.lists(st.integers(-(10**6), 10**6), max_size=1),
+    st.lists(st.integers(1, 10**6), max_size=3),
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def mobius_images(draw):
+    """h_M(x) for M with 0 < |det M| <= 4096 and x over wide continued fractions."""
+    m = Mat2(*(draw(st.integers(-64, 64)) for _ in range(4)))
+    assume(0 < abs(det(m)) <= 4096)
+    return apply_mobius(m, surd_from_cf(draw(wide_cfs)))
+
+
+oracle_inputs = st.one_of(
+    direct_surds(),
+    direct_surds().filter(lambda x: x.Q < 0),
+    wide_cfs.map(surd_from_cf),
+    mobius_images(),
+)
+
+
+@given(oracle_inputs)
+@settings(max_examples=300, deadline=None)
+def test_cf_from_surd_matches_reference(x):
+    assert cf_from_surd(x) == _reference_cf_from_surd(x)
+
+
+@given(oracle_inputs)
+@settings(max_examples=300, deadline=None)
+def test_cf_from_surd_is_normal_within_bound(x):
+    cf = cf_from_surd(x)
+    assert len(cf.preperiod) <= _preperiod_bound(x.Q, isqrt(x.D))
+    assert PeriodicCF.create(cf.preperiod, cf.repetend) == cf
+
+
+def test_cf_from_surd_period_1000_is_fast():
+    rng = random.Random(20260824)
+    cf = PeriodicCF.create([], [rng.randint(1, 50) for _ in range(1000)])
+    m = Mat2(12, 1, 17, 2)
+    x = surd_from_cf(cf)
+    t0 = time.monotonic()
+    back = cf_from_surd(x)
+    image = cf_from_surd(apply_mobius(m, x))
+    elapsed = time.monotonic() - t0
+    assert back == cf
+    assert per(image) == image_period(m, cf)
+    assert elapsed < 1, f"took {elapsed:.2f}s, budget 1s"
 
 
 def test_per_examples():
@@ -154,8 +240,6 @@ def test_apply_mobius_rejects_singular():
 )
 def test_apply_mobius_composition(x, vals):
     m1, m2 = Mat2(*vals[:4]), Mat2(*vals[4:])
-    from raneycf.matrices import det
-
     if det(m1) == 0 or det(m2) == 0:
         return
     assert apply_mobius(m1 * m2, x) == apply_mobius(m1, apply_mobius(m2, x))
