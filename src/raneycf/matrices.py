@@ -107,16 +107,20 @@ def in_DB(m: Mat2, n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _enumerate_DB(n: int) -> tuple[Mat2, ...]:
-    # in_DB forces 1 <= a, d <= n, 0 <= c < a, 0 <= b < d with ad - bc = n
+    # in_DB forces 1 <= a <= n, 0 <= c < a, 0 <= b < a with ad - bc = n, so b
+    # solves b*c = -n (mod a): with g = gcd(c, a) there are solutions only
+    # when g | n, and they step by a/g from the least one.
     found = []
     for a in range(1, n + 1):
         for c in range(0, a):
-            for b in range(0, n + 1):
-                num = n + b * c
-                if num % a:
-                    continue
-                d = num // a
-                if d > b and d > c and a > b and gcd(a, b, c, d) == 1:
+            g = gcd(c, a)
+            if n % g:
+                continue
+            step = a // g
+            b0 = -(n // g) * pow(c // g, -1, step) % step
+            for b in range(b0, a, step):
+                d = (n + b * c) // a
+                if d > b and d > c and gcd(a, b, c, d) == 1:
                     found.append(Mat2(a, b, c, d))
     return tuple(sorted(found, key=lambda m: m.entries))
 

@@ -573,6 +573,33 @@ class _RunCache:
         rest = k - cums[i]
         return _mul(states[i], letter, rest) if rest else states[i]
 
+    def prefixes(self, t, letter, e):
+        """Pairs (k, feed(t, letter, k)) for 0 < k < e, one per position on
+        the escape chain, each with the largest k that reaches it.
+
+        Below the first escape k0 the state is t * letter^k.  After it, the
+        state at consumption p = k - k0 is a chain state or a partial step
+        inside its escape; from the chain's loop on (p >= cums[cyc_i]) it
+        depends only on p mod cyc_c, so each residue class is listed once.
+        """
+        k0 = _escape(t, letter)
+        for k in range(1, min(k0, e)):
+            yield k, _mul(t, letter, k)
+        top = e - 1 - k0  # the largest p
+        if top < 0:
+            return
+        states, cums, _, cyc_i, cyc_c, _, _ = self._chain(letter, _peel(_mul(t, letter, k0), None))
+        loop = cums[cyc_i]
+        ends = cums[1:] + [loop + cyc_c]
+        for s, lo, hi in zip(states, cums, ends):
+            for p in range(lo, min(hi, top + 1)):
+                k = k0 + p
+                if p >= loop:
+                    k += (top - p) // cyc_c * cyc_c
+                yield k, (s if p == lo else _mul(s, letter, p - lo))
+            if hi > top:
+                return
+
 
 def search_max_ratio(n: int, cf: PeriodicCF):
     """Max of per(output)/per(input) over all DB_n start states and all
@@ -581,72 +608,62 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     Reading a rotation repeatedly is a bi-infinite walk over the cyclic
     word, so every limit cycle is a periodic orbit of the run-by-run map
     on (next run index, state) nodes — and its output period is rotation
-    invariant.  Each (state, offset) pair therefore costs one partial-run
-    feed plus memoized orbit lookups.  Returns (best_ratio, witness_state,
-    witness_offset).
+    invariant.  The offsets inside run r = (letter, e) start the walk at
+    (r, seed) or, k letters short of the run's end, at ((r+1) % nr,
+    feed(seed, letter^k)) for k = e-1 ... 1.  Those nodes lie on the seed's
+    escape chain (_RunCache.prefixes): before the chain's loop each k gives
+    its own node, inside it the node depends only on k mod the loop length,
+    and the largest k of a residue class is its earliest offset.  So each
+    (run, seed) visits each position of its escape chain once, and the cost
+    does not depend on e.  Orbits are resolved once and memoized per node.
+
+    Returns (best_ratio, witness_state, witness_offset): the first offset,
+    then the first state in entry order, that attains the maximum.
     """
-    word = lr_repetend(cf)
-    runs = word.runs
+    runs = lr_repetend(cf).runs
     nr = len(runs)
-    per_x = per(cf)
     seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
     cache = _RunCache()
-    step_memo: dict = {}
-    orbit_of: dict = {}  # node -> canonical node of its terminal orbit
-    ratio_of: dict = {}  # canonical orbit node -> Fraction
-
-    def step(node):
-        nxt = step_memo.get(node)
-        if nxt is None:
-            r, t = node
-            letter, e = runs[r]
-            nxt = ((r + 1) % nr, cache.feed(t, letter, e))
-            step_memo[node] = nxt
-        return nxt
+    period_of: dict = {}  # node -> output period of its terminal orbit
 
     def resolve(node):
         path = []
         index = {}
         cur = node
         while True:
-            key = orbit_of.get(cur)
-            if key is not None:
+            period = period_of.get(cur)
+            if period is not None:
                 break
             if cur in index:
-                cycle = path[index[cur] :]
-                key = min(cycle)
-                if key not in ratio_of:
-                    out = _Out()
-                    r, t = key
-                    for i in range(len(cycle)):
-                        letter, e = runs[(r + i) % nr]
-                        t = cache.feed(t, letter, e, out)
-                    ratio_of[key] = Fraction(lr_cycle_to_period(out.word()), per_x)
+                out = _Out()
+                r, t = cur
+                for i in range(len(path) - index[cur]):
+                    letter, e = runs[(r + i) % nr]
+                    t = cache.feed(t, letter, e, out)
+                period = lr_cycle_to_period(out.word())
                 break
             index[cur] = len(path)
             path.append(cur)
-            cur = step(cur)
+            r, t = cur
+            letter, e = runs[r]
+            cur = ((r + 1) % nr, cache.feed(t, letter, e))
         for p in path:
-            orbit_of[p] = key
-        return key
+            period_of[p] = period
+        return period
 
-    starts = []
-    pos = 0
-    for letter, e in runs:
-        starts.append(pos)
-        pos += e
-    best = None
-    for off in range(len(word)):
-        r = bisect_right(starts, off) - 1
-        within = off - starts[r]
-        letter, e = runs[r]
-        for seed in seeds:
-            if within:
-                node = ((r + 1) % nr, cache.feed(seed.entries, letter, e - within))
-            else:
-                node = (r, seed.entries)
-            ratio = ratio_of[resolve(node)]
-            if best is None or ratio > best[0]:
-                best = (ratio, seed, off)
-    assert best is not None
-    return best
+    best = None  # max of (period, -offset, -seed index)
+    start = 0
+    for r, (letter, e) in enumerate(runs):
+        nxt = (r + 1) % nr
+        for i, seed in enumerate(seeds):
+            key = (resolve((r, seed.entries)), -start, -i)
+            if best is None or key > best:
+                best = key
+            for k, t in cache.prefixes(seed.entries, letter, e):
+                node = (nxt, t)
+                key = (period_of.get(node) or resolve(node), k - e - start, -i)
+                if key > best:
+                    best = key
+        start += e
+    period, neg_off, neg_i = best
+    return Fraction(period, per(cf)), seeds[-neg_i], -neg_off

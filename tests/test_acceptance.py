@@ -3,6 +3,7 @@ equivalence at scale, sharpness witnesses, and the lemma-level suites.
 
 Each test asserts both the mathematical claim and its runtime budget.
 """
+import json
 import random
 import time
 from fractions import Fraction
@@ -11,9 +12,10 @@ from math import gcd
 import pytest
 
 from raneycf.bounds import check_bound, prime_sharp_bound, s_n_closed_form, s_n_via_transducer
-from raneycf.cli import run_trial
+from raneycf.cli import main, run_trial
 from raneycf.matrices import (
     Mat2,
+    _enumerate_DB,
     content_gcd,
     enumerate_DB,
     enumerate_LE,
@@ -22,6 +24,7 @@ from raneycf.matrices import (
     is_LE,
     is_LS,
     nu_L,
+    parse_mat2,
     transpose,
     xi,
 )
@@ -118,22 +121,24 @@ def test_6_oracle_equivalence_and_sandwich():
                 assert failure is None, failure
 
 
+def oracle_witness_period(cf, state, offset):
+    """per of the witness's image by the surd oracle: rotate the input by
+    `offset` letters via its unimodular prefix, apply the witness state as
+    a Moebius map, and expand exactly."""
+    x = surd_from_cf(cf)
+    if offset:
+        prefix = mu(LRWord.from_letters(list(lr_repetend(cf).letters())[:offset]))
+        x = apply_mobius(inverse_times_det(prefix), x)
+    return per(cf_from_surd(apply_mobius(state, x)))
+
+
 def test_7_sharpness_witnesses():
     with stopwatch(10):
         for n, cf_text, expected in ((7, "[;4390]", 24), (9, "[;4696]", 36)):
             cf = parse_cf(cf_text)
             ratio, state, offset = search_max_ratio(n, cf)
             assert ratio == Fraction(expected)
-            # cross-check the witness against the surd oracle: rotate the
-            # input by `offset` letters via its unimodular prefix, apply the
-            # witness state as a Moebius map, and expand exactly
-            word = lr_repetend(cf)
-            x = surd_from_cf(cf)
-            if offset:
-                prefix = mu(LRWord.from_letters(list(word.letters())[:offset]))
-                x = apply_mobius(inverse_times_det(prefix), x)
-            oracle = per(cf_from_surd(apply_mobius(state, x)))
-            assert oracle == expected * per(cf)
+            assert oracle_witness_period(cf, state, offset) == expected * per(cf)
 
 
 def test_8_prime_formula_concordance():
@@ -278,3 +283,33 @@ def test_11_oracle_closes_a_million_step_period():
     m, cf = Mat2(420, 373, 1415, 404), parse_cf("[;20,2,24,27,11]")
     with stopwatch(15):
         assert per(cf_from_surd(apply_mobius(m, surd_from_cf(cf)))) == 1158480
+
+
+def test_12_search_cost_is_independent_of_quotients():
+    # 6 s at a scan over every (offset, state) pair: 40,000 offsets x 31 states
+    cf = parse_cf("[;20000]")
+    with stopwatch(1):
+        ratio, state, offset = search_max_ratio(31, cf)
+    assert ratio == Fraction(148)
+    assert oracle_witness_period(cf, state, offset) == ratio * per(cf)
+
+
+def test_13_search_cli_with_quotients_of_ten_million(capsys):
+    # about 8.6e8 (offset, state) pairs for a per-pair scan
+    text = "[;10000000,3,1000000]"
+    with stopwatch(2):
+        code = main(["search", "48", "--cf", text, "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    cf = parse_cf(text)
+    ratio = Fraction(doc["best_ratio"])
+    assert 1 / Fraction(s_n_closed_form(48).total) <= ratio <= s_n_closed_form(48).total
+    witness = oracle_witness_period(cf, parse_mat2(doc["witness_state"]), doc["witness_offset"])
+    assert witness == ratio * per(cf)
+
+
+def test_14_enumerate_DB_is_quadratic():
+    # cubic in n for a loop over every b in 0..n
+    _enumerate_DB.cache_clear()
+    with stopwatch(0.25):
+        assert len(enumerate_DB(200)) == 322

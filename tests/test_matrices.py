@@ -9,6 +9,7 @@ from raneycf.matrices import (
     L_MAT,
     Mat2,
     R_MAT,
+    _enumerate_DB,
     associated,
     content_gcd,
     det,
@@ -132,6 +133,26 @@ def brute_force_DB(n):
 @pytest.mark.parametrize("n", range(1, 16))
 def test_enumerate_DB_matches_brute_force(n):
     assert enumerate_DB(n) == brute_force_DB(n)
+
+
+def _reference_enumerate_DB(n):
+    """The loop over every b in 0..n that enumerate_DB's congruence solve replaced."""
+    found = []
+    for a in range(1, n + 1):
+        for c in range(0, a):
+            for b in range(0, n + 1):
+                num = n + b * c
+                if num % a:
+                    continue
+                d = num // a
+                if d > b and d > c and a > b and gcd(a, b, c, d) == 1:
+                    found.append(Mat2(a, b, c, d))
+    return tuple(sorted(found, key=lambda m: m.entries))
+
+
+def test_enumerate_DB_matches_reference_loop():
+    for n in range(1, 101):
+        assert _enumerate_DB(n) == _reference_enumerate_DB(n), n
 
 
 # -- LS/RS/LE/RE ----------------------------------------------------------------

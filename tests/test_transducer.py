@@ -1,13 +1,16 @@
 """Transducer construction, transduction of periodic input, LE walks, search."""
 import json
 import random
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raneycf.matrices import Mat2, det, enumerate_DB, in_DB, in_RB, nu_R, xi
 from raneycf.surds import parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
     _Out,
+    _RunCache,
     _feed_word,
     build_transducer,
     factorize_to_DB,
@@ -23,6 +26,8 @@ from raneycf.transducer import (
     walk_LE,
 )
 from raneycf.words import (
+    L,
+    R,
     LRWord,
     boundary_conjugates,
     mu,
@@ -369,8 +374,8 @@ def test_search_matches_direct_enumeration():
                         for _ in cyc:
                             node = _feed_word(n, node, runs, out)
                         r = Fraction(lr_cycle_to_period(out.word()), per(cf))
-                        if best is None or r > best:
-                            best = r
+                        if best is None or r > best[0]:
+                            best = (r, seed, off)
                         break
                     index[cur] = len(path)
                     path.append(cur)
@@ -382,7 +387,108 @@ def test_search_matches_direct_enumeration():
         n = rng.randint(2, 8)
         rep = [rng.randint(1, 9) for _ in range(rng.randint(1, 3))]
         cf = parse_cf(f"[;{','.join(map(str, rep))}]")
-        assert search_max_ratio(n, cf)[0] == brute(n, cf)
+        assert search_max_ratio(n, cf) == brute(n, cf)
+
+
+def _reference_search_max_ratio(n, cf):
+    """search_max_ratio as a scan over every (offset, state) pair: one
+    partial-run feed per pair, then memoized orbit lookups."""
+    from fractions import Fraction
+
+    word = lr_repetend(cf)
+    runs = word.runs
+    nr = len(runs)
+    per_x = per(cf)
+    seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
+    cache = _RunCache()
+    step_memo = {}
+    orbit_of = {}  # node -> canonical node of its terminal orbit
+    ratio_of = {}  # canonical orbit node -> Fraction
+
+    def step(node):
+        nxt = step_memo.get(node)
+        if nxt is None:
+            r, t = node
+            letter, e = runs[r]
+            nxt = ((r + 1) % nr, cache.feed(t, letter, e))
+            step_memo[node] = nxt
+        return nxt
+
+    def resolve(node):
+        path = []
+        index = {}
+        cur = node
+        while True:
+            key = orbit_of.get(cur)
+            if key is not None:
+                break
+            if cur in index:
+                cycle = path[index[cur] :]
+                key = min(cycle)
+                if key not in ratio_of:
+                    out = _Out()
+                    r, t = key
+                    for i in range(len(cycle)):
+                        letter, e = runs[(r + i) % nr]
+                        t = cache.feed(t, letter, e, out)
+                    ratio_of[key] = Fraction(lr_cycle_to_period(out.word()), per_x)
+                break
+            index[cur] = len(path)
+            path.append(cur)
+            cur = step(cur)
+        for p in path:
+            orbit_of[p] = key
+        return key
+
+    starts = []
+    pos = 0
+    for letter, e in runs:
+        starts.append(pos)
+        pos += e
+    best = None
+    for off in range(len(word)):
+        r = bisect_right(starts, off) - 1
+        within = off - starts[r]
+        letter, e = runs[r]
+        for seed in seeds:
+            if within:
+                node = ((r + 1) % nr, cache.feed(seed.entries, letter, e - within))
+            else:
+                node = (r, seed.entries)
+            ratio = ratio_of[resolve(node)]
+            if best is None or ratio > best[0]:
+                best = (ratio, seed, off)
+    return best
+
+
+# small quotients give short escape chains, large ones reach the chain's loop
+_QUOTIENTS = st.one_of(st.integers(1, 3), st.integers(1, 300))
+
+
+@given(st.integers(1, 24), st.lists(_QUOTIENTS, min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_search_matches_reference_witness(n, rep):
+    cf = parse_cf(f"[;{','.join(map(str, rep))}]")
+    assert search_max_ratio(n, cf) == _reference_search_max_ratio(n, cf)
+
+
+def test_run_prefixes_match_feed():
+    """Each listed k feeds to its state, and every state that some k < e
+    feeds to is listed with the largest such k."""
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        seed = rng.choice(sorted(enumerate_DB(n), key=lambda m: m.entries)).entries
+        letter = rng.choice((L, R))
+        e = rng.randint(1, 400)
+        cache = _RunCache()
+        pairs = list(cache.prefixes(seed, letter, e))
+        assert all(cache.feed(seed, letter, k) == t for k, t in pairs)
+        assert len({k for k, _ in pairs}) == len(pairs)
+        last = {}
+        for k in range(e - 1, 0, -1):
+            last.setdefault(cache.feed(seed, letter, k), k)
+        assert set(last.items()) <= set((t, k) for k, t in pairs)
 
 
 def test_search_small_example():
