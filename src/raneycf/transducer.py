@@ -65,14 +65,12 @@ def _escape(t, letter):
 
 
 class _Out:
-    """Run-merging output accumulator with per-letter totals."""
+    """Run-merging output accumulator: runs[i] = [letter, count]."""
 
-    __slots__ = ("runs", "totL", "totR")
+    __slots__ = ("runs",)
 
     def __init__(self):
         self.runs: list[list] = []
-        self.totL = 0
-        self.totR = 0
 
     def emit(self, letter, k):
         if k <= 0:
@@ -81,10 +79,6 @@ class _Out:
             self.runs[-1][1] += k
         else:
             self.runs.append([letter, k])
-        if letter == L:
-            self.totL += k
-        else:
-            self.totR += k
 
     def snap(self):
         """The current end of the output: (number of runs, last run's count)."""
@@ -94,36 +88,45 @@ class _Out:
         """The output between two snaps; by default all of it."""
         i, a = start
         j, b = self.snap() if stop is None else stop
-        runs = self.runs[max(i - 1, 0) : j]  # a copy: the edits below stay local
+        runs = [tuple(r) for r in self.runs[max(i - 1, 0) : j]]
         if j:
             runs[-1] = (runs[-1][0], b)
         if i:
             runs[0] = (runs[0][0], runs[0][1] - a)
-        return LRWord.from_runs(runs)
+        # only an edge run can have been cut to zero; the rest are merged runs
+        return LRWord._trusted(tuple(r for r in runs if r[1]))
 
 
 def _peel(t, out):
-    """Peel maximal L/R runs off the left until the remainder is balanced.
+    """Peel maximal L/R runs off the left until the remainder is balanced,
+    merging them into out.runs (out may be None).
 
     Requires det(t) > 0 and nonnegative entries; exactly one peel applies
     at every unbalanced step, so this terminates in the balanced region.
     """
+    runs = out.runs if out is not None else []
     a, b, c, d = t
     while not (a > c and d > b):
         if c >= a and d >= b:
-            k = c // a if b == 0 else min(c // a, d // b)
-            if out is not None:
-                out.emit(L, k)
+            k = c // a
+            if b and d // b < k:
+                k = d // b
             c -= k * a
             d -= k * b
+            letter = L
         elif a >= c and b >= d:
-            k = b // d if c == 0 else min(a // c, b // d)
-            if out is not None:
-                out.emit(R, k)
+            k = b // d
+            if c and a // c < k:
+                k = a // c
             a -= k * c
             b -= k * d
+            letter = R
         else:
             raise AssertionError(f"no peel applies to {(a, b, c, d)}")
+        if runs and runs[-1][0] == letter:
+            runs[-1][1] += k
+        else:
+            runs.append([letter, k])
     return (a, b, c, d)
 
 
@@ -139,36 +142,58 @@ def _check_db(t, n):
 def _feed_run(n, t, letter, count, out):
     """Consume `count` copies of `letter`; t must be balanced and stays so.
 
-    Repeated states inside a single run form a closed single-letter loop,
-    whose output is a power of the same letter — detected and fast-forwarded.
+    Each step absorbs letter^k0 up to the escape and peels.  Repeated states
+    inside a single run form a closed single-letter loop, whose output is a
+    power of one letter: found by its state, the loop is fast-forwarded
+    from the output snapshot (count, runs, last run's count) taken there.
+    A run that escapes at most once needs no table of visited states, so
+    the table is only built at a run's second escape.
     """
-    seen = {}
-    while count > 0:
-        k0 = _escape(t, letter)
-        if k0 > count:
-            return _mul(t, letter, count)
-        t = _peel(_mul(t, letter, k0), out)
+    if out is None:
+        out = _Out()  # a fast-forward reads the loop's output off the runs
+    runs = out.runs
+    is_L = letter == L
+    a, b, c, d = t
+    first = None  # (state, snapshot) after the first escape
+    seen = None
+    while True:
+        if is_L:
+            k0 = -((a - c) // (b - d))
+            if k0 > count:
+                return (a + b * count, b, c + d * count, d)
+            t = _peel((a + b * k0, b, c + d * k0, d), out)
+        else:
+            k0 = -((d - b) // (c - a))
+            if k0 > count:
+                return (a, b + a * count, c, d + c * count)
+            t = _peel((a, b + a * k0, c, d + c * k0), out)
         _check_db(t, n)
+        a, b, c, d = t
         count -= k0
-        snap = seen.get(t)
-        if snap is None:
-            if out is None:
-                seen[t] = (count, 0, 0)
-            else:
-                seen[t] = (count, out.totL, out.totR)
+        snap = (count, len(runs), runs[-1][1])
+        if seen is None:
+            if first is None:
+                first = (t, snap)
+                continue
+            seen = {first[0]: first[1]}
+        prev = seen.get(t)
+        if prev is None:
+            seen[t] = snap
             continue
-        prev_count, pl, pr = snap
+        prev_count, prev_len, prev_last = prev
         cyc = prev_count - count
         q = count // cyc
         if q:
-            if out is not None:
-                dl, dr = out.totL - pl, out.totR - pr
-                if dl and dr:  # cannot happen: single-letter loops emit one letter
-                    raise AssertionError("mixed emission on a single-letter loop")
-                out.emit(L if dl else R, q * (dl or dr))
+            last = runs[-1]
+            if len(runs) == prev_len:
+                emitted = last[1] - prev_last
+            elif len(runs) == prev_len + 1 and runs[prev_len - 1][1] == prev_last:
+                emitted = last[1]
+            else:  # cannot happen: single-letter loops emit one letter
+                raise AssertionError("mixed emission on a single-letter loop")
+            last[1] += q * emitted
             count -= q * cyc
         seen = {}
-    return t
 
 
 def _feed_word(n, t, runs, out):
@@ -300,12 +325,14 @@ def transduce_cycle(t, start: Mat2, repetend: LRWord) -> ClosedWalk:
         raise ValueError(f"{start!r} is not a state of T_{n}")
     if len({l for l, _ in repetend.runs}) < 2:
         raise ValueError("repetend must contain both letters")
+    runs = repetend.runs
     out = _Out()
     snaps = [out.snap()]  # snaps[p]: end of the output after p passes
     boundary = {start.entries: 0}
     cur = start.entries
     while True:
-        cur = _feed_word(n, cur, repetend.runs, out)
+        for letter, e in runs:
+            cur = _feed_run(n, cur, letter, e, out)
         idx = boundary.get(cur)
         if idx is not None:
             gamma = len(snaps) - idx
@@ -351,18 +378,51 @@ def lr_repetend(cf: PeriodicCF) -> LRWord:
     return LRWord.from_runs(runs)
 
 
-def reduce_to_DB(m: Mat2, x: PeriodicCF, max_letters: int | None = None):
+def _sign_change(x, y, limit):
+    """Least k in 1..limit at which x + y*k has another sign than x, else limit."""
+    if x == 0:
+        return 1 if y else limit
+    if y == 0 or (x > 0) == (y > 0):
+        return limit
+    return min(-(-abs(x) // abs(y)), limit)
+
+
+def reduce_to_DB(m: Mat2, x: PeriodicCF):
     """Absorb the preperiod of x into m, then alternately absorb repetend
-    letters and emit balanced output until the state lands in some DB_n.
+    runs and emit balanced output until the state lands in some DB_n.
 
     Returns (state, tail, emitted_preperiod): state is in DB_n for
     n = det(state); tail is the rotation of the periodic LR input stream
     aligned with the state; emitted_preperiod is the LR output produced
     on the way (the preperiod of the image's LR representation, up to the
     part already inside m).
+
+    Runs are absorbed in jumps, so the cost does not grow with the partial
+    quotients.  While an entry is negative, nothing happens until one of
+    the two entries that absorption moves changes sign, and each is linear
+    in the letters absorbed.  Once the state is nonnegative it can turn
+    doubly balanced only right after a peel: absorbing L gives c' = c + d
+    >= d' and absorbing R gives b' = b + a >= a', so the state jumps to its
+    escape.  Content is invariant under GL2(Z) and every step after the
+    preperiod is unimodular, so the state keeps content 1 throughout.
+
+    The number of runs entered is bounded, and past the bound this raises.
+    The bottom row (c, d) changes only by absorption and sign flips, and
+    once it takes one strict sign the fixes below end the signed phase.
+    It does so once the Stern-Brocot interval of the absorbed prefix
+    excludes the pole -d/c: after the runs of the pole's own path (at most
+    log_phi max(|c|, |d|) + 2 <= 2 * bit_length + 2), the run that leaves
+    it and one run that keeps the pole as an endpoint.  A nonnegative
+    row-balanced det-n state has a + d <= n + 1, so its entries sum to at
+    most 2n, and each letter absorbed without an escape adds at least 1:
+    an escape comes within 2n - 1 letters.  The escape of a row-balanced
+    state peels to a doubly balanced one: the last balanced prefix sends
+    infinity (escaping on L) above 1, or 0 (on R) below 1, outside the
+    interval of the peeled word, so the peeled state sends -1 below 0.
+    Counting one more run for each phase that ends on a run boundary,
+    2 * (n + bit_length) + 8 runs always suffice.
     """
-    d0 = det(m)
-    if d0 == 0:
+    if det(m) == 0:
         raise ValueError("matrix must be nonsingular")
     g = content_gcd(m)
     if g > 1:
@@ -373,66 +433,55 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF, max_letters: int | None = None):
     if det(m) < 0:
         m = m * J_MAT  # h_m(y) = h_{mJ}(1/y); inverting y swaps L and R
         word = star(word)
-    g = content_gcd(m)
-    if g > 1:
-        m = Mat2(m.a // g, m.b // g, m.c // g, m.d // g)
+    assert content_gcd(m) == 1  # the preperiod and J are unimodular
     n = det(m)
-    letters = []
-    for letter, e in word.runs:
-        letters.extend([letter] * e)
-    total = len(letters)
-    if max_letters is None:
-        max_letters = 1000 * n * (per(x) + len(x.preperiod) + 1)
+    runs = word.runs
+    max_runs = 2 * (n + max(abs(m.c), abs(m.d)).bit_length()) + 8
     out = _Out()
     t = m.entries
-    pos = 0
-    absorbed = 0
+    i = j = 0  # the position: j letters into runs[i]
+    entered = 1  # runs entered so far
     while True:
-        a, b, c, d = t
         if min(t) < 0:
             # Signed entries occur while the preperiod is being digested.
             # Absorption drives both rows to constant signs; flip a globally
             # negative matrix, and when only the top row stays negative the
             # image value is below zero — shift it by an integer (R^k on the
             # left), which never changes the repetend.
+            a, b, c, d = t
             if c <= 0 and d <= 0:
                 t = (-a, -b, -c, -d)
                 a, b, c, d = t
             if c > 0 and d > 0 and (a < 0 or b < 0):
                 k = max(-(a // c) if a < 0 else 0, -(b // d) if b < 0 else 0)
                 t = (a + k * c, b + k * d, c, d)
-        if min(t) >= 0:
-            while True:
-                a, b, c, d = t
-                if c >= a and d >= b and a >= 1:
-                    k = c // a if b == 0 else min(c // a, d // b)
-                    if k < 1:
-                        break
-                    out.emit(L, k)
-                    t = (a, b, c - k * a, d - k * b)
-                elif a >= c and b >= d and d >= 1:
-                    k = b // d if c == 0 else min(a // c, b // d)
-                    if k < 1:
-                        break
-                    out.emit(R, k)
-                    t = (a - k * c, b - k * d, c, d)
-                else:
-                    break
-            g = gcd(*t)
-            if g > 1:
-                t = (t[0] // g, t[1] // g, t[2] // g, t[3] // g)
-                n = n // (g * g)
+        signed = min(t) < 0
+        if not signed:
+            t = _peel(t, out)
             if in_DB(Mat2(*t), n):
                 break
-        if absorbed >= max_letters:
-            raise RuntimeError(
-                f"reduction did not reach a doubly balanced state within "
-                f"{max_letters} absorbed letters"
-            )
-        t = _mul(t, letters[pos], 1)
-        pos = (pos + 1) % total
-        absorbed += 1
-    tail = rotate(word, pos)
+        letter, e = runs[i]
+        left = e - j
+        if not signed:
+            k = min(_escape(t, letter), left)
+        else:  # absorbing L moves a and c, absorbing R moves b and d
+            a, b, c, d = t
+            if letter == L:
+                k = min(_sign_change(a, b, left), _sign_change(c, d, left))
+            else:
+                k = min(_sign_change(b, a, left), _sign_change(d, c, left))
+        t = _mul(t, letter, k)
+        j += k
+        if j == e:
+            i = (i + 1) % len(runs)
+            j = 0
+            entered += 1
+            if entered > max_runs:
+                raise RuntimeError(
+                    f"reduction did not reach a doubly balanced state within "
+                    f"{max_runs} absorbed runs"
+                )
+    tail = rotate(word, sum(e for _, e in runs[:i]) + j)
     return Mat2(*t), tail, out.word()
 
 
@@ -504,9 +553,10 @@ class _RunCache:
     plus a bisect, independent of k.
     """
 
-    __slots__ = ("chains",)
+    __slots__ = ("n", "chains")
 
-    def __init__(self):
+    def __init__(self, n):
+        self.n = n
         self.chains = {L: {}, R: {}}
 
     def _chain(self, letter, s):
@@ -523,22 +573,20 @@ class _RunCache:
             k0 = _escape(cur, letter)
             step_out = _Out()
             cur = _peel(_mul(cur, letter, k0), step_out)
+            _check_db(cur, self.n)
             consumed += k0
             es = tuple((l, e) for l, e in step_out.runs)
             hit = index.get(cur)
             if hit is not None:
                 cyc_i, cyc_c = hit, consumed - cums[hit]
                 block = _Out()
-                for runs in emits[hit + 1 :]:
+                for runs in emits[hit + 1 :] + [es]:
                     for l, e in runs:
                         block.emit(l, e)
-                for l, e in es:
-                    block.emit(l, e)
                 # a closed loop on one input letter emits one output letter
-                if block.totL and block.totR:
+                if len(block.runs) != 1:
                     raise AssertionError("mixed emission on a single-letter loop")
-                cyc_letter = L if block.totL else R
-                cyc_count = block.totL or block.totR
+                (cyc_letter, cyc_count), = block.runs
                 ch = (states, cums, emits, cyc_i, cyc_c, cyc_letter, cyc_count)
                 break
             index[cur] = len(states)
@@ -553,6 +601,7 @@ class _RunCache:
         if k0 > k:
             return _mul(t, letter, k)
         t = _peel(_mul(t, letter, k0), out)
+        _check_db(t, self.n)
         k -= k0
         states, cums, emits, cyc_i, cyc_c, cyc_letter, cyc_count = self._chain(letter, t)
         q = 0
@@ -588,7 +637,9 @@ class _RunCache:
         top = e - 1 - k0  # the largest p
         if top < 0:
             return
-        states, cums, _, cyc_i, cyc_c, _, _ = self._chain(letter, _peel(_mul(t, letter, k0), None))
+        t = _peel(_mul(t, letter, k0), None)
+        _check_db(t, self.n)
+        states, cums, _, cyc_i, cyc_c, _, _ = self._chain(letter, t)
         loop = cums[cyc_i]
         ends = cums[1:] + [loop + cyc_c]
         for s, lo, hi in zip(states, cums, ends):
@@ -623,7 +674,7 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     runs = lr_repetend(cf).runs
     nr = len(runs)
     seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
-    cache = _RunCache()
+    cache = _RunCache(n)
     period_of: dict = {}  # node -> output period of its terminal orbit
 
     def resolve(node):

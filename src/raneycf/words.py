@@ -50,6 +50,14 @@ class LRWord:
         return cls(_canonical(runs))
 
     @classmethod
+    def _trusted(cls, runs: tuple[tuple[str, int], ...]) -> "LRWord":
+        """Wrap runs that are canonical by construction (letters L/R,
+        exponents >= 1, adjacent letters distinct), skipping validation."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "runs", runs)
+        return word
+
+    @classmethod
     def from_letters(cls, letters) -> "LRWord":
         return cls(_canonical((l, 1) for l in letters))
 
@@ -72,7 +80,14 @@ class LRWord:
     def __pow__(self, k: int) -> "LRWord":
         if k < 0:
             raise ValueError("negative power")
-        return LRWord.from_runs(self.runs * k)
+        runs = self.runs
+        if not k or not runs or runs[0][0] != runs[-1][0]:
+            return LRWord._trusted(runs * k)  # no runs merge at the seams
+        if len(runs) == 1:
+            return LRWord._trusted(((runs[0][0], runs[0][1] * k),))
+        # the last and first runs of adjacent copies merge at each seam
+        seam = ((runs[0][0], runs[-1][1] + runs[0][1]),)
+        return LRWord._trusted(runs[:-1] + (seam + runs[1:-1]) * (k - 1) + runs[-1:])
 
     def __str__(self) -> str:
         return format_word(self)
@@ -224,14 +239,14 @@ def primitive_root(word: LRWord) -> tuple[LRWord, int]:
         raise ValueError("primitive root of the empty word")
     if k == 1:
         letter, exp = runs[0]
-        return LRWord(((letter, 1),)), exp
+        return LRWord._trusted(((letter, 1),)), exp
     candidates = []  # (root letter-length, root, multiplicity)
     # run-aligned roots: word = U^m with first(U) != last(U)
     for q in range(1, k):
         if k % q:
             continue
         if runs[:q] * (k // q) == runs:
-            root = LRWord(runs[:q])
+            root = LRWord._trusted(runs[:q])
             candidates.append((len(root), root, k // q))
             break  # smallest aligned root; larger ones are its powers
     # merge-aligned roots: word = U^m with first(U) == last(U); interior
@@ -255,7 +270,8 @@ def primitive_root(word: LRWord) -> tuple[LRWord, int]:
                 else:
                     ok = runs[i] == runs[r]
             if ok:
-                root = LRWord(runs[:q] + ((letter0, e_last),))
+                # q is even, so runs[q - 1] is the other letter
+                root = LRWord._trusted(runs[:q] + ((letter0, e_last),))
                 candidates.append((len(root), root, m))
                 break
     if not candidates:

@@ -5,6 +5,7 @@ Each test asserts both the mathematical claim and its runtime budget.
 """
 import json
 import random
+import resource
 import time
 from fractions import Fraction
 from math import gcd
@@ -313,3 +314,24 @@ def test_14_enumerate_DB_is_quadratic():
     _enumerate_DB.cache_clear()
     with stopwatch(0.25):
         assert len(enumerate_DB(200)) == 322
+
+
+def test_15_reduction_absorbs_whole_runs(capsys):
+    # a letter-by-letter reduction holds 2 * 8,687,038 letters in a list and
+    # gave up after a cap of 18,000 absorbed letters
+    text = "[;8687038]"
+    m = parse_mat2("1,9,0,-9")
+    with stopwatch(1):
+        code = main(["transform", "--matrix", "1,9,0,-9", "--cf", text, "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    cf = parse_cf(text)
+    assert doc["per_hx"] == per(cf_from_surd(apply_mobius(m, surd_from_cf(cf)))) == 8
+
+    # 0.55 s and a 250 MB rise of the peak RSS when the repetend was expanded
+    m, cf = Mat2(12, 1, 17, 2), parse_cf("[;10000000]")
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KB on Linux
+    with stopwatch(0.1):
+        assert image_period(m, cf) == 24
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb < 20 * 1024
+    assert per(cf_from_surd(apply_mobius(m, surd_from_cf(cf)))) == 24

@@ -11,7 +11,11 @@ from raneycf.surds import parse_cf, per, surd_from_cf, apply_mobius, cf_from_sur
 from raneycf.transducer import (
     _Out,
     _RunCache,
+    _check_db,
+    _escape,
+    _feed_run,
     _feed_word,
+    _mul,
     build_transducer,
     factorize_to_DB,
     image_period,
@@ -150,6 +154,98 @@ def test_transduce_cycle_matches_per_pass_concatenation():
         seen["idx>0"] += idx > 0
         seen["straddle"] += straddles
     assert all(seen.values()), seen
+
+
+def _reference_feed_run(n, t, letter, count, out):
+    """_feed_run as one call per step: escape, absorb, peel through
+    out.emit, then loop detection on running letter totals from the first
+    escape on.  Returns (end state, whether a loop was fast-forwarded)."""
+    tot = {L: 0, R: 0}
+
+    def emit(letter, k):
+        if out is not None:
+            out.emit(letter, k)
+        tot[letter] += k
+
+    def peel(t):
+        a, b, c, d = t
+        while not (a > c and d > b):
+            if c >= a and d >= b:
+                k = c // a if b == 0 else min(c // a, d // b)
+                emit(L, k)
+                c -= k * a
+                d -= k * b
+            elif a >= c and b >= d:
+                k = b // d if c == 0 else min(a // c, b // d)
+                emit(R, k)
+                a -= k * c
+                b -= k * d
+            else:
+                raise AssertionError(f"no peel applies to {(a, b, c, d)}")
+        return (a, b, c, d)
+
+    fast_forwarded = False
+    seen = {}
+    while count > 0:
+        k0 = _escape(t, letter)
+        if k0 > count:
+            return _mul(t, letter, count), fast_forwarded
+        t = peel(_mul(t, letter, k0))
+        _check_db(t, n)
+        count -= k0
+        snap = seen.get(t)
+        if snap is None:
+            seen[t] = (count, tot[L], tot[R])
+            continue
+        prev_count, pl, pr = snap
+        cyc = prev_count - count
+        q = count // cyc
+        if q:
+            dl, dr = tot[L] - pl, tot[R] - pr
+            assert not (dl and dr), "mixed emission on a single-letter loop"
+            emit(L if dl else R, q * (dl or dr))
+            count -= q * cyc
+            fast_forwarded = True
+        seen = {}
+    return t, fast_forwarded
+
+
+def test_feed_run_matches_reference():
+    """The run-feeding kernel against the one-call-per-step reference, from
+    DB states and from states part way into an edge, with and without an
+    output accumulator (which may already hold runs)."""
+    fast_forwards = {True: 0, False: 0}  # by whether out was given
+
+    @given(
+        st.integers(1, 60),
+        st.integers(0, 10**6),
+        st.sampled_from((L, R)),
+        st.integers(0, 10**6),
+        st.sampled_from((L, R)),
+        st.one_of(st.integers(1, 50), st.integers(1, 10**6)),
+        st.sampled_from((None, (), ((L, 2),), ((R, 1), (L, 3)))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def check(n, pick, pre_letter, pre_k, letter, count, prior):
+        states = sorted(enumerate_DB(n), key=lambda m: m.entries)
+        t = states[pick % len(states)].entries
+        t = _mul(t, pre_letter, pre_k % _escape(t, pre_letter))  # mid-edge when > 0
+        if prior is None:
+            end = _feed_run(n, t, letter, count, None)
+            ref, ff = _reference_feed_run(n, t, letter, count, None)
+            assert end == ref
+        else:
+            out, ref_out = _Out(), _Out()
+            for r in prior:
+                out.emit(*r)
+                ref_out.emit(*r)
+            end = _feed_run(n, t, letter, count, out)
+            ref, ff = _reference_feed_run(n, t, letter, count, ref_out)
+            assert (end, out.word()) == (ref, ref_out.word())
+        fast_forwards[prior is not None] += ff
+
+    check()
+    assert all(fast_forwards.values()), fast_forwards
 
 
 def test_out_word_slices_between_snaps():
@@ -400,7 +496,7 @@ def _reference_search_max_ratio(n, cf):
     nr = len(runs)
     per_x = per(cf)
     seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
-    cache = _RunCache()
+    cache = _RunCache(n)
     step_memo = {}
     orbit_of = {}  # node -> canonical node of its terminal orbit
     ratio_of = {}  # canonical orbit node -> Fraction
@@ -481,7 +577,7 @@ def test_run_prefixes_match_feed():
         seed = rng.choice(sorted(enumerate_DB(n), key=lambda m: m.entries)).entries
         letter = rng.choice((L, R))
         e = rng.randint(1, 400)
-        cache = _RunCache()
+        cache = _RunCache(n)
         pairs = list(cache.prefixes(seed, letter, e))
         assert all(cache.feed(seed, letter, k) == t for k, t in pairs)
         assert len({k for k, _ in pairs}) == len(pairs)

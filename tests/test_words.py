@@ -59,6 +59,14 @@ def test_from_runs_merges_and_drops():
     assert LRWord.from_runs([(L, 1), (L, 2), (R, 0), (R, 3)]).runs == ((L, 3), (R, 3))
 
 
+@given(words(), st.integers(0, 5))
+def test_power_matches_canonical_repetition(w, k):
+    """Powers skip validation, so they must come out canonical themselves."""
+    p = w**k
+    assert p.runs == LRWord.from_runs(w.runs * k).runs
+    assert LRWord(p.runs) == p
+
+
 def test_parse_word_both_syntaxes():
     assert parse_word("L^2 R L R^3").runs == ((L, 2), (R, 1), (L, 1), (R, 3))
     assert parse_word("LLRLRRR").runs == ((L, 2), (R, 1), (L, 1), (R, 3))
