@@ -12,10 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .matrices import (
     J_MAT,
@@ -131,8 +129,23 @@ def _peel(t, out):
 
 
 def _check_db(t, n):
+    """Raise unless t, reached by absorbing and peeling from a DB_n state,
+    is itself in DB_n.
+
+    Only the balance conditions are checked: the content gcd(a, b, c, d)
+    cannot change on the way.  Absorbing letter^k multiplies t on the right
+    by L^k or R^k, and peeling multiplies it on the left by L^-k or R^-k;
+    all four are integer matrices of determinant 1.  The entries of U t V
+    are integer combinations of those of t, so content(t) divides
+    content(U t V), and t = U^-1 (U t V) V^-1 gives the converse.  So a walk
+    keeps the content of its start, and each walk checks it once where it
+    enters: transduce_cycle's in_DB(start), the search's seeds, and the
+    content checks of factorize_to_DB and walk_LE's is_LE.  The determinant
+    is kept for the same reason; absorbing only adds to entries, and _peel's
+    quotients keep them nonnegative.
+    """
     a, b, c, d = t
-    if not (a > c and d > b and a > b and d > c and gcd(a, b, c, d) == 1):
+    if not (a > c and d > b and a > b and d > c):
         raise RuntimeError(
             f"factorization left {(a, b, c, d)} balanced but not doubly "
             f"balanced for n={n}; the edge construction contract is violated"
@@ -180,26 +193,29 @@ def _feed_run(n, t, letter, count, out):
         if prev is None:
             seen[t] = snap
             continue
-        prev_count, prev_len, prev_last = prev
-        cyc = prev_count - count
-        q = count // cyc
-        if q:
-            last = runs[-1]
-            if len(runs) == prev_len:
-                emitted = last[1] - prev_last
-            elif len(runs) == prev_len + 1 and runs[prev_len - 1][1] == prev_last:
-                emitted = last[1]
-            else:  # cannot happen: single-letter loops emit one letter
-                raise AssertionError("mixed emission on a single-letter loop")
-            last[1] += q * emitted
-            count -= q * cyc
+        count = _skip_loops(runs, prev, count)
         seen = {}
 
 
-def _feed_word(n, t, runs, out):
-    for letter, e in runs:
-        t = _feed_run(n, t, letter, e, out)
-    return t
+def _skip_loops(runs, prev, count):
+    """Fast-forward a closed single-letter loop, whose output is a power of
+    one letter.  prev is the snapshot (count, len(runs), last run's count)
+    taken when the walk last stood at its current state; returns the count
+    left, less than one loop."""
+    prev_count, prev_len, prev_last = prev
+    cyc = prev_count - count
+    q = count // cyc
+    if q:
+        last = runs[-1]
+        if len(runs) == prev_len:
+            emitted = last[1] - prev_last
+        elif len(runs) == prev_len + 1 and runs[prev_len - 1][1] == prev_last:
+            emitted = last[1]
+        else:  # cannot happen: single-letter loops emit one letter
+            raise AssertionError("mixed emission on a single-letter loop")
+        last[1] += q * emitted
+        count -= q * cyc
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -545,111 +561,117 @@ def walk_LE(t, m: Mat2, i: int):
 
 
 class _RunCache:
-    """Memoized single-letter run feeding, shared across rotations.
+    """Single-letter run feeding from one table of escape steps.
 
-    For each (letter, post-escape state) the full escape chain is stored
-    with cumulative consumption, per-step emissions, and its terminal
-    cycle, so feeding letter^k from any balanced state costs one escape
-    plus a bisect, independent of k.
+    steps[letter][s], for a DB_n state s, is (k0, s', runs): s * letter^k0
+    is the first unbalanced product, and peeling it emits `runs` and leaves
+    the DB_n state s'.  Each step is computed and checked once per cache, so
+    the table holds at most 2 |DB_n| entries.  Feeding letter^k from a DB
+    state follows the table until the steps close into a loop, which is
+    fast-forwarded, so the cost does not depend on k.
     """
 
-    __slots__ = ("n", "chains")
+    __slots__ = ("n", "steps")
 
     def __init__(self, n):
         self.n = n
-        self.chains = {L: {}, R: {}}
+        self.steps = {L: {}, R: {}}
 
-    def _chain(self, letter, s):
-        ch = self.chains[letter].get(s)
-        if ch is not None:
-            return ch
-        states = [s]
-        cums = [0]
-        emits = [()]  # emits[i]: output runs produced stepping into states[i]
-        index = {s: 0}
-        cur = s
-        consumed = 0
-        while True:
-            k0 = _escape(cur, letter)
-            step_out = _Out()
-            cur = _peel(_mul(cur, letter, k0), step_out)
-            _check_db(cur, self.n)
-            consumed += k0
-            es = tuple((l, e) for l, e in step_out.runs)
-            hit = index.get(cur)
-            if hit is not None:
-                cyc_i, cyc_c = hit, consumed - cums[hit]
-                block = _Out()
-                for runs in emits[hit + 1 :] + [es]:
-                    for l, e in runs:
-                        block.emit(l, e)
-                # a closed loop on one input letter emits one output letter
-                if len(block.runs) != 1:
-                    raise AssertionError("mixed emission on a single-letter loop")
-                (cyc_letter, cyc_count), = block.runs
-                ch = (states, cums, emits, cyc_i, cyc_c, cyc_letter, cyc_count)
-                break
-            index[cur] = len(states)
-            states.append(cur)
-            cums.append(consumed)
-            emits.append(es)
-        self.chains[letter][s] = ch
-        return ch
+    def step(self, letter, s):
+        entry = self.steps[letter].get(s)
+        if entry is None:
+            k0 = _escape(s, letter)
+            out = _Out()
+            t = _peel(_mul(s, letter, k0), out)
+            _check_db(t, self.n)
+            entry = self.steps[letter][s] = (k0, t, tuple(map(tuple, out.runs)))
+        return entry
 
     def feed(self, t, letter, k, out=None):
-        k0 = _escape(t, letter)
-        if k0 > k:
-            return _mul(t, letter, k)
-        t = _peel(_mul(t, letter, k0), out)
-        _check_db(t, self.n)
-        k -= k0
-        states, cums, emits, cyc_i, cyc_c, cyc_letter, cyc_count = self._chain(letter, t)
-        q = 0
-        if k > cums[-1]:
-            q, k = divmod(k - cums[cyc_i], cyc_c)
-            k += cums[cyc_i]
-        i = bisect_right(cums, k) - 1
-        if out is not None:
-            stop = cyc_i if q else i
-            for runs in emits[1 : stop + 1]:
-                for l, e in runs:
-                    out.emit(l, e)
-            if q:
-                out.emit(cyc_letter, q * cyc_count)
-                for runs in emits[cyc_i + 1 : i + 1]:
-                    for l, e in runs:
-                        out.emit(l, e)
-        rest = k - cums[i]
-        return _mul(states[i], letter, rest) if rest else states[i]
+        """t * letter^k, peeling its output into out (which may be None);
+        t must be balanced, and so is the result."""
+        a, b, c, d = t
+        if not (a > b and d > c):  # inside an edge: its escape is no table step
+            k0 = _escape(t, letter)
+            if k0 > k:
+                return _mul(t, letter, k)
+            t = _peel(_mul(t, letter, k0), out)
+            _check_db(t, self.n)
+            k -= k0
+        steps = self.steps[letter]
+        runs = out.runs if out is not None else None
+        seen = {}
+        while True:
+            k0, t2, emitted = steps.get(t) or self.step(letter, t)
+            if k0 > k:
+                return _mul(t, letter, k)
+            t = t2
+            k -= k0
+            prev = seen.get(t)
+            if runs is None:  # only the count matters: skip whole loops
+                if prev is None:
+                    seen[t] = k
+                else:
+                    k %= prev - k
+                    seen = {}
+                continue
+            for l, e in emitted:
+                if runs and runs[-1][0] == l:
+                    runs[-1][1] += e
+                else:
+                    runs.append([l, e])
+            if prev is None:
+                seen[t] = (k, len(runs), runs[-1][1])
+            else:
+                k = _skip_loops(runs, prev, k)
+                seen = {}
 
-    def prefixes(self, t, letter, e):
-        """Pairs (k, feed(t, letter, k)) for 0 < k < e, one per position on
-        the escape chain, each with the largest k that reaches it.
+    def run_states(self, seeds, letter, e):
+        """The distinct states feed(s, letter, k) over all s in seeds and
+        0 < k < e, where seeds are the entries of every DB_n state.
 
-        Below the first escape k0 the state is t * letter^k.  After it, the
-        state at consumption p = k - k0 is a chain state or a partial step
-        inside its escape; from the chain's loop on (p >= cums[cyc_i]) it
-        depends only on p mod cyc_c, so each residue class is listed once.
+        Walked letter by letter, a seed's path passes s * letter^j for
+        0 < j < k0 and then escapes onto a DB_n state.  That state is a seed
+        too, reached at k = 0, and its own walk covers every later position,
+        so each walk stops at its first escape.  A state s * letter^j with
+        j > 0 is never doubly balanced, so it determines s: the states
+        inside an edge are distinct, and only the escapes need merging.
         """
-        k0 = _escape(t, letter)
-        for k in range(1, min(k0, e)):
-            yield k, _mul(t, letter, k)
-        top = e - 1 - k0  # the largest p
-        if top < 0:
-            return
-        t = _peel(_mul(t, letter, k0), None)
-        _check_db(t, self.n)
-        states, cums, _, cyc_i, cyc_c, _, _ = self._chain(letter, t)
-        loop = cums[cyc_i]
-        ends = cums[1:] + [loop + cyc_c]
-        for s, lo, hi in zip(states, cums, ends):
-            for p in range(lo, min(hi, top + 1)):
-                k = k0 + p
-                if p >= loop:
-                    k += (top - p) // cyc_c * cyc_c
-                yield k, (s if p == lo else _mul(s, letter, p - lo))
-            if hi > top:
-                return
+        inside = []
+        escapes = {}
+        for s in seeds:
+            k0, t, _ = self.step(letter, s)
+            inside.extend(_mul(s, letter, j) for j in range(1, min(k0, e)))
+            if k0 < e:
+                escapes[t] = None
+        return inside + list(escapes)
+
+    def last_hit(self, s, letter, e, hits):
+        """The largest k < e with feed(s, letter, k) in hits, else 0.
+
+        The walk passes every position up to the first repeat of a DB state.
+        From that state's first position q0 on, the states repeat with the
+        loop's length cyc, so a hit at q >= q0 recurs last at
+        q + (e - 1 - q) // cyc * cyc.
+        """
+        found = []
+        seen = {}
+        pos = 0
+        while s not in seen:
+            seen[s] = pos
+            k0, t, _ = self.step(letter, s)
+            for j in range(k0):
+                if pos + j >= e:
+                    return max(found, default=0)
+                if (_mul(s, letter, j) if j else s) in hits:
+                    found.append(pos + j)
+            s, pos = t, pos + k0
+        q0 = seen[s]
+        cyc = pos - q0
+        return max(
+            (q + (e - 1 - q) // cyc * cyc if q >= q0 else q for q in found),
+            default=0,
+        )
 
 
 def search_max_ratio(n: int, cf: PeriodicCF):
@@ -658,22 +680,32 @@ def search_max_ratio(n: int, cf: PeriodicCF):
 
     Reading a rotation repeatedly is a bi-infinite walk over the cyclic
     word, so every limit cycle is a periodic orbit of the run-by-run map
-    on (next run index, state) nodes — and its output period is rotation
+    on (next run index, state) nodes, and its output period is rotation
     invariant.  The offsets inside run r = (letter, e) start the walk at
     (r, seed) or, k letters short of the run's end, at ((r+1) % nr,
-    feed(seed, letter^k)) for k = e-1 ... 1.  Those nodes lie on the seed's
-    escape chain (_RunCache.prefixes): before the chain's loop each k gives
-    its own node, inside it the node depends only on k mod the loop length,
-    and the largest k of a residue class is its earliest offset.  So each
-    (run, seed) visits each position of its escape chain once, and the cost
-    does not depend on e.  Orbits are resolved once and memoized per node.
+    feed(seed, letter^k)) for k = e-1 ... 1.  Every seed's path escapes
+    onto another seed, so the distinct nodes of a run are the states
+    inside each seed's first edge and the seeds' escapes
+    (_RunCache.run_states): at most n per seed, whatever e is.  Each
+    escape is one entry of the cache's step table, computed once per call.
+    Orbits are resolved once and memoized per node.
 
     Returns (best_ratio, witness_state, witness_offset): the first offset,
-    then the first state in entry order, that attains the maximum.
+    then the first state in entry order, that attains the maximum.  That
+    lies in the first run that reaches it: at the run's start if a seed
+    node there does, else at the largest k that does, found by walking each
+    seed's path up to its loop (_RunCache.last_hit).  The cost is
+    O(runs * |DB_n| * n) node visits plus the orbits, independent of the
+    partial quotients.
     """
     runs = lr_repetend(cf).runs
     nr = len(runs)
     seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
+    # content is checked here once: every later state is a unimodular image
+    # of a seed (see _check_db)
+    if not all(in_DB(m, n) for m in seeds):
+        raise RuntimeError(f"enumerate_DB({n}) returned a state outside DB_{n}")
+    starts = [m.entries for m in seeds]
     cache = _RunCache(n)
     period_of: dict = {}  # node -> output period of its terminal orbit
 
@@ -702,19 +734,23 @@ def search_max_ratio(n: int, cf: PeriodicCF):
             period_of[p] = period
         return period
 
-    best = None  # max of (period, -offset, -seed index)
-    start = 0
+    best = 0
     for r, (letter, e) in enumerate(runs):
         nxt = (r + 1) % nr
-        for i, seed in enumerate(seeds):
-            key = (resolve((r, seed.entries)), -start, -i)
-            if best is None or key > best:
-                best = key
-            for k, t in cache.prefixes(seed.entries, letter, e):
-                node = (nxt, t)
-                key = (period_of.get(node) or resolve(node), k - e - start, -i)
-                if key > best:
-                    best = key
-        start += e
-    period, neg_off, neg_i = best
-    return Fraction(period, per(cf)), seeds[-neg_i], -neg_off
+        top = max(resolve((r, s)) for s in starts)
+        for t in cache.run_states(starts, letter, e):
+            period = period_of.get((nxt, t)) or resolve((nxt, t))
+            if period > top:
+                top = period
+        if top > best:
+            best, first = top, r
+    ratio = Fraction(best, per(cf))
+    letter, e = runs[first]
+    start = sum(q for _, q in runs[:first])
+    for m in seeds:
+        if period_of[(first, m.entries)] == best:
+            return ratio, m, start
+    nxt = (first + 1) % nr
+    hits = {t for t in cache.run_states(starts, letter, e) if period_of[(nxt, t)] == best}
+    k, neg_i = max((cache.last_hit(s, letter, e, hits), -i) for i, s in enumerate(starts))
+    return ratio, seeds[-neg_i], start + e - k

@@ -34,7 +34,7 @@ from raneycf.transducer import (
     _Out,
     _balanced,
     _check_db,
-    _feed_word,
+    _feed_run,
     _mul,
     _peel,
     build_transducer,
@@ -47,6 +47,13 @@ from raneycf.transducer import (
 from raneycf.words import LRWord, mu, parse_word, sigma, sigma_c, star, tau_kappa, transpose_word
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def _feed_word(n, t, runs, out):
+    """Feed a word's runs one after another through the run kernel."""
+    for letter, e in runs:
+        t = _feed_run(n, t, letter, e, out)
+    return t
 
 
 class stopwatch:

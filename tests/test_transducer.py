@@ -2,6 +2,7 @@
 import json
 import random
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +12,12 @@ from raneycf.surds import parse_cf, per, surd_from_cf, apply_mobius, cf_from_sur
 from raneycf.transducer import (
     _Out,
     _RunCache,
+    _balanced,
     _check_db,
     _escape,
     _feed_run,
-    _feed_word,
     _mul,
+    _peel,
     build_transducer,
     factorize_to_DB,
     image_period,
@@ -57,6 +59,13 @@ def random_word(rng, max_runs=6, max_exp=8, min_runs=1):
         letter = first if i % 2 == 0 else ("R" if first == "L" else "L")
         runs.append((letter, rng.randint(1, max_exp)))
     return LRWord(tuple(runs))
+
+
+def _feed_word(n, t, runs, out):
+    """Feed a word's runs one after another through the run kernel."""
+    for letter, e in runs:
+        t = _feed_run(n, t, letter, e, out)
+    return t
 
 
 # -- factorization -------------------------------------------------------------
@@ -568,23 +577,96 @@ def test_search_matches_reference_witness(n, rep):
     assert search_max_ratio(n, cf) == _reference_search_max_ratio(n, cf)
 
 
-def test_run_prefixes_match_feed():
-    """Each listed k feeds to its state, and every state that some k < e
-    feeds to is listed with the largest such k."""
+def test_run_states_match_letter_by_letter_walks():
+    """A run lists exactly the distinct states that some seed reaches
+    0 < k < e letters in, and last_hit finds the largest such k that lands
+    in a set of hits; both against single-letter absorb-and-peel walks."""
     rng = random.Random(5)
-    for _ in range(200):
+    for _ in range(150):
         n = rng.randint(1, 30)
-        seed = rng.choice(sorted(enumerate_DB(n), key=lambda m: m.entries)).entries
+        seeds = [m.entries for m in sorted(enumerate_DB(n), key=lambda m: m.entries)]
         letter = rng.choice((L, R))
-        e = rng.randint(1, 400)
+        e = rng.choice((rng.randint(1, 2 * n + 2), rng.randint(1, 400)))  # escapes take <= n
+        walks = []
+        for s in seeds:
+            walk = [s]
+            for _ in range(e - 1):
+                t = _mul(walk[-1], letter, 1)
+                walk.append(t if _balanced(t) else _peel(t, None))
+            walks.append(walk)
         cache = _RunCache(n)
-        pairs = list(cache.prefixes(seed, letter, e))
-        assert all(cache.feed(seed, letter, k) == t for k, t in pairs)
-        assert len({k for k, _ in pairs}) == len(pairs)
-        last = {}
-        for k in range(e - 1, 0, -1):
-            last.setdefault(cache.feed(seed, letter, k), k)
-        assert set(last.items()) <= set((t, k) for k, t in pairs)
+        listed = cache.run_states(seeds, letter, e)
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == {t for walk in walks for t in walk[1:]}
+        hits = set(rng.sample(listed, min(len(listed), rng.randint(1, 3))))
+        for s, walk in zip(seeds, walks):
+            last = max((k for k in range(1, e) if walk[k] in hits), default=0)
+            assert cache.last_hit(s, letter, e, hits) == last
+        assert sum(map(len, cache.steps.values())) <= len(seeds)
+
+
+@given(
+    st.integers(1, 60),
+    st.integers(0, 10**6),
+    st.sampled_from((L, R)),
+    st.integers(0, 10**6),
+    st.sampled_from((L, R)),
+    st.one_of(st.integers(0, 50), st.integers(0, 10**6)),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_run_cache_feed_matches_kernel(n, pick, pre_letter, pre_k, letter, count, with_out):
+    """The step-table walk against the run kernel, from DB states and from
+    states part way into an edge, with and without output."""
+    states = sorted(enumerate_DB(n), key=lambda m: m.entries)
+    t = states[pick % len(states)].entries
+    t = _mul(t, pre_letter, pre_k % _escape(t, pre_letter))  # mid-edge when > 0
+    cache = _RunCache(n)
+    if with_out:
+        out, ref = _Out(), _Out()
+        assert cache.feed(t, letter, count, out) == _feed_run(n, t, letter, count, ref)
+        assert out.word() == ref.word()
+    else:
+        assert cache.feed(t, letter, count) == _feed_run(n, t, letter, count, None)
+
+
+def test_search_computes_each_escape_once(monkeypatch):
+    """Within one search, every escape from a DB_n state is one step-table
+    entry, computed once; the table holds at most 2 |DB_n| of them."""
+    import raneycf.transducer as transducer
+
+    caches = []
+    escapes = []
+    real_init, real_escape = _RunCache.__init__, transducer._escape
+
+    def init(self, n):
+        real_init(self, n)
+        caches.append(self)
+
+    def escape(t, letter):
+        if t[0] > t[1] and t[3] > t[2]:  # doubly balanced
+            escapes.append((letter, t))
+        return real_escape(t, letter)
+
+    monkeypatch.setattr(_RunCache, "__init__", init)
+    monkeypatch.setattr(transducer, "_escape", escape)
+    for n, text in [(7, "[;3]"), (24, "[;228,239,1,1,146]"), (31, "[;20000]"), (48, "[;5,300,2]")]:
+        caches.clear()
+        escapes.clear()
+        search_max_ratio(n, parse_cf(text))
+        (cache,) = caches
+        assert len(escapes) == len(set(escapes)) == sum(map(len, cache.steps.values()))
+        assert len(escapes) <= 2 * len(enumerate_DB(n))
+
+
+@pytest.mark.parametrize("text", ["[;10]", "[;12]", "[;10,6]"])
+def test_search_witness_inside_a_run(text):
+    # no seed reaches the best period at a run's start, so the witness is
+    # the largest k of the first run that reaches it
+    cf = parse_cf(text)
+    result = search_max_ratio(2, cf)
+    assert result == (Fraction(3), Mat2(1, 0, 0, 2), 1)
+    assert result == _reference_search_max_ratio(2, cf)
 
 
 def test_search_small_example():
