@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -105,7 +104,7 @@ def check_bound(n: int, per_x: int, per_hx: int) -> str:
     s = s_n_total(n)
     if per_hx > s * per_x:
         return "violates_upper"
-    if Fraction(per_hx) < Fraction(per_x, s):
+    if per_hx * s < per_x:  # per_hx < per_x / s, cleared of the division
         return "violates_lower"
     return "holds"
 

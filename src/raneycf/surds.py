@@ -99,9 +99,9 @@ class PeriodicCF:
     def __post_init__(self):
         if not self.repetend:
             raise ValueError("repetend must be nonempty")
-        if any(q < 1 for q in self.repetend):
+        if min(self.repetend) < 1:
             raise ValueError("repetend entries must be positive")
-        if any(q < 1 for q in self.preperiod[1:]):
+        if len(self.preperiod) > 1 and min(self.preperiod[1:]) < 1:
             raise ValueError("preperiod entries after the first must be positive")
 
     @classmethod
@@ -201,18 +201,20 @@ def cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
 def surd_from_cf(cf: PeriodicCF) -> QuadraticSurd:
     """Fixed-point construction: the purely periodic tail y satisfies
     c*y^2 + (d-a)*y - b = 0 for the convergent matrix of the repetend."""
-    m = Mat2(1, 0, 0, 1)
-    for q in cf.repetend:
-        m = m * Mat2(q, 1, 1, 0)
-    a, b, c, d = m.entries
-    disc = (a + d) ** 2 - 4 * mat_det(m)
+    a, b, c, d = _convergent_entries(cf.repetend)
+    disc = (a + d) ** 2 - 4 * (a * d - b * c)
     y = surd(a - d, 2 * c, disc)
     if cf.preperiod:
-        conv = Mat2(1, 0, 0, 1)
-        for q in cf.preperiod:
-            conv = conv * Mat2(q, 1, 1, 0)
-        y = apply_mobius(conv, y)
+        y = apply_mobius(Mat2(*_convergent_entries(cf.preperiod)), y)
     return y
+
+
+def _convergent_entries(quotients) -> tuple[int, int, int, int]:
+    """Entries of the product of [[q, 1], [1, 0]] over the quotients."""
+    a, b, c, d = 1, 0, 0, 1
+    for q in quotients:
+        a, b, c, d = a * q + b, a, c * q + d, c
+    return a, b, c, d
 
 
 def apply_mobius(m: Mat2, x: QuadraticSurd) -> QuadraticSurd:
@@ -260,8 +262,8 @@ def parse_cf(text: str) -> PeriodicCF:
 
 
 def format_cf(cf: PeriodicCF) -> str:
-    pre = ",".join(str(q) for q in cf.preperiod)
-    rep = ",".join(str(q) for q in cf.repetend)
+    pre = ",".join(map(str, cf.preperiod))
+    rep = ",".join(map(str, cf.repetend))
     return f"[{pre};{rep}]"
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import (
-    J_MAT,
     Mat2,
     content_gcd,
     det,
@@ -86,46 +85,18 @@ class _Out:
         """The output between two snaps; by default all of it."""
         i, a = start
         j, b = self.snap() if stop is None else stop
-        runs = [tuple(r) for r in self.runs[max(i - 1, 0) : j]]
+        runs = list(map(tuple, self.runs[max(i - 1, 0) : j]))
         if j:
             runs[-1] = (runs[-1][0], b)
         if i:
             runs[0] = (runs[0][0], runs[0][1] - a)
-        # only an edge run can have been cut to zero; the rest are merged runs
-        return LRWord._trusted(tuple(r for r in runs if r[1]))
-
-
-def _peel(t, out):
-    """Peel maximal L/R runs off the left until the remainder is balanced,
-    merging them into out.runs (out may be None).
-
-    Requires det(t) > 0 and nonnegative entries; exactly one peel applies
-    at every unbalanced step, so this terminates in the balanced region.
-    """
-    runs = out.runs if out is not None else []
-    a, b, c, d = t
-    while not (a > c and d > b):
-        if c >= a and d >= b:
-            k = c // a
-            if b and d // b < k:
-                k = d // b
-            c -= k * a
-            d -= k * b
-            letter = L
-        elif a >= c and b >= d:
-            k = b // d
-            if c and a // c < k:
-                k = a // c
-            a -= k * c
-            b -= k * d
-            letter = R
-        else:
-            raise AssertionError(f"no peel applies to {(a, b, c, d)}")
-        if runs and runs[-1][0] == letter:
-            runs[-1][1] += k
-        else:
-            runs.append([letter, k])
-    return (a, b, c, d)
+        # only the two edge runs can have been cut to zero; the rest are
+        # merged runs
+        if runs and not runs[-1][1]:
+            runs.pop()
+        if runs and not runs[0][1]:
+            del runs[0]
+        return LRWord._trusted(tuple(runs))
 
 
 def _check_db(t, n):
@@ -141,8 +112,8 @@ def _check_db(t, n):
     keeps the content of its start, and each walk checks it once where it
     enters: transduce_cycle's in_DB(start), the search's seeds, and the
     content checks of factorize_to_DB and walk_LE's is_LE.  The determinant
-    is kept for the same reason; absorbing only adds to entries, and _peel's
-    quotients keep them nonnegative.
+    is kept for the same reason; absorbing only adds to entries, and the
+    peel's quotients keep them nonnegative.
     """
     a, b, c, d = t
     if not (a > c and d > b and a > b and d > c):
@@ -153,48 +124,89 @@ def _check_db(t, n):
 
 
 def _feed_run(n, t, letter, count, out):
-    """Consume `count` copies of `letter`; t must be balanced and stays so.
+    """Consume `count` copies of `letter`, peeling the output into out.runs
+    (out may be None); returns the balanced state left.
 
-    Each step absorbs letter^k0 up to the escape and peels.  Repeated states
-    inside a single run form a closed single-letter loop, whose output is a
-    power of one letter: found by its state, the loop is fast-forwarded
-    from the output snapshot (count, runs, last run's count) taken there.
-    A run that escapes at most once needs no table of visited states, so
-    the table is only built at a run's second escape.
+    The one escape kernel.  Each step peels maximal L/R runs off the left
+    until the state is balanced, checks it against DB_n if an escape led
+    there (_check_db's contract, inlined), then absorbs letter^k0 up to the
+    next escape, until fewer than k0 letters are left.  t needs det(t) > 0
+    and nonnegative entries; exactly one peel applies at every unbalanced
+    state, so each peel ends in the balanced region.  An unbalanced t is
+    peeled first, with no check, so count = 0 is a plain peel (_peel).
+
+    A peel of L^k keeps c - k a and d - k b nonnegative, so k is at most
+    min(c // a, d // b); det > 0 gives d / b > c / a when b > 0, so that
+    minimum is c // a.  Likewise R^k peels b // d letters.
+
+    Repeated states inside a single run form a closed single-letter loop,
+    whose output is a power of one letter: found by its state, the loop is
+    fast-forwarded from the output snapshot (count, runs, last run's count)
+    taken there.  A run that escapes at most once needs no table of visited
+    states, so the table starts only once a second escape is certain, with
+    the state it leaves from.
     """
-    if out is None:
-        out = _Out()  # a fast-forward reads the loop's output off the runs
-    runs = out.runs
+    runs = out.runs if out is not None else []
     is_L = letter == L
     a, b, c, d = t
-    first = None  # (state, snapshot) after the first escape
+    escaped = False
     seen = None
     while True:
+        while not (a > c and d > b):
+            if c >= a and d >= b:
+                k = c // a
+                c -= k * a
+                d -= k * b
+                peeled = L
+            elif a >= c and b >= d:
+                k = b // d
+                a -= k * c
+                b -= k * d
+                peeled = R
+            else:
+                raise AssertionError(f"no peel applies to {(a, b, c, d)}")
+            if runs and runs[-1][0] == peeled:
+                runs[-1][1] += k
+            else:
+                runs.append([peeled, k])
         if is_L:
             k0 = -((a - c) // (b - d))
-            if k0 > count:
-                return (a + b * count, b, c + d * count, d)
-            t = _peel((a + b * k0, b, c + d * k0, d), out)
         else:
             k0 = -((d - b) // (c - a))
-            if k0 > count:
-                return (a, b + a * count, c, d + c * count)
-            t = _peel((a, b + a * k0, c, d + c * k0), out)
-        _check_db(t, n)
-        a, b, c, d = t
+        if escaped:
+            if not (a > b and d > c):
+                _check_db((a, b, c, d), n)
+            if k0 <= count:  # a second escape is certain
+                t = (a, b, c, d)
+                snap = (count, len(runs), runs[-1][1])
+                if seen is None:
+                    seen = {t: snap}
+                else:
+                    prev = seen.get(t)
+                    if prev is None:
+                        seen[t] = snap
+                    else:
+                        count = _skip_loops(runs, prev, count)
+                        seen = {}
+        if k0 > count:
+            if is_L:
+                return (a + b * count, b, c + d * count, d)
+            return (a, b + a * count, c, d + c * count)
         count -= k0
-        snap = (count, len(runs), runs[-1][1])
-        if seen is None:
-            if first is None:
-                first = (t, snap)
-                continue
-            seen = {first[0]: first[1]}
-        prev = seen.get(t)
-        if prev is None:
-            seen[t] = snap
-            continue
-        count = _skip_loops(runs, prev, count)
-        seen = {}
+        escaped = True
+        if is_L:
+            a += b * k0
+            c += d * k0
+        else:
+            b += a * k0
+            d += c * k0
+
+
+def _peel(t, out):
+    """Peel maximal L/R runs off the left of t until the remainder is
+    balanced, merging them into out.runs (out may be None): the kernel with
+    no letters to absorb."""
+    return _feed_run(0, t, L, 0, out)
 
 
 def _skip_loops(runs, prev, count):
@@ -339,7 +351,7 @@ def transduce_cycle(t, start: Mat2, repetend: LRWord) -> ClosedWalk:
     n = _transducer_n(t)
     if not in_DB(start, n):
         raise ValueError(f"{start!r} is not a state of T_{n}")
-    if len({l for l, _ in repetend.runs}) < 2:
+    if len(repetend.runs) < 2:  # adjacent runs of a word differ in letter
         raise ValueError("repetend must contain both letters")
     runs = repetend.runs
     out = _Out()
@@ -367,8 +379,7 @@ def lr_cycle_to_period(cycle: LRWord) -> int:
     distinct end letters splits as V1 * star(V1), else 2h.  That condition
     is invariant under rotating c, so one check covers every conjugate.
     """
-    letters = {l for l, _ in cycle.runs}
-    if len(letters) < 2:
+    if len(cycle.runs) < 2:  # adjacent runs of a word differ in letter
         raise ValueError("cycle must contain both letters")
     root, _ = primitive_root(cycle)
     rs = root.runs
@@ -388,10 +399,8 @@ def lr_repetend(cf: PeriodicCF) -> LRWord:
     rep = cf.repetend
     if len(rep) % 2:
         rep = rep + rep
-    runs = []
-    for i, q in enumerate(rep):
-        runs.append((R if i % 2 == 0 else L, q))
-    return LRWord.from_runs(runs)
+    # PeriodicCF keeps the quotients positive, and R, L alternate
+    return LRWord._trusted(tuple(zip((R, L) * (len(rep) // 2), rep)))
 
 
 def _sign_change(x, y, limit):
@@ -437,24 +446,33 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     interval of the peeled word, so the peeled state sends -1 below 0.
     Counting one more run for each phase that ends on a run boundary,
     2 * (n + bit_length) + 8 runs always suffice.
+
+    The stop test is the double balance a > b, d > c alone.  The state
+    after a peel is nonnegative and balanced, and its determinant n and
+    content 1 are fixed once the preperiod is absorbed: every later step
+    (absorbing, peeling, a sign flip, an integer shift) multiplies by a
+    unimodular matrix or by -1.  So at that point it is in DB_n exactly
+    when it is doubly balanced.
     """
     if det(m) == 0:
         raise ValueError("matrix must be nonsingular")
+    a, b, c, d = m.entries
     g = content_gcd(m)
     if g > 1:
-        m = Mat2(m.a // g, m.b // g, m.c // g, m.d // g)
-    for q in x.preperiod:
-        m = m * Mat2(q, 1, 1, 0)
+        a, b, c, d = a // g, b // g, c // g, d // g
+    for q in x.preperiod:  # times [[q, 1], [1, 0]], which is unimodular
+        a, b, c, d = a * q + b, a, c * q + d, c
     word = lr_repetend(x)
-    if det(m) < 0:
-        m = m * J_MAT  # h_m(y) = h_{mJ}(1/y); inverting y swaps L and R
+    n = a * d - b * c
+    if n < 0:
+        # times J: h_m(y) = h_{mJ}(1/y); inverting y swaps L and R
+        a, b, c, d = b, a, d, c
+        n = -n
         word = star(word)
-    assert content_gcd(m) == 1  # the preperiod and J are unimodular
-    n = det(m)
     runs = word.runs
-    max_runs = 2 * (n + max(abs(m.c), abs(m.d)).bit_length()) + 8
+    max_runs = 2 * (n + max(abs(c), abs(d)).bit_length()) + 8
     out = _Out()
-    t = m.entries
+    t = (a, b, c, d)
     i = j = 0  # the position: j letters into runs[i]
     entered = 1  # runs entered so far
     while True:
@@ -474,7 +492,7 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
         signed = min(t) < 0
         if not signed:
             t = _peel(t, out)
-            if in_DB(Mat2(*t), n):
+            if t[0] > t[1] and t[3] > t[2]:
                 break
         letter, e = runs[i]
         left = e - j
@@ -582,8 +600,7 @@ class _RunCache:
         if entry is None:
             k0 = _escape(s, letter)
             out = _Out()
-            t = _peel(_mul(s, letter, k0), out)
-            _check_db(t, self.n)
+            t = _feed_run(self.n, s, letter, k0, out)
             entry = self.steps[letter][s] = (k0, t, tuple(map(tuple, out.runs)))
         return entry
 
@@ -595,8 +612,7 @@ class _RunCache:
             k0 = _escape(t, letter)
             if k0 > k:
                 return _mul(t, letter, k)
-            t = _peel(_mul(t, letter, k0), out)
-            _check_db(t, self.n)
+            t = _feed_run(self.n, t, letter, k0, out)
             k -= k0
         steps = self.steps[letter]
         runs = out.runs if out is not None else None

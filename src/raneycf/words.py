@@ -184,7 +184,8 @@ def sigma_c(word: LRWord) -> int:
 
 
 def star(word: LRWord) -> LRWord:
-    return LRWord(tuple((star_letter(l), e) for l, e in word.runs))
+    # swapping the letters of a canonical word leaves it canonical
+    return LRWord._trusted(tuple((star_letter(l), e) for l, e in word.runs))
 
 
 def transpose_word(word: LRWord) -> LRWord:
@@ -193,21 +194,28 @@ def transpose_word(word: LRWord) -> LRWord:
 
 
 def rotate(word: LRWord, k: int) -> LRWord:
-    """Cyclic left rotation by k letters (run-aware; k may be huge)."""
-    n = len(word)
+    """Cyclic left rotation by k letters (run-aware; k and the word's
+    length may be huge, past what len() can return)."""
+    n = sum(e for _, e in word.runs)
     if n == 0:
         return word
     k %= n
     if k == 0:
         return word
     # locate the run containing letter index k
+    runs = word.runs
     acc = 0
-    for i, (letter, exp) in enumerate(word.runs):
+    for i, (letter, exp) in enumerate(runs):
         if acc + exp > k:
             off = k - acc
-            head = word.runs[:i] + (((letter, off),) if off else ())
-            tail = (((letter, exp - off),) if exp - off else ()) + word.runs[i + 1 :]
-            return LRWord.from_runs(tail + head)
+            head = runs[:i] + (((letter, off),) if off else ())
+            tail = ((letter, exp - off),) + runs[i + 1 :]  # off < exp
+            # both halves are canonical; only the seam between them can
+            # join two runs of one letter
+            if tail[-1][0] == head[0][0]:
+                seam = ((head[0][0], tail[-1][1] + head[0][1]),)
+                return LRWord._trusted(tail[:-1] + seam + head[1:])
+            return LRWord._trusted(tail + head)
         acc += exp
     raise AssertionError("unreachable")
 
@@ -247,7 +255,7 @@ def primitive_root(word: LRWord) -> tuple[LRWord, int]:
             continue
         if runs[:q] * (k // q) == runs:
             root = LRWord._trusted(runs[:q])
-            candidates.append((len(root), root, k // q))
+            candidates.append((sum(e for _, e in root.runs), root, k // q))
             break  # smallest aligned root; larger ones are its powers
     # merge-aligned roots: word = U^m with first(U) == last(U); interior
     # copies fuse the boundary runs, so runs(word) = m*q + 1 with q = runs(U)-1
@@ -272,7 +280,7 @@ def primitive_root(word: LRWord) -> tuple[LRWord, int]:
             if ok:
                 # q is even, so runs[q - 1] is the other letter
                 root = LRWord._trusted(runs[:q] + ((letter0, e_last),))
-                candidates.append((len(root), root, m))
+                candidates.append((sum(e for _, e in root.runs), root, m))
                 break
     if not candidates:
         return word, 1

@@ -1,5 +1,6 @@
 """The period bound S_n: closed form, walk-sum dual, prime formula, verdicts."""
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +86,34 @@ def test_check_bound_verdicts():
     assert check_bound(7, 24, 1) == "holds"
     with pytest.raises(ValueError):
         check_bound(7, 0, 1)
+
+
+def _reference_check_bound(n, per_x, per_hx):
+    """check_bound with the lower edge as a comparison of Fractions."""
+    s = s_n_closed_form(n).total
+    if per_hx > s * per_x:
+        return "violates_upper"
+    if Fraction(per_hx) < Fraction(per_x, s):
+        return "violates_lower"
+    return "holds"
+
+
+@pytest.mark.parametrize("n", range(1, 51))
+def test_check_bound_matches_fraction_formula_at_the_edges(n):
+    s = s_n_closed_form(n).total
+    for q in (1, 2, 3, 7, 10**30):
+        # per_hx * S_n == per_x, and one off on each side
+        assert check_bound(n, q * s, q) == "holds"
+        assert check_bound(n, q * s + 1, q) == "violates_lower"
+        # per_hx == S_n * per_x, and one off on each side
+        assert check_bound(n, q, q * s) == "holds"
+        assert check_bound(n, q, q * s + 1) == "violates_upper"
+        for per_x, per_hx in [
+            (q * s - 1, q), (q * s, q), (q * s + 1, q),
+            (q, q * s - 1), (q, q * s), (q, q * s + 1),
+        ]:
+            if per_x >= 1 and per_hx >= 1:
+                assert check_bound(n, per_x, per_hx) == _reference_check_bound(n, per_x, per_hx)
 
 
 def test_breakdown_json_schema():

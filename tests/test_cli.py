@@ -6,6 +6,7 @@ import pytest
 
 from raneycf import cli
 from raneycf.cli import main
+from raneycf.surds import parse_cf, per
 
 
 def run(capsys, *argv):
@@ -86,6 +87,25 @@ def test_transform_identity(capsys):
     doc = json.loads(out)
     assert doc["per_hx"] == doc["per_x"] == 2
     assert doc["result_cf"] == "[;5,2]"
+
+
+def test_transform_quotient_past_maxsize(capsys):
+    # the tail's LR word is longer than sys.maxsize letters
+    code, out, _ = run(
+        capsys, "transform", "--matrix", "1,2,3,4", "--cf", "[;99999999999999999999999]",
+        "--format", "json",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["per_hx"] == 5 and doc["verdict"] == "holds"
+    assert doc["per_hx"] == per(parse_cf(doc["result_cf"]))  # the oracle's period
+
+
+def test_verify_quotients_past_maxsize(capsys):
+    code, out, _ = run(
+        capsys, "verify", "3", "--samples", "5", "--max-quotient", "99999999999999999999999",
+    )
+    assert code == 0 and json.loads(out)["failures"] == []
 
 
 def test_transform_input_errors(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raneycf.matrices import Mat2, det, enumerate_DB, in_DB, in_RB, nu_R, xi
-from raneycf.surds import parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
+from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
     _Out,
     _RunCache,
@@ -165,10 +165,97 @@ def test_transduce_cycle_matches_per_pass_concatenation():
     assert all(seen.values()), seen
 
 
+def _reference_peel(t, out):
+    """The peel as a routine of its own: maximal L/R runs off the left until
+    the remainder is balanced, merged into out.runs (out may be None)."""
+    runs = out.runs if out is not None else []
+    a, b, c, d = t
+    while not (a > c and d > b):
+        if c >= a and d >= b:
+            k = c // a
+            if b and d // b < k:
+                k = d // b
+            c -= k * a
+            d -= k * b
+            letter = L
+        elif a >= c and b >= d:
+            k = b // d
+            if c and a // c < k:
+                k = a // c
+            a -= k * c
+            b -= k * d
+            letter = R
+        else:
+            raise AssertionError(f"no peel applies to {(a, b, c, d)}")
+        if runs and runs[-1][0] == letter:
+            runs[-1][1] += k
+        else:
+            runs.append([letter, k])
+    return (a, b, c, d)
+
+
+def _db_states(n):
+    return [m.entries for m in sorted(enumerate_DB(n), key=lambda m: m.entries)]
+
+
+def _unbalanced_D_n():
+    """Nonnegative matrices of positive determinant that are not row
+    balanced: mu(w) times a DB_n state for a nonempty word w, or drawn
+    entry by entry."""
+
+    def build(n, pick, exps):
+        states = _db_states(n)
+        w = LRWord.from_runs((R if i % 2 else L, e) for i, e in enumerate(exps))
+        return (mu(w) * Mat2(*states[pick % len(states)])).entries
+
+    exp = st.one_of(st.integers(1, 5), st.integers(1, 10**6))
+    built = st.builds(build, st.integers(1, 40), st.integers(0, 10**6), st.lists(exp, min_size=1, max_size=6))
+    entry = st.one_of(st.integers(0, 30), st.integers(0, 10**9))
+    drawn = st.tuples(entry, entry, entry, entry).filter(
+        lambda t: t[0] * t[3] > t[1] * t[2] and not _balanced(t)
+    )
+    return st.one_of(built, drawn)
+
+
+@given(_unbalanced_D_n(), st.sampled_from((None, (), ((L, 2),), ((R, 1), (L, 3)))))
+@settings(max_examples=300, deadline=None)
+def test_peel_only_kernel_matches_reference_peel(t, prior):
+    """The kernel with no letters to absorb is the plain peel: same state,
+    same output merged into whatever out already holds, and no check."""
+    if prior is None:
+        assert _feed_run(0, t, L, 0, None) == _reference_peel(t, None)
+        assert _peel(t, None) == _reference_peel(t, None)
+        return
+    out, ref = _Out(), _Out()
+    for r in prior:
+        out.emit(*r)
+        ref.emit(*r)
+    assert _feed_run(0, t, R, 0, out) == _reference_peel(t, ref)
+    assert out.word() == ref.word()
+
+
+@given(st.integers(1, 60), st.integers(0, 10**6), st.sampled_from((L, R)), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_single_step_kernel_matches_reference_peel(n, pick, letter, with_out):
+    """One escape from a DB_n state through the kernel against absorbing up
+    to the escape, then the reference peel and _check_db."""
+    states = _db_states(n)
+    s = states[pick % len(states)]
+    k0 = _escape(s, letter)
+    ref_out = _Out()
+    ref = _reference_peel(_mul(s, letter, k0), ref_out)
+    _check_db(ref, n)
+    out = _Out() if with_out else None
+    assert _feed_run(n, s, letter, k0, out) == ref
+    if with_out:
+        assert out.runs == ref_out.runs
+
+
 def _reference_feed_run(n, t, letter, count, out):
     """_feed_run as one call per step: escape, absorb, peel through
     out.emit, then loop detection on running letter totals from the first
-    escape on.  Returns (end state, whether a loop was fast-forwarded)."""
+    escape on.  Returns (end state, whether a loop was fast-forwarded,
+    number of escapes taken one by one)."""
     tot = {L: 0, R: 0}
 
     def emit(letter, k):
@@ -194,13 +281,15 @@ def _reference_feed_run(n, t, letter, count, out):
         return (a, b, c, d)
 
     fast_forwarded = False
+    escapes = 0
     seen = {}
     while count > 0:
         k0 = _escape(t, letter)
         if k0 > count:
-            return _mul(t, letter, count), fast_forwarded
+            return _mul(t, letter, count), fast_forwarded, escapes
         t = peel(_mul(t, letter, k0))
         _check_db(t, n)
+        escapes += 1
         count -= k0
         snap = seen.get(t)
         if snap is None:
@@ -216,14 +305,17 @@ def _reference_feed_run(n, t, letter, count, out):
             count -= q * cyc
             fast_forwarded = True
         seen = {}
-    return t, fast_forwarded
+    return t, fast_forwarded, escapes
 
 
 def test_feed_run_matches_reference():
     """The run-feeding kernel against the one-call-per-step reference, from
     DB states and from states part way into an edge, with and without an
-    output accumulator (which may already hold runs)."""
+    output accumulator (which may already hold runs).  Some runs are cut to
+    escape exactly once, where the kernel keeps no table of visited states,
+    and the rest escape any number of times."""
     fast_forwards = {True: 0, False: 0}  # by whether out was given
+    escapes_seen = {0: 0, 1: 0, 2: 0}  # runs by escapes taken: 0, 1, 2 or more
 
     @given(
         st.integers(1, 60),
@@ -233,15 +325,20 @@ def test_feed_run_matches_reference():
         st.sampled_from((L, R)),
         st.one_of(st.integers(1, 50), st.integers(1, 10**6)),
         st.sampled_from((None, (), ((L, 2),), ((R, 1), (L, 3)))),
+        st.booleans(),
     )
-    @settings(max_examples=300, deadline=None)
-    def check(n, pick, pre_letter, pre_k, letter, count, prior):
+    @settings(max_examples=400, deadline=None)
+    def check(n, pick, pre_letter, pre_k, letter, count, prior, once):
         states = sorted(enumerate_DB(n), key=lambda m: m.entries)
         t = states[pick % len(states)].entries
         t = _mul(t, pre_letter, pre_k % _escape(t, pre_letter))  # mid-edge when > 0
+        if once:  # past the first escape, short of the second
+            k0 = _escape(t, letter)
+            landed = _reference_feed_run(n, t, letter, k0, None)[0]
+            count = k0 + count % _escape(landed, letter)
         if prior is None:
             end = _feed_run(n, t, letter, count, None)
-            ref, ff = _reference_feed_run(n, t, letter, count, None)
+            ref, ff, escapes = _reference_feed_run(n, t, letter, count, None)
             assert end == ref
         else:
             out, ref_out = _Out(), _Out()
@@ -249,12 +346,15 @@ def test_feed_run_matches_reference():
                 out.emit(*r)
                 ref_out.emit(*r)
             end = _feed_run(n, t, letter, count, out)
-            ref, ff = _reference_feed_run(n, t, letter, count, ref_out)
+            ref, ff, escapes = _reference_feed_run(n, t, letter, count, ref_out)
             assert (end, out.word()) == (ref, ref_out.word())
+        assert escapes == 1 or not once
         fast_forwards[prior is not None] += ff
+        escapes_seen[min(escapes, 2)] += 1
 
     check()
     assert all(fast_forwards.values()), fast_forwards
+    assert all(escapes_seen.values()), escapes_seen
 
 
 def test_out_word_slices_between_snaps():
@@ -341,6 +441,15 @@ def test_lr_cycle_to_period_matches_surd_oracle():
 
         cf = PeriodicCF.create([], rep)
         assert lr_cycle_to_period(word) == per(cf)
+
+
+@given(st.lists(st.one_of(st.integers(1, 9), st.integers(1, 10**25)), min_size=1, max_size=9))
+def test_lr_repetend_equals_validated_construction(rep):
+    cf = PeriodicCF.create([], rep)
+    quotients = cf.repetend * (2 if len(cf.repetend) % 2 else 1)
+    expected = LRWord.from_runs((R if i % 2 == 0 else L, q) for i, q in enumerate(quotients))
+    assert lr_repetend(cf) == expected
+    assert lr_repetend(cf).runs == expected.runs
 
 
 def test_lr_repetend():

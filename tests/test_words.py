@@ -1,6 +1,6 @@
 """LR-word calculus: run structure, mu, conjugacy, primitivity, kappa."""
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from raneycf.matrices import IDENTITY, J_MAT, Mat2, transpose
 from raneycf.words import (
@@ -18,6 +18,7 @@ from raneycf.words import (
     sigma,
     sigma_c,
     star,
+    star_letter,
     tau_kappa,
     transpose_word,
     word_of_matrix,
@@ -192,6 +193,73 @@ def test_conjugates_examples():
 def test_rotate_preserves_length_and_composes(w, k):
     assert len(rotate(w, k)) == len(w)
     assert rotate(rotate(w, k), len(w) - (k % len(w))) == w
+
+
+def _validated_rotate(w, k):
+    """rotate as a validated construction: split the runs at letter k and
+    join the halves through LRWord.from_runs, which merges the seam."""
+    size = sum(e for _, e in w.runs)
+    k %= size
+    acc = 0
+    for i, (letter, exp) in enumerate(w.runs):
+        if acc + exp > k:
+            off = k - acc
+            return LRWord.from_runs(((letter, exp - off),) + w.runs[i + 1 :] + w.runs[:i] + ((letter, off),))
+        acc += exp
+    raise AssertionError("unreachable")
+
+
+_EXPS = st.one_of(st.integers(1, 4), st.integers(1, 10**25))
+
+
+@st.composite
+def _big_words(draw):
+    """Nonempty canonical words whose exponents may be past sys.maxsize."""
+    first = draw(st.sampled_from([L, R]))
+    k = draw(st.integers(1, 7))
+    return LRWord(tuple((first if i % 2 == 0 else star_letter(first), draw(_EXPS)) for i in range(k)))
+
+
+def test_rotate_equals_validated_construction():
+    cases = {"inside a run": 0, "at a boundary": 0, "seam merges": 0}
+
+    @given(_big_words(), st.integers(0, 10**26), st.booleans())
+    @settings(max_examples=300)
+    def check(w, k, at_boundary):
+        if at_boundary:  # the start of some run
+            k = sum(e for _, e in w.runs[: k % len(w.runs)])
+        got = rotate(w, k)
+        assert got == _validated_rotate(w, k)
+        LRWord(got.runs)  # the trusted result passes validation
+        starts = {sum(e for _, e in w.runs[:i]) for i in range(len(w.runs))}
+        size = sum(e for _, e in w.runs)
+        if k % size:
+            inside = k % size not in starts
+            cases["inside a run" if inside else "at a boundary"] += 1
+            # unmerged, the halves hold the runs of w plus the one cut apart
+            cases["seam merges"] += len(got.runs) < len(w.runs) + inside
+
+    check()
+    assert all(cases.values()), cases
+    # a cut inside the first run of an odd-run word: both seams share a letter
+    assert rotate(parse_word("R^3LR^2"), 1) == parse_word("R^2LR^3")
+    assert rotate(parse_word("R^3LR^2"), 4) == parse_word("R^5L")
+    assert rotate(parse_word("L^5"), 2) == parse_word("L^5")
+
+
+@given(_big_words())
+def test_star_equals_validated_construction(w):
+    got = star(w)
+    assert got == LRWord.from_runs((star_letter(l), e) for l, e in w.runs)
+    LRWord(got.runs)
+
+
+def test_words_longer_than_maxsize():
+    # len() cannot return these lengths; letters are counted on the runs
+    w = LRWord(((R, 10**23), (L, 10**23)))
+    assert rotate(w, 10**23 + 5) == LRWord(((L, 10**23 - 5), (R, 10**23), (L, 5)))
+    assert rotate(w, 2 * 10**23) == w
+    assert primitive_root(w**3) == (w, 3)
 
 
 def test_primitive_root_examples():
