@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import random
 import sys
@@ -17,9 +16,9 @@ from .bounds import breakdown_to_json, check_bound, s_n_closed_form, s_n_total
 from .matrices import (
     J_MAT,
     Mat2,
+    _enumerate_DB,
     content_gcd,
     det,
-    enumerate_DB,
     format_mat2,
     parse_mat2,
 )
@@ -62,8 +61,7 @@ def _resolve_seed(value) -> int:
 def _random_matrix(rng: random.Random, n: int) -> Mat2:
     """A matrix with |det| = n and content 1: a DB_n seed dressed with short
     unimodular words, optionally sign-flipped and column-swapped."""
-    seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
-    m = rng.choice(seeds)
+    m = rng.choice(_enumerate_DB(n))
     for _ in range(rng.randint(0, 4)):
         m = rng.choice(_DRESS) * m
     for _ in range(rng.randint(0, 4)):
@@ -182,6 +180,8 @@ def cmd_verify(
     jobs = min(jobs, os.cpu_count() or 1)
     tasks = [(n, seed, i, max_period, max_quotient) for i in range(samples)]
     if jobs > 1:
+        import multiprocessing  # only --jobs > 1 pays for this import
+
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(run_trial, tasks, chunksize=32)
     else:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 
 @dataclass(frozen=True)
@@ -107,22 +107,45 @@ def in_DB(m: Mat2, n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _enumerate_DB(n: int) -> tuple[Mat2, ...]:
-    # in_DB forces 1 <= a <= n, 0 <= c < a, 0 <= b < a with ad - bc = n, so b
-    # solves b*c = -n (mod a): with g = gcd(c, a) there are solutions only
-    # when g | n, and they step by a/g from the least one.
+    """DB_n sorted by entries; the memo every caller reads.
+
+    Put u = a - c and v = d - b.  Then ad - bc = n reads n = uv + ub + vc,
+    and the column balance a > b, d > c reads -v < b - c < u.  Both u and v
+    are at least 1, so uv <= n: about n ln n pairs (u, v).  For each pair,
+    b and c >= 0 solve ub + vc = n - uv, where b steps by v/g with
+    g = gcd(u, v).  With c = (n - uv - ub) / v the band reads
+    n / (u + v) - v < b < n / (u + v), a window of width v in b, so each
+    pair has at most g solutions, found from one modular inverse.  The
+    associated matrix (a, b, c, d) -> (d, c, b, a) swaps u and v, so only
+    u <= v is solved.  Content is gcd(u, v, b, c), which only g > 1 can
+    break.  The cost is O(n log n), against the n^2 / 2 pairs (a, c) of a
+    direct loop.
+    """
     found = []
-    for a in range(1, n + 1):
-        for c in range(0, a):
-            g = gcd(c, a)
-            if n % g:
+    add = found.append
+    for u in range(1, isqrt(n) + 1):
+        for v in range(u, n // u + 1):
+            m = n - u * v
+            g = gcd(u, v)
+            if m % g:
                 continue
-            step = a // g
-            b0 = -(n // g) * pow(c // g, -1, step) % step
-            for b in range(b0, a, step):
-                d = (n + b * c) // a
-                if d > b and d > c and gcd(a, b, c, d) == 1:
-                    found.append(Mat2(a, b, c, d))
-    return tuple(sorted(found, key=lambda m: m.entries))
+            s = u + v
+            lo = n // s - v + 1
+            if lo < 0:
+                lo = 0
+            hi = (n - 1) // s
+            if u * hi > m:
+                hi = m // u
+            step = v // g
+            b0 = m // g * pow(u // g, -1, step)
+            for b in range(lo + (b0 - lo) % step, hi + 1, step):
+                c = (m - u * b) // v
+                if g == 1 or gcd(g, b, c) == 1:
+                    add((c + u, b, c, b + v))
+                    if u != v:
+                        add((b + v, c, b, c + u))
+    found.sort()
+    return tuple(Mat2(*t) for t in found)
 
 
 def enumerate_DB(n: int) -> set[Mat2]:

@@ -14,12 +14,13 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .matrices import (
     Mat2,
+    _enumerate_DB,
     content_gcd,
     det,
-    enumerate_DB,
     in_DB,
     is_LE,
     is_RE,
@@ -264,7 +265,7 @@ def factorize_to_DB(p: Mat2, n: int) -> tuple[LRWord, Mat2]:
 def build_transducer(n: int) -> Transducer:
     if n < 1:
         raise ValueError("n must be >= 1")
-    states = sorted(enumerate_DB(n), key=lambda m: m.entries)
+    states = _enumerate_DB(n)
     edges = []
     for m in states:
         stack = [((), m.entries)]
@@ -581,12 +582,14 @@ def walk_LE(t, m: Mat2, i: int):
 class _RunCache:
     """Single-letter run feeding from one table of escape steps.
 
-    steps[letter][s], for a DB_n state s, is (k0, s', runs): s * letter^k0
-    is the first unbalanced product, and peeling it emits `runs` and leaves
-    the DB_n state s'.  Each step is computed and checked once per cache, so
-    the table holds at most 2 |DB_n| entries.  Feeding letter^k from a DB
-    state follows the table until the steps close into a loop, which is
-    fast-forwarded, so the cost does not depend on k.
+    steps[letter][s], for a DB_n state s, is (k0, s'): s * letter^k0 is the
+    first unbalanced product, and peeling it leaves the DB_n state s'.  The
+    peeled output is dropped: only an orbit's output is needed, and the
+    search feeds an orbit through _feed_run.  Each step is computed and
+    checked once per cache, so the table holds at most 2 |DB_n| entries.
+    Feeding letter^k from a DB state follows the table until the steps
+    close into a loop, which is fast-forwarded, so the cost does not depend
+    on k.
     """
 
     __slots__ = ("n", "steps")
@@ -599,47 +602,32 @@ class _RunCache:
         entry = self.steps[letter].get(s)
         if entry is None:
             k0 = _escape(s, letter)
-            out = _Out()
-            t = _feed_run(self.n, s, letter, k0, out)
-            entry = self.steps[letter][s] = (k0, t, tuple(map(tuple, out.runs)))
+            entry = self.steps[letter][s] = (k0, _feed_run(self.n, s, letter, k0, None))
         return entry
 
-    def feed(self, t, letter, k, out=None):
-        """t * letter^k, peeling its output into out (which may be None);
-        t must be balanced, and so is the result."""
+    def feed(self, t, letter, k):
+        """t * letter^k with its output dropped; t must be balanced, and so
+        is the result.  Only the count matters, so whole loops are skipped."""
         a, b, c, d = t
         if not (a > b and d > c):  # inside an edge: its escape is no table step
             k0 = _escape(t, letter)
             if k0 > k:
                 return _mul(t, letter, k)
-            t = _feed_run(self.n, t, letter, k0, out)
+            t = _feed_run(self.n, t, letter, k0, None)
             k -= k0
         steps = self.steps[letter]
-        runs = out.runs if out is not None else None
         seen = {}
         while True:
-            k0, t2, emitted = steps.get(t) or self.step(letter, t)
+            k0, t2 = steps.get(t) or self.step(letter, t)
             if k0 > k:
                 return _mul(t, letter, k)
             t = t2
             k -= k0
             prev = seen.get(t)
-            if runs is None:  # only the count matters: skip whole loops
-                if prev is None:
-                    seen[t] = k
-                else:
-                    k %= prev - k
-                    seen = {}
-                continue
-            for l, e in emitted:
-                if runs and runs[-1][0] == l:
-                    runs[-1][1] += e
-                else:
-                    runs.append([l, e])
             if prev is None:
-                seen[t] = (k, len(runs), runs[-1][1])
+                seen[t] = k
             else:
-                k = _skip_loops(runs, prev, k)
+                k %= prev - k
                 seen = {}
 
     def run_states(self, seeds, letter, e):
@@ -656,7 +644,7 @@ class _RunCache:
         inside = []
         escapes = {}
         for s in seeds:
-            k0, t, _ = self.step(letter, s)
+            k0, t = self.step(letter, s)
             inside.extend(_mul(s, letter, j) for j in range(1, min(k0, e)))
             if k0 < e:
                 escapes[t] = None
@@ -675,7 +663,7 @@ class _RunCache:
         pos = 0
         while s not in seen:
             seen[s] = pos
-            k0, t, _ = self.step(letter, s)
+            k0, t = self.step(letter, s)
             for j in range(k0):
                 if pos + j >= e:
                     return max(found, default=0)
@@ -714,14 +702,20 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     O(runs * |DB_n| * n) node visits plus the orbits, independent of the
     partial quotients.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     runs = lr_repetend(cf).runs
     nr = len(runs)
-    seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
+    seeds = _enumerate_DB(n)
+    starts = [m.entries for m in seeds]
     # content is checked here once: every later state is a unimodular image
     # of a seed (see _check_db)
-    if not all(in_DB(m, n) for m in seeds):
+    if not all(
+        a * d - b * c == n and a > c >= 0 and d > b >= 0 and a > b and d > c
+        and gcd(a, b, c, d) == 1
+        for a, b, c, d in starts
+    ):
         raise RuntimeError(f"enumerate_DB({n}) returned a state outside DB_{n}")
-    starts = [m.entries for m in seeds]
     cache = _RunCache(n)
     period_of: dict = {}  # node -> output period of its terminal orbit
 
@@ -738,7 +732,7 @@ def search_max_ratio(n: int, cf: PeriodicCF):
                 r, t = cur
                 for i in range(len(path) - index[cur]):
                     letter, e = runs[(r + i) % nr]
-                    t = cache.feed(t, letter, e, out)
+                    t = _feed_run(n, t, letter, e, out)
                 period = lr_cycle_to_period(out.word())
                 break
             index[cur] = len(path)

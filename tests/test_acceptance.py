@@ -342,3 +342,10 @@ def test_15_reduction_absorbs_whole_runs(capsys):
         assert image_period(m, cf) == 24
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb < 20 * 1024
     assert per(cf_from_surd(apply_mobius(m, surd_from_cf(cf)))) == 24
+
+
+def test_16_enumerate_DB_is_near_linear():
+    # 9 s for the loop over every (a, c), and 6,049 states there too
+    _enumerate_DB.cache_clear()
+    with stopwatch(0.5):
+        assert len(enumerate_DB(4096)) == 6049

@@ -1,11 +1,17 @@
 """CLI surface: rendering, exit codes, reproducibility."""
 import json
+import os
+import random
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from raneycf import cli
 from raneycf.cli import main
+from raneycf.matrices import J_MAT, Mat2, enumerate_DB
 from raneycf.surds import parse_cf, per
 
 
@@ -177,11 +183,47 @@ def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return list(map(fn, tasks))
 
+    import multiprocessing
+
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     code, out, _ = run(capsys, "verify", "4", "--samples", "8", "--jobs", "100000")
     assert code == 0 and json.loads(out)["failures"] == []
     assert sizes == [2]
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only verify --jobs > 1 needs it, and every CLI start would pay for it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, raneycf.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def _reference_random_matrix(rng, n):
+    """_random_matrix with its seed drawn from enumerate_DB's set, sorted
+    afresh on every call."""
+    seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
+    m = rng.choice(seeds)
+    for _ in range(rng.randint(0, 4)):
+        m = rng.choice(cli._DRESS) * m
+    for _ in range(rng.randint(0, 4)):
+        m = m * rng.choice(cli._DRESS)
+    if rng.random() < 0.5:
+        m = m * J_MAT
+    if rng.random() < 0.5:
+        m = Mat2(-m.a, -m.b, -m.c, -m.d)
+    return m
+
+
+@pytest.mark.parametrize("n", [2, 12, 200])
+def test_random_matrix_matches_reference(n):
+    for k in range(50):
+        rng, ref = random.Random(k), random.Random(k)
+        assert cli._random_matrix(rng, n) == _reference_random_matrix(ref, n)
+        assert rng.random() == ref.random()  # the same draws were used up
 
 
 def _assert_repro(record):

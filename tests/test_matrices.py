@@ -1,4 +1,5 @@
 """Matrix classes D/RB/CB/DB, LS/RS/LE/RE, the xi step count, enumerations."""
+import random
 from math import gcd
 
 import pytest
@@ -153,6 +154,56 @@ def _reference_enumerate_DB(n):
 def test_enumerate_DB_matches_reference_loop():
     for n in range(1, 101):
         assert _enumerate_DB(n) == _reference_enumerate_DB(n), n
+
+
+def _doubly_balanced_up_to(top):
+    """DB_n for every n <= top at once, sorted by entries: every nonnegative
+    doubly balanced (a, b, c, d) with ad - bc <= top and content 1.
+
+    For fixed a and c, the least determinant over d > max(b, c) grows as b
+    moves away from c in either direction, so each b loop stops at the
+    first b past the top."""
+    found = {n: [] for n in range(1, top + 1)}
+    for a in range(1, top + 1):
+        for c in range(a):
+            for bs in (range(c, a), range(c - 1, -1, -1)):
+                for b in bs:
+                    d = max(b, c) + 1
+                    n = a * d - b * c
+                    if n > top:
+                        break
+                    for d in range(d, d + (top - n) // a + 1):
+                        if gcd(a, b, c, d) == 1:
+                            found[a * d - b * c].append(Mat2(a, b, c, d))
+    return {n: tuple(sorted(ms, key=lambda m: m.entries)) for n, ms in found.items()}
+
+
+def test_enumerate_DB_matches_every_matrix_up_to_300():
+    for n, states in _doubly_balanced_up_to(300).items():
+        assert _enumerate_DB(n) == states, n
+
+
+def _pair_loop_enumerate_DB(n):
+    """The loop over every (a, c) with one linear congruence for b each,
+    which the (u, v) enumeration replaced: n^2 / 2 pairs."""
+    found = []
+    for a in range(1, n + 1):
+        for c in range(0, a):
+            g = gcd(c, a)
+            if n % g:
+                continue
+            step = a // g
+            b0 = -(n // g) * pow(c // g, -1, step) % step
+            for b in range(b0, a, step):
+                d = (n + b * c) // a
+                if d > b and d > c and gcd(a, b, c, d) == 1:
+                    found.append(Mat2(a, b, c, d))
+    return tuple(sorted(found, key=lambda m: m.entries))
+
+
+@pytest.mark.parametrize("n", sorted(random.Random(0).sample(range(301, 2001), 3)))
+def test_enumerate_DB_matches_pair_loop(n):
+    assert _enumerate_DB(n) == _pair_loop_enumerate_DB(n)
 
 
 # -- LS/RS/LE/RE ----------------------------------------------------------------

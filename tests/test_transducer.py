@@ -639,12 +639,12 @@ def _reference_search_max_ratio(n, cf):
             if cur in index:
                 cycle = path[index[cur] :]
                 key = min(cycle)
-                if key not in ratio_of:
+                if key not in ratio_of:  # the orbit's output, step by step
                     out = _Out()
                     r, t = key
                     for i in range(len(cycle)):
                         letter, e = runs[(r + i) % nr]
-                        t = cache.feed(t, letter, e, out)
+                        t, _, _ = _reference_feed_run(n, t, letter, e, out)
                     ratio_of[key] = Fraction(lr_cycle_to_period(out.word()), per_x)
                 break
             index[cur] = len(path)
@@ -721,22 +721,15 @@ def test_run_states_match_letter_by_letter_walks():
     st.integers(0, 10**6),
     st.sampled_from((L, R)),
     st.one_of(st.integers(0, 50), st.integers(0, 10**6)),
-    st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_run_cache_feed_matches_kernel(n, pick, pre_letter, pre_k, letter, count, with_out):
+def test_run_cache_feed_matches_kernel(n, pick, pre_letter, pre_k, letter, count):
     """The step-table walk against the run kernel, from DB states and from
-    states part way into an edge, with and without output."""
+    states part way into an edge."""
     states = sorted(enumerate_DB(n), key=lambda m: m.entries)
     t = states[pick % len(states)].entries
     t = _mul(t, pre_letter, pre_k % _escape(t, pre_letter))  # mid-edge when > 0
-    cache = _RunCache(n)
-    if with_out:
-        out, ref = _Out(), _Out()
-        assert cache.feed(t, letter, count, out) == _feed_run(n, t, letter, count, ref)
-        assert out.word() == ref.word()
-    else:
-        assert cache.feed(t, letter, count) == _feed_run(n, t, letter, count, None)
+    assert _RunCache(n).feed(t, letter, count) == _feed_run(n, t, letter, count, None)
 
 
 def test_search_computes_each_escape_once(monkeypatch):
@@ -766,6 +759,30 @@ def test_search_computes_each_escape_once(monkeypatch):
         (cache,) = caches
         assert len(escapes) == len(set(escapes)) == sum(map(len, cache.steps.values()))
         assert len(escapes) <= 2 * len(enumerate_DB(n))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        Mat2(2, 0, 0, 2),  # content 2
+        Mat2(1, 0, 0, 3),  # determinant 3
+        Mat2(4, -1, 0, 1),  # a negative entry
+        Mat2(4, 0, 3, 1),  # not column balanced: c > d
+        Mat2(2, 1, 2, 3),  # not row balanced: a = c
+    ],
+)
+def test_search_rejects_a_state_outside_DB(monkeypatch, bad):
+    import raneycf.transducer as transducer
+
+    states = transducer._enumerate_DB(4)
+    monkeypatch.setattr(transducer, "_enumerate_DB", lambda n: states + (bad,))
+    with pytest.raises(RuntimeError, match="outside DB_4"):
+        search_max_ratio(4, parse_cf("[;3]"))
+
+
+def test_search_rejects_n_below_1():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        search_max_ratio(0, parse_cf("[;3]"))
 
 
 @pytest.mark.parametrize("text", ["[;10]", "[;12]", "[;10,6]"])
