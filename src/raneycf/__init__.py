@@ -26,10 +26,10 @@ from .matrices import (
     is_LS,
     is_RE,
     is_RS,
-    multiply,
     nu_L,
     nu_R,
     parse_mat2,
+    primitive_part,
     format_mat2,
     transpose,
     xi,

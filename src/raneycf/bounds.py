@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .matrices import Mat2, content_gcd, enumerate_LE, nu_L, xi
+from .matrices import det, enumerate_LE, nu_L, primitive_part, xi
 from .transducer import walk_LE
 from .words import sigma
 
@@ -62,10 +62,8 @@ def s_n_via_transducer(n: int) -> int:
     """
     total = 0
     for m in sorted(enumerate_LE(n), key=lambda m: m.entries):
-        k = content_gcd(m)
-        if k > 1:
-            m = Mat2(m.a // k, m.b // k, m.c // k, m.d // k)
-        nn = n // (k * k)
+        m = primitive_part(m)
+        nn = det(m)
         nu = nu_L(m)
         for i in range(nu, 2 * nu):
             _, _, w = walk_LE(nn, m, i)

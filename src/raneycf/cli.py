@@ -21,6 +21,7 @@ from .matrices import (
     det,
     format_mat2,
     parse_mat2,
+    primitive_part,
 )
 from .surds import (
     PeriodicCF,
@@ -54,7 +55,7 @@ def _resolve_seed(value) -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(f"CFM_SEED is not an integer: {env!r}")
+            raise ValueError(f"CFM_SEED is not an integer: {env!r}") from None
     return 0
 
 
@@ -143,7 +144,7 @@ def cmd_transducer(n: int, fmt: str = "table") -> str:
 
 
 def cmd_transform(m: Mat2, cf: PeriodicCF, fmt: str = "text") -> tuple[str, int]:
-    n = abs(det(m)) // content_gcd(m) ** 2
+    n = abs(det(primitive_part(m)))
     result_cf = cf_from_surd(apply_mobius(m, surd_from_cf(cf)))
     per_x = per(cf)
     per_hx = image_period(m, cf)

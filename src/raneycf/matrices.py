@@ -48,8 +48,12 @@ def content_gcd(m: Mat2) -> int:
     return gcd(m.a, m.b, m.c, m.d)
 
 
-def multiply(m1: Mat2, m2: Mat2) -> Mat2:
-    return m1 * m2
+def primitive_part(m: Mat2) -> Mat2:
+    """m divided by its content gcd(a, b, c, d); m must not be zero."""
+    g = content_gcd(m)
+    if g == 1:
+        return m
+    return Mat2(m.a // g, m.b // g, m.c // g, m.d // g)
 
 
 def inverse_times_det(m: Mat2) -> Mat2:
@@ -103,6 +107,30 @@ def in_CB(m: Mat2, n: int) -> bool:
 
 def in_DB(m: Mat2, n: int) -> bool:
     return in_D(m, n) and m.a > m.c and m.d > m.b and m.a > m.b and m.d > m.c
+
+
+def _check_db(t, n):
+    """Raise unless t, reached by absorbing and peeling from a DB_n state,
+    is itself in DB_n.
+
+    Only the balance conditions are checked: the content gcd(a, b, c, d)
+    cannot change on the way.  Absorbing letter^k multiplies t on the right
+    by L^k or R^k, and peeling multiplies it on the left by L^-k or R^-k;
+    all four are integer matrices of determinant 1.  The entries of U t V
+    are integer combinations of those of t, so content(t) divides
+    content(U t V), and t = U^-1 (U t V) V^-1 gives the converse.  So a walk
+    keeps the content of its start, and each walk checks it once where it
+    enters: transduce_cycle's in_DB(start), the search's seeds, and the
+    content checks of factorize_to_DB and walk_LE's is_LE.  The determinant
+    is kept for the same reason; absorbing only adds to entries, and the
+    peel's quotients keep them nonnegative.
+    """
+    a, b, c, d = t
+    if not (a > c and d > b and a > b and d > c):
+        raise RuntimeError(
+            f"factorization left {(a, b, c, d)} balanced but not doubly "
+            f"balanced for n={n}; the edge construction contract is violated"
+        )
 
 
 @lru_cache(maxsize=None)

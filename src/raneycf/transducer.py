@@ -2,10 +2,13 @@
 
 Transduction is implemented online: absorb input letters on the right,
 peel output letters off the left whenever the remainder stays balanced.
-Long runs are handled in O(#states) time by jumping over repeated loop
-states, so partial quotients in the thousands cost nothing.  The explicit
-edge table (build_transducer) exists for display and for the exhaustive
-lemma checks; the two implementations cross-validate in the test suite.
+Every escape step runs through one kernel, words._feed_run, which jumps
+over repeated loop states, so partial quotients in the thousands cost
+nothing.  The explicit edge table (build_transducer) exists for display
+and for the exhaustive lemma checks, and is built through the same kernel
+one letter at a time.  The independent references are in the tests:
+_reference_feed_run, one call per escape step, and test_9's letter-by-letter
+edge walk.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from math import gcd
 
 from .matrices import (
     Mat2,
+    _check_db,
     _enumerate_DB,
     content_gcd,
     det,
@@ -26,210 +30,24 @@ from .matrices import (
     is_RE,
     nu_L,
     nu_R,
+    primitive_part,
 )
 from .surds import PeriodicCF, per
 from .words import (
     L,
     LRWord,
     R,
+    _Out,
+    _balanced,
+    _escape,
+    _feed_run,
+    _mul,
+    _peel,
     format_word,
     primitive_root,
     rotate,
     star,
 )
-
-# ---------------------------------------------------------------------------
-# low-level engine on raw (a, b, c, d) tuples
-
-
-def _mul(t, letter, k):
-    a, b, c, d = t
-    if letter == L:
-        return (a + b * k, b, c + d * k, d)
-    return (a, a * k + b, c, c * k + d)
-
-
-def _balanced(t):
-    # row balance a > c, d > b: the "still inside an edge" condition
-    return t[0] > t[2] and t[3] > t[1]
-
-
-def _escape(t, letter):
-    """Least k >= 1 with t * letter^k unbalanced (t must be balanced)."""
-    a, b, c, d = t
-    if letter == L:
-        return -((a - c) // -(d - b))
-    return -((d - b) // -(a - c))
-
-
-class _Out:
-    """Run-merging output accumulator: runs[i] = [letter, count]."""
-
-    __slots__ = ("runs",)
-
-    def __init__(self):
-        self.runs: list[list] = []
-
-    def emit(self, letter, k):
-        if k <= 0:
-            return
-        if self.runs and self.runs[-1][0] == letter:
-            self.runs[-1][1] += k
-        else:
-            self.runs.append([letter, k])
-
-    def snap(self):
-        """The current end of the output: (number of runs, last run's count)."""
-        return (len(self.runs), self.runs[-1][1] if self.runs else 0)
-
-    def word(self, start=(0, 0), stop=None) -> LRWord:
-        """The output between two snaps; by default all of it."""
-        i, a = start
-        j, b = self.snap() if stop is None else stop
-        runs = list(map(tuple, self.runs[max(i - 1, 0) : j]))
-        if j:
-            runs[-1] = (runs[-1][0], b)
-        if i:
-            runs[0] = (runs[0][0], runs[0][1] - a)
-        # only the two edge runs can have been cut to zero; the rest are
-        # merged runs
-        if runs and not runs[-1][1]:
-            runs.pop()
-        if runs and not runs[0][1]:
-            del runs[0]
-        return LRWord._trusted(tuple(runs))
-
-
-def _check_db(t, n):
-    """Raise unless t, reached by absorbing and peeling from a DB_n state,
-    is itself in DB_n.
-
-    Only the balance conditions are checked: the content gcd(a, b, c, d)
-    cannot change on the way.  Absorbing letter^k multiplies t on the right
-    by L^k or R^k, and peeling multiplies it on the left by L^-k or R^-k;
-    all four are integer matrices of determinant 1.  The entries of U t V
-    are integer combinations of those of t, so content(t) divides
-    content(U t V), and t = U^-1 (U t V) V^-1 gives the converse.  So a walk
-    keeps the content of its start, and each walk checks it once where it
-    enters: transduce_cycle's in_DB(start), the search's seeds, and the
-    content checks of factorize_to_DB and walk_LE's is_LE.  The determinant
-    is kept for the same reason; absorbing only adds to entries, and the
-    peel's quotients keep them nonnegative.
-    """
-    a, b, c, d = t
-    if not (a > c and d > b and a > b and d > c):
-        raise RuntimeError(
-            f"factorization left {(a, b, c, d)} balanced but not doubly "
-            f"balanced for n={n}; the edge construction contract is violated"
-        )
-
-
-def _feed_run(n, t, letter, count, out):
-    """Consume `count` copies of `letter`, peeling the output into out.runs
-    (out may be None); returns the balanced state left.
-
-    The one escape kernel.  Each step peels maximal L/R runs off the left
-    until the state is balanced, checks it against DB_n if an escape led
-    there (_check_db's contract, inlined), then absorbs letter^k0 up to the
-    next escape, until fewer than k0 letters are left.  t needs det(t) > 0
-    and nonnegative entries; exactly one peel applies at every unbalanced
-    state, so each peel ends in the balanced region.  An unbalanced t is
-    peeled first, with no check, so count = 0 is a plain peel (_peel).
-
-    A peel of L^k keeps c - k a and d - k b nonnegative, so k is at most
-    min(c // a, d // b); det > 0 gives d / b > c / a when b > 0, so that
-    minimum is c // a.  Likewise R^k peels b // d letters.
-
-    Repeated states inside a single run form a closed single-letter loop,
-    whose output is a power of one letter: found by its state, the loop is
-    fast-forwarded from the output snapshot (count, runs, last run's count)
-    taken there.  A run that escapes at most once needs no table of visited
-    states, so the table starts only once a second escape is certain, with
-    the state it leaves from.
-    """
-    runs = out.runs if out is not None else []
-    is_L = letter == L
-    a, b, c, d = t
-    escaped = False
-    seen = None
-    while True:
-        while not (a > c and d > b):
-            if c >= a and d >= b:
-                k = c // a
-                c -= k * a
-                d -= k * b
-                peeled = L
-            elif a >= c and b >= d:
-                k = b // d
-                a -= k * c
-                b -= k * d
-                peeled = R
-            else:
-                raise AssertionError(f"no peel applies to {(a, b, c, d)}")
-            if runs and runs[-1][0] == peeled:
-                runs[-1][1] += k
-            else:
-                runs.append([peeled, k])
-        if is_L:
-            k0 = -((a - c) // (b - d))
-        else:
-            k0 = -((d - b) // (c - a))
-        if escaped:
-            if not (a > b and d > c):
-                _check_db((a, b, c, d), n)
-            if k0 <= count:  # a second escape is certain
-                t = (a, b, c, d)
-                snap = (count, len(runs), runs[-1][1])
-                if seen is None:
-                    seen = {t: snap}
-                else:
-                    prev = seen.get(t)
-                    if prev is None:
-                        seen[t] = snap
-                    else:
-                        count = _skip_loops(runs, prev, count)
-                        seen = {}
-        if k0 > count:
-            if is_L:
-                return (a + b * count, b, c + d * count, d)
-            return (a, b + a * count, c, d + c * count)
-        count -= k0
-        escaped = True
-        if is_L:
-            a += b * k0
-            c += d * k0
-        else:
-            b += a * k0
-            d += c * k0
-
-
-def _peel(t, out):
-    """Peel maximal L/R runs off the left of t until the remainder is
-    balanced, merging them into out.runs (out may be None): the kernel with
-    no letters to absorb."""
-    return _feed_run(0, t, L, 0, out)
-
-
-def _skip_loops(runs, prev, count):
-    """Fast-forward a closed single-letter loop, whose output is a power of
-    one letter.  prev is the snapshot (count, len(runs), last run's count)
-    taken when the walk last stood at its current state; returns the count
-    left, less than one loop."""
-    prev_count, prev_len, prev_last = prev
-    cyc = prev_count - count
-    q = count // cyc
-    if q:
-        last = runs[-1]
-        if len(runs) == prev_len:
-            emitted = last[1] - prev_last
-        elif len(runs) == prev_len + 1 and runs[prev_len - 1][1] == prev_last:
-            emitted = last[1]
-        else:  # cannot happen: single-letter loops emit one letter
-            raise AssertionError("mixed emission on a single-letter loop")
-        last[1] += q * emitted
-        count -= q * cyc
-    return count
-
 
 # ---------------------------------------------------------------------------
 # transducer construction and serialization
@@ -272,20 +90,18 @@ def build_transducer(n: int) -> Transducer:
         while stack:
             runs, t = stack.pop()
             for letter in (L, R):
-                t2 = _mul(t, letter, 1)
                 if runs and runs[-1][0] == letter:
                     runs2 = runs[:-1] + ((letter, runs[-1][1] + 1),)
                 else:
                     runs2 = runs + ((letter, 1),)
-                if _balanced(t2):
-                    stack.append((runs2, t2))
-                else:
-                    out = _Out()
-                    t3 = _peel(t2, out)
-                    _check_db(t3, n)
+                out = _Out()
+                t2 = _feed_run(n, t, letter, 1, out)
+                if out.runs:  # an escape, whose peel emits at least one letter
                     edges.append(
-                        TransducerEdge(m, LRWord(runs2), out.word(), Mat2(*t3))
+                        TransducerEdge(m, LRWord(runs2), out.word(), Mat2(*t2))
                     )
+                else:
+                    stack.append((runs2, t2))
     edges.sort(key=lambda e: (e.src.entries, e.input.runs))
     return Transducer(n, frozenset(states), tuple(edges))
 
@@ -343,13 +159,8 @@ class ClosedWalk:
     gamma: int
 
 
-def _transducer_n(t) -> int:
-    return t.n if isinstance(t, Transducer) else int(t)
-
-
-def transduce_cycle(t, start: Mat2, repetend: LRWord) -> ClosedWalk:
+def transduce_cycle(n: int, start: Mat2, repetend: LRWord) -> ClosedWalk:
     """Feed the repetend cyclically from `start` until a boundary state repeats."""
-    n = _transducer_n(t)
     if not in_DB(start, n):
         raise ValueError(f"{start!r} is not a state of T_{n}")
     if len(repetend.runs) < 2:  # adjacent runs of a word differ in letter
@@ -457,10 +268,7 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     """
     if det(m) == 0:
         raise ValueError("matrix must be nonsingular")
-    a, b, c, d = m.entries
-    g = content_gcd(m)
-    if g > 1:
-        a, b, c, d = a // g, b // g, c // g, d // g
+    a, b, c, d = primitive_part(m).entries
     for q in x.preperiod:  # times [[q, 1], [1, 0]], which is unimodular
         a, b, c, d = a * q + b, a, c * q + d, c
     word = lr_repetend(x)
@@ -532,32 +340,25 @@ def image_period(m: Mat2, x: PeriodicCF) -> int:
 # LE walks (the L^i R^j probes behind the bound's transducer-side sum)
 
 
-def walk_LE(t, m: Mat2, i: int):
+def walk_LE(n: int, m: Mat2, i: int):
     """Simulate L^i then R's from m in LE_n; stop at the unique recurring RE
-    state N with j in {3n - nu_R(N) + 1, ..., 3n}.  Returns (N, j, w)."""
-    n = _transducer_n(t)
+    state N with j in {3n - nu_R(N) + 1, ..., 3n}.  Returns (N, j, w).
+
+    A letter completes an edge exactly when the state after it is doubly
+    balanced: absorbing without an escape never gives one (see
+    _RunCache.run_states)."""
     if det(m) != n or not is_LE(m):
         raise ValueError(f"{m!r} is not in LE_{n}")
     nu = nu_L(m)
     if not nu <= i <= 2 * nu - 1:
         raise ValueError(f"i={i} outside [{nu}, {2 * nu - 1}]")
     out = _Out()
-    cur = m.entries
-
-    def step(cur, letter):
-        cur = _mul(cur, letter, 1)
-        if _balanced(cur):
-            return cur, False
-        cur = _peel(cur, out)
-        _check_db(cur, n)
-        return cur, True
-
-    for _ in range(i):
-        cur, _ = step(cur, L)
+    cur = _feed_run(n, m.entries, L, i, out)
     completions = []  # (j, state, snap)
     for j in range(1, 3 * n + 1):
-        cur, at_state = step(cur, R)
-        if at_state:
+        cur = _feed_run(n, cur, R, 1, out)
+        a, b, c, d = cur
+        if a > b and d > c:
             completions.append((j, Mat2(*cur), out.snap()))
     re_states = {s for _, s, _ in completions if is_RE(s)}
     if len(re_states) != 1:

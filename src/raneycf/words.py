@@ -4,14 +4,19 @@ An LRWord stores runs ((letter, exponent), ...) with adjacent letters
 distinct and exponents >= 1 (arbitrary precision — exponents in the tens
 of thousands occur routinely, so nothing here ever expands a word into
 individual letters unless the caller asks for it).
+
+The package's one escape kernel lives here too, on raw (a, b, c, d)
+tuples: _feed_run absorbs input runs on the right and peels output runs
+off the left, and _peel is that kernel with nothing to absorb.  It sits
+below the transducer in the import graph, so word_of_matrix and the
+transducer share it.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
 
-from .matrices import IDENTITY, L_MAT, R_MAT, Mat2, content_gcd, det
+from .matrices import IDENTITY, Mat2, _check_db, det
 
 L = "L"
 R = "R"
@@ -142,34 +147,17 @@ def mu(word: LRWord) -> Mat2:
 
 
 def word_of_matrix(m: Mat2) -> LRWord:
-    """Inverse of mu on D_1: greedy left-peeling of maximal L/R runs."""
+    """Inverse of mu on D_1: greedy left-peeling of maximal L/R runs.
+
+    The peel ends at the identity: a balanced nonnegative matrix has
+    a >= c + 1 and d >= b + 1, so det 1 = ad - bc >= b + c + 1 forces
+    b = c = 0 and a = d = 1.
+    """
     if det(m) != 1 or min(m.entries) < 0:
         raise ValueError(f"{m!r} is not a nonnegative matrix of determinant 1")
-    a, b, c, d = m.entries
-    runs = []
-    while True:
-        if b == 0:
-            # determinant forces a = d = 1, so the remainder is L^c
-            if c:
-                runs.append((L, c))
-            break
-        if c == 0:
-            if b:
-                runs.append((R, b))
-            break
-        if c >= a and d >= b:
-            k = min(c // a, d // b)
-            runs.append((L, k))
-            c -= k * a
-            d -= k * b
-        elif a >= c and b >= d:
-            k = min(a // c, b // d)
-            runs.append((R, k))
-            a -= k * c
-            b -= k * d
-        else:
-            raise ValueError(f"{m!r} is not in the monoid generated by L and R")
-    return LRWord.from_runs(runs)
+    out = _Out()
+    _peel(m.entries, out)
+    return out.word()
 
 
 def sigma(word: LRWord) -> int:
@@ -344,3 +332,172 @@ def tau_kappa(word: LRWord, n: int) -> set[LRWord]:
         if _cmp_words(w, least) < 0:
             least = w
     return conjugates(kappa(least, n))
+
+
+# ---------------------------------------------------------------------------
+# low-level engine on raw (a, b, c, d) tuples
+
+
+def _mul(t, letter, k):
+    a, b, c, d = t
+    if letter == L:
+        return (a + b * k, b, c + d * k, d)
+    return (a, a * k + b, c, c * k + d)
+
+
+def _balanced(t):
+    # row balance a > c, d > b: the "still inside an edge" condition
+    return t[0] > t[2] and t[3] > t[1]
+
+
+def _escape(t, letter):
+    """Least k >= 1 with t * letter^k unbalanced (t must be balanced)."""
+    a, b, c, d = t
+    if letter == L:
+        return -((a - c) // -(d - b))
+    return -((d - b) // -(a - c))
+
+
+class _Out:
+    """Run-merging output accumulator: runs[i] = [letter, count]."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self):
+        self.runs: list[list] = []
+
+    def emit(self, letter, k):
+        if k <= 0:
+            return
+        if self.runs and self.runs[-1][0] == letter:
+            self.runs[-1][1] += k
+        else:
+            self.runs.append([letter, k])
+
+    def snap(self):
+        """The current end of the output: (number of runs, last run's count)."""
+        return (len(self.runs), self.runs[-1][1] if self.runs else 0)
+
+    def word(self, start=(0, 0), stop=None) -> LRWord:
+        """The output between two snaps; by default all of it."""
+        i, a = start
+        j, b = self.snap() if stop is None else stop
+        runs = list(map(tuple, self.runs[max(i - 1, 0) : j]))
+        if j:
+            runs[-1] = (runs[-1][0], b)
+        if i:
+            runs[0] = (runs[0][0], runs[0][1] - a)
+        # only the two edge runs can have been cut to zero; the rest are
+        # merged runs
+        if runs and not runs[-1][1]:
+            runs.pop()
+        if runs and not runs[0][1]:
+            del runs[0]
+        return LRWord._trusted(tuple(runs))
+
+
+def _feed_run(n, t, letter, count, out):
+    """Consume `count` copies of `letter`, peeling the output into out.runs
+    (out may be None); returns the balanced state left.
+
+    The one escape kernel.  Each step peels maximal L/R runs off the left
+    until the state is balanced, checks it against DB_n if an escape led
+    there (_check_db's contract, inlined), then absorbs letter^k0 up to the
+    next escape, until fewer than k0 letters are left.  t needs det(t) > 0
+    and nonnegative entries; exactly one peel applies at every unbalanced
+    state, so each peel ends in the balanced region.  An unbalanced t is
+    peeled first, with no check, so count = 0 is a plain peel (_peel).
+
+    A peel of L^k keeps c - k a and d - k b nonnegative, so k is at most
+    min(c // a, d // b); det > 0 gives d / b > c / a when b > 0, so that
+    minimum is c // a.  Likewise R^k peels b // d letters.
+
+    Repeated states inside a single run form a closed single-letter loop,
+    whose output is a power of one letter: found by its state, the loop is
+    fast-forwarded from the output snapshot (count, runs, last run's count)
+    taken there.  A run that escapes at most once needs no table of visited
+    states, so the table starts only once a second escape is certain, with
+    the state it leaves from.
+    """
+    runs = out.runs if out is not None else []
+    is_L = letter == L
+    a, b, c, d = t
+    escaped = False
+    seen = None
+    while True:
+        while not (a > c and d > b):
+            if c >= a and d >= b:
+                k = c // a
+                c -= k * a
+                d -= k * b
+                peeled = L
+            elif a >= c and b >= d:
+                k = b // d
+                a -= k * c
+                b -= k * d
+                peeled = R
+            else:
+                raise AssertionError(f"no peel applies to {(a, b, c, d)}")
+            if runs and runs[-1][0] == peeled:
+                runs[-1][1] += k
+            else:
+                runs.append([peeled, k])
+        if is_L:
+            k0 = -((a - c) // (b - d))
+        else:
+            k0 = -((d - b) // (c - a))
+        if escaped:
+            if not (a > b and d > c):
+                _check_db((a, b, c, d), n)
+            if k0 <= count:  # a second escape is certain
+                t = (a, b, c, d)
+                snap = (count, len(runs), runs[-1][1])
+                if seen is None:
+                    seen = {t: snap}
+                else:
+                    prev = seen.get(t)
+                    if prev is None:
+                        seen[t] = snap
+                    else:
+                        count = _skip_loops(runs, prev, count)
+                        seen = {}
+        if k0 > count:
+            if is_L:
+                return (a + b * count, b, c + d * count, d)
+            return (a, b + a * count, c, d + c * count)
+        count -= k0
+        escaped = True
+        if is_L:
+            a += b * k0
+            c += d * k0
+        else:
+            b += a * k0
+            d += c * k0
+
+
+def _peel(t, out):
+    """Peel maximal L/R runs off the left of t until the remainder is
+    balanced, merging them into out.runs (out may be None): the kernel with
+    no letters to absorb."""
+    return _feed_run(0, t, L, 0, out)
+
+
+def _skip_loops(runs, prev, count):
+    """Fast-forward a closed single-letter loop, whose output is a power of
+    one letter.  prev is the snapshot (count, len(runs), last run's count)
+    taken when the walk last stood at its current state; returns the count
+    left, less than one loop."""
+    prev_count, prev_len, prev_last = prev
+    cyc = prev_count - count
+    q = count // cyc
+    if q:
+        last = runs[-1]
+        if len(runs) == prev_len:
+            emitted = last[1] - prev_last
+        elif len(runs) == prev_len + 1 and runs[prev_len - 1][1] == prev_last:
+            emitted = last[1]
+        else:  # cannot happen: single-letter loops emit one letter
+            raise AssertionError("mixed emission on a single-letter loop")
+        last[1] += q * emitted
+        count -= q * cyc
+    return count

@@ -16,6 +16,7 @@ from raneycf.bounds import check_bound, prime_sharp_bound, s_n_closed_form, s_n_
 from raneycf.cli import main, run_trial
 from raneycf.matrices import (
     Mat2,
+    _check_db,
     _enumerate_DB,
     content_gcd,
     enumerate_DB,
@@ -31,12 +32,6 @@ from raneycf.matrices import (
 )
 from raneycf.surds import apply_mobius, cf_from_surd, parse_cf, per, surd_from_cf
 from raneycf.transducer import (
-    _Out,
-    _balanced,
-    _check_db,
-    _feed_run,
-    _mul,
-    _peel,
     build_transducer,
     image_period,
     lr_repetend,
@@ -44,7 +39,21 @@ from raneycf.transducer import (
     transduce_cycle,
     walk_LE,
 )
-from raneycf.words import LRWord, mu, parse_word, sigma, sigma_c, star, tau_kappa, transpose_word
+from raneycf.words import (
+    LRWord,
+    _Out,
+    _balanced,
+    _feed_run,
+    _mul,
+    _peel,
+    mu,
+    parse_word,
+    sigma,
+    sigma_c,
+    star,
+    tau_kappa,
+    transpose_word,
+)
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 

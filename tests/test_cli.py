@@ -147,8 +147,8 @@ def test_verify_seed_env_fallback(capsys, monkeypatch):
     _, out, _ = run(capsys, "verify", "3", "--samples", "5")
     assert json.loads(out)["seed"] == 123
     monkeypatch.setenv("CFM_SEED", "x")
-    with pytest.raises(SystemExit):
-        run(capsys, "verify", "3", "--samples", "5")
+    code, out, err = run(capsys, "verify", "3", "--samples", "5")
+    assert code == 2 and out == "" and "CFM_SEED" in err
 
 
 def test_verify_rejects_n_1(capsys):

@@ -27,10 +27,10 @@ from raneycf.matrices import (
     is_LS,
     is_RE,
     is_RS,
-    multiply,
     nu_L,
     nu_R,
     parse_mat2,
+    primitive_part,
     transpose,
     xi,
 )
@@ -76,10 +76,12 @@ def test_det_and_content():
     assert det(Mat2(12, 1, 17, 2)) == 7
     assert content_gcd(IDENTITY) == 1
     assert content_gcd(Mat2(4, 0, 2, 4)) == 2
+    assert primitive_part(Mat2(4, 0, -2, 4)) == Mat2(2, 0, -1, 2)
+    assert primitive_part(IDENTITY) == IDENTITY
 
 
 def test_multiply_and_adjugate():
-    assert multiply(L_MAT, R_MAT) == Mat2(1, 1, 1, 2)
+    assert L_MAT * R_MAT == Mat2(1, 1, 1, 2)
     m = Mat2(12, 1, 17, 2)
     assert m * inverse_times_det(m) == Mat2(7, 0, 0, 7)
     assert transpose(Mat2(1, 2, 3, 4)) == Mat2(1, 3, 2, 4)
@@ -298,6 +300,8 @@ def test_enumerate_LE_vs_DB_filter(n):
 def test_enumerate_LE_content_exception_at_16():
     assert Mat2(4, 0, 2, 4) in enumerate_LE(16)
     assert content_gcd(Mat2(4, 0, 2, 4)) == 2
+    assert primitive_part(Mat2(4, 0, -2, 4)) == Mat2(2, 0, -1, 2)
+    assert primitive_part(IDENTITY) == IDENTITY
 
 
 # -- prime counts (also exercised in the acceptance suite) -------------------------

@@ -7,17 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raneycf.matrices import Mat2, det, enumerate_DB, in_DB, in_RB, nu_R, xi
+from raneycf.matrices import Mat2, _check_db, det, enumerate_DB, in_DB, in_RB, nu_R, xi
 from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
-    _Out,
     _RunCache,
-    _balanced,
-    _check_db,
-    _escape,
-    _feed_run,
-    _mul,
-    _peel,
     build_transducer,
     factorize_to_DB,
     image_period,
@@ -35,6 +28,12 @@ from raneycf.words import (
     L,
     R,
     LRWord,
+    _Out,
+    _balanced,
+    _escape,
+    _feed_run,
+    _mul,
+    _peel,
     boundary_conjugates,
     mu,
     parse_word,

@@ -43,6 +43,16 @@ def words(max_runs=8, max_exp=6):
 
 nonempty_words = words().filter(bool)
 
+_EXPS = st.one_of(st.integers(1, 4), st.integers(1, 10**25))
+
+
+@st.composite
+def _big_words(draw):
+    """Nonempty canonical words whose exponents may be past sys.maxsize."""
+    first = draw(st.sampled_from([L, R]))
+    k = draw(st.integers(1, 7))
+    return LRWord(tuple((first if i % 2 == 0 else star_letter(first), draw(_EXPS)) for i in range(k)))
+
 
 # -- construction and text form ---------------------------------------------
 
@@ -113,7 +123,7 @@ def test_mu_is_a_homomorphism(v, w):
     assert mu(v + w) == mu(v) * mu(w)
 
 
-@given(words())
+@given(st.one_of(words(), _big_words()))
 def test_mu_word_roundtrip(w):
     m = mu(w)
     assert word_of_matrix(m) == w
@@ -207,17 +217,6 @@ def _validated_rotate(w, k):
             return LRWord.from_runs(((letter, exp - off),) + w.runs[i + 1 :] + w.runs[:i] + ((letter, off),))
         acc += exp
     raise AssertionError("unreachable")
-
-
-_EXPS = st.one_of(st.integers(1, 4), st.integers(1, 10**25))
-
-
-@st.composite
-def _big_words(draw):
-    """Nonempty canonical words whose exponents may be past sys.maxsize."""
-    first = draw(st.sampled_from([L, R]))
-    k = draw(st.integers(1, 7))
-    return LRWord(tuple((first if i % 2 == 0 else star_letter(first), draw(_EXPS)) for i in range(k)))
 
 
 def test_rotate_equals_validated_construction():
