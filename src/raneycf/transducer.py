@@ -2,11 +2,13 @@
 
 Transduction is implemented online: absorb input letters on the right,
 peel output letters off the left whenever the remainder stays balanced.
-Every escape step runs through one kernel, words._feed_run, which jumps
-over repeated loop states, so partial quotients in the thousands cost
-nothing.  The explicit edge table (build_transducer) exists for display
-and for the exhaustive lemma checks, and is built through the same kernel
-one letter at a time.  The independent references are in the tests:
+Every escape step runs through one kernel, words._feed_run, which
+finishes a run in closed form once it reaches a state with b = 0 (for L)
+or c = 0 (for R), the only states on single-letter loops.  No other state
+repeats within a run, so a partial quotient of any size costs at most
+|DB_n| escape steps.  The explicit edge table (build_transducer) exists
+for display and for the exhaustive lemma checks, and is built through the
+same kernel one letter at a time.  The independent references are in the tests:
 _reference_feed_run, one call per escape step, and test_9's letter-by-letter
 edge walk.
 """
@@ -95,7 +97,7 @@ def build_transducer(n: int) -> Transducer:
                 else:
                     runs2 = runs + ((letter, 1),)
                 out = _Out()
-                t2 = _feed_run(n, t, letter, 1, out)
+                t2 = _feed_run(n, t, ((letter, 1),), out)
                 if out.runs:  # an escape, whose peel emits at least one letter
                     edges.append(
                         TransducerEdge(m, LRWord(runs2), out.word(), Mat2(*t2))
@@ -171,8 +173,7 @@ def transduce_cycle(n: int, start: Mat2, repetend: LRWord) -> ClosedWalk:
     boundary = {start.entries: 0}
     cur = start.entries
     while True:
-        for letter, e in runs:
-            cur = _feed_run(n, cur, letter, e, out)
+        cur = _feed_run(n, cur, runs, out)
         idx = boundary.get(cur)
         if idx is not None:
             gamma = len(snaps) - idx
@@ -353,10 +354,10 @@ def walk_LE(n: int, m: Mat2, i: int):
     if not nu <= i <= 2 * nu - 1:
         raise ValueError(f"i={i} outside [{nu}, {2 * nu - 1}]")
     out = _Out()
-    cur = _feed_run(n, m.entries, L, i, out)
+    cur = _feed_run(n, m.entries, ((L, i),), out)
     completions = []  # (j, state, snap)
     for j in range(1, 3 * n + 1):
-        cur = _feed_run(n, cur, R, 1, out)
+        cur = _feed_run(n, cur, ((R, 1),), out)
         a, b, c, d = cur
         if a > b and d > c:
             completions.append((j, Mat2(*cur), out.snap()))
@@ -388,9 +389,10 @@ class _RunCache:
     peeled output is dropped: only an orbit's output is needed, and the
     search feeds an orbit through _feed_run.  Each step is computed and
     checked once per cache, so the table holds at most 2 |DB_n| entries.
-    Feeding letter^k from a DB state follows the table until the steps
-    close into a loop, which is fast-forwarded, so the cost does not depend
-    on k.
+    Feeding letter^k from a DB state follows the table until it reaches a
+    state with b = 0 (L) or c = 0 (R), and finishes in the closed form of
+    words._feed_run.  No other state repeats on the way, so the walk takes
+    at most |DB_n| steps, whatever k is.
     """
 
     __slots__ = ("n", "steps")
@@ -403,33 +405,32 @@ class _RunCache:
         entry = self.steps[letter].get(s)
         if entry is None:
             k0 = _escape(s, letter)
-            entry = self.steps[letter][s] = (k0, _feed_run(self.n, s, letter, k0, None))
+            entry = self.steps[letter][s] = (k0, _feed_run(self.n, s, ((letter, k0),), None))
         return entry
 
     def feed(self, t, letter, k):
         """t * letter^k with its output dropped; t must be balanced, and so
-        is the result.  Only the count matters, so whole loops are skipped."""
+        is the result.  A state with b = 0 (L) or c = 0 (R) ends the walk in
+        the kernel's closed form."""
         a, b, c, d = t
         if not (a > b and d > c):  # inside an edge: its escape is no table step
             k0 = _escape(t, letter)
             if k0 > k:
                 return _mul(t, letter, k)
-            t = _feed_run(self.n, t, letter, k0, None)
+            t = _feed_run(self.n, t, ((letter, k0),), None)
             k -= k0
         steps = self.steps[letter]
-        seen = {}
-        while True:
+        loop_zero = 1 if letter == L else 2  # b on L-loops, c on R-loops
+        while t[loop_zero]:
             k0, t2 = steps.get(t) or self.step(letter, t)
             if k0 > k:
                 return _mul(t, letter, k)
             t = t2
             k -= k0
-            prev = seen.get(t)
-            if prev is None:
-                seen[t] = k
-            else:
-                k %= prev - k
-                seen = {}
+        a, b, c, d = t
+        if letter == L:
+            return (a, 0, (c + d * k) % a, d)
+        return (a, (b + a * k) % d, 0, d)
 
     def run_states(self, seeds, letter, e):
         """The distinct states feed(s, letter, k) over all s in seeds and
@@ -531,9 +532,8 @@ def search_max_ratio(n: int, cf: PeriodicCF):
             if cur in index:
                 out = _Out()
                 r, t = cur
-                for i in range(len(path) - index[cur]):
-                    letter, e = runs[(r + i) % nr]
-                    t = _feed_run(n, t, letter, e, out)
+                cycle = [runs[(r + i) % nr] for i in range(len(path) - index[cur])]
+                _feed_run(n, t, cycle, out)
                 period = lr_cycle_to_period(out.word())
                 break
             index[cur] = len(path)

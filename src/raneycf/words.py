@@ -366,14 +366,6 @@ class _Out:
     def __init__(self):
         self.runs: list[list] = []
 
-    def emit(self, letter, k):
-        if k <= 0:
-            return
-        if self.runs and self.runs[-1][0] == letter:
-            self.runs[-1][1] += k
-        else:
-            self.runs.append([letter, k])
-
     def snap(self):
         """The current end of the output: (number of runs, last run's count)."""
         return (len(self.runs), self.runs[-1][1] if self.runs else 0)
@@ -396,34 +388,45 @@ class _Out:
         return LRWord._trusted(tuple(runs))
 
 
-def _feed_run(n, t, letter, count, out):
-    """Consume `count` copies of `letter`, peeling the output into out.runs
-    (out may be None); returns the balanced state left.
+def _feed_run(n, t, runs, out):
+    r"""Consume the input runs ((letter, count), ...) in order, peeling the
+    output into out.runs (out may be None); returns the balanced state left.
 
     The one escape kernel.  Each step peels maximal L/R runs off the left
     until the state is balanced, checks it against DB_n if an escape led
-    there (_check_db's contract, inlined), then absorbs letter^k0 up to the
-    next escape, until fewer than k0 letters are left.  t needs det(t) > 0
-    and nonnegative entries; exactly one peel applies at every unbalanced
+    there (_check_db's contract, inlined), then absorbs letters up to the
+    next escape, until the runs are used up.  t needs det(t) > 0 and
+    nonnegative entries; exactly one peel applies at every unbalanced
     state, so each peel ends in the balanced region.  An unbalanced t is
-    peeled first, with no check, so count = 0 is a plain peel (_peel).
+    peeled first, with no check, so runs = () is a plain peel (_peel).
 
     A peel of L^k keeps c - k a and d - k b nonnegative, so k is at most
     min(c // a, d // b); det > 0 gives d / b > c / a when b > 0, so that
     minimum is c // a.  Likewise R^k peels b // d letters.
 
-    Repeated states inside a single run form a closed single-letter loop,
-    whose output is a power of one letter: found by its state, the loop is
-    fast-forwarded from the output snapshot (count, runs, last run's count)
-    taken there.  A run that escapes at most once needs no table of visited
-    states, so the table starts only once a second escape is certain, with
-    the state it leaves from.
+    Single-letter loops.  Say the escapes of one L-run close a loop at a
+    DB_n state s, so s L^K = W s with W the word peeled on the way.  Then
+    W = s L^K s^-1 is a nonnegative matrix of determinant 1 and trace 2
+    that is not the identity, which makes it L^m or R^m with m > 0.
+    Comparing entries, s L^K = R^m s needs d K = 0, and s L^K = L^m s needs
+    b K = 0.  So every state on an L-loop has b = 0, and every state on an
+    R-loop has c = 0.  From a balanced state with b = 0, absorbing L^k
+    moves only c, to c + d k, and the peel then takes L^((c + d k) // a)
+    off and leaves (a, 0, (c + d k) % a, d): an R peel would need b >= d.
+    That is the closed form in which the kernel finishes an L-run once
+    b = 0, and an R-run once c = 0, where the mirror image gives
+    R^((b + a k) // d) and (a, (b + a k) % d, 0, d).  It needs no check:
+    an escape at k0 has c + d (k0 - 1) < a, so it lands on c' <= c + d k0 - a
+    < d, and c' < a, which is in DB_n.  Before the closed form starts, no
+    state repeats, so a run takes at most |DB_n \ LS_n| + 1 escape steps
+    however long it is, where LS_n is the set of DB_n states with b = 0
+    (RS_n, those with c = 0, for an R-run).
     """
-    runs = out.runs if out is not None else []
-    is_L = letter == L
+    emitted = out.runs if out is not None else []
+    runs = iter(runs)
+    count = 0
     a, b, c, d = t
-    escaped = False
-    seen = None
+    check = False
     while True:
         while not (a > c and d > b):
             if c >= a and d >= b:
@@ -438,66 +441,53 @@ def _feed_run(n, t, letter, count, out):
                 peeled = R
             else:
                 raise AssertionError(f"no peel applies to {(a, b, c, d)}")
-            if runs and runs[-1][0] == peeled:
-                runs[-1][1] += k
+            if emitted and emitted[-1][0] == peeled:
+                emitted[-1][1] += k
             else:
-                runs.append([peeled, k])
-        if is_L:
-            k0 = -((a - c) // (b - d))
-        else:
-            k0 = -((d - b) // (c - a))
-        if escaped:
-            if not (a > b and d > c):
-                _check_db((a, b, c, d), n)
-            if k0 <= count:  # a second escape is certain
-                t = (a, b, c, d)
-                snap = (count, len(runs), runs[-1][1])
-                if seen is None:
-                    seen = {t: snap}
-                else:
-                    prev = seen.get(t)
-                    if prev is None:
-                        seen[t] = snap
-                    else:
-                        count = _skip_loops(runs, prev, count)
-                        seen = {}
-        if k0 > count:
-            if is_L:
-                return (a + b * count, b, c + d * count, d)
-            return (a, b + a * count, c, d + c * count)
-        count -= k0
-        escaped = True
-        if is_L:
-            a += b * k0
-            c += d * k0
-        else:
-            b += a * k0
-            d += c * k0
+                emitted.append([peeled, k])
+        if check and not (a > b and d > c):
+            _check_db((a, b, c, d), n)
+        while True:  # absorb up to the next escape
+            if not count:
+                run = next(runs, None)
+                if run is None:
+                    return (a, b, c, d)
+                letter, count = run
+            if letter == L:
+                if not b:  # the closed form: absorb the rest, peel once
+                    c += d * count
+                    count = 0
+                    check = False
+                    break
+                k0 = -((a - c) // (b - d))
+                if k0 > count:
+                    a += b * count
+                    c += d * count
+                    count = 0
+                    continue
+                a += b * k0
+                c += d * k0
+            else:
+                if not c:
+                    b += a * count
+                    count = 0
+                    check = False
+                    break
+                k0 = -((d - b) // (c - a))
+                if k0 > count:
+                    b += a * count
+                    d += c * count
+                    count = 0
+                    continue
+                b += a * k0
+                d += c * k0
+            count -= k0
+            check = True
+            break
 
 
 def _peel(t, out):
     """Peel maximal L/R runs off the left of t until the remainder is
     balanced, merging them into out.runs (out may be None): the kernel with
     no letters to absorb."""
-    return _feed_run(0, t, L, 0, out)
-
-
-def _skip_loops(runs, prev, count):
-    """Fast-forward a closed single-letter loop, whose output is a power of
-    one letter.  prev is the snapshot (count, len(runs), last run's count)
-    taken when the walk last stood at its current state; returns the count
-    left, less than one loop."""
-    prev_count, prev_len, prev_last = prev
-    cyc = prev_count - count
-    q = count // cyc
-    if q:
-        last = runs[-1]
-        if len(runs) == prev_len:
-            emitted = last[1] - prev_last
-        elif len(runs) == prev_len + 1 and runs[prev_len - 1][1] == prev_last:
-            emitted = last[1]
-        else:  # cannot happen: single-letter loops emit one letter
-            raise AssertionError("mixed emission on a single-letter loop")
-        last[1] += q * emitted
-        count -= q * cyc
-    return count
+    return _feed_run(0, t, (), out)

@@ -58,13 +58,6 @@ from raneycf.words import (
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-def _feed_word(n, t, runs, out):
-    """Feed a word's runs one after another through the run kernel."""
-    for letter, e in runs:
-        t = _feed_run(n, t, letter, e, out)
-    return t
-
-
 class stopwatch:
     def __init__(self, limit):
         self.limit = limit
@@ -246,8 +239,8 @@ def test_9_lemma_suites():
             short = [r[:] for r in runs]
             next(r for r in short if r[1] >= 4 * n)[1] -= n
             o1, o2 = _Out(), _Out()
-            e1 = _feed_word(n, start.entries, LRWord.from_runs(runs).runs, o1)
-            e2 = _feed_word(n, start.entries, LRWord.from_runs(short).runs, o2)
+            e1 = _feed_run(n, start.entries, LRWord.from_runs(runs).runs, o1)
+            e2 = _feed_run(n, start.entries, LRWord.from_runs(short).runs, o2)
             assert e1 == e2 and len(o1.runs) == len(o2.runs)
             if o1.runs:
                 assert o1.runs[0][0] == o2.runs[0][0]
@@ -269,7 +262,7 @@ def test_9_lemma_suites():
             for vhat in tau_kappa(walk.input, n):
                 for s in seeds:
                     out = _Out()
-                    if _feed_word(n, s.entries, vhat.runs, out) == s.entries:
+                    if _feed_run(n, s.entries, vhat.runs, out) == s.entries:
                         best = max(best, sigma_c(out.word()))
             assert best >= target, (n, rep, walk, best)
 

@@ -61,10 +61,21 @@ def random_word(rng, max_runs=6, max_exp=8, min_runs=1):
 
 
 def _feed_word(n, t, runs, out):
-    """Feed a word's runs one after another through the run kernel."""
-    for letter, e in runs:
-        t = _feed_run(n, t, letter, e, out)
+    """Feed a word's runs through the kernel one call per run: the
+    reference for feeding a whole pass in one call."""
+    for run in runs:
+        t = _feed_run(n, t, (run,), out)
     return t
+
+
+def _emit(out, letter, k):
+    """Append letter^k to an output accumulator, merging equal letters."""
+    if k <= 0:
+        return
+    if out.runs and out.runs[-1][0] == letter:
+        out.runs[-1][1] += k
+    else:
+        out.runs.append([letter, k])
 
 
 # -- factorization -------------------------------------------------------------
@@ -222,14 +233,14 @@ def test_peel_only_kernel_matches_reference_peel(t, prior):
     """The kernel with no letters to absorb is the plain peel: same state,
     same output merged into whatever out already holds, and no check."""
     if prior is None:
-        assert _feed_run(0, t, L, 0, None) == _reference_peel(t, None)
+        assert _feed_run(0, t, (), None) == _reference_peel(t, None)
         assert _peel(t, None) == _reference_peel(t, None)
         return
     out, ref = _Out(), _Out()
     for r in prior:
-        out.emit(*r)
-        ref.emit(*r)
-    assert _feed_run(0, t, R, 0, out) == _reference_peel(t, ref)
+        _emit(out, *r)
+        _emit(ref, *r)
+    assert _feed_run(0, t, (), out) == _reference_peel(t, ref)
     assert out.word() == ref.word()
 
 
@@ -245,21 +256,21 @@ def test_single_step_kernel_matches_reference_peel(n, pick, letter, with_out):
     ref = _reference_peel(_mul(s, letter, k0), ref_out)
     _check_db(ref, n)
     out = _Out() if with_out else None
-    assert _feed_run(n, s, letter, k0, out) == ref
+    assert _feed_run(n, s, ((letter, k0),), out) == ref
     if with_out:
         assert out.runs == ref_out.runs
 
 
 def _reference_feed_run(n, t, letter, count, out):
     """_feed_run as one call per step: escape, absorb, peel through
-    out.emit, then loop detection on running letter totals from the first
+    _emit, then loop detection on running letter totals from the first
     escape on.  Returns (end state, whether a loop was fast-forwarded,
     number of escapes taken one by one)."""
     tot = {L: 0, R: 0}
 
     def emit(letter, k):
         if out is not None:
-            out.emit(letter, k)
+            _emit(out, letter, k)
         tot[letter] += k
 
     def peel(t):
@@ -310,11 +321,14 @@ def _reference_feed_run(n, t, letter, count, out):
 def test_feed_run_matches_reference():
     """The run-feeding kernel against the one-call-per-step reference, from
     DB states and from states part way into an edge, with and without an
-    output accumulator (which may already hold runs).  Some runs are cut to
-    escape exactly once, where the kernel keeps no table of visited states,
-    and the rest escape any number of times."""
+    output accumulator (which may already hold runs), for counts up to
+    10**30.  Some runs are cut to escape exactly once, and the rest escape
+    any number of times.  Some start part way into an edge of a state with
+    b = 0 (for an L-run) or c = 0 (for an R-run), so the kernel's closed
+    form applies before the first escape."""
     fast_forwards = {True: 0, False: 0}  # by whether out was given
     escapes_seen = {0: 0, 1: 0, 2: 0}  # runs by escapes taken: 0, 1, 2 or more
+    loop_starts = {True: 0, False: 0}  # on_loop draws, by whether mid-edge
 
     @given(
         st.integers(1, 60),
@@ -322,29 +336,35 @@ def test_feed_run_matches_reference():
         st.sampled_from((L, R)),
         st.integers(0, 10**6),
         st.sampled_from((L, R)),
-        st.one_of(st.integers(1, 50), st.integers(1, 10**6)),
+        st.one_of(st.integers(1, 50), st.integers(1, 10**6), st.integers(1, 10**30)),
         st.sampled_from((None, (), ((L, 2),), ((R, 1), (L, 3)))),
         st.booleans(),
+        st.booleans(),
     )
-    @settings(max_examples=400, deadline=None)
-    def check(n, pick, pre_letter, pre_k, letter, count, prior, once):
-        states = sorted(enumerate_DB(n), key=lambda m: m.entries)
-        t = states[pick % len(states)].entries
+    @settings(max_examples=500, deadline=None)
+    def check(n, pick, pre_letter, pre_k, letter, count, prior, once, on_loop):
+        states = [m.entries for m in sorted(enumerate_DB(n), key=lambda m: m.entries)]
+        if on_loop:  # b = 0 for L, c = 0 for R; absorbing the letter keeps it
+            states = [s for s in states if s[1 if letter == L else 2] == 0]
+            pre_letter = letter
+        t = states[pick % len(states)]
         t = _mul(t, pre_letter, pre_k % _escape(t, pre_letter))  # mid-edge when > 0
+        if on_loop:
+            loop_starts[not (t[0] > t[1] and t[3] > t[2])] += 1
         if once:  # past the first escape, short of the second
             k0 = _escape(t, letter)
             landed = _reference_feed_run(n, t, letter, k0, None)[0]
             count = k0 + count % _escape(landed, letter)
         if prior is None:
-            end = _feed_run(n, t, letter, count, None)
+            end = _feed_run(n, t, ((letter, count),), None)
             ref, ff, escapes = _reference_feed_run(n, t, letter, count, None)
             assert end == ref
         else:
             out, ref_out = _Out(), _Out()
             for r in prior:
-                out.emit(*r)
-                ref_out.emit(*r)
-            end = _feed_run(n, t, letter, count, out)
+                _emit(out, *r)
+                _emit(ref_out, *r)
+            end = _feed_run(n, t, ((letter, count),), out)
             ref, ff, escapes = _reference_feed_run(n, t, letter, count, ref_out)
             assert (end, out.word()) == (ref, ref_out.word())
         assert escapes == 1 or not once
@@ -354,6 +374,34 @@ def test_feed_run_matches_reference():
     check()
     assert all(fast_forwards.values()), fast_forwards
     assert all(escapes_seen.values()), escapes_seen
+    assert all(loop_starts.values()), loop_starts
+
+
+def test_single_letter_loops_have_b_or_c_zero():
+    """The lemma behind the kernel's closed form, for every DB_n state,
+    n <= 200, and both letters: following the escapes of one letter with
+    the reference peel until a state repeats, every state on the loop has
+    b = 0 (L) or c = 0 (R), and the escape of such a state peels only that
+    letter."""
+    for n in range(1, 201):
+        for letter, zero in ((L, 1), (R, 2)):
+            succ = {}
+            done = set()  # states whose chain is already followed
+            for s in _db_states(n):
+                path = {}
+                while s not in path and s not in done:
+                    path[s] = len(path)
+                    nxt = succ.get(s)
+                    if nxt is None:
+                        out = _Out()
+                        nxt = succ[s] = _reference_peel(_mul(s, letter, _escape(s, letter)), out)
+                        _check_db(nxt, n)
+                        assert s[zero] or [l for l, _ in out.runs] == [letter], (n, s, out.runs)
+                    s = nxt
+                if s in path:  # the chain closes a loop not seen before
+                    loop = list(path)[path[s] :]
+                    assert all(t[zero] == 0 for t in loop), (n, letter, loop)
+                done.update(path)
 
 
 def test_out_word_slices_between_snaps():
@@ -364,7 +412,7 @@ def test_out_word_slices_between_snaps():
         snaps = [(out.snap(), 0)]  # (snap, its position in letters)
         for _ in range(rng.randint(1, 12)):
             letter, k = rng.choice("LR"), rng.randint(0, 4)
-            out.emit(letter, k)
+            _emit(out, letter, k)
             letters.extend(letter * k)
             snaps.append((out.snap(), len(letters)))
         (s0, p0), (s1, p1) = sorted(rng.sample(snaps, 2), key=lambda s: s[1])
@@ -728,7 +776,7 @@ def test_run_cache_feed_matches_kernel(n, pick, pre_letter, pre_k, letter, count
     states = sorted(enumerate_DB(n), key=lambda m: m.entries)
     t = states[pick % len(states)].entries
     t = _mul(t, pre_letter, pre_k % _escape(t, pre_letter))  # mid-edge when > 0
-    assert _RunCache(n).feed(t, letter, count) == _feed_run(n, t, letter, count, None)
+    assert _RunCache(n).feed(t, letter, count) == _feed_run(n, t, ((letter, count),), None)
 
 
 def test_search_computes_each_escape_once(monkeypatch):
