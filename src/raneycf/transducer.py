@@ -19,6 +19,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
 from math import gcd
 
 from .matrices import (
@@ -48,7 +49,6 @@ from .words import (
     format_word,
     primitive_root,
     rotate,
-    star,
 )
 
 # ---------------------------------------------------------------------------
@@ -216,117 +216,64 @@ def lr_repetend(cf: PeriodicCF) -> LRWord:
     return LRWord._trusted(tuple(zip((R, L) * (len(rep) // 2), rep)))
 
 
-def _sign_change(x, y, limit):
-    """Least k in 1..limit at which x + y*k has another sign than x, else limit."""
-    if x == 0:
-        return 1 if y else limit
-    if y == 0 or (x > 0) == (y > 0):
-        return limit
-    return min(-(-abs(x) // abs(y)), limit)
-
-
 def reduce_to_DB(m: Mat2, x: PeriodicCF):
-    """Absorb the preperiod of x into m, then alternately absorb repetend
-    runs and emit balanced output until the state lands in some DB_n.
+    """Reduce h_m(x) to a DB_n state fed by the purely periodic tail of x.
 
-    Returns (state, tail, emitted_preperiod): state is in DB_n for
-    n = det(state); tail is the rotation of the periodic LR input stream
-    aligned with the state; emitted_preperiod is the LR output produced
-    on the way (the preperiod of the image's LR representation, up to the
-    part already inside m).
+    Returns (state, tail, emitted): state is in DB_n for n = |det m| over
+    the content of m; tail is the rotation of the periodic LR input stream
+    aligned with the state; emitted is the LR output peeled off on the way
+    from the Hermite form H below (empty when H is already doubly
+    balanced).
 
-    Runs are absorbed in jumps, so the cost does not grow with the partial
-    quotients.  While an entry is negative, nothing happens until one of
-    the two entries that absorption moves changes sign, and each is linear
-    in the letters absorbed.  Once the state is nonnegative it can turn
-    doubly balanced only right after a peel: absorbing L gives c' = c + d
-    >= d' and absorbing R gives b' = b + a >= a', so the state jumps to its
-    escape.  Content is invariant under GL2(Z) and every step after the
-    preperiod is unimodular, so the state keeps content 1 throughout.
+    Write x = h_P(y), where P is the product of [[q, 1], [1, 0]] over the
+    preperiod and y = [r0; r1, ...] > 1 is purely periodic, with LR stream
+    lr_repetend(x).  Left row operations in GL2(Z) (Euclid on the first
+    column, a row negation, b reduced mod d) bring B = primitive_part(m) * P
+    to its Hermite form H = [[g, b], [0, d]] with g d = n, 0 <= b < d and
+    content 1, for either sign of det m.  So B = U H with U unimodular,
+    h_m(x) = h_U(h_H(y)), and a unimodular map keeps the tail of a
+    continued fraction (Serret), so per(h_m(x)) = per(h_H(y)).  U = B H^-1
+    records every shift and flip between the two.  The Hermite form is
+    unique, so the result depends on m only through its coset GL2(Z) m.
 
-    The number of runs entered is bounded, and past the bound this raises.
-    The bottom row (c, d) changes only by absorption and sign flips, and
-    once it takes one strict sign the fixes below end the signed phase.
-    It does so once the Stern-Brocot interval of the absorbed prefix
-    excludes the pole -d/c: after the runs of the pole's own path (at most
-    log_phi max(|c|, |d|) + 2 <= 2 * bit_length + 2), the run that leaves
-    it and one run that keeps the pole as an endpoint.  A nonnegative
-    row-balanced det-n state has a + d <= n + 1, so its entries sum to at
-    most 2n, and each letter absorbed without an escape adds at least 1:
-    an escape comes within 2n - 1 letters.  The escape of a row-balanced
-    state peels to a doubly balanced one: the last balanced prefix sends
-    infinity (escaping on L) above 1, or 0 (on R) below 1, outside the
-    interval of the peeled word, so the peeled state sends -1 below 0.
-    Counting one more run for each phase that ends on a run boundary,
-    2 * (n + bit_length) + 8 runs always suffice.
-
-    The stop test is the double balance a > b, d > c alone.  The state
-    after a peel is nonnegative and balanced, and its determinant n and
-    content 1 are fixed once the preperiod is absorbed: every later step
-    (absorbing, peeling, a sign flip, an integer shift) multiplies by a
-    unimodular matrix or by -1.  So at that point it is in DB_n exactly
-    when it is doubly balanced.
+    H is nonnegative and row balanced (g > 0 = c, d > b), so if g > b it
+    is in DB_n.  Otherwise its first escape lands in DB_n.  A nonnegative
+    row-balanced det-n state has a >= c + 1 and d >= b + 1, so
+    n >= a + d - 1 and its entries sum to at most 2n; each letter absorbed
+    without an escape adds at least 1, so the escape comes within 2n - 1
+    letters.  Say it is on L, from t = (a, b, c, d) to t' = t L.  Then
+    h_t'(-1) = h_t(inf) = a/c > 1, while t' maps [0, inf] into [0, 1], so
+    its peel W starts with L and maps [0, inf] into [0, 1] too.  The peeled
+    state s = W^-1 t' thus sends -1 to h_W^-1(a/c) < 0, and a row-balanced
+    s with h_s(-1) < 0 is doubly balanced.  On R, h_t'(-1) = b/d < 1 and W
+    starts with R.  _check_db holds that contract after the escape.
     """
     if det(m) == 0:
         raise ValueError("matrix must be nonsingular")
     a, b, c, d = primitive_part(m).entries
     for q in x.preperiod:  # times [[q, 1], [1, 0]], which is unimodular
         a, b, c, d = a * q + b, a, c * q + d, c
+    while c:  # Euclid on the first column: swap the rows, subtract
+        q = a // c
+        a, b, c, d = c, d, a - q * c, b - q * d
+    if a < 0:
+        a, b = -a, -b
+    d = abs(d)
+    b %= d
+    t = (a, b, 0, d)
     word = lr_repetend(x)
-    n = a * d - b * c
-    if n < 0:
-        # times J: h_m(y) = h_{mJ}(1/y); inverting y swaps L and R
-        a, b, c, d = b, a, d, c
-        n = -n
-        word = star(word)
-    runs = word.runs
-    max_runs = 2 * (n + max(abs(c), abs(d)).bit_length()) + 8
     out = _Out()
-    t = (a, b, c, d)
-    i = j = 0  # the position: j letters into runs[i]
-    entered = 1  # runs entered so far
-    while True:
-        if min(t) < 0:
-            # Signed entries occur while the preperiod is being digested.
-            # Absorption drives both rows to constant signs; flip a globally
-            # negative matrix, and when only the top row stays negative the
-            # image value is below zero — shift it by an integer (R^k on the
-            # left), which never changes the repetend.
-            a, b, c, d = t
-            if c <= 0 and d <= 0:
-                t = (-a, -b, -c, -d)
-                a, b, c, d = t
-            if c > 0 and d > 0 and (a < 0 or b < 0):
-                k = max(-(a // c) if a < 0 else 0, -(b // d) if b < 0 else 0)
-                t = (a + k * c, b + k * d, c, d)
-        signed = min(t) < 0
-        if not signed:
-            t = _peel(t, out)
-            if t[0] > t[1] and t[3] > t[2]:
+    absorbed = 0  # letters of the stream absorbed before the escape
+    if b >= a:  # not doubly balanced: absorb up to the escape
+        for letter, e in cycle(word.runs):
+            k = min(_escape(t, letter), e)
+            t = _mul(t, letter, k)
+            absorbed += k
+            if not _balanced(t):
                 break
-        letter, e = runs[i]
-        left = e - j
-        if not signed:
-            k = min(_escape(t, letter), left)
-        else:  # absorbing L moves a and c, absorbing R moves b and d
-            a, b, c, d = t
-            if letter == L:
-                k = min(_sign_change(a, b, left), _sign_change(c, d, left))
-            else:
-                k = min(_sign_change(b, a, left), _sign_change(d, c, left))
-        t = _mul(t, letter, k)
-        j += k
-        if j == e:
-            i = (i + 1) % len(runs)
-            j = 0
-            entered += 1
-            if entered > max_runs:
-                raise RuntimeError(
-                    f"reduction did not reach a doubly balanced state within "
-                    f"{max_runs} absorbed runs"
-                )
-    tail = rotate(word, sum(e for _, e in runs[:i]) + j)
-    return Mat2(*t), tail, out.word()
+        t = _peel(t, out)
+        _check_db(t, a * d)
+    return Mat2(*t), rotate(word, absorbed), out.word()
 
 
 def image_period(m: Mat2, x: PeriodicCF) -> int:

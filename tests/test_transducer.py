@@ -3,6 +3,7 @@ import json
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -557,6 +558,115 @@ def test_image_period_oracle_equivalence_randomized():
         )
         expected = per(cf_from_surd(apply_mobius(m, surd_from_cf(cf))))
         assert image_period(m, cf) == expected
+
+
+def _hermite_forms(n):
+    """Every primitive Hermite form [[g, b], [0, d]]: g d = n, 0 <= b < d."""
+    return [
+        (g, b, 0, n // g)
+        for g in range(1, n + 1)
+        if n % g == 0
+        for b in range(n // g)
+        if gcd(g, b, n // g) == 1
+    ]
+
+
+def test_hermite_form_escapes_once_into_DB():
+    """The one-escape lemma behind reduce_to_DB, for every primitive
+    Hermite form H with n <= 120: H is in DB_n when g > b, and otherwise
+    every input word, whatever its first letter, escapes from H within
+    2n - 1 letters, and the reference peel of that escape is in DB_n.
+    Every word is followed letter by letter up to its escape."""
+    for n in range(1, 121):
+        db = set(_db_states(n))
+        for h in _hermite_forms(n):
+            if h[0] > h[1]:
+                assert h in db, h
+                continue
+            stack = [(h, 1)]  # (state, letters absorbed after the next one)
+            while stack:
+                t, k = stack.pop()
+                for letter in (L, R):
+                    t2 = _mul(t, letter, 1)
+                    if _balanced(t2):
+                        stack.append((t2, k + 1))
+                        continue
+                    assert k <= 2 * n - 1, (n, h, k)
+                    assert _reference_peel(t2, None) in db, (n, h, t2)
+
+
+def _random_unimodular(rng):
+    """A random product of elementary matrices of determinant +-1."""
+    u = Mat2(1, 0, 0, 1)
+    for _ in range(rng.randint(0, 5)):
+        k = rng.randint(-9, 9)
+        u = u * rng.choice((Mat2(1, k, 0, 1), Mat2(1, 0, k, 1), Mat2(0, 1, 1, 0), Mat2(-1, 0, 0, 1)))
+    return u
+
+
+def _log_uniform(rng, hi):
+    return round(hi ** rng.random())
+
+
+def test_reduce_depends_only_on_the_coset():
+    """reduce_to_DB(k U M, x) = reduce_to_DB(M, x) for U in GL2(Z), of
+    either determinant, and content k: the Hermite form of the coset."""
+    rng = random.Random(5)
+    dets = set()
+    for _ in range(300):
+        m = Mat2(*(rng.randint(-30, 30) for _ in range(4)))
+        if det(m) == 0:
+            continue
+        cf = parse_cf(
+            "[%s;%s]"
+            % (
+                ",".join(str(rng.randint(-5 if i == 0 else 1, 40)) for i in range(rng.randint(0, 3))),
+                ",".join(str(rng.randint(1, 40)) for _ in range(rng.randint(1, 4))),
+            )
+        )
+        u = _random_unimodular(rng)
+        dets.add(det(u))
+        k = rng.choice((1, 2, 5))
+        um = u * m
+        assert reduce_to_DB(Mat2(*(k * e for e in um.entries)), cf) == reduce_to_DB(m, cf), (m, u, k, cf)
+    assert dets == {1, -1}
+
+
+def test_image_period_oracle_equivalence_wide():
+    """image_period against the surd oracle on a seeded wide draw: |det| to
+    4096 (10% n = 1, 10% in 1024..4096) with both signs, content up to 12,
+    preperiods up to 6 long with zero and negative heads, quotients to 10^6."""
+    rng = random.Random(2026)
+    seen = {"n=1": 0, "det<0": 0, "det>0": 0, "n>=1024": 0, "content>1": 0,
+            "head=0": 0, "head<0": 0, "preperiod=6": 0, "quotient>10^5": 0}
+    for _ in range(800):
+        r = rng.random()
+        n = 1 if r < 0.1 else rng.randint(1024, 4096) if r < 0.2 else _log_uniform(rng, 4096)
+        g = rng.choice([q for q in range(1, n + 1) if n % q == 0])
+        d = n // g
+        b = rng.choice([b for b in range(d) if gcd(g, b, d) == 1])
+        m = _random_unimodular(rng) * Mat2(g, b, 0, d) * _random_unimodular(rng)
+        k = rng.choice((1, 1, 1, 2, 3, 12))
+        m = Mat2(*(k * e for e in m.entries))
+
+        def quotient():
+            return rng.randint(1, 20) if rng.random() < 0.5 else _log_uniform(rng, 10**6)
+
+        pre = [quotient() for _ in range(rng.randint(0, 6))]
+        if pre and rng.random() < 0.5:
+            pre[0] = rng.choice((0, -rng.randint(1, 20), -_log_uniform(rng, 10**6)))
+        cf = PeriodicCF.create(pre, [quotient() for _ in range(rng.randint(1, 4))])
+        expected = per(cf_from_surd(apply_mobius(m, surd_from_cf(cf))))
+        assert image_period(m, cf) == expected, (m, cf)
+        seen["n=1"] += n == 1
+        seen["det<0" if det(m) < 0 else "det>0"] += 1
+        seen["n>=1024"] += n >= 1024
+        seen["content>1"] += k > 1
+        seen["head=0"] += bool(pre) and pre[0] == 0
+        seen["head<0"] += bool(pre) and pre[0] < 0
+        seen["preperiod=6"] += len(pre) == 6
+        seen["quotient>10^5"] += max(pre + list(cf.repetend)) > 10**5
+    assert all(seen.values()), seen
 
 
 # -- LE walks ------------------------------------------------------------------------
