@@ -27,12 +27,10 @@ class BoundBreakdown:
     total: int
 
 
-def s_n_closed_form(n: int) -> BoundBreakdown:
-    """S_n = sum over divisors t of n, j in [t, 2t-1] \\ J_t, of 2*floor(xi(j,t)/2)+1,
-    where J_t is the multiples of gcd(t, n/t) when that gcd exceeds 1."""
+def _s_n_terms(n: int):
+    """The terms (t, j, xi(j, t), 2*floor(xi/2)+1) of S_n, one at a time."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms = []
     for t in range(1, n + 1):
         if n % t:
             continue
@@ -41,14 +39,21 @@ def s_n_closed_form(n: int) -> BoundBreakdown:
             if g > 1 and j % g == 0:
                 continue
             x = xi(j, t)
-            terms.append(BoundTerm(t, j, x, 2 * (x // 2) + 1))
-    return BoundBreakdown(n, tuple(terms), sum(tm.term for tm in terms))
+            yield t, j, x, 2 * (x // 2) + 1
+
+
+def s_n_closed_form(n: int) -> BoundBreakdown:
+    """S_n = sum over divisors t of n, j in [t, 2t-1] \\ J_t, of 2*floor(xi(j,t)/2)+1,
+    where J_t is the multiples of gcd(t, n/t) when that gcd exceeds 1."""
+    terms = tuple(BoundTerm(*tm) for tm in _s_n_terms(n))
+    return BoundBreakdown(n, terms, sum(tm.term for tm in terms))
 
 
 @lru_cache(maxsize=None)
 def s_n_total(n: int) -> int:
-    """The total of S_n, memoised; only the int is kept, not the breakdown's terms."""
-    return s_n_closed_form(n).total
+    """The total of S_n, memoised, summed term by term without building the
+    breakdown: memory stays constant in n."""
+    return sum(term for _, _, _, term in _s_n_terms(n))
 
 
 def s_n_via_transducer(n: int) -> int:

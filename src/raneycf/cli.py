@@ -62,7 +62,7 @@ def _resolve_seed(value) -> int:
 def _random_matrix(rng: random.Random, n: int) -> Mat2:
     """A matrix with |det| = n and content 1: a DB_n seed dressed with short
     unimodular words, optionally sign-flipped and column-swapped."""
-    m = rng.choice(_enumerate_DB(n))
+    m = Mat2(*rng.choice(_enumerate_DB(n)))
     for _ in range(rng.randint(0, 4)):
         m = rng.choice(_DRESS) * m
     for _ in range(rng.randint(0, 4)):
@@ -117,13 +117,14 @@ def run_trial(args) -> dict | None:
 
 
 def cmd_bound(n: int, breakdown: bool = False, fmt: str = "text") -> str:
+    if fmt == "text" and not breakdown:
+        return f"S_{n} = {s_n_total(n)}"
     bb = s_n_closed_form(n)
     if fmt == "json":
         return breakdown_to_json(bb)
     lines = [f"S_{n} = {bb.total}"]
-    if breakdown:
-        for t in bb.terms:
-            lines.append(f"  t={t.t} j={t.j} xi={t.xi} term={t.term}")
+    for t in bb.terms:
+        lines.append(f"  t={t.t} j={t.j} xi={t.xi} term={t.term}")
     return "\n".join(lines)
 
 

@@ -134,8 +134,9 @@ def _check_db(t, n):
 
 
 @lru_cache(maxsize=None)
-def _enumerate_DB(n: int) -> tuple[Mat2, ...]:
-    """DB_n sorted by entries; the memo every caller reads.
+def _enumerate_DB(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The entries (a, b, c, d) of DB_n, sorted; the memo every caller
+    reads.  Callers that need Mat2s build them (enumerate_DB).
 
     Put u = a - c and v = d - b.  Then ad - bc = n reads n = uv + ub + vc,
     and the column balance a > b, d > c reads -v < b - c < u.  Both u and v
@@ -173,13 +174,13 @@ def _enumerate_DB(n: int) -> tuple[Mat2, ...]:
                     if u != v:
                         add((b + v, c, b, c + u))
     found.sort()
-    return tuple(Mat2(*t) for t in found)
+    return tuple(found)
 
 
 def enumerate_DB(n: int) -> set[Mat2]:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return set(_enumerate_DB(n))
+    return {Mat2(*t) for t in _enumerate_DB(n)}
 
 
 def _require_DB(m: Mat2) -> int:

@@ -6,9 +6,11 @@ Every escape step runs through one kernel, words._feed_run, which
 finishes a run in closed form once it reaches a state with b = 0 (for L)
 or c = 0 (for R), the only states on single-letter loops.  No other state
 repeats within a run, so a partial quotient of any size costs at most
-|DB_n| escape steps.  The explicit edge table (build_transducer) exists
-for display and for the exhaustive lemma checks, and is built through the
-same kernel one letter at a time.  The independent references are in the tests:
+|DB_n| escape steps.  The sharpness search feeds each of its (run, state)
+nodes with one kernel call and keeps no step table of its own.  The
+explicit edge table (build_transducer) exists for display and for the
+exhaustive lemma checks, and is built through the same kernel one letter
+at a time.  The independent references are in the tests:
 _reference_feed_run, one call per escape step, and test_9's letter-by-letter
 edge walk.
 """
@@ -85,7 +87,7 @@ def factorize_to_DB(p: Mat2, n: int) -> tuple[LRWord, Mat2]:
 def build_transducer(n: int) -> Transducer:
     if n < 1:
         raise ValueError("n must be >= 1")
-    states = _enumerate_DB(n)
+    states = [Mat2(*s) for s in _enumerate_DB(n)]
     edges = []
     for m in states:
         stack = [((), m.entries)]
@@ -294,7 +296,7 @@ def walk_LE(n: int, m: Mat2, i: int):
 
     A letter completes an edge exactly when the state after it is doubly
     balanced: absorbing without an escape never gives one (see
-    _RunCache.run_states)."""
+    _run_states)."""
     if det(m) != n or not is_LE(m):
         raise ValueError(f"{m!r} is not in LE_{n}")
     nu = nu_L(m)
@@ -328,103 +330,54 @@ def walk_LE(n: int, m: Mat2, i: int):
 # sharpness search
 
 
-class _RunCache:
-    """Single-letter run feeding from one table of escape steps.
+def _run_states(n, starts, letter, e):
+    """The distinct states _feed_run(n, s, ((letter, k),), None) over every
+    DB_n state s in starts and 0 < k < e.
 
-    steps[letter][s], for a DB_n state s, is (k0, s'): s * letter^k0 is the
-    first unbalanced product, and peeling it leaves the DB_n state s'.  The
-    peeled output is dropped: only an orbit's output is needed, and the
-    search feeds an orbit through _feed_run.  Each step is computed and
-    checked once per cache, so the table holds at most 2 |DB_n| entries.
-    Feeding letter^k from a DB state follows the table until it reaches a
-    state with b = 0 (L) or c = 0 (R), and finishes in the closed form of
-    words._feed_run.  No other state repeats on the way, so the walk takes
-    at most |DB_n| steps, whatever k is.
+    Walked letter by letter, a start's path passes s * letter^j for
+    0 < j < k0 and then escapes onto a DB_n state.  That state is a start
+    too, reached at k = 0, and its own walk covers every later position,
+    so each walk stops at its first escape.  A state s * letter^j with
+    j > 0 is never doubly balanced, so it determines s: the states inside
+    an edge are distinct, and only the escapes need merging.
     """
+    inside = []
+    escapes = {}
+    for s in starts:
+        k0 = _escape(s, letter)
+        inside.extend(_mul(s, letter, j) for j in range(1, min(k0, e)))
+        if k0 < e:
+            escapes[_feed_run(n, s, ((letter, k0),), None)] = None
+    return inside + list(escapes)
 
-    __slots__ = ("n", "steps")
 
-    def __init__(self, n):
-        self.n = n
-        self.steps = {L: {}, R: {}}
+def _last_hit(n, s, letter, e, hits):
+    """The largest k < e with _feed_run(n, s, ((letter, k),), None) in
+    hits, else 0; s is a DB_n state.
 
-    def step(self, letter, s):
-        entry = self.steps[letter].get(s)
-        if entry is None:
-            k0 = _escape(s, letter)
-            entry = self.steps[letter][s] = (k0, _feed_run(self.n, s, ((letter, k0),), None))
-        return entry
-
-    def feed(self, t, letter, k):
-        """t * letter^k with its output dropped; t must be balanced, and so
-        is the result.  A state with b = 0 (L) or c = 0 (R) ends the walk in
-        the kernel's closed form."""
-        a, b, c, d = t
-        if not (a > b and d > c):  # inside an edge: its escape is no table step
-            k0 = _escape(t, letter)
-            if k0 > k:
-                return _mul(t, letter, k)
-            t = _feed_run(self.n, t, ((letter, k0),), None)
-            k -= k0
-        steps = self.steps[letter]
-        loop_zero = 1 if letter == L else 2  # b on L-loops, c on R-loops
-        while t[loop_zero]:
-            k0, t2 = steps.get(t) or self.step(letter, t)
-            if k0 > k:
-                return _mul(t, letter, k)
-            t = t2
-            k -= k0
-        a, b, c, d = t
-        if letter == L:
-            return (a, 0, (c + d * k) % a, d)
-        return (a, (b + a * k) % d, 0, d)
-
-    def run_states(self, seeds, letter, e):
-        """The distinct states feed(s, letter, k) over all s in seeds and
-        0 < k < e, where seeds are the entries of every DB_n state.
-
-        Walked letter by letter, a seed's path passes s * letter^j for
-        0 < j < k0 and then escapes onto a DB_n state.  That state is a seed
-        too, reached at k = 0, and its own walk covers every later position,
-        so each walk stops at its first escape.  A state s * letter^j with
-        j > 0 is never doubly balanced, so it determines s: the states
-        inside an edge are distinct, and only the escapes need merging.
-        """
-        inside = []
-        escapes = {}
-        for s in seeds:
-            k0, t = self.step(letter, s)
-            inside.extend(_mul(s, letter, j) for j in range(1, min(k0, e)))
-            if k0 < e:
-                escapes[t] = None
-        return inside + list(escapes)
-
-    def last_hit(self, s, letter, e, hits):
-        """The largest k < e with feed(s, letter, k) in hits, else 0.
-
-        The walk passes every position up to the first repeat of a DB state.
-        From that state's first position q0 on, the states repeat with the
-        loop's length cyc, so a hit at q >= q0 recurs last at
-        q + (e - 1 - q) // cyc * cyc.
-        """
-        found = []
-        seen = {}
-        pos = 0
-        while s not in seen:
-            seen[s] = pos
-            k0, t = self.step(letter, s)
-            for j in range(k0):
-                if pos + j >= e:
-                    return max(found, default=0)
-                if (_mul(s, letter, j) if j else s) in hits:
-                    found.append(pos + j)
-            s, pos = t, pos + k0
-        q0 = seen[s]
-        cyc = pos - q0
-        return max(
-            (q + (e - 1 - q) // cyc * cyc if q >= q0 else q for q in found),
-            default=0,
-        )
+    The walk passes every position up to the first repeat of a DB state.
+    From that state's first position q0 on, the states repeat with the
+    loop's length cyc, so a hit at q >= q0 recurs last at
+    q + (e - 1 - q) // cyc * cyc.
+    """
+    found = []
+    seen = {}
+    pos = 0
+    while s not in seen:
+        seen[s] = pos
+        k0 = _escape(s, letter)
+        for j in range(k0):
+            if pos + j >= e:
+                return max(found, default=0)
+            if (_mul(s, letter, j) if j else s) in hits:
+                found.append(pos + j)
+        s, pos = _feed_run(n, s, ((letter, k0),), None), pos + k0
+    q0 = seen[s]
+    cyc = pos - q0
+    return max(
+        (q + (e - 1 - q) // cyc * cyc if q >= q0 else q for q in found),
+        default=0,
+    )
 
 
 def search_max_ratio(n: int, cf: PeriodicCF):
@@ -434,20 +387,20 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     Reading a rotation repeatedly is a bi-infinite walk over the cyclic
     word, so every limit cycle is a periodic orbit of the run-by-run map
     on (next run index, state) nodes, and its output period is rotation
-    invariant.  The offsets inside run r = (letter, e) start the walk at
-    (r, seed) or, k letters short of the run's end, at ((r+1) % nr,
-    feed(seed, letter^k)) for k = e-1 ... 1.  Every seed's path escapes
-    onto another seed, so the distinct nodes of a run are the states
-    inside each seed's first edge and the seeds' escapes
-    (_RunCache.run_states): at most n per seed, whatever e is.  Each
-    escape is one entry of the cache's step table, computed once per call.
-    Orbits are resolved once and memoized per node.
+    invariant.  A node's successor is one _feed_run call on its run.  The
+    offsets inside run r = (letter, e) start the walk at (r, s) for a DB_n
+    state s or, k letters short of the run's end, at ((r+1) % nr,
+    s * letter^k fed and peeled) for k = e-1 ... 1.  Every start's path
+    escapes onto another start, so the distinct nodes of a run are the
+    states inside each start's first edge and the starts' escapes
+    (_run_states): at most n per start, whatever e is.  Orbits are
+    resolved once and memoized per node.
 
     Returns (best_ratio, witness_state, witness_offset): the first offset,
     then the first state in entry order, that attains the maximum.  That
-    lies in the first run that reaches it: at the run's start if a seed
+    lies in the first run that reaches it: at the run's start if a start
     node there does, else at the largest k that does, found by walking each
-    seed's path up to its loop (_RunCache.last_hit).  The cost is
+    start's path up to its loop (_last_hit).  The cost is
     O(runs * |DB_n| * n) node visits plus the orbits, independent of the
     partial quotients.
     """
@@ -455,17 +408,15 @@ def search_max_ratio(n: int, cf: PeriodicCF):
         raise ValueError("n must be >= 1")
     runs = lr_repetend(cf).runs
     nr = len(runs)
-    seeds = _enumerate_DB(n)
-    starts = [m.entries for m in seeds]
+    starts = _enumerate_DB(n)
     # content is checked here once: every later state is a unimodular image
-    # of a seed (see _check_db)
+    # of a start (see _check_db)
     if not all(
         a * d - b * c == n and a > c >= 0 and d > b >= 0 and a > b and d > c
         and gcd(a, b, c, d) == 1
         for a, b, c, d in starts
     ):
         raise RuntimeError(f"enumerate_DB({n}) returned a state outside DB_{n}")
-    cache = _RunCache(n)
     period_of: dict = {}  # node -> output period of its terminal orbit
 
     def resolve(node):
@@ -486,8 +437,7 @@ def search_max_ratio(n: int, cf: PeriodicCF):
             index[cur] = len(path)
             path.append(cur)
             r, t = cur
-            letter, e = runs[r]
-            cur = ((r + 1) % nr, cache.feed(t, letter, e))
+            cur = ((r + 1) % nr, _feed_run(n, t, (runs[r],), None))
         for p in path:
             period_of[p] = period
         return period
@@ -496,7 +446,7 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     for r, (letter, e) in enumerate(runs):
         nxt = (r + 1) % nr
         top = max(resolve((r, s)) for s in starts)
-        for t in cache.run_states(starts, letter, e):
+        for t in _run_states(n, starts, letter, e):
             period = period_of.get((nxt, t)) or resolve((nxt, t))
             if period > top:
                 top = period
@@ -504,11 +454,11 @@ def search_max_ratio(n: int, cf: PeriodicCF):
             best, first = top, r
     ratio = Fraction(best, per(cf))
     letter, e = runs[first]
-    start = sum(q for _, q in runs[:first])
-    for m in seeds:
-        if period_of[(first, m.entries)] == best:
-            return ratio, m, start
+    offset = sum(q for _, q in runs[:first])
+    for s in starts:
+        if period_of[(first, s)] == best:
+            return ratio, Mat2(*s), offset
     nxt = (first + 1) % nr
-    hits = {t for t in cache.run_states(starts, letter, e) if period_of[(nxt, t)] == best}
-    k, neg_i = max((cache.last_hit(s, letter, e, hits), -i) for i, s in enumerate(starts))
-    return ratio, seeds[-neg_i], start + e - k
+    hits = {t for t in _run_states(n, starts, letter, e) if period_of[(nxt, t)] == best}
+    k, neg_i = max((_last_hit(n, s, letter, e, hits), -i) for i, s in enumerate(starts))
+    return ratio, Mat2(*starts[-neg_i]), offset + e - k

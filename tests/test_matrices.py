@@ -155,7 +155,7 @@ def _reference_enumerate_DB(n):
 
 def test_enumerate_DB_matches_reference_loop():
     for n in range(1, 101):
-        assert _enumerate_DB(n) == _reference_enumerate_DB(n), n
+        assert _enumerate_DB(n) == tuple(m.entries for m in _reference_enumerate_DB(n)), n
 
 
 def _doubly_balanced_up_to(top):
@@ -182,7 +182,7 @@ def _doubly_balanced_up_to(top):
 
 def test_enumerate_DB_matches_every_matrix_up_to_300():
     for n, states in _doubly_balanced_up_to(300).items():
-        assert _enumerate_DB(n) == states, n
+        assert _enumerate_DB(n) == tuple(m.entries for m in states), n
 
 
 def _pair_loop_enumerate_DB(n):
@@ -205,7 +205,7 @@ def _pair_loop_enumerate_DB(n):
 
 @pytest.mark.parametrize("n", sorted(random.Random(0).sample(range(301, 2001), 3)))
 def test_enumerate_DB_matches_pair_loop(n):
-    assert _enumerate_DB(n) == _pair_loop_enumerate_DB(n)
+    assert _enumerate_DB(n) == tuple(m.entries for m in _pair_loop_enumerate_DB(n))
 
 
 # -- LS/RS/LE/RE ----------------------------------------------------------------

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from raneycf.matrices import Mat2, _check_db, det, enumerate_DB, in_DB, in_RB, nu_R, xi
 from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
-    _RunCache,
+    _last_hit,
+    _run_states,
     build_transducer,
     factorize_to_DB,
     image_period,
@@ -771,7 +772,6 @@ def _reference_search_max_ratio(n, cf):
     nr = len(runs)
     per_x = per(cf)
     seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
-    cache = _RunCache(n)
     step_memo = {}
     orbit_of = {}  # node -> canonical node of its terminal orbit
     ratio_of = {}  # canonical orbit node -> Fraction
@@ -781,7 +781,7 @@ def _reference_search_max_ratio(n, cf):
         if nxt is None:
             r, t = node
             letter, e = runs[r]
-            nxt = ((r + 1) % nr, cache.feed(t, letter, e))
+            nxt = ((r + 1) % nr, _feed_run(n, t, ((letter, e),), None))
             step_memo[node] = nxt
         return nxt
 
@@ -823,7 +823,7 @@ def _reference_search_max_ratio(n, cf):
         letter, e = runs[r]
         for seed in seeds:
             if within:
-                node = ((r + 1) % nr, cache.feed(seed.entries, letter, e - within))
+                node = ((r + 1) % nr, _feed_run(n, seed.entries, ((letter, e - within),), None))
             else:
                 node = (r, seed.entries)
             ratio = ratio_of[resolve(node)]
@@ -844,8 +844,8 @@ def test_search_matches_reference_witness(n, rep):
 
 
 def test_run_states_match_letter_by_letter_walks():
-    """A run lists exactly the distinct states that some seed reaches
-    0 < k < e letters in, and last_hit finds the largest such k that lands
+    """_run_states lists exactly the distinct states that some seed reaches
+    0 < k < e letters in, and _last_hit finds the largest such k that lands
     in a set of hits; both against single-letter absorb-and-peel walks."""
     rng = random.Random(5)
     for _ in range(150):
@@ -860,62 +860,13 @@ def test_run_states_match_letter_by_letter_walks():
                 t = _mul(walk[-1], letter, 1)
                 walk.append(t if _balanced(t) else _peel(t, None))
             walks.append(walk)
-        cache = _RunCache(n)
-        listed = cache.run_states(seeds, letter, e)
+        listed = _run_states(n, seeds, letter, e)
         assert len(set(listed)) == len(listed)
         assert set(listed) == {t for walk in walks for t in walk[1:]}
         hits = set(rng.sample(listed, min(len(listed), rng.randint(1, 3))))
         for s, walk in zip(seeds, walks):
             last = max((k for k in range(1, e) if walk[k] in hits), default=0)
-            assert cache.last_hit(s, letter, e, hits) == last
-        assert sum(map(len, cache.steps.values())) <= len(seeds)
-
-
-@given(
-    st.integers(1, 60),
-    st.integers(0, 10**6),
-    st.sampled_from((L, R)),
-    st.integers(0, 10**6),
-    st.sampled_from((L, R)),
-    st.one_of(st.integers(0, 50), st.integers(0, 10**6)),
-)
-@settings(max_examples=300, deadline=None)
-def test_run_cache_feed_matches_kernel(n, pick, pre_letter, pre_k, letter, count):
-    """The step-table walk against the run kernel, from DB states and from
-    states part way into an edge."""
-    states = sorted(enumerate_DB(n), key=lambda m: m.entries)
-    t = states[pick % len(states)].entries
-    t = _mul(t, pre_letter, pre_k % _escape(t, pre_letter))  # mid-edge when > 0
-    assert _RunCache(n).feed(t, letter, count) == _feed_run(n, t, ((letter, count),), None)
-
-
-def test_search_computes_each_escape_once(monkeypatch):
-    """Within one search, every escape from a DB_n state is one step-table
-    entry, computed once; the table holds at most 2 |DB_n| of them."""
-    import raneycf.transducer as transducer
-
-    caches = []
-    escapes = []
-    real_init, real_escape = _RunCache.__init__, transducer._escape
-
-    def init(self, n):
-        real_init(self, n)
-        caches.append(self)
-
-    def escape(t, letter):
-        if t[0] > t[1] and t[3] > t[2]:  # doubly balanced
-            escapes.append((letter, t))
-        return real_escape(t, letter)
-
-    monkeypatch.setattr(_RunCache, "__init__", init)
-    monkeypatch.setattr(transducer, "_escape", escape)
-    for n, text in [(7, "[;3]"), (24, "[;228,239,1,1,146]"), (31, "[;20000]"), (48, "[;5,300,2]")]:
-        caches.clear()
-        escapes.clear()
-        search_max_ratio(n, parse_cf(text))
-        (cache,) = caches
-        assert len(escapes) == len(set(escapes)) == sum(map(len, cache.steps.values()))
-        assert len(escapes) <= 2 * len(enumerate_DB(n))
+            assert _last_hit(n, s, letter, e, hits) == last
 
 
 @pytest.mark.parametrize(
@@ -932,7 +883,7 @@ def test_search_rejects_a_state_outside_DB(monkeypatch, bad):
     import raneycf.transducer as transducer
 
     states = transducer._enumerate_DB(4)
-    monkeypatch.setattr(transducer, "_enumerate_DB", lambda n: states + (bad,))
+    monkeypatch.setattr(transducer, "_enumerate_DB", lambda n: states + (bad.entries,))
     with pytest.raises(RuntimeError, match="outside DB_4"):
         search_max_ratio(4, parse_cf("[;3]"))
 
