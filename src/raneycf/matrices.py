@@ -133,6 +133,42 @@ def _check_db(t, n):
         )
 
 
+def _hermite(a, b, c, d):
+    """The Hermite form [[g, b], [0, d]] of the coset GL2(Z) (a, b, c, d),
+    as (g, b, d): g d = |ad - bc|, 0 <= b < d.  The matrix must be
+    nonsingular.
+
+    Left row operations in GL2(Z) keep the coset: Euclid on the first
+    column (swap the rows, subtract), a row negation, b reduced mod d.  The
+    form is unique, so two matrices share a coset exactly when their forms
+    agree, and the content gcd(g, b, d) is the matrix's.
+    """
+    while c:
+        q = a // c
+        a, b, c, d = c, d, a - q * c, b - q * d
+    if a < 0:
+        a, b = -a, -b
+    d = abs(d)
+    return a, b % d, d
+
+
+def _coset_count(n: int) -> int:
+    """psi(n) = n prod(1 + 1/p) over the primes p | n: the number of cosets
+    GL2(Z) M over the primitive integer M with |det M| = n, i.e. of the
+    forms (g, b, d) of _hermite with g d = n and gcd(g, b, d) = 1."""
+    count = m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            count += count // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        count += count // m
+    return count
+
+
 @lru_cache(maxsize=None)
 def _enumerate_DB(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """The entries (a, b, c, d) of DB_n, sorted; the memo every caller

@@ -58,13 +58,22 @@ class QuadraticSurd:
 
 
 def surd(P: int, Q: int, D: int) -> QuadraticSurd:
-    """Build a surd, rescaling (P, Q, D) -> (Pk, Qk, Dk^2) if needed so that
-    Q divides D - P^2 (the standard complete-quotient form)."""
+    """Build a surd in primitive form; the one place that normalises.
+
+    First rescale (P, Q, D) -> (Pk, Qk, Dk^2) with k = |Q| if needed, so
+    that Q divides D - P^2 (the standard complete-quotient form).  Then
+    divide out g = gcd(P, Q, (D - P^2)/Q): with D - P^2 = Q m and g | P, Q, m,
+    g^2 divides D, and D/g^2 - (P/g)^2 = (Q/g)(m/g), so (P/g, Q/g, D/g^2)
+    is in that form too, with the same value and gcd 1.
+    """
     if Q == 0:
         raise ValueError("Q must be nonzero")
     if (D - P * P) % Q:
         k = abs(Q)
         P, Q, D = P * k, Q * k, D * k * k
+    g = gcd(P, Q, (D - P * P) // Q)
+    if g > 1:
+        P, Q, D = P // g, Q // g, D // (g * g)
     return QuadraticSurd(P, Q, D)
 
 
@@ -218,7 +227,10 @@ def _convergent_entries(quotients) -> tuple[int, int, int, int]:
 
 
 def apply_mobius(m: Mat2, x: QuadraticSurd) -> QuadraticSurd:
-    """h_m(x) = (a*x + b)/(c*x + d), exactly, staying in Q(sqrt(D))."""
+    """h_m(x) = (a*x + b)/(c*x + d), exactly, staying in Q(sqrt(D)).
+
+    Multiplying by the conjugate of c x + d gives (P2 + sqrt(D2))/Q2, which
+    surd brings to primitive form."""
     if mat_det(m) == 0:
         raise ValueError("singular matrix")
     A, B, C, Dm = m.entries
@@ -230,12 +242,6 @@ def apply_mobius(m: Mat2, x: QuadraticSurd) -> QuadraticSurd:
     D2 = e * e * x.D
     if e < 0:
         P2, Q2 = -P2, -Q2
-    g = gcd(P2, Q2)
-    if g > 1:
-        # shrink when the square content of D allows it
-        while g > 1 and D2 % (g * g) == 0 and ((D2 // (g * g) - (P2 // g) ** 2) % (Q2 // g) == 0):
-            P2, Q2, D2 = P2 // g, Q2 // g, D2 // (g * g)
-            g = gcd(P2, Q2)
     return surd(P2, Q2, D2)
 
 

@@ -6,13 +6,13 @@ Every escape step runs through one kernel, words._feed_run, which
 finishes a run in closed form once it reaches a state with b = 0 (for L)
 or c = 0 (for R), the only states on single-letter loops.  No other state
 repeats within a run, so a partial quotient of any size costs at most
-|DB_n| escape steps.  The sharpness search feeds each of its (run, state)
-nodes with one kernel call and keeps no step table of its own.  The
-explicit edge table (build_transducer) exists for display and for the
-exhaustive lemma checks, and is built through the same kernel one letter
-at a time.  The independent references are in the tests:
-_reference_feed_run, one call per escape step, and test_9's letter-by-letter
-edge walk.
+|DB_n| escape steps.  The sharpness search keys its nodes on (run, Hermite
+form of the state), makes kernel calls only for keys it has not resolved,
+and keeps no step table of its own.  The explicit edge table
+(build_transducer) exists for display and for the exhaustive lemma checks,
+and is built through the same kernel one letter at a time.  The
+independent references are in the tests: _reference_feed_run, one call
+per escape step, and test_9's letter-by-letter edge walk.
 """
 from __future__ import annotations
 
@@ -27,7 +27,9 @@ from math import gcd
 from .matrices import (
     Mat2,
     _check_db,
+    _coset_count,
     _enumerate_DB,
+    _hermite,
     content_gcd,
     det,
     in_DB,
@@ -229,13 +231,13 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
 
     Write x = h_P(y), where P is the product of [[q, 1], [1, 0]] over the
     preperiod and y = [r0; r1, ...] > 1 is purely periodic, with LR stream
-    lr_repetend(x).  Left row operations in GL2(Z) (Euclid on the first
-    column, a row negation, b reduced mod d) bring B = primitive_part(m) * P
-    to its Hermite form H = [[g, b], [0, d]] with g d = n, 0 <= b < d and
-    content 1, for either sign of det m.  So B = U H with U unimodular,
-    h_m(x) = h_U(h_H(y)), and a unimodular map keeps the tail of a
-    continued fraction (Serret), so per(h_m(x)) = per(h_H(y)).  U = B H^-1
-    records every shift and flip between the two.  The Hermite form is
+    lr_repetend(x).  Left row operations in GL2(Z) (matrices._hermite)
+    bring B = primitive_part(m) * P to its Hermite form H = [[g, b], [0, d]]
+    with g d = n, 0 <= b < d and content 1, for either sign of det m.  So
+    B = U H with U unimodular, h_m(x) = h_U(h_H(y)), and a unimodular map
+    keeps the tail of a continued fraction (Serret), so
+    per(h_m(x)) = per(h_H(y)).  U = B H^-1 records every shift and flip
+    between the two.  The Hermite form is
     unique, so the result depends on m only through its coset GL2(Z) m.
 
     H is nonnegative and row balanced (g > 0 = c, d > b), so if g > b it
@@ -255,13 +257,7 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     a, b, c, d = primitive_part(m).entries
     for q in x.preperiod:  # times [[q, 1], [1, 0]], which is unimodular
         a, b, c, d = a * q + b, a, c * q + d, c
-    while c:  # Euclid on the first column: swap the rows, subtract
-        q = a // c
-        a, b, c, d = c, d, a - q * c, b - q * d
-    if a < 0:
-        a, b = -a, -b
-    d = abs(d)
-    b %= d
+    a, b, d = _hermite(a, b, c, d)
     t = (a, b, 0, d)
     word = lr_repetend(x)
     out = _Out()
@@ -393,16 +389,37 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     s * letter^k fed and peeled) for k = e-1 ... 1.  Every start's path
     escapes onto another start, so the distinct nodes of a run are the
     states inside each start's first edge and the starts' escapes
-    (_run_states): at most n per start, whatever e is.  Orbits are
-    resolved once and memoized per node.
+    (_run_states): at most n per start, whatever e is.
+
+    The key.  Let y_r be the number whose LR word is the cyclic word read
+    from run r on.  The orbit of node (r, t) outputs the LR tail of
+    h_t(y_r), so its period is per(h_t(y_r)), which depends only on the
+    coset GL2(Z) t: a unimodular map keeps the tail of a continued fraction
+    (Serret; see reduce_to_DB).  So periods are memoised per
+    (r, _hermite(t)), and the nodes of one coset share one orbit walk,
+    which closes on states.  A peel multiplies on the left by a unimodular
+    W^-1, so an escape node has the key of s * letter^k0 before its peel,
+    and _feed_run (with its _check_db) runs only when that key is
+    unresolved.
+
+    The stop.  Node (r, s) has the period of h_{s letter^e}(y_{r+1}), so
+    every node of run r is h_c(y_{r+1}) for a coset c: _hermite(s *
+    letter^e) for a start, its own key for an offset inside the run.  A
+    node (q, t) of any run is h_{tP}(y_{r+1}), where P is the unimodular
+    product of the runs read cyclically from run q up to run r + 1
+    (y_q = h_P(y_{r+1})), and tP is primitive with det n.  So every node's
+    period is per(h_c(y_{r+1})) for one of the psi(n) primitive cosets c
+    (_coset_count).  Once the nodes of run r meet all of them, run r
+    reaches the maximum over every run, and the run loop stops.
 
     Returns (best_ratio, witness_state, witness_offset): the first offset,
     then the first state in entry order, that attains the maximum.  That
     lies in the first run that reaches it: at the run's start if a start
     node there does, else at the largest k that does, found by walking each
     start's path up to its loop (_last_hit).  The cost is
-    O(runs * |DB_n| * n) node visits plus the orbits, independent of the
-    partial quotients.
+    O(runs * |DB_n| * n) key computations plus the orbit walks, with at
+    most runs * psi(n) keys to resolve, independent of the partial
+    quotients.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -417,48 +434,74 @@ def search_max_ratio(n: int, cf: PeriodicCF):
         for a, b, c, d in starts
     ):
         raise RuntimeError(f"enumerate_DB({n}) returned a state outside DB_{n}")
-    period_of: dict = {}  # node -> output period of its terminal orbit
+    forms = [_hermite(*s) for s in starts]
+    cosets = _coset_count(n)
+    period_of: dict = {}  # (run, Hermite form) -> output period of the orbit
 
-    def resolve(node):
+    def resolve(r, t, key):
+        """The period of node (r, t), whose key is unresolved; every key on
+        its path to a resolved key or a closed orbit gets it."""
         path = []
         index = {}
-        cur = node
         while True:
-            period = period_of.get(cur)
-            if period is not None:
-                break
-            if cur in index:
+            index[(r, t)] = len(path)
+            path.append(key)
+            t = _feed_run(n, t, (runs[r],), None)
+            r = (r + 1) % nr
+            i = index.get((r, t))
+            if i is not None:
                 out = _Out()
-                r, t = cur
-                cycle = [runs[(r + i) % nr] for i in range(len(path) - index[cur])]
+                cycle = [runs[(r + j) % nr] for j in range(len(path) - i)]
                 _feed_run(n, t, cycle, out)
                 period = lr_cycle_to_period(out.word())
                 break
-            index[cur] = len(path)
-            path.append(cur)
-            r, t = cur
-            cur = ((r + 1) % nr, _feed_run(n, t, (runs[r],), None))
-        for p in path:
-            period_of[p] = period
+            key = (r, _hermite(*t))
+            period = period_of.get(key)
+            if period is not None:
+                break
+        for key in path:
+            period_of[key] = period
         return period
 
     best = 0
     for r, (letter, e) in enumerate(runs):
         nxt = (r + 1) % nr
-        top = max(resolve((r, s)) for s in starts)
-        for t in _run_states(n, starts, letter, e):
-            period = period_of.get((nxt, t)) or resolve((nxt, t))
+        top = 0
+        met = set()  # the cosets of this run's nodes, read from run nxt on
+        for s, form in zip(starts, forms):
+            key = (r, form)
+            period = period_of.get(key) or resolve(r, s, key)
             if period > top:
                 top = period
+            k0 = _escape(s, letter)
+            for j in range(1, min(k0 + 1, e)):  # inside the first edge, then its escape
+                t = _mul(s, letter, j)
+                coset = _hermite(*t)
+                met.add(coset)
+                key = (nxt, coset)
+                period = period_of.get(key)
+                if period is None:
+                    if j == k0:
+                        t = _feed_run(n, s, ((letter, k0),), None)
+                    period = resolve(nxt, t, key)
+                if period > top:
+                    top = period
         if top > best:
             best, first = top, r
+        if len(met) + len(starts) >= cosets:  # else the starts cannot complete it
+            met.update(_hermite(*_mul(s, letter, e)) for s in starts)
+            if len(met) == cosets:
+                break
     ratio = Fraction(best, per(cf))
     letter, e = runs[first]
     offset = sum(q for _, q in runs[:first])
-    for s in starts:
-        if period_of[(first, s)] == best:
+    for s, form in zip(starts, forms):
+        if period_of[(first, form)] == best:
             return ratio, Mat2(*s), offset
     nxt = (first + 1) % nr
-    hits = {t for t in _run_states(n, starts, letter, e) if period_of[(nxt, t)] == best}
+    hits = {
+        t for t in _run_states(n, starts, letter, e)
+        if period_of[(nxt, _hermite(*t))] == best
+    }
     k, neg_i = max((_last_hit(n, s, letter, e, hits), -i) for i, s in enumerate(starts))
     return ratio, Mat2(*starts[-neg_i]), offset + e - k

@@ -2,7 +2,7 @@
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -64,6 +64,31 @@ def test_surd_validation():
 def test_surd_factory_rescales():
     x = surd(1, 3, 3)  # (1 + sqrt 3)/3 -> (3 + sqrt 27)/9
     assert (x.P, x.Q, x.D) == (3, 9, 27)
+
+
+def _surd_content(x):
+    return gcd(x.P, x.Q, (x.D - x.P * x.P) // x.Q)
+
+
+def test_oracle_surds_are_primitive():
+    """surd_from_cf and apply_mobius return primitive forms on inputs with
+    preperiods, and a rescaled surd has the same form and expansion."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        big = 10 ** rng.randint(1, 6)
+        pre = [rng.randint(-big, big)] + [rng.randint(1, big) for _ in range(rng.randint(0, 4))]
+        cf = PeriodicCF.create(pre, [rng.randint(1, big) for _ in range(rng.randint(1, 5))])
+        x = surd_from_cf(cf)
+        assert _surd_content(x) == 1
+        m = Mat2(*(rng.randint(-60, 60) for _ in range(4)))
+        if det(m) == 0:
+            continue
+        y = apply_mobius(m, x)
+        assert _surd_content(y) == 1
+        k = rng.randint(2, 10**6)
+        z = surd(y.P * k, y.Q * k, y.D * k * k)
+        assert (z.P, z.Q, z.D) == (y.P, y.Q, y.D)
+        assert cf_from_surd(QuadraticSurd(y.P * k, y.Q * k, y.D * k * k)) == cf_from_surd(y)
 
 
 def test_value_equality_across_scalings():

@@ -8,7 +8,19 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raneycf.matrices import Mat2, _check_db, det, enumerate_DB, in_DB, in_RB, nu_R, xi
+from raneycf.matrices import (
+    Mat2,
+    _check_db,
+    _coset_count,
+    _enumerate_DB,
+    _hermite,
+    det,
+    enumerate_DB,
+    in_DB,
+    in_RB,
+    nu_R,
+    xi,
+)
 from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
     _last_hit,
@@ -867,6 +879,125 @@ def test_run_states_match_letter_by_letter_walks():
         for s, walk in zip(seeds, walks):
             last = max((k for k in range(1, e) if walk[k] in hits), default=0)
             assert _last_hit(n, s, letter, e, hits) == last
+
+
+def test_search_nodes_of_one_coset_share_their_period():
+    """A search node's period depends only on its run and the Hermite form
+    of its state: walk every start node and every in-run-offset node, with
+    orbits closed on states and no memo keyed on cosets.  A start node
+    (r, s) also counts under its coset after the run, _hermite(s * letter^e),
+    as the search's stop rule reads it."""
+    rng = random.Random(29)
+    shared = 0
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        rep = [rng.choice((rng.randint(1, 3), rng.randint(1, 300))) for _ in range(rng.randint(1, 4))]
+        runs = lr_repetend(parse_cf(f"[;{','.join(map(str, rep))}]")).runs
+        nr = len(runs)
+        starts = _enumerate_DB(n)
+        period_of = {}  # node -> period, exact per node
+
+        def orbit_period(node):
+            path, index, cur = [], {}, node
+            while cur not in period_of and cur not in index:
+                index[cur] = len(path)
+                path.append(cur)
+                r, t = cur
+                cur = ((r + 1) % nr, _feed_run(n, t, (runs[r],), None))
+            if cur in period_of:
+                period = period_of[cur]
+            else:
+                r, t = cur
+                out = _Out()
+                _feed_run(n, t, [runs[(r + i) % nr] for i in range(len(path) - index[cur])], out)
+                period = lr_cycle_to_period(out.word())
+            for p in path:
+                period_of[p] = period
+            return period
+
+        periods = {}  # (run, Hermite form) -> the periods of its nodes
+        for r, (letter, e) in enumerate(runs):
+            nxt = (r + 1) % nr
+            for s in starts:
+                period = orbit_period((r, s))
+                periods.setdefault((r, _hermite(*s)), []).append(period)
+                periods.setdefault((nxt, _hermite(*_mul(s, letter, e))), []).append(period)
+            for t in _run_states(n, starts, letter, e):
+                periods.setdefault((nxt, _hermite(*t)), []).append(orbit_period((nxt, t)))
+        assert all(len(set(p)) == 1 for p in periods.values()), (n, rep)
+        shared += sum(len(p) > 1 for p in periods.values())
+    assert shared  # some cosets hold more than one node
+
+
+def test_coset_count_and_hermite_forms():
+    """_coset_count(n) counts the primitive forms [[g, b], [0, n/g]], 0 <= b < n/g;
+    every DB_n state's _hermite is one of them, and a unimodular factor on
+    the left keeps it."""
+    rng = random.Random(3)
+    words = [Mat2(1, 0, 0, 1), Mat2(0, 1, 1, 0), Mat2(1, 0, 1, 1), Mat2(1, -1, 0, 1)]
+    for n in range(1, 201):
+        forms = {
+            (g, b, n // g)
+            for g in range(1, n + 1)
+            if n % g == 0
+            for b in range(n // g)
+            if gcd(g, b, n // g) == 1
+        }
+        assert _coset_count(n) == len(forms)
+        states = _enumerate_DB(n)
+        assert {_hermite(*s) for s in states} <= forms
+        for s in rng.sample(states, min(len(states), 3)):
+            u = Mat2(1, 0, 0, 1)
+            for _ in range(6):
+                u = u * rng.choice(words)
+            assert _hermite(*(u * Mat2(*s)).entries) == _hermite(*s)
+
+
+def test_search_stops_once_a_run_meets_every_coset(monkeypatch):
+    """The search stops after run 0 exactly when run 0's nodes meet all
+    psi(n) cosets, and either way agrees with the reference scan; both
+    kinds of draw occur."""
+    import raneycf.transducer as transducer
+
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(60):
+        n = rng.randint(1, 16)
+        rep = [rng.choice((rng.randint(1, 3), rng.randint(1, 60))) for _ in range(rng.randint(1, 3))]
+        cf = parse_cf(f"[;{','.join(map(str, rep))}]")
+        letter, e = lr_repetend(cf).runs[0]
+        starts = _enumerate_DB(n)
+        met = {_hermite(*_mul(s, letter, e)) for s in starts}
+        met |= {_hermite(*t) for t in _run_states(n, starts, letter, e)}
+        stops = len(met) == _coset_count(n)
+        kinds.add(stops)
+        letters = set()  # the letters of the runs the search reads its nodes from
+
+        def spy(t, letter):
+            letters.add(letter)
+            return _escape(t, letter)
+
+        monkeypatch.setattr(transducer, "_escape", spy)
+        result = search_max_ratio(n, cf)
+        monkeypatch.undo()
+        assert (letters == {R}) == stops, (n, rep)  # run 0 is an R-run, run 1 an L-run
+        assert result == _reference_search_max_ratio(n, cf)
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize(
+    "n, text, expected",
+    [
+        (9, "[;1,17]", (Fraction(6), Mat2(2, 1, 1, 5), 1)),
+        (2, "[;1,2,3,30]", (Fraction(3, 2), Mat2(1, 0, 0, 2), 1)),
+        (36, "[;1,98,21]", (Fraction(12), Mat2(5, 1, 4, 8), 1)),
+        (1, "[;5]", (Fraction(1), Mat2(1, 0, 0, 1), 0)),  # psi(1) = 1: run 0 meets it
+    ],
+)
+def test_search_pinned_witnesses(n, text, expected):
+    # the first three witnesses lie past run 0, which small random draws
+    # seldom reach
+    assert search_max_ratio(n, parse_cf(text)) == expected
 
 
 @pytest.mark.parametrize(
