@@ -7,10 +7,11 @@ finishes a run in closed form once it reaches a state with b = 0 (for L)
 or c = 0 (for R), the only states on single-letter loops.  No other state
 repeats within a run, so a partial quotient of any size costs at most
 |DB_n| escape steps.  The sharpness search keys its nodes on (run, Hermite
-form of the state), makes kernel calls only for keys it has not resolved,
-and keeps no step table of its own.  The explicit edge table
-(build_transducer) exists for display and for the exhaustive lemma checks,
-and is built through the same kernel one letter at a time.  The
+form of the state) and walks each orbit on keys alone, with no kernel call;
+it feeds the kernel once per key cycle, with output, and keeps no step
+table of its own.  The explicit edge table (build_transducer) exists for
+display and for the exhaustive lemma checks, and is built through the same
+kernel one letter at a time.  The
 independent references are in the tests: _reference_feed_run, one call
 per escape step, and test_9's letter-by-letter edge walk.
 """
@@ -171,18 +172,24 @@ def transduce_cycle(n: int, start: Mat2, repetend: LRWord) -> ClosedWalk:
         raise ValueError(f"{start!r} is not a state of T_{n}")
     if len(repetend.runs) < 2:  # adjacent runs of a word differ in letter
         raise ValueError("repetend must contain both letters")
-    runs = repetend.runs
+    state, output, gamma = _close_cycle(n, start.entries, repetend.runs)
+    return ClosedWalk(Mat2(*state), repetend**gamma, output, gamma)
+
+
+def _close_cycle(n, t, runs):
+    """Feed runs block by block from the balanced state t until a state at
+    a block boundary repeats; returns (that state, the output between its
+    two visits, gamma = the number of blocks between them).  t need not be
+    in DB_n: _feed_run checks every state that an escape leads to."""
     out = _Out()
-    snaps = [out.snap()]  # snaps[p]: end of the output after p passes
-    boundary = {start.entries: 0}
-    cur = start.entries
+    snaps = [out.snap()]  # snaps[p]: end of the output after p blocks
+    boundary = {t: 0}
     while True:
-        cur = _feed_run(n, cur, runs, out)
-        idx = boundary.get(cur)
+        t = _feed_run(n, t, runs, out)
+        idx = boundary.get(t)
         if idx is not None:
-            gamma = len(snaps) - idx
-            return ClosedWalk(Mat2(*cur), repetend**gamma, out.word(snaps[idx]), gamma)
-        boundary[cur] = len(snaps)
+            return t, out.word(snaps[idx]), len(snaps) - idx
+        boundary[t] = len(snaps)
         snaps.append(out.snap())
 
 
@@ -376,6 +383,43 @@ def _last_hit(n, s, letter, e, hits):
     )
 
 
+def _resolve_orbit(n, runs, t, key):
+    """(keys, period) for the search node (r, t) with key = (r, (g, b, d)):
+    the keys (run index, Hermite form) of its run-by-run walk over the
+    cyclic word runs, in order from key up to its return there, and the
+    output period of its orbit.
+
+    The next key is (r + 1, _hermite(H mu(runs[r]))) for H = [[g, b], [0, d]].
+    After R^e, H R^e = [[g, g e + b], [0, d]] is triangular already; after
+    L^e, H L^e = [[g + b e, b], [d e, d]] needs Euclid.  Right
+    multiplication by the unimodular mu(run) maps the coset GL2(Z) H onto
+    GL2(Z) H mu(run), keeps its determinant and content, and is undone by
+    mu(run)^-1.  So each step is a bijection on the nr psi(n) keys, and the
+    walk from any key is a pure cycle back to it, of at most nr psi(n)
+    steps and a multiple of nr.  A node's orbit passes exactly the keys on
+    its key's cycle, since the key of a node's successor is this step.  The
+    keys are walked with no kernel call; then the cycle's runs are fed from
+    t, with output, once (_close_cycle).
+    """
+    nr = len(runs)
+    r, (g, b, d) = key
+    keys = [key]
+    rr = r
+    while True:
+        letter, e = runs[rr]
+        if letter == R:
+            b = (b + g * e) % d
+        else:
+            g, b, d = _hermite(g + b * e, b, d * e, d)
+        rr = rr + 1 if rr + 1 < nr else 0
+        nxt = (rr, (g, b, d))
+        if nxt == key:
+            break
+        keys.append(nxt)
+    block = (runs[r:] + runs[:r]) * (len(keys) // nr)
+    return keys, lr_cycle_to_period(_close_cycle(n, t, block)[1])
+
+
 def search_max_ratio(n: int, cf: PeriodicCF):
     """Max of per(output)/per(input) over all DB_n start states and all
     letter rotations of the input repetend's LR word.
@@ -395,11 +439,20 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     from run r on.  The orbit of node (r, t) outputs the LR tail of
     h_t(y_r), so its period is per(h_t(y_r)), which depends only on the
     coset GL2(Z) t: a unimodular map keeps the tail of a continued fraction
-    (Serret; see reduce_to_DB).  So periods are memoised per
-    (r, _hermite(t)), and the nodes of one coset share one orbit walk,
-    which closes on states.  A peel multiplies on the left by a unimodular
-    W^-1, so an escape node has the key of s * letter^k0 before its peel,
-    and _feed_run (with its _check_db) runs only when that key is
+    (Serret; see reduce_to_DB).  So periods are memoised per key
+    (r, _hermite(t)).  The successor's key is a function of the key alone,
+    (r + 1, _hermite(H mu(runs[r]))) for H the key's form, and that step is
+    a bijection on the nr psi(n) keys (_resolve_orbit).  So the keys of an
+    orbit lie on one pure cycle of l <= nr psi(n) steps, walked with no
+    kernel call and no iteration cap, and every key on it gets the orbit's
+    period.  _resolve_orbit then feeds the cycle's l runs from the node's
+    state block by block, with output, until a block-boundary state
+    repeats (_close_cycle, transduce_cycle's loop), and reads the period
+    off the output between the two visits.  The node's state may lie
+    inside an edge, which transduce_cycle's in_DB check would refuse;
+    _feed_run checks each state an escape leads to.  A peel multiplies on the left by a
+    unimodular W^-1, so an escape node has the key of s * letter^k0 before
+    its peel, and _feed_run (with its _check_db) runs only when that key is
     unresolved.
 
     The stop.  Node (r, s) has the period of h_{s letter^e}(y_{r+1}), so
@@ -410,16 +463,24 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     (y_q = h_P(y_{r+1})), and tP is primitive with det n.  So every node's
     period is per(h_c(y_{r+1})) for one of the psi(n) primitive cosets c
     (_coset_count).  Once the nodes of run r meet all of them, run r
-    reaches the maximum over every run, and the run loop stops.
+    reaches the maximum over every run, and the run loop stops.  A run of a
+    single letter, e = 1, has only its start nodes, and they meet only the
+    |DB_n| cosets _hermite(s * letter): the DB_n states lie in distinct
+    cosets, and |DB_n| < psi(n) for n >= 2.  So such a run can stop the
+    loop only at n = 1.
 
     Returns (best_ratio, witness_state, witness_offset): the first offset,
     then the first state in entry order, that attains the maximum.  That
     lies in the first run that reaches it: at the run's start if a start
     node there does, else at the largest k that does, found by walking each
     start's path up to its loop (_last_hit).  The cost is
-    O(runs * |DB_n| * n) key computations plus the orbit walks, with at
-    most runs * psi(n) keys to resolve, independent of the partial
-    quotients.
+    O(runs * |DB_n| * n) key computations, plus, for each of the at most
+    runs * psi(n) keys, one key step and a share of one output feed: each
+    key cycle of l runs is fed in blocks of l runs until a boundary state
+    repeats.  That feed ends, since the boundary states are balanced with
+    det n, and on every search measured it took one block, or two when the
+    node's state had not yet reached its loop.  None of it depends on the
+    size of the partial quotients.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -438,28 +499,11 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     cosets = _coset_count(n)
     period_of: dict = {}  # (run, Hermite form) -> output period of the orbit
 
-    def resolve(r, t, key):
-        """The period of node (r, t), whose key is unresolved; every key on
-        its path to a resolved key or a closed orbit gets it."""
-        path = []
-        index = {}
-        while True:
-            index[(r, t)] = len(path)
-            path.append(key)
-            t = _feed_run(n, t, (runs[r],), None)
-            r = (r + 1) % nr
-            i = index.get((r, t))
-            if i is not None:
-                out = _Out()
-                cycle = [runs[(r + j) % nr] for j in range(len(path) - i)]
-                _feed_run(n, t, cycle, out)
-                period = lr_cycle_to_period(out.word())
-                break
-            key = (r, _hermite(*t))
-            period = period_of.get(key)
-            if period is not None:
-                break
-        for key in path:
+    def resolve(t, key):
+        """The period of node (key[0], t), whose key is unresolved; every
+        key on its key cycle gets it."""
+        keys, period = _resolve_orbit(n, runs, t, key)
+        for key in keys:
             period_of[key] = period
         return period
 
@@ -470,7 +514,7 @@ def search_max_ratio(n: int, cf: PeriodicCF):
         met = set()  # the cosets of this run's nodes, read from run nxt on
         for s, form in zip(starts, forms):
             key = (r, form)
-            period = period_of.get(key) or resolve(r, s, key)
+            period = period_of.get(key) or resolve(s, key)
             if period > top:
                 top = period
             k0 = _escape(s, letter)
@@ -483,7 +527,7 @@ def search_max_ratio(n: int, cf: PeriodicCF):
                 if period is None:
                     if j == k0:
                         t = _feed_run(n, s, ((letter, k0),), None)
-                    period = resolve(nxt, t, key)
+                    period = resolve(t, key)
                 if period > top:
                     top = period
         if top > best:

@@ -24,6 +24,7 @@ from raneycf.matrices import (
 from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
     _last_hit,
+    _resolve_orbit,
     _run_states,
     build_transducer,
     factorize_to_DB,
@@ -929,10 +930,65 @@ def test_search_nodes_of_one_coset_share_their_period():
     assert shared  # some cosets hold more than one node
 
 
+def test_key_walk_matches_the_state_walk():
+    """_resolve_orbit walks a search node's keys with no kernel call; its
+    cycle holds each key once, is exactly the set of keys that the node's
+    state walk passes (closed on states, as orbit_period in
+    test_search_nodes_of_one_coset_share_their_period does), and gets the
+    same period.  The cycle is a multiple of nr runs long and at most
+    nr * psi(n).  Start nodes and in-run offset nodes are both drawn, and
+    some repetends hold a quotient past 2^63."""
+    rng = random.Random(53)
+    drawn = 0  # offset nodes
+    for i in range(80):
+        n = rng.randint(1, 30)
+        rep = [rng.choice((rng.randint(1, 3), rng.randint(1, 300))) for _ in range(rng.randint(1, 4))]
+        if i % 4 == 0:
+            rep[rng.randrange(len(rep))] = 2**63 + rng.randint(1, 10**6)
+        runs = lr_repetend(parse_cf(f"[;{','.join(map(str, rep))}]")).runs
+        nr = len(runs)
+        starts = _enumerate_DB(n)
+
+        def state_walk(node):
+            path, index, cur = [], {}, node
+            while cur not in index:
+                index[cur] = len(path)
+                path.append(cur)
+                r, t = cur
+                cur = ((r + 1) % nr, _feed_run(n, t, (runs[r],), None))
+            r, t = cur
+            out = _Out()
+            _feed_run(n, t, [runs[(r + j) % nr] for j in range(len(path) - index[cur])], out)
+            return {(r, _hermite(*t)) for r, t in path}, lr_cycle_to_period(out.word())
+
+        start_nodes = [(r, s) for r in range(nr) for s in starts]
+        offset_nodes = [
+            ((r + 1) % nr, t)
+            for r, (letter, e) in enumerate(runs)
+            for t in _run_states(n, starts, letter, e)
+        ]
+        drawn += min(len(offset_nodes), 15)
+        for node in rng.sample(start_nodes, min(len(start_nodes), 15)) + rng.sample(
+            offset_nodes, min(len(offset_nodes), 15)
+        ):
+            r, t = node
+            key = (r, _hermite(*t))
+            keys, period = _resolve_orbit(n, runs, t, key)
+            ref_keys, ref_period = state_walk(node)
+            assert keys[0] == key
+            assert len(set(keys)) == len(keys), (n, rep, node)
+            assert set(keys) == ref_keys, (n, rep, node)
+            assert period == ref_period, (n, rep, node)
+            assert len(keys) % nr == 0 and len(keys) <= nr * _coset_count(n)
+    assert drawn
+
+
 def test_coset_count_and_hermite_forms():
     """_coset_count(n) counts the primitive forms [[g, b], [0, n/g]], 0 <= b < n/g;
-    every DB_n state's _hermite is one of them, and a unimodular factor on
-    the left keeps it."""
+    every DB_n state's _hermite is one of them, no two DB_n states share
+    one, and a unimodular factor on the left keeps it.  So the |DB_n|
+    states lie in |DB_n| < psi(n) cosets for n >= 2, and a search run of a
+    single letter, whose nodes are its starts, never meets all psi(n)."""
     rng = random.Random(3)
     words = [Mat2(1, 0, 0, 1), Mat2(0, 1, 1, 0), Mat2(1, 0, 1, 1), Mat2(1, -1, 0, 1)]
     for n in range(1, 201):
@@ -945,7 +1001,10 @@ def test_coset_count_and_hermite_forms():
         }
         assert _coset_count(n) == len(forms)
         states = _enumerate_DB(n)
-        assert {_hermite(*s) for s in states} <= forms
+        state_forms = {_hermite(*s) for s in states}
+        assert state_forms <= forms
+        assert len(state_forms) == len(states), n
+        assert n == 1 or len(states) < _coset_count(n), n
         for s in rng.sample(states, min(len(states), 3)):
             u = Mat2(1, 0, 0, 1)
             for _ in range(6):
