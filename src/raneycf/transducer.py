@@ -7,9 +7,10 @@ finishes a run in closed form once it reaches a state with b = 0 (for L)
 or c = 0 (for R), the only states on single-letter loops.  No other state
 repeats within a run, so a partial quotient of any size costs at most
 |DB_n| escape steps.  The sharpness search keys its nodes on (run, Hermite
-form of the state) and walks each orbit on keys alone, with no kernel call;
-it feeds the kernel once per key cycle, with output, and keeps no step
-table of its own.  The explicit edge table (build_transducer) exists for
+form of the state), computes every key from its start's form, and walks
+each orbit and finds its witness on keys alone, with no kernel call; it
+feeds the kernel once per key cycle, with output, and keeps no step table
+of its own.  The explicit edge table (build_transducer) exists for
 display and for the exhaustive lemma checks, and is built through the same
 kernel one letter at a time.  The
 independent references are in the tests: _reference_feed_run, one call
@@ -298,8 +299,8 @@ def walk_LE(n: int, m: Mat2, i: int):
     state N with j in {3n - nu_R(N) + 1, ..., 3n}.  Returns (N, j, w).
 
     A letter completes an edge exactly when the state after it is doubly
-    balanced: absorbing without an escape never gives one (see
-    _run_states)."""
+    balanced: a state s * letter^j with j > 0, absorbed without an escape,
+    never is, since s L^j has c + d j >= d and s R^j has a j + b >= a."""
     if det(m) != n or not is_LE(m):
         raise ValueError(f"{m!r} is not in LE_{n}")
     nu = nu_L(m)
@@ -333,86 +334,45 @@ def walk_LE(n: int, m: Mat2, i: int):
 # sharpness search
 
 
-def _run_states(n, starts, letter, e):
-    """The distinct states _feed_run(n, s, ((letter, k),), None) over every
-    DB_n state s in starts and 0 < k < e.
+def _key_step(form, letter, k):
+    """The Hermite form of H letter^k for H = [[g, b], [0, d]] = form.
 
-    Walked letter by letter, a start's path passes s * letter^j for
-    0 < j < k0 and then escapes onto a DB_n state.  That state is a start
-    too, reached at k = 0, and its own walk covers every later position,
-    so each walk stops at its first escape.  A state s * letter^j with
-    j > 0 is never doubly balanced, so it determines s: the states inside
-    an edge are distinct, and only the escapes need merging.
+    H R^k = [[g, g k + b], [0, d]] is triangular already; H L^k =
+    [[g + b k, b], [d k, d]] needs Euclid.  A matrix U H with U unimodular
+    has the coset of H, and right multiplication by the unimodular letter^k
+    maps the coset GL2(Z) H onto GL2(Z) H letter^k, keeps its determinant
+    and content, and is undone by letter^-k.  So the step from a state's
+    form is the form of the state times letter^k, and for each (letter, k)
+    it is a bijection on the psi(n) primitive forms.
     """
-    inside = []
-    escapes = {}
-    for s in starts:
-        k0 = _escape(s, letter)
-        inside.extend(_mul(s, letter, j) for j in range(1, min(k0, e)))
-        if k0 < e:
-            escapes[_feed_run(n, s, ((letter, k0),), None)] = None
-    return inside + list(escapes)
-
-
-def _last_hit(n, s, letter, e, hits):
-    """The largest k < e with _feed_run(n, s, ((letter, k),), None) in
-    hits, else 0; s is a DB_n state.
-
-    The walk passes every position up to the first repeat of a DB state.
-    From that state's first position q0 on, the states repeat with the
-    loop's length cyc, so a hit at q >= q0 recurs last at
-    q + (e - 1 - q) // cyc * cyc.
-    """
-    found = []
-    seen = {}
-    pos = 0
-    while s not in seen:
-        seen[s] = pos
-        k0 = _escape(s, letter)
-        for j in range(k0):
-            if pos + j >= e:
-                return max(found, default=0)
-            if (_mul(s, letter, j) if j else s) in hits:
-                found.append(pos + j)
-        s, pos = _feed_run(n, s, ((letter, k0),), None), pos + k0
-    q0 = seen[s]
-    cyc = pos - q0
-    return max(
-        (q + (e - 1 - q) // cyc * cyc if q >= q0 else q for q in found),
-        default=0,
-    )
+    g, b, d = form
+    if letter == R:
+        return g, (b + g * k) % d, d
+    return _hermite(g + b * k, b, d * k, d)
 
 
 def _resolve_orbit(n, runs, t, key):
-    """(keys, period) for the search node (r, t) with key = (r, (g, b, d)):
+    """(keys, period) for the search node (r, t) with key = (r, form):
     the keys (run index, Hermite form) of its run-by-run walk over the
     cyclic word runs, in order from key up to its return there, and the
     output period of its orbit.
 
-    The next key is (r + 1, _hermite(H mu(runs[r]))) for H = [[g, b], [0, d]].
-    After R^e, H R^e = [[g, g e + b], [0, d]] is triangular already; after
-    L^e, H L^e = [[g + b e, b], [d e, d]] needs Euclid.  Right
-    multiplication by the unimodular mu(run) maps the coset GL2(Z) H onto
-    GL2(Z) H mu(run), keeps its determinant and content, and is undone by
-    mu(run)^-1.  So each step is a bijection on the nr psi(n) keys, and the
-    walk from any key is a pure cycle back to it, of at most nr psi(n)
-    steps and a multiple of nr.  A node's orbit passes exactly the keys on
-    its key's cycle, since the key of a node's successor is this step.  The
-    keys are walked with no kernel call; then the cycle's runs are fed from
-    t, with output, once (_close_cycle).
+    The next key is (r + 1, _key_step(form, *runs[r])).  That step is a
+    bijection on the nr psi(n) keys, so the walk from any key is a pure
+    cycle back to it, of at most nr psi(n) steps and a multiple of nr.  A
+    node's orbit passes exactly the keys on its key's cycle, since the key
+    of a node's successor is this step.  The keys are walked with no kernel
+    call; then the cycle's runs are fed from t, with output, once
+    (_close_cycle).
     """
     nr = len(runs)
-    r, (g, b, d) = key
+    r, form = key
     keys = [key]
     rr = r
     while True:
-        letter, e = runs[rr]
-        if letter == R:
-            b = (b + g * e) % d
-        else:
-            g, b, d = _hermite(g + b * e, b, d * e, d)
+        form = _key_step(form, *runs[rr])
         rr = rr + 1 if rr + 1 < nr else 0
-        nxt = (rr, (g, b, d))
+        nxt = (rr, form)
         if nxt == key:
             break
         keys.append(nxt)
@@ -430,34 +390,34 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     invariant.  A node's successor is one _feed_run call on its run.  The
     offsets inside run r = (letter, e) start the walk at (r, s) for a DB_n
     state s or, k letters short of the run's end, at ((r+1) % nr,
-    s * letter^k fed and peeled) for k = e-1 ... 1.  Every start's path
-    escapes onto another start, so the distinct nodes of a run are the
-    states inside each start's first edge and the starts' escapes
-    (_run_states): at most n per start, whatever e is.
+    W^-1 s letter^k) for k = e-1 ... 1, where W is the word peeled on the
+    way.  Every start's path escapes onto another start, whose own path
+    covers the later offsets, so the run loop reads each start's nodes
+    only up to its first escape: at most n per start, whatever e is.
 
     The key.  Let y_r be the number whose LR word is the cyclic word read
     from run r on.  The orbit of node (r, t) outputs the LR tail of
     h_t(y_r), so its period is per(h_t(y_r)), which depends only on the
     coset GL2(Z) t: a unimodular map keeps the tail of a continued fraction
     (Serret; see reduce_to_DB).  So periods are memoised per key
-    (r, _hermite(t)).  The successor's key is a function of the key alone,
-    (r + 1, _hermite(H mu(runs[r]))) for H the key's form, and that step is
-    a bijection on the nr psi(n) keys (_resolve_orbit).  So the keys of an
-    orbit lie on one pure cycle of l <= nr psi(n) steps, walked with no
-    kernel call and no iteration cap, and every key on it gets the orbit's
-    period.  _resolve_orbit then feeds the cycle's l runs from the node's
-    state block by block, with output, until a block-boundary state
-    repeats (_close_cycle, transduce_cycle's loop), and reads the period
-    off the output between the two visits.  The node's state may lie
-    inside an edge, which transduce_cycle's in_DB check would refuse;
-    _feed_run checks each state an escape leads to.  A peel multiplies on the left by a
-    unimodular W^-1, so an escape node has the key of s * letter^k0 before
-    its peel, and _feed_run (with its _check_db) runs only when that key is
-    unresolved.
+    (r, _hermite(t)).  W is unimodular, so the node k letters short of the
+    run's end reached from s has the key (r+1, _key_step(form, letter, k))
+    for s's form; a state is built (_mul, or _feed_run with its _check_db
+    at the escape) only when that key is unresolved.  The successor's key
+    is the same step by the node's run, a bijection on the nr psi(n) keys
+    (_key_step, _resolve_orbit).  So the keys of an orbit lie on one pure
+    cycle of l <= nr psi(n) steps, walked with no kernel call and no
+    iteration cap, and every key on it gets the orbit's period.
+    _resolve_orbit then feeds the cycle's l runs from the node's state
+    block by block, with output, until a block-boundary state repeats
+    (_close_cycle, transduce_cycle's loop), and reads the period off the
+    output between the two visits.  The node's state may lie inside an
+    edge, which transduce_cycle's in_DB check would refuse; _feed_run
+    checks each state an escape leads to.
 
     The stop.  Node (r, s) has the period of h_{s letter^e}(y_{r+1}), so
-    every node of run r is h_c(y_{r+1}) for a coset c: _hermite(s *
-    letter^e) for a start, its own key for an offset inside the run.  A
+    every node of run r is h_c(y_{r+1}) for a coset c: _key_step(form,
+    letter, e) for a start, its own key for an offset inside the run.  A
     node (q, t) of any run is h_{tP}(y_{r+1}), where P is the unimodular
     product of the runs read cyclically from run q up to run r + 1
     (y_q = h_P(y_{r+1})), and tP is primitive with det n.  So every node's
@@ -465,22 +425,28 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     (_coset_count).  Once the nodes of run r meet all of them, run r
     reaches the maximum over every run, and the run loop stops.  A run of a
     single letter, e = 1, has only its start nodes, and they meet only the
-    |DB_n| cosets _hermite(s * letter): the DB_n states lie in distinct
+    |DB_n| cosets of the s * letter: the DB_n states lie in distinct
     cosets, and |DB_n| < psi(n) for n >= 2.  So such a run can stop the
     loop only at n = 1.
 
-    Returns (best_ratio, witness_state, witness_offset): the first offset,
-    then the first state in entry order, that attains the maximum.  That
-    lies in the first run that reaches it: at the run's start if a start
-    node there does, else at the largest k that does, found by walking each
-    start's path up to its loop (_last_hit).  The cost is
-    O(runs * |DB_n| * n) key computations, plus, for each of the at most
-    runs * psi(n) keys, one key step and a share of one output feed: each
-    key cycle of l runs is fed in blocks of l runs until a boundary state
-    repeats.  That feed ends, since the boundary states are balanced with
-    det n, and on every search measured it took one block, or two when the
-    node's state had not yet reached its loop.  None of it depends on the
-    size of the partial quotients.
+    The witness.  Returns (best_ratio, witness_state, witness_offset): the
+    first offset, then the first state in entry order, that attains the
+    maximum.  That lies in the first run that reaches it: at the run's
+    start if a start node there does, else at the largest k < e whose node
+    does.  The key _key_step(form, letter, k) is periodic in k with a
+    period dividing n: for R it is d / gcd(g, d), and for L,
+    H L^n H^-1 = I + [[b d, -b^2], [d^2, -b d]] lies in SL2(Z), so H L^(k+n)
+    has the coset of H L^k.  So the largest hit lies among the n offsets
+    k = e-1 ... max(1, e-n), and the scan reads keys that the run loop
+    resolved on that run.
+
+    The cost is O(runs * |DB_n| * n) key steps, plus, for each of the at
+    most runs * psi(n) keys, one key step and a share of one output feed:
+    each key cycle of l runs is fed in blocks of l runs until a boundary
+    state repeats.  That feed ends, since the boundary states are balanced
+    with det n, and on every search measured it took one block, or two
+    when the node's state had not yet reached its loop.  None of it depends
+    on the size of the partial quotients.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -519,21 +485,22 @@ def search_max_ratio(n: int, cf: PeriodicCF):
                 top = period
             k0 = _escape(s, letter)
             for j in range(1, min(k0 + 1, e)):  # inside the first edge, then its escape
-                t = _mul(s, letter, j)
-                coset = _hermite(*t)
+                coset = _key_step(form, letter, j)
                 met.add(coset)
                 key = (nxt, coset)
                 period = period_of.get(key)
                 if period is None:
                     if j == k0:
                         t = _feed_run(n, s, ((letter, k0),), None)
+                    else:
+                        t = _mul(s, letter, j)
                     period = resolve(t, key)
                 if period > top:
                     top = period
         if top > best:
             best, first = top, r
         if len(met) + len(starts) >= cosets:  # else the starts cannot complete it
-            met.update(_hermite(*_mul(s, letter, e)) for s in starts)
+            met.update(_key_step(form, letter, e) for form in forms)
             if len(met) == cosets:
                 break
     ratio = Fraction(best, per(cf))
@@ -543,9 +510,7 @@ def search_max_ratio(n: int, cf: PeriodicCF):
         if period_of[(first, form)] == best:
             return ratio, Mat2(*s), offset
     nxt = (first + 1) % nr
-    hits = {
-        t for t in _run_states(n, starts, letter, e)
-        if period_of[(nxt, _hermite(*t))] == best
-    }
-    k, neg_i = max((_last_hit(n, s, letter, e, hits), -i) for i, s in enumerate(starts))
-    return ratio, Mat2(*starts[-neg_i]), offset + e - k
+    for k in range(e - 1, max(1, e - n) - 1, -1):
+        for s, form in zip(starts, forms):
+            if period_of[(nxt, _key_step(form, letter, k))] == best:
+                return ratio, Mat2(*s), offset + e - k

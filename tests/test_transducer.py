@@ -23,9 +23,8 @@ from raneycf.matrices import (
 )
 from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
-    _last_hit,
+    _key_step,
     _resolve_orbit,
-    _run_states,
     build_transducer,
     factorize_to_DB,
     image_period,
@@ -856,10 +855,31 @@ def test_search_matches_reference_witness(n, rep):
     assert search_max_ratio(n, cf) == _reference_search_max_ratio(n, cf)
 
 
+def _run_states(n, starts, letter, e):
+    """The distinct states _feed_run(n, s, ((letter, k),), None) over every
+    DB_n state s in starts and 0 < k < e.
+
+    Walked letter by letter, a start's path passes s * letter^j for
+    0 < j < k0 and then escapes onto a DB_n state.  That state is a start
+    too, reached at k = 0, and its own walk covers every later position,
+    so each walk stops at its first escape.  A state s * letter^j with
+    j > 0 is never doubly balanced, so it determines s: the states inside
+    an edge are distinct, and only the escapes need merging.
+    """
+    inside = []
+    escapes = {}
+    for s in starts:
+        k0 = _escape(s, letter)
+        inside.extend(_mul(s, letter, j) for j in range(1, min(k0, e)))
+        if k0 < e:
+            escapes[_feed_run(n, s, ((letter, k0),), None)] = None
+    return inside + list(escapes)
+
+
 def test_run_states_match_letter_by_letter_walks():
-    """_run_states lists exactly the distinct states that some seed reaches
-    0 < k < e letters in, and _last_hit finds the largest such k that lands
-    in a set of hits; both against single-letter absorb-and-peel walks."""
+    """_run_states, the tests' lister of a run's in-run nodes, lists
+    exactly the distinct states that some seed reaches 0 < k < e letters
+    in, against single-letter absorb-and-peel walks."""
     rng = random.Random(5)
     for _ in range(150):
         n = rng.randint(1, 30)
@@ -876,10 +896,6 @@ def test_run_states_match_letter_by_letter_walks():
         listed = _run_states(n, seeds, letter, e)
         assert len(set(listed)) == len(listed)
         assert set(listed) == {t for walk in walks for t in walk[1:]}
-        hits = set(rng.sample(listed, min(len(listed), rng.randint(1, 3))))
-        for s, walk in zip(seeds, walks):
-            last = max((k for k in range(1, e) if walk[k] in hits), default=0)
-            assert _last_hit(n, s, letter, e, hits) == last
 
 
 def test_search_nodes_of_one_coset_share_their_period():
@@ -983,6 +999,17 @@ def test_key_walk_matches_the_state_walk():
     assert drawn
 
 
+def _primitive_forms(n):
+    """The forms (g, b, d) with g d = n, 0 <= b < d and gcd(g, b, d) = 1."""
+    return [
+        (g, b, n // g)
+        for g in range(1, n + 1)
+        if n % g == 0
+        for b in range(n // g)
+        if gcd(g, b, n // g) == 1
+    ]
+
+
 def test_coset_count_and_hermite_forms():
     """_coset_count(n) counts the primitive forms [[g, b], [0, n/g]], 0 <= b < n/g;
     every DB_n state's _hermite is one of them, no two DB_n states share
@@ -992,13 +1019,7 @@ def test_coset_count_and_hermite_forms():
     rng = random.Random(3)
     words = [Mat2(1, 0, 0, 1), Mat2(0, 1, 1, 0), Mat2(1, 0, 1, 1), Mat2(1, -1, 0, 1)]
     for n in range(1, 201):
-        forms = {
-            (g, b, n // g)
-            for g in range(1, n + 1)
-            if n % g == 0
-            for b in range(n // g)
-            if gcd(g, b, n // g) == 1
-        }
+        forms = set(_primitive_forms(n))
         assert _coset_count(n) == len(forms)
         states = _enumerate_DB(n)
         state_forms = {_hermite(*s) for s in states}
@@ -1010,6 +1031,38 @@ def test_coset_count_and_hermite_forms():
             for _ in range(6):
                 u = u * rng.choice(words)
             assert _hermite(*(u * Mat2(*s)).entries) == _hermite(*s)
+
+
+def test_key_step_matches_the_hermite_form_of_the_product():
+    """_key_step(_hermite(*s), letter, k) is the form of s * letter^k, for
+    every DB_n state s and some of them dressed on the left by unimodular
+    words, k from 0 to 3n and past 2^63."""
+    rng = random.Random(61)
+    words = [Mat2(0, 1, 1, 0), Mat2(1, 0, 1, 1), Mat2(1, -1, 0, 1), Mat2(-1, 0, 0, 1)]
+    for n in range(1, 41):
+        states = list(_enumerate_DB(n))
+        for s in rng.sample(states, min(len(states), 3)):
+            u = Mat2(1, 0, 0, 1)
+            for _ in range(8):
+                u = u * rng.choice(words)
+            states.append((u * Mat2(*s)).entries)
+        ks = list(range(3 * n + 1)) + [2**63 + rng.randint(0, 10**6) for _ in range(3)]
+        for s in states:
+            form = _hermite(*s)
+            for letter in (L, R):
+                for k in ks:
+                    assert _key_step(form, letter, k) == _hermite(*_mul(s, letter, k)), (n, s, letter, k)
+
+
+def test_key_step_is_periodic_with_a_period_dividing_n():
+    """For every primitive form of det n, the key step by letter^k depends
+    on k only mod n: the search's witness scan reads n offsets below a
+    run's end and no more."""
+    for n in range(1, 41):
+        for form in _primitive_forms(n):
+            for letter in (L, R):
+                for k in list(range(2 * n)) + [2**64 + 7]:
+                    assert _key_step(form, letter, k + n) == _key_step(form, letter, k), (form, letter, k)
 
 
 def test_search_stops_once_a_run_meets_every_coset(monkeypatch):
@@ -1051,11 +1104,15 @@ def test_search_stops_once_a_run_meets_every_coset(monkeypatch):
         (2, "[;1,2,3,30]", (Fraction(3, 2), Mat2(1, 0, 0, 2), 1)),
         (36, "[;1,98,21]", (Fraction(12), Mat2(5, 1, 4, 8), 1)),
         (1, "[;5]", (Fraction(1), Mat2(1, 0, 0, 1), 0)),  # psi(1) = 1: run 0 meets it
+        (12, "[;17,14]", (Fraction(6), Mat2(1, 0, 0, 12), 2)),
+        (12, "[;499398,18446744073709552092]", (Fraction(8), Mat2(1, 0, 0, 12), 1)),
     ],
 )
 def test_search_pinned_witnesses(n, text, expected):
     # the first three witnesses lie past run 0, which small random draws
-    # seldom reach
+    # seldom reach; the [;17,14] witness is two letters into its run, where
+    # a window of one offset would miss it, and the last lies inside a run
+    # longer than 2^64
     assert search_max_ratio(n, parse_cf(text)) == expected
 
 
