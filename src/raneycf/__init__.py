@@ -73,7 +73,9 @@ from .transducer import (
     build_transducer,
     factorize_to_DB,
     image_period,
+    image_repetend,
     lr_cycle_to_period,
+    lr_cycle_to_repetend,
     lr_repetend,
     reduce_to_DB,
     search_max_ratio,

@@ -118,26 +118,27 @@ class PeriodicCF:
         """Normalize: primitive repetend, then roll the cycle start backward
         while the last preperiod entry matches the end of the cycle."""
         pre = list(preperiod)
-        rep = list(repetend)
+        rep = tuple(repetend)
         if not rep:
             raise ValueError("repetend must be nonempty")
-        p = _primitive_period(rep)
-        rep = rep[:p]
+        rep = rep[: _primitive_period(rep)]
         while pre and pre[-1] == rep[-1]:
-            rep = [rep[-1]] + rep[:-1]
+            rep = rep[-1:] + rep[:-1]
             pre.pop()
-        return cls(tuple(pre), tuple(rep))
+        return cls(tuple(pre), rep)
 
     def __str__(self) -> str:
         return format_cf(self)
 
 
-def _primitive_period(seq) -> int:
+def _primitive_period(seq: tuple) -> int:
+    """The least cyclic period p of a nonempty tuple: seq[:p] repeated is seq."""
     n = len(seq)
-    for p in range(1, n + 1):
-        if n % p == 0 and seq[:p] * (n // p) == list(seq):
+    for p in range(1, n // 2 + 1):
+        # seq[p : 2p] == seq[:p] rules out most p before the full comparison
+        if not n % p and seq[p : 2 * p] == seq[:p] and seq[:p] * (n // p) == seq:
             return p
-    raise AssertionError("unreachable")
+    return n
 
 
 def per(cf: PeriodicCF) -> int:

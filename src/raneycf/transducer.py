@@ -6,13 +6,14 @@ Every escape step runs through one kernel, words._feed_run, which
 finishes a run in closed form once it reaches a state with b = 0 (for L)
 or c = 0 (for R), the only states on single-letter loops.  No other state
 repeats within a run, so a partial quotient of any size costs at most
-|DB_n| escape steps.  The sharpness search keys its nodes on (run, Hermite
-form of the state), computes every key from its start's form, and walks
-each orbit and finds its witness on keys alone, with no kernel call; it
-feeds the kernel once per key cycle, with output, and keeps no step table
-of its own.  The explicit edge table (build_transducer) exists for
-display and for the exhaustive lemma checks, and is built through the same
-kernel one letter at a time.  The
+|DB_n| escape steps.  The output cycle's runs, read cyclically, are the
+image's partial quotients (lr_cycle_to_repetend).  The sharpness search
+keys its nodes on (run, Hermite form of the state), computes every key
+from its start's form, and walks each orbit and finds its witness on keys
+alone, with no kernel call; it feeds the kernel once per key cycle, with
+output, and keeps no step table of its own.  The explicit edge table
+(build_transducer) exists for display and for the exhaustive lemma
+checks, and is built through the same kernel one letter at a time.  The
 independent references are in the tests: _reference_feed_run, one call
 per escape step, and test_9's letter-by-letter edge walk.
 """
@@ -41,19 +42,19 @@ from .matrices import (
     nu_R,
     primitive_part,
 )
-from .surds import PeriodicCF, per
+from .surds import PeriodicCF, _primitive_period, per
 from .words import (
     L,
     LRWord,
     R,
     _Out,
     _balanced,
+    _cyclic_runs,
     _escape,
     _feed_run,
     _mul,
     _peel,
     format_word,
-    primitive_root,
     rotate,
 )
 
@@ -194,29 +195,29 @@ def _close_cycle(n, t, runs):
         snaps.append(out.snap())
 
 
+def lr_cycle_to_repetend(cycle: LRWord) -> tuple[int, ...]:
+    """The repetend, up to rotation, of the number whose LR tail repeats
+    `cycle`: the exponents of its runs read cyclically (_cyclic_runs), cut
+    at their least cyclic period.  The proof is in lr_cycle_to_period."""
+    if len(cycle.runs) < 2:  # adjacent runs of a word differ in letter
+        raise ValueError("cycle must contain both letters")
+    exps = tuple([e for _, e in _cyclic_runs(cycle.runs)])
+    return exps[: _primitive_period(exps)]
+
+
 def lr_cycle_to_period(cycle: LRWord) -> int:
     """Period of the number whose LR tail repeats `cycle`.
 
-    After reducing to the primitive root, read its runs as a cyclic
-    sequence c of even length 2h: when the first and last letters agree
-    (odd run count), the wrap-around pair fuses into one run.  The period
-    is h when c[i+h] = star(c[i]) for all i < h, i.e. some conjugate with
-    distinct end letters splits as V1 * star(V1), else 2h.  That condition
-    is invariant under rotating c, so one check covers every conjugate.
+    Read cyclically forever, the cycle's runs are _cyclic_runs(cycle.runs),
+    one run per partial quotient: their exponents E, read cyclically
+    forever, are the tail's partial quotients, and the letters only
+    alternate.  The least period of a periodic sequence divides every period
+    of it, |E| among them, so the least cyclic period p of E is the tail's
+    period and E[:p] its repetend up to rotation.  No primitive root and no
+    V star(V) test are needed: a cycle that is a power, or V star(V), only
+    makes E repeat.
     """
-    if len(cycle.runs) < 2:  # adjacent runs of a word differ in letter
-        raise ValueError("cycle must contain both letters")
-    root, _ = primitive_root(cycle)
-    rs = root.runs
-    if len(rs) % 2:
-        rs = ((rs[0][0], rs[0][1] + rs[-1][1]),) + rs[1:-1]
-    half = len(rs) // 2
-    if all(
-        rs[i + half][1] == rs[i][1] and rs[i + half][0] != rs[i][0]
-        for i in range(half)
-    ):
-        return half
-    return len(rs)
+    return len(lr_cycle_to_repetend(cycle))
 
 
 def lr_repetend(cf: PeriodicCF) -> LRWord:
@@ -282,12 +283,17 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     return Mat2(*t), rotate(word, absorbed), out.word()
 
 
-def image_period(m: Mat2, x: PeriodicCF) -> int:
-    """per(h_m(x)) computed entirely through the transducer machinery."""
+def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
+    """The repetend of h_m(x), up to rotation, computed entirely through the
+    transducer machinery."""
     state, tail, _ = reduce_to_DB(m, x)
-    n = det(state)
-    walk = transduce_cycle(n, state, tail)
-    return lr_cycle_to_period(walk.output)
+    walk = transduce_cycle(det(state), state, tail)
+    return lr_cycle_to_repetend(walk.output)
+
+
+def image_period(m: Mat2, x: PeriodicCF) -> int:
+    """per(h_m(x)): the length of image_repetend(m, x)."""
+    return len(image_repetend(m, x))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +434,13 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     |DB_n| cosets of the s * letter: the DB_n states lie in distinct
     cosets, and |DB_n| < psi(n) for n >= 2.  So such a run can stop the
     loop only at n = 1.
+
+    The maximum.  So best_ratio is the maximum of per(h_H(y)) / per(y) over
+    the psi(n) primitive forms H, y = [; repetend]: a loop that stops has
+    met them all, and one that does not visits every node, the tail of
+    each coset's image among them (reduce_to_DB).  Any x with this repetend
+    is h_P(y), P unimodular, so that is also the maximum of
+    per(h_M(x)) / per(x) over every primitive M with |det M| = n.
 
     The witness.  Returns (best_ratio, witness_state, witness_offset): the
     first offset, then the first state in entry order, that attains the

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .matrices import IDENTITY, Mat2, _check_db, det
+from .surds import _primitive_period
 
 L = "L"
 R = "R"
@@ -44,6 +45,15 @@ def _canonical(runs) -> tuple[tuple[str, int], ...]:
         else:
             out.append([letter, exp])
     return tuple((l, e) for l, e in out)
+
+
+def _cyclic_runs(runs):
+    """The runs of a nonempty word read cyclically: when the first and last
+    letters agree, the wrap-around pair fuses into one run, so a word of two
+    or more runs, whose letters alternate, gives an even number of runs."""
+    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        return ((runs[0][0], runs[0][1] + runs[-1][1]),) + runs[1:-1]
+    return runs
 
 
 @dataclass(frozen=True)
@@ -91,8 +101,7 @@ class LRWord:
         if len(runs) == 1:
             return LRWord._trusted(((runs[0][0], runs[0][1] * k),))
         # the last and first runs of adjacent copies merge at each seam
-        seam = ((runs[0][0], runs[-1][1] + runs[0][1]),)
-        return LRWord._trusted(runs[:-1] + (seam + runs[1:-1]) * (k - 1) + runs[-1:])
+        return LRWord._trusted(runs[:-1] + _cyclic_runs(runs) * (k - 1) + runs[-1:])
 
     def __str__(self) -> str:
         return format_word(self)
@@ -184,28 +193,17 @@ def transpose_word(word: LRWord) -> LRWord:
 def rotate(word: LRWord, k: int) -> LRWord:
     """Cyclic left rotation by k letters (run-aware; k and the word's
     length may be huge, past what len() can return)."""
-    n = sum(e for _, e in word.runs)
-    if n == 0:
-        return word
-    k %= n
-    if k == 0:
-        return word
-    # locate the run containing letter index k
     runs = word.runs
-    acc = 0
-    for i, (letter, exp) in enumerate(runs):
-        if acc + exp > k:
-            off = k - acc
-            head = runs[:i] + (((letter, off),) if off else ())
-            tail = ((letter, exp - off),) + runs[i + 1 :]  # off < exp
-            # both halves are canonical; only the seam between them can
-            # join two runs of one letter
-            if tail[-1][0] == head[0][0]:
-                seam = ((head[0][0], tail[-1][1] + head[0][1]),)
-                return LRWord._trusted(tail[:-1] + seam + head[1:])
-            return LRWord._trusted(tail + head)
-        acc += exp
-    raise AssertionError("unreachable")
+    if len(runs) < 2:  # L^e is each of its rotations
+        return word
+    cyc = _cyclic_runs(runs)
+    # a fused cyc starts where the word's last run does
+    k = (k + (runs[-1][1] if len(cyc) < len(runs) else 0)) % sum(e for _, e in runs)
+    for i, (letter, exp) in enumerate(cyc):
+        if k < exp:  # cut run i after k letters: its rest leads, its head trails
+            head = ((letter, k),) if k else ()
+            return LRWord._trusted(((letter, exp - k),) + cyc[i + 1 :] + cyc[:i] + head)
+        k -= exp
 
 
 def conjugates(word: LRWord) -> set[LRWord]:
@@ -228,52 +226,31 @@ def boundary_conjugates(word: LRWord) -> list[LRWord]:
 
 
 def primitive_root(word: LRWord) -> tuple[LRWord, int]:
-    """Return (root, multiplicity) with word = root**multiplicity, root primitive."""
+    """Return (root, multiplicity) with word = root**multiplicity, root primitive.
+
+    Let F = _cyclic_runs(runs), of even length f, and q a cyclic period of
+    F (q divides f, F[i] = F[i mod q]).  Since letters alternate, q is even.
+    When the end letters differ, F = runs, so word = U^(f/q) with
+    U = runs[:q], whose end letters differ too, so no runs merge at its
+    seams.  When they agree (l0 = first letter, e_last = last exponent),
+    U = runs[:q] + ((l0, e_last),) begins and ends with l0, and its seams
+    fuse into (l0, e_first + e_last) = F[0], so U^(f/q) = word.
+    Conversely, if word = U^m, then F is _cyclic_runs(U.runs) repeated m
+    times, so f / m is a cyclic period of F.  The least q thus gives the
+    shortest root.  A one-run word L^e has root L and multiplicity e.
+    """
     runs = word.runs
-    k = len(runs)
-    if k == 0:
+    if not runs:
         raise ValueError("primitive root of the empty word")
-    if k == 1:
+    if len(runs) == 1:
         letter, exp = runs[0]
         return LRWord._trusted(((letter, 1),)), exp
-    candidates = []  # (root letter-length, root, multiplicity)
-    # run-aligned roots: word = U^m with first(U) != last(U)
-    for q in range(1, k):
-        if k % q:
-            continue
-        if runs[:q] * (k // q) == runs:
-            root = LRWord._trusted(runs[:q])
-            candidates.append((sum(e for _, e in root.runs), root, k // q))
-            break  # smallest aligned root; larger ones are its powers
-    # merge-aligned roots: word = U^m with first(U) == last(U); interior
-    # copies fuse the boundary runs, so runs(word) = m*q + 1 with q = runs(U)-1
-    if runs[0][0] == runs[-1][0]:
-        for q in range(2, k, 2):
-            if (k - 1) % q:
-                continue
-            m = (k - 1) // q
-            if m < 2:
-                continue
-            letter0, e_first = runs[0]
-            e_last = runs[-1][1]
-            ok = runs[-1][0] == letter0
-            for i in range(1, k - 1):
-                if not ok:
-                    break
-                r = i % q
-                if r == 0:
-                    ok = runs[i] == (letter0, e_first + e_last)
-                else:
-                    ok = runs[i] == runs[r]
-            if ok:
-                # q is even, so runs[q - 1] is the other letter
-                root = LRWord._trusted(runs[:q] + ((letter0, e_last),))
-                candidates.append((sum(e for _, e in root.runs), root, m))
-                break
-    if not candidates:
-        return word, 1
-    _, root, mult = min(candidates, key=lambda t: t[0])
-    return root, mult
+    fused = _cyclic_runs(runs)
+    q = _primitive_period(fused)
+    root = runs[:q]
+    if len(fused) < len(runs):  # the end runs fused
+        root += ((runs[0][0], runs[-1][1]),)
+    return LRWord._trusted(root), len(fused) // q
 
 
 def _cmp_words(w1: LRWord, w2: LRWord) -> int:

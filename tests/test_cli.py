@@ -235,7 +235,7 @@ def _assert_repro(record):
 
 
 def test_verify_failure_records_carry_repro(monkeypatch):
-    monkeypatch.setattr(cli, "image_period", lambda m, cf: 10**9)
+    monkeypatch.setattr(cli, "image_repetend", lambda m, cf: (10**9,))
     records = [cli.run_trial((6, 11, idx, 8, 50)) for idx in range(20)]
     assert any(r["matrix"].startswith("-") for r in records)
     for r in records:
@@ -245,7 +245,7 @@ def test_verify_failure_records_carry_repro(monkeypatch):
     def crash(m, cf):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "image_period", crash)
+    monkeypatch.setattr(cli, "image_repetend", crash)
     r = cli.run_trial((6, 11, 0, 8, 50))
     assert r["verdict"] == "error: boom"
     _assert_repro(r)
@@ -261,3 +261,60 @@ def test_search_small(capsys):
     num, _, den = doc["best_ratio"].partition("/")
     assert int(num) <= 5 * int(den or 1)
     assert set(doc) == {"best_ratio", "witness_state", "witness_offset"}
+
+
+# -- the repetend gate --------------------------------------------------------------
+
+
+def test_same_cycle_against_rotations():
+    """_same_cycle against the list of rotations, with quotients past 2^63
+    (the decimal fallback) and a match of the bytes off an 8-byte boundary."""
+    rng = random.Random(5)
+    for _ in range(2000):
+        top = rng.choice((2, 3, 2**64))
+        u = tuple(rng.randint(1, top) for _ in range(rng.randint(1, 6)))
+        k = rng.randrange(len(u))
+        v = u[k:] + u[:k] if rng.random() < 0.5 else tuple(rng.randint(1, top) for _ in u)
+        assert cli._same_cycle(u, v) == any(v == u[i:] + u[:i] for i in range(len(u))), (u, v)
+    assert not cli._same_cycle((1,), (1, 1))
+    assert not cli._same_cycle((1,), (1 << 56,))  # the bytes of 1 sit at offset 7
+    assert not cli._same_cycle((2, 2**64), (12, 2**64))
+
+
+def _swap_two_quotients(rep):
+    """rep with two unequal quotients swapped, into no rotation of rep; None
+    when every such swap gives a rotation (a period of 2, for one)."""
+    rotations = {rep[k:] + rep[:k] for k in range(len(rep))}
+    for i in range(len(rep)):
+        for j in range(i + 1, len(rep)):
+            t = list(rep)
+            t[i], t[j] = t[j], t[i]
+            if tuple(t) not in rotations:
+                return tuple(t)
+    return None
+
+
+def test_gates_fail_a_repetend_with_two_quotients_swapped(capsys, monkeypatch):
+    """A mutant transducer whose image has the oracle's period but two
+    unequal quotients swapped: transform exits 1 and verify writes an oracle
+    mismatch record, with its repro, for every trial it mutates."""
+    real = cli.image_repetend
+    mutated = []
+
+    def mutant(m, cf):
+        rep = real(m, cf)
+        swapped = _swap_two_quotients(rep)
+        mutated.append(swapped is not None)
+        return rep if swapped is None else swapped
+
+    monkeypatch.setattr(cli, "image_repetend", mutant)
+    code, out, err = run(capsys, "transform", "--matrix", "12,1,17,2", "--cf", "[;3]", "--format", "json")
+    assert mutated == [True] and code == 1 and "disagrees with oracle" in err
+    assert json.loads(out)["per_hx"] == 6  # the period alone would pass
+    mutated.clear()
+    code, out, _ = run(capsys, "verify", "7", "--samples", "30", "--seed", "3")
+    failures = json.loads(out)["failures"]
+    assert code == 1 and len(failures) == sum(mutated) > 0
+    for r in failures:
+        assert r["verdict"].endswith("oracle mismatch") and r["per_hx"] == r["oracle_per"]
+        _assert_repro(r)

@@ -28,6 +28,7 @@ from raneycf.transducer import (
     build_transducer,
     factorize_to_DB,
     image_period,
+    image_repetend,
     lr_cycle_to_period,
     lr_repetend,
     reduce_to_DB,
@@ -51,12 +52,12 @@ from raneycf.words import (
     boundary_conjugates,
     mu,
     parse_word,
-    primitive_root,
     rotate,
     sigma,
     star,
     star_letter,
 )
+from test_words import _brute_root
 
 A2 = Mat2(2, 0, 0, 1)
 A2S = Mat2(1, 0, 0, 2)
@@ -450,10 +451,11 @@ def test_lr_cycle_to_period_examples():
 
 
 def test_lr_cycle_to_period_matches_conjugate_scan():
-    """Reference: scan boundary conjugates with distinct end letters."""
+    """Reference: scan the boundary conjugates, with distinct end letters,
+    of the brute-force root."""
 
     def ref(cycle):
-        root, _ = primitive_root(cycle)
+        root, _ = _brute_root(cycle)
         fallback = None
         for w in boundary_conjugates(root):
             rs = w.runs
@@ -484,7 +486,7 @@ def test_lr_cycle_to_period_matches_conjugate_scan():
         if len({l for l, _ in w.runs}) < 2:
             continue
         w = rotate(w, rng.randrange(len(w)))
-        k = len(primitive_root(w)[0].runs)
+        k = len(_brute_root(w)[0].runs)
         odd += k % 2
         p = lr_cycle_to_period(w)
         halves += k % 2 == 1 and p == (k - 1) // 2
@@ -646,9 +648,10 @@ def test_reduce_depends_only_on_the_coset():
 
 
 def test_image_period_oracle_equivalence_wide():
-    """image_period against the surd oracle on a seeded wide draw: |det| to
-    4096 (10% n = 1, 10% in 1024..4096) with both signs, content up to 12,
-    preperiods up to 6 long with zero and negative heads, quotients to 10^6."""
+    """image_period, and image_repetend up to rotation, against the surd
+    oracle on a seeded wide draw: |det| to 4096 (10% n = 1, 10% in
+    1024..4096) with both signs, content up to 12, preperiods up to 6 long
+    with zero and negative heads, quotients to 10^6."""
     rng = random.Random(2026)
     seen = {"n=1": 0, "det<0": 0, "det>0": 0, "n>=1024": 0, "content>1": 0,
             "head=0": 0, "head<0": 0, "preperiod=6": 0, "quotient>10^5": 0}
@@ -669,8 +672,12 @@ def test_image_period_oracle_equivalence_wide():
         if pre and rng.random() < 0.5:
             pre[0] = rng.choice((0, -rng.randint(1, 20), -_log_uniform(rng, 10**6)))
         cf = PeriodicCF.create(pre, [quotient() for _ in range(rng.randint(1, 4))])
-        expected = per(cf_from_surd(apply_mobius(m, surd_from_cf(cf))))
+        oracle = cf_from_surd(apply_mobius(m, surd_from_cf(cf))).repetend
+        expected = len(oracle)
         assert image_period(m, cf) == expected, (m, cf)
+        # a rotation: a find at a comma of the one cycle in the other, doubled
+        text = "," + ",".join(map(str, image_repetend(m, cf))) + ","
+        assert text in "," + ",".join(map(str, oracle * 2)) + ",", (m, cf)
         seen["n=1"] += n == 1
         seen["det<0" if det(m) < 0 else "det>0"] += 1
         seen["n>=1024"] += n >= 1024
@@ -1063,6 +1070,29 @@ def test_key_step_is_periodic_with_a_period_dividing_n():
             for letter in (L, R):
                 for k in list(range(2 * n)) + [2**64 + 7]:
                     assert _key_step(form, letter, k + n) == _key_step(form, letter, k), (form, letter, k)
+
+
+def test_search_maximum_is_the_oracle_maximum_over_every_coset():
+    """best_ratio equals max per(h_H(y)) / per(y) over the psi(n) primitive
+    forms H, y = [; repetend], with every period from the surd oracle: the
+    first check of the search's maximality by an independent computation.
+    300 seeded draws: n from 1 to 39, plus 12, 24, 30, 36 and 60; periods
+    1-3; quotients up to 3, 20 or 500, and up to 10^7 in a fifth of them.
+    Random draws seldom need more than run 0, so three inputs whose maximum
+    lies past it come first."""
+    rng = random.Random(16)
+    ns = list(range(1, 40)) + [12, 24, 30, 36, 60]
+    draws = [(9, [1, 17]), (2, [1, 2, 3, 30]), (36, [1, 98, 21])]
+    for _ in range(300):
+        top = 10**7 if rng.random() < 0.2 else rng.choice((3, 20, 500))
+        draws.append((rng.choice(ns), [rng.randint(1, top) for _ in range(rng.randint(1, 3))]))
+    for n, rep in draws:
+        cf = PeriodicCF.create([], rep)
+        y = surd_from_cf(cf)
+        best = max(
+            per(cf_from_surd(apply_mobius(Mat2(g, b, 0, d), y))) for g, b, d in _primitive_forms(n)
+        )
+        assert search_max_ratio(n, cf)[0] == Fraction(best, per(cf)), (n, cf)
 
 
 def test_search_stops_once_a_run_meets_every_coset(monkeypatch):

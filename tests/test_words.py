@@ -278,11 +278,22 @@ def test_primitive_root_fine_wilf(u, j):
     assert root ** (mult // j) == u
 
 
+def _brute_root(w):
+    """(root, multiplicity) by brute force on the letters: the least p
+    dividing the letter count that rotates w into itself; the root is w's
+    first p letters."""
+    letters = list(w.letters())
+    n = len(letters)
+    p = next(p for p in range(1, n + 1) if n % p == 0 and letters[p:] + letters[:p] == letters)
+    return LRWord.from_letters(letters[:p]), n // p
+
+
 @given(nonempty_words)
 def test_primitive_root_reconstructs(w):
     root, mult = primitive_root(w)
     assert root**mult == w
     assert primitive_root(root) == (root, 1)
+    assert (root, mult) == _brute_root(w)
 
 
 # -- kappa and tau_kappa -----------------------------------------------------
