@@ -152,21 +152,18 @@ def _hermite(a, b, c, d):
     return a, b % d, d
 
 
-def _coset_count(n: int) -> int:
-    """psi(n) = n prod(1 + 1/p) over the primes p | n: the number of cosets
-    GL2(Z) M over the primitive integer M with |det M| = n, i.e. of the
-    forms (g, b, d) of _hermite with g d = n and gcd(g, b, d) = 1."""
-    count = m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            count += count // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        count += count // m
-    return count
+def _primitive_forms(n: int) -> list[tuple[int, int, int]]:
+    """The forms (g, b, d) of _hermite with g d = n, 0 <= b < d and
+    gcd(g, b, d) = 1, by g then b: one per coset GL2(Z) M over the
+    primitive integer M with |det M| = n, psi(n) = n prod(1 + 1/p) of them
+    over the primes p | n."""
+    return [
+        (g, b, n // g)
+        for g in range(1, n + 1)
+        if n % g == 0
+        for b in range(n // g)
+        if gcd(g, b, n // g) == 1
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,11 @@ or c = 0 (for R), the only states on single-letter loops.  No other state
 repeats within a run, so a partial quotient of any size costs at most
 |DB_n| escape steps.  The output cycle's runs, read cyclically, are the
 image's partial quotients (lr_cycle_to_repetend).  The sharpness search
-keys its nodes on (run, Hermite form of the state), computes every key
-from its start's form, and walks each orbit and finds its witness on keys
-alone, with no kernel call; it feeds the kernel once per key cycle, with
-output, and keeps no step table of its own.  The explicit edge table
+keys its nodes on (run, Hermite form of the state): it resolves every
+primitive Hermite form once, as a start fed one pass of the repetend per
+block, walks each orbit's keys with no kernel call, feeds the kernel once
+per key cycle, with output, and reads its witness off keys alone, with no
+step table of its own.  The explicit edge table
 (build_transducer) exists for display and for the exhaustive lemma
 checks, and is built through the same kernel one letter at a time.  The
 independent references are in the tests: _reference_feed_run, one call
@@ -30,9 +31,9 @@ from math import gcd
 from .matrices import (
     Mat2,
     _check_db,
-    _coset_count,
     _enumerate_DB,
     _hermite,
+    _primitive_forms,
     content_gcd,
     det,
     in_DB,
@@ -368,8 +369,15 @@ def _resolve_orbit(n, runs, t, key):
     cycle back to it, of at most nr psi(n) steps and a multiple of nr.  A
     node's orbit passes exactly the keys on its key's cycle, since the key
     of a node's successor is this step.  The keys are walked with no kernel
-    call; then the cycle's runs are fed from t, with output, once
-    (_close_cycle).
+    call.  Then one pass of the repetend, runs[r:] + runs[:r], is fed from t
+    block by block, with output, until a block-boundary state repeats
+    (_close_cycle, transduce_cycle's loop).  The boundary states walk the
+    node's orbit, so the output between two visits of one of them is a
+    whole number of the orbit's cycles, and lr_cycle_to_period reads its
+    least period.  A block as long as the key cycle would close no sooner:
+    fed from a state off its cycle, such as a Hermite form, it needs two
+    blocks, twice the cycle, where one-pass blocks stop once the state
+    comes round.
     """
     nr = len(runs)
     r, form = key
@@ -382,84 +390,64 @@ def _resolve_orbit(n, runs, t, key):
         if nxt == key:
             break
         keys.append(nxt)
-    block = (runs[r:] + runs[:r]) * (len(keys) // nr)
-    return keys, lr_cycle_to_period(_close_cycle(n, t, block)[1])
+    return keys, lr_cycle_to_period(_close_cycle(n, t, runs[r:] + runs[:r])[1])
 
 
 def search_max_ratio(n: int, cf: PeriodicCF):
     """Max of per(output)/per(input) over all DB_n start states and all
-    letter rotations of the input repetend's LR word.
+    letter rotations of the input repetend's LR word, and its first witness.
 
     Reading a rotation repeatedly is a bi-infinite walk over the cyclic
     word, so every limit cycle is a periodic orbit of the run-by-run map
     on (next run index, state) nodes, and its output period is rotation
-    invariant.  A node's successor is one _feed_run call on its run.  The
-    offsets inside run r = (letter, e) start the walk at (r, s) for a DB_n
-    state s or, k letters short of the run's end, at ((r+1) % nr,
-    W^-1 s letter^k) for k = e-1 ... 1, where W is the word peeled on the
-    way.  Every start's path escapes onto another start, whose own path
-    covers the later offsets, so the run loop reads each start's nodes
-    only up to its first escape: at most n per start, whatever e is.
+    invariant.  The offsets inside run r = (letter, e) start the walk at
+    (r, s) for a DB_n state s or, k letters short of the run's end, at
+    ((r+1) % nr, W^-1 s letter^k) for k = e-1 ... 1, where W is the word
+    peeled on the way.
 
     The key.  Let y_r be the number whose LR word is the cyclic word read
     from run r on.  The orbit of node (r, t) outputs the LR tail of
     h_t(y_r), so its period is per(h_t(y_r)), which depends only on the
     coset GL2(Z) t: a unimodular map keeps the tail of a continued fraction
-    (Serret; see reduce_to_DB).  So periods are memoised per key
+    (Serret; see reduce_to_DB).  So periods are kept per key
     (r, _hermite(t)).  W is unimodular, so the node k letters short of the
     run's end reached from s has the key (r+1, _key_step(form, letter, k))
-    for s's form; a state is built (_mul, or _feed_run with its _check_db
-    at the escape) only when that key is unresolved.  The successor's key
-    is the same step by the node's run, a bijection on the nr psi(n) keys
-    (_key_step, _resolve_orbit).  So the keys of an orbit lie on one pure
-    cycle of l <= nr psi(n) steps, walked with no kernel call and no
-    iteration cap, and every key on it gets the orbit's period.
-    _resolve_orbit then feeds the cycle's l runs from the node's state
-    block by block, with output, until a block-boundary state repeats
-    (_close_cycle, transduce_cycle's loop), and reads the period off the
-    output between the two visits.  The node's state may lie inside an
-    edge, which transduce_cycle's in_DB check would refuse; _feed_run
-    checks each state an escape leads to.
+    for s's form.  The successor's key is the same step by the node's run,
+    a bijection on the nr psi(n) keys (_key_step, _resolve_orbit), so the
+    keys of an orbit lie on one pure cycle, and every key on it gets the
+    orbit's period.
 
-    The stop.  Node (r, s) has the period of h_{s letter^e}(y_{r+1}), so
-    every node of run r is h_c(y_{r+1}) for a coset c: _key_step(form,
-    letter, e) for a start, its own key for an offset inside the run.  A
-    node (q, t) of any run is h_{tP}(y_{r+1}), where P is the unimodular
-    product of the runs read cyclically from run q up to run r + 1
-    (y_q = h_P(y_{r+1})), and tP is primitive with det n.  So every node's
-    period is per(h_c(y_{r+1})) for one of the psi(n) primitive cosets c
-    (_coset_count).  Once the nodes of run r meet all of them, run r
-    reaches the maximum over every run, and the run loop stops.  A run of a
-    single letter, e = 1, has only its start nodes, and they meet only the
-    |DB_n| cosets of the s * letter: the DB_n states lie in distinct
-    cosets, and |DB_n| < psi(n) for n >= 2.  So such a run can stop the
-    loop only at n = 1.
-
-    The maximum.  So best_ratio is the maximum of per(h_H(y)) / per(y) over
-    the psi(n) primitive forms H, y = [; repetend]: a loop that stops has
-    met them all, and one that does not visits every node, the tail of
-    each coset's image among them (reduce_to_DB).  Any x with this repetend
-    is h_P(y), P unimodular, so that is also the maximum of
-    per(h_M(x)) / per(x) over every primitive M with |det M| = n.
+    The maximum.  Each of the psi(n) primitive forms (g, b, d)
+    (_primitive_forms) whose key (0, (g, b, d)) is not yet resolved is fed
+    as the node (0, H), H = (g, b, 0, d), through _resolve_orbit.  H is a
+    valid start for _close_cycle: it is nonnegative, has det n and is row
+    balanced (g > 0 = c, d > b), and _feed_run checks every state that an
+    escape leads to against DB_n.  A key cycle steps through every run
+    index, so the key r steps before any (r, F) has run 0, and the loop
+    resolves all nr psi(n) keys.  Key (0, H) has period per(h_H(y)) for
+    y = y_0 = [; repetend], so best_ratio, the largest period over per(y),
+    is the maximum of per(h_H(y)) / per(y) over the primitive forms H by
+    construction.  Any x with this repetend is h_P(y), P unimodular, so it
+    is also the maximum of per(h_M(x)) / per(x) over every primitive M with
+    |det M| = n.  Each coset's image has the tail of one (offset, DB_n
+    state) node's orbit (reduce_to_DB), so some node attains it.
 
     The witness.  Returns (best_ratio, witness_state, witness_offset): the
     first offset, then the first state in entry order, that attains the
-    maximum.  That lies in the first run that reaches it: at the run's
-    start if a start node there does, else at the largest k < e whose node
-    does.  The key _key_step(form, letter, k) is periodic in k with a
-    period dividing n: for R it is d / gcd(g, d), and for L,
-    H L^n H^-1 = I + [[b d, -b^2], [d^2, -b d]] lies in SL2(Z), so H L^(k+n)
-    has the coset of H L^k.  So the largest hit lies among the n offsets
-    k = e-1 ... max(1, e-n), and the scan reads keys that the run loop
-    resolved on that run.
+    maximum.  The scan goes through the runs in order and returns the first
+    hit: the starts (r, s) at the run's first offset, then for
+    k = e-1 ... max(1, e-n) and each start the key
+    (r+1, _key_step(form, letter, k)), at e - k letters into the run.  The
+    key _key_step(form, letter, k) is periodic in k with a period dividing
+    n: for R it is d / gcd(g, d), and for L, H L^n H^-1 =
+    I + [[b d, -b^2], [d^2, -b d]] lies in SL2(Z), so H L^(k+n) has the
+    coset of H L^k.  So the largest k < e that hits, the run's first
+    offset inside it, lies among the n offsets of that window.
 
-    The cost is O(runs * |DB_n| * n) key steps, plus, for each of the at
-    most runs * psi(n) keys, one key step and a share of one output feed:
-    each key cycle of l runs is fed in blocks of l runs until a boundary
-    state repeats.  That feed ends, since the boundary states are balanced
-    with det n, and on every search measured it took one block, or two
-    when the node's state had not yet reached its loop.  None of it depends
-    on the size of the partial quotients.
+    The cost is, for each of the nr psi(n) keys, one key step and a share
+    of one output feed, plus at most n |DB_n| key steps per run that the
+    witness scan reads.  None of it depends on the size of the partial
+    quotients.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -474,56 +462,24 @@ def search_max_ratio(n: int, cf: PeriodicCF):
         for a, b, c, d in starts
     ):
         raise RuntimeError(f"enumerate_DB({n}) returned a state outside DB_{n}")
-    forms = [_hermite(*s) for s in starts]
-    cosets = _coset_count(n)
     period_of: dict = {}  # (run, Hermite form) -> output period of the orbit
-
-    def resolve(t, key):
-        """The period of node (key[0], t), whose key is unresolved; every
-        key on its key cycle gets it."""
-        keys, period = _resolve_orbit(n, runs, t, key)
-        for key in keys:
-            period_of[key] = period
-        return period
-
-    best = 0
-    for r, (letter, e) in enumerate(runs):
-        nxt = (r + 1) % nr
-        top = 0
-        met = set()  # the cosets of this run's nodes, read from run nxt on
-        for s, form in zip(starts, forms):
-            key = (r, form)
-            period = period_of.get(key) or resolve(s, key)
-            if period > top:
-                top = period
-            k0 = _escape(s, letter)
-            for j in range(1, min(k0 + 1, e)):  # inside the first edge, then its escape
-                coset = _key_step(form, letter, j)
-                met.add(coset)
-                key = (nxt, coset)
-                period = period_of.get(key)
-                if period is None:
-                    if j == k0:
-                        t = _feed_run(n, s, ((letter, k0),), None)
-                    else:
-                        t = _mul(s, letter, j)
-                    period = resolve(t, key)
-                if period > top:
-                    top = period
-        if top > best:
-            best, first = top, r
-        if len(met) + len(starts) >= cosets:  # else the starts cannot complete it
-            met.update(_key_step(form, letter, e) for form in forms)
-            if len(met) == cosets:
-                break
+    for g, b, d in _primitive_forms(n):
+        key = (0, (g, b, d))
+        if key not in period_of:
+            keys, period = _resolve_orbit(n, runs, (g, b, 0, d), key)
+            for key in keys:
+                period_of[key] = period
+    best = max(period_of.values())
     ratio = Fraction(best, per(cf))
-    letter, e = runs[first]
-    offset = sum(q for _, q in runs[:first])
-    for s, form in zip(starts, forms):
-        if period_of[(first, form)] == best:
-            return ratio, Mat2(*s), offset
-    nxt = (first + 1) % nr
-    for k in range(e - 1, max(1, e - n) - 1, -1):
+    forms = [_hermite(*s) for s in starts]
+    offset = 0
+    for r, (letter, e) in enumerate(runs):
         for s, form in zip(starts, forms):
-            if period_of[(nxt, _key_step(form, letter, k))] == best:
-                return ratio, Mat2(*s), offset + e - k
+            if period_of[(r, form)] == best:
+                return ratio, Mat2(*s), offset
+        nxt = (r + 1) % nr
+        for k in range(e - 1, max(1, e - n) - 1, -1):
+            for s, form in zip(starts, forms):
+                if period_of[(nxt, _key_step(form, letter, k))] == best:
+                    return ratio, Mat2(*s), offset + e - k
+        offset += e

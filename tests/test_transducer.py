@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from raneycf.matrices import (
     Mat2,
     _check_db,
-    _coset_count,
     _enumerate_DB,
     _hermite,
+    _primitive_forms,
     det,
     enumerate_DB,
     in_DB,
@@ -910,7 +910,7 @@ def test_search_nodes_of_one_coset_share_their_period():
     of its state: walk every start node and every in-run-offset node, with
     orbits closed on states and no memo keyed on cosets.  A start node
     (r, s) also counts under its coset after the run, _hermite(s * letter^e),
-    as the search's stop rule reads it."""
+    read from the next run on."""
     rng = random.Random(29)
     shared = 0
     for _ in range(40):
@@ -1002,37 +1002,53 @@ def test_key_walk_matches_the_state_walk():
             assert len(set(keys)) == len(keys), (n, rep, node)
             assert set(keys) == ref_keys, (n, rep, node)
             assert period == ref_period, (n, rep, node)
-            assert len(keys) % nr == 0 and len(keys) <= nr * _coset_count(n)
+            assert len(keys) % nr == 0 and len(keys) <= nr * len(_primitive_forms(n))
     assert drawn
 
 
-def _primitive_forms(n):
-    """The forms (g, b, d) with g d = n, 0 <= b < d and gcd(g, b, d) = 1."""
-    return [
-        (g, b, n // g)
-        for g in range(1, n + 1)
-        if n % g == 0
-        for b in range(n // g)
-        if gcd(g, b, n // g) == 1
-    ]
+def _psi(n):
+    """psi(n) = n prod(1 + 1/p) over the primes p | n, by trial division."""
+    count = m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            count += count // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        count += count // m
+    return count
 
 
 def test_coset_count_and_hermite_forms():
-    """_coset_count(n) counts the primitive forms [[g, b], [0, n/g]], 0 <= b < n/g;
-    every DB_n state's _hermite is one of them, no two DB_n states share
-    one, and a unimodular factor on the left keeps it.  So the |DB_n|
-    states lie in |DB_n| < psi(n) cosets for n >= 2, and a search run of a
-    single letter, whose nodes are its starts, never meets all psi(n)."""
+    """_primitive_forms(n) lists psi(n) distinct forms [[g, b], [0, n/g]],
+    0 <= b < n/g; for n <= 8 they are exactly the Hermite forms of every
+    primitive matrix with entries in [-n, n] and |det| = n.  Every DB_n
+    state's _hermite is one of them, no two DB_n states share one, and a
+    unimodular factor on the left keeps it.  So the |DB_n| states lie in
+    |DB_n| < psi(n) cosets for n >= 2."""
     rng = random.Random(3)
     words = [Mat2(1, 0, 0, 1), Mat2(0, 1, 1, 0), Mat2(1, 0, 1, 1), Mat2(1, -1, 0, 1)]
+    for n in range(1, 9):
+        box = range(-n, n + 1)
+        brute = {
+            _hermite(a, b, c, d)
+            for a in box
+            for b in box
+            for c in box
+            for d in box
+            if abs(a * d - b * c) == n and gcd(a, b, c, d) == 1
+        }
+        assert brute == set(_primitive_forms(n)), n
     for n in range(1, 201):
         forms = set(_primitive_forms(n))
-        assert _coset_count(n) == len(forms)
+        assert len(forms) == len(_primitive_forms(n)) == _psi(n)
         states = _enumerate_DB(n)
         state_forms = {_hermite(*s) for s in states}
         assert state_forms <= forms
         assert len(state_forms) == len(states), n
-        assert n == 1 or len(states) < _coset_count(n), n
+        assert n == 1 or len(states) < _psi(n), n
         for s in rng.sample(states, min(len(states), 3)):
             u = Mat2(1, 0, 0, 1)
             for _ in range(6):
@@ -1095,36 +1111,45 @@ def test_search_maximum_is_the_oracle_maximum_over_every_coset():
         assert search_max_ratio(n, cf)[0] == Fraction(best, per(cf)), (n, cf)
 
 
-def test_search_stops_once_a_run_meets_every_coset(monkeypatch):
-    """The search stops after run 0 exactly when run 0's nodes meet all
-    psi(n) cosets, and either way agrees with the reference scan; both
-    kinds of draw occur."""
-    import raneycf.transducer as transducer
-
+def test_search_matches_the_reference_scan_on_short_repetends():
+    """The search resolves every coset from its own form and agrees with
+    the reference scan over every (offset, state) pair on 60 seeded draws:
+    n up to 16, periods 1-3, quotients up to 3 or 60."""
     rng = random.Random(41)
-    kinds = set()
     for _ in range(60):
         n = rng.randint(1, 16)
         rep = [rng.choice((rng.randint(1, 3), rng.randint(1, 60))) for _ in range(rng.randint(1, 3))]
         cf = parse_cf(f"[;{','.join(map(str, rep))}]")
-        letter, e = lr_repetend(cf).runs[0]
-        starts = _enumerate_DB(n)
-        met = {_hermite(*_mul(s, letter, e)) for s in starts}
-        met |= {_hermite(*t) for t in _run_states(n, starts, letter, e)}
-        stops = len(met) == _coset_count(n)
-        kinds.add(stops)
-        letters = set()  # the letters of the runs the search reads its nodes from
+        assert search_max_ratio(n, cf) == _reference_search_max_ratio(n, cf), (n, rep)
 
-        def spy(t, letter):
-            letters.add(letter)
-            return _escape(t, letter)
 
-        monkeypatch.setattr(transducer, "_escape", spy)
-        result = search_max_ratio(n, cf)
-        monkeypatch.undo()
-        assert (letters == {R}) == stops, (n, rep)  # run 0 is an R-run, run 1 an L-run
-        assert result == _reference_search_max_ratio(n, cf)
-    assert kinds == {True, False}
+def test_orbit_fed_from_a_hermite_form():
+    """_resolve_orbit fed from a primitive Hermite form H = (g, b, 0, d), as
+    the search resolves the key (0, (g, b, d)), reads per(h_H(y)) for
+    y = [; repetend] as image_period does, and its keys are distinct and
+    start at that key.  Every form for n <= 30 and a sample of forms at n
+    in the hundreds; purely periodic repetends, some of odd period and some
+    with a quotient past 2^63."""
+    rng = random.Random(73)
+    for n in list(range(1, 31)) + [128, 210, 360, 499]:
+        forms = _primitive_forms(n)
+        if n > 30:
+            forms = rng.sample(forms, 40)
+        reps = [
+            [rng.randint(1, 20) for _ in range(rng.choice((1, 3)))],
+            [rng.choice((rng.randint(1, 3), rng.randint(1, 300))) for _ in range(rng.randint(2, 4))],
+        ]
+        if n % 3 == 0:
+            reps[1][rng.randrange(len(reps[1]))] = 2**63 + rng.randint(1, 10**6)
+        for rep in reps:
+            cf = PeriodicCF.create([], rep)
+            runs = lr_repetend(cf).runs
+            for g, b, d in forms:
+                key = (0, (g, b, d))
+                keys, period = _resolve_orbit(n, runs, (g, b, 0, d), key)
+                assert period == image_period(Mat2(g, b, 0, d), cf), (n, rep, key)
+                assert keys[0] == key
+                assert len(set(keys)) == len(keys), (n, rep, key)
 
 
 @pytest.mark.parametrize(
