@@ -110,8 +110,8 @@ def in_DB(m: Mat2, n: int) -> bool:
 
 
 def _check_db(t, n):
-    """Raise unless t, reached by absorbing and peeling from a DB_n state,
-    is itself in DB_n.
+    """Raise unless t, reached by absorbing and peeling from a row-balanced
+    state, is itself in DB_n.
 
     Only the balance conditions are checked: the content gcd(a, b, c, d)
     cannot change on the way.  Absorbing letter^k multiplies t on the right
@@ -120,7 +120,7 @@ def _check_db(t, n):
     are integer combinations of those of t, so content(t) divides
     content(U t V), and t = U^-1 (U t V) V^-1 gives the converse.  So a walk
     keeps the content of its start, and each walk checks it once where it
-    enters: transduce_cycle's in_DB(start), the search's seeds, and the
+    enters: transduce_cycle's in_RB(start), the search's seeds, and the
     content checks of factorize_to_DB and walk_LE's is_LE.  The determinant
     is kept for the same reason; absorbing only adds to entries, and the
     peel's quotients keep them nonnegative.

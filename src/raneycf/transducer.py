@@ -6,13 +6,15 @@ Every escape step runs through one kernel, words._feed_run, which
 finishes a run in closed form once it reaches a state with b = 0 (for L)
 or c = 0 (for R), the only states on single-letter loops.  No other state
 repeats within a run, so a partial quotient of any size costs at most
-|DB_n| escape steps.  The output cycle's runs, read cyclically, are the
-image's partial quotients (lr_cycle_to_repetend).  The sharpness search
-keys its nodes on (run, Hermite form of the state): it resolves every
-primitive Hermite form once, as a start fed one pass of the repetend per
-block, walks each orbit's keys with no kernel call, feeds the kernel once
-per key cycle, with output, and reads its witness off keys alone, with no
-step table of its own.  The explicit edge table
+|DB_n| escape steps.  The transform and the search walk from a Hermite
+form alike: whole runs up to the end of the run of its first escape
+(_enter), then one pass of the repetend per block (_close_cycle).  The
+output cycle's runs, read cyclically, are the image's partial quotients
+(lr_cycle_to_repetend).  The sharpness search keys its nodes on (run,
+Hermite form of the state): it resolves every primitive Hermite form once,
+as such a start, walks each orbit's keys with no kernel call, feeds the
+kernel once per key cycle, with output, and reads its witness off keys
+alone, with no step table of its own.  The explicit edge table
 (build_transducer) exists for display and for the exhaustive lemma
 checks, and is built through the same kernel one letter at a time.  The
 independent references are in the tests: _reference_feed_run, one call
@@ -25,7 +27,6 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle
 from math import gcd
 
 from .matrices import (
@@ -36,7 +37,7 @@ from .matrices import (
     _primitive_forms,
     content_gcd,
     det,
-    in_DB,
+    in_RB,
     is_LE,
     is_RE,
     nu_L,
@@ -51,12 +52,9 @@ from .words import (
     _Out,
     _balanced,
     _cyclic_runs,
-    _escape,
     _feed_run,
-    _mul,
     _peel,
     format_word,
-    rotate,
 )
 
 # ---------------------------------------------------------------------------
@@ -170,9 +168,10 @@ class ClosedWalk:
 
 
 def transduce_cycle(n: int, start: Mat2, repetend: LRWord) -> ClosedWalk:
-    """Feed the repetend cyclically from `start` until a boundary state repeats."""
-    if not in_DB(start, n):
-        raise ValueError(f"{start!r} is not a state of T_{n}")
+    """Feed the repetend cyclically from the row-balanced `start`, in DB_n
+    or not (_close_cycle), until a boundary state repeats."""
+    if not in_RB(start, n):
+        raise ValueError(f"{start!r} is not a row-balanced start for T_{n}")
     if len(repetend.runs) < 2:  # adjacent runs of a word differ in letter
         raise ValueError("repetend must contain both letters")
     state, output, gamma = _close_cycle(n, start.entries, repetend.runs)
@@ -230,14 +229,36 @@ def lr_repetend(cf: PeriodicCF) -> LRWord:
     return LRWord._trusted(tuple(zip((R, L) * (len(rep) // 2), rep)))
 
 
-def reduce_to_DB(m: Mat2, x: PeriodicCF):
-    """Reduce h_m(x) to a DB_n state fed by the purely periodic tail of x.
+def _enter(n, t, runs, r, out):
+    """Feed runs[r], runs[r+1], ... (cyclically) from t, one whole run per
+    _feed_run call, until the empty accumulator out holds output; returns
+    (the state at the end of that run, the next run's index).
 
-    Returns (state, tail, emitted): state is in DB_n for n = |det m| over
-    the content of m; tail is the rotation of the periodic LR input stream
-    aligned with the state; emitted is the LR output peeled off on the way
-    from the Hermite form H below (empty when H is already doubly
-    balanced).
+    t must be nonnegative, row balanced and of det n: then a >= c + 1 and
+    d >= b + 1, so n >= a + d - 1, the entries sum to at most 2n, and each
+    letter absorbed without an escape adds at least 1, so the walk escapes
+    within 2n - 1 letters.  The escape lands in DB_n.  Say it is on L, from
+    t = (a, b, c, d) to t' = t L.  Then h_t'(-1) = h_t(inf) = a/c > 1,
+    while t' maps [0, inf] into [0, 1], so its peel W starts with L and maps
+    [0, inf] into [0, 1] too.  The peeled state s = W^-1 t' thus sends -1 to
+    h_W^-1(a/c) < 0, and a row-balanced s with h_s(-1) < 0 is doubly
+    balanced.  On R, h_t'(-1) = b/d < 1 and W starts with R.  _feed_run's
+    _check_db holds that contract, and the state it returns is row balanced.
+    """
+    while not out.runs:
+        t = _feed_run(n, t, (runs[r],), out)
+        r = (r + 1) % len(runs)
+    return t, r
+
+
+def reduce_to_DB(m: Mat2, x: PeriodicCF):
+    """Reduce h_m(x) to a row-balanced state fed by x's periodic tail.
+
+    Returns (state, tail, emitted): state, of det n = |det m| over the
+    content of m, ends the run in which the walk from the Hermite form H
+    below first escapes (_enter), so it is row balanced and not always in
+    DB_n; tail is the periodic LR input stream rotated to the next run;
+    emitted is the walk's output up to state.
 
     Write x = h_P(y), where P is the product of [[q, 1], [1, 0]] over the
     preperiod and y = [r0; r1, ...] > 1 is purely periodic, with LR stream
@@ -249,18 +270,7 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     per(h_m(x)) = per(h_H(y)).  U = B H^-1 records every shift and flip
     between the two.  The Hermite form is
     unique, so the result depends on m only through its coset GL2(Z) m.
-
-    H is nonnegative and row balanced (g > 0 = c, d > b), so if g > b it
-    is in DB_n.  Otherwise its first escape lands in DB_n.  A nonnegative
-    row-balanced det-n state has a >= c + 1 and d >= b + 1, so
-    n >= a + d - 1 and its entries sum to at most 2n; each letter absorbed
-    without an escape adds at least 1, so the escape comes within 2n - 1
-    letters.  Say it is on L, from t = (a, b, c, d) to t' = t L.  Then
-    h_t'(-1) = h_t(inf) = a/c > 1, while t' maps [0, inf] into [0, 1], so
-    its peel W starts with L and maps [0, inf] into [0, 1] too.  The peeled
-    state s = W^-1 t' thus sends -1 to h_W^-1(a/c) < 0, and a row-balanced
-    s with h_s(-1) < 0 is doubly balanced.  On R, h_t'(-1) = b/d < 1 and W
-    starts with R.  _check_db holds that contract after the escape.
+    H is nonnegative and row balanced (g > 0 = c, d > b): a start for _enter.
     """
     if det(m) == 0:
         raise ValueError("matrix must be nonsingular")
@@ -268,20 +278,11 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     for q in x.preperiod:  # times [[q, 1], [1, 0]], which is unimodular
         a, b, c, d = a * q + b, a, c * q + d, c
     a, b, d = _hermite(a, b, c, d)
-    t = (a, b, 0, d)
-    word = lr_repetend(x)
+    runs = lr_repetend(x).runs
     out = _Out()
-    absorbed = 0  # letters of the stream absorbed before the escape
-    if b >= a:  # not doubly balanced: absorb up to the escape
-        for letter, e in cycle(word.runs):
-            k = min(_escape(t, letter), e)
-            t = _mul(t, letter, k)
-            absorbed += k
-            if not _balanced(t):
-                break
-        t = _peel(t, out)
-        _check_db(t, a * d)
-    return Mat2(*t), rotate(word, absorbed), out.word()
+    t, r = _enter(a * d, (a, b, 0, d), runs, 0, out)
+    # lr_repetend's runs alternate, even in number: a rotation is canonical
+    return Mat2(*t), LRWord._trusted(runs[r:] + runs[:r]), out.word()
 
 
 def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
@@ -369,15 +370,13 @@ def _resolve_orbit(n, runs, t, key):
     cycle back to it, of at most nr psi(n) steps and a multiple of nr.  A
     node's orbit passes exactly the keys on its key's cycle, since the key
     of a node's successor is this step.  The keys are walked with no kernel
-    call.  Then one pass of the repetend, runs[r:] + runs[:r], is fed from t
-    block by block, with output, until a block-boundary state repeats
-    (_close_cycle, transduce_cycle's loop).  The boundary states walk the
-    node's orbit, so the output between two visits of one of them is a
-    whole number of the orbit's cycles, and lr_cycle_to_period reads its
-    least period.  A block as long as the key cycle would close no sooner:
-    fed from a state off its cycle, such as a Hermite form, it needs two
-    blocks, twice the cycle, where one-pass blocks stop once the state
-    comes round.
+    call.  Then t's walk is entered as in reduce_to_DB (_enter, with scratch
+    output), at a later node (r', t') of its orbit, and one pass of the
+    repetend, runs[r':] + runs[:r'], is fed from there block by block, with
+    output, until a block-boundary state repeats (_close_cycle,
+    transduce_cycle's loop).  The boundary states walk the node's orbit, so
+    the output between two visits of one of them is a whole number of the
+    orbit's cycles, and lr_cycle_to_period reads its least period.
     """
     nr = len(runs)
     r, form = key
@@ -390,6 +389,7 @@ def _resolve_orbit(n, runs, t, key):
         if nxt == key:
             break
         keys.append(nxt)
+    t, r = _enter(n, t, runs, r, _Out())
     return keys, lr_cycle_to_period(_close_cycle(n, t, runs[r:] + runs[:r])[1])
 
 
@@ -419,11 +419,9 @@ def search_max_ratio(n: int, cf: PeriodicCF):
 
     The maximum.  Each of the psi(n) primitive forms (g, b, d)
     (_primitive_forms) whose key (0, (g, b, d)) is not yet resolved is fed
-    as the node (0, H), H = (g, b, 0, d), through _resolve_orbit.  H is a
-    valid start for _close_cycle: it is nonnegative, has det n and is row
-    balanced (g > 0 = c, d > b), and _feed_run checks every state that an
-    escape leads to against DB_n.  A key cycle steps through every run
-    index, so the key r steps before any (r, F) has run 0, and the loop
+    as the node (0, H), H = (g, b, 0, d), through _resolve_orbit, which
+    enters its walk as reduce_to_DB does.  A key cycle steps through every
+    run index, so the key r steps before any (r, F) has run 0, and the loop
     resolves all nr psi(n) keys.  Key (0, H) has period per(h_H(y)) for
     y = y_0 = [; repetend], so best_ratio, the largest period over per(y),
     is the maximum of per(h_H(y)) / per(y) over the primitive forms H by

@@ -315,24 +315,9 @@ def tau_kappa(word: LRWord, n: int) -> set[LRWord]:
 # low-level engine on raw (a, b, c, d) tuples
 
 
-def _mul(t, letter, k):
-    a, b, c, d = t
-    if letter == L:
-        return (a + b * k, b, c + d * k, d)
-    return (a, a * k + b, c, c * k + d)
-
-
 def _balanced(t):
     # row balance a > c, d > b: the "still inside an edge" condition
     return t[0] > t[2] and t[3] > t[1]
-
-
-def _escape(t, letter):
-    """Least k >= 1 with t * letter^k unbalanced (t must be balanced)."""
-    a, b, c, d = t
-    if letter == L:
-        return -((a - c) // -(d - b))
-    return -((d - b) // -(a - c))
 
 
 class _Out:

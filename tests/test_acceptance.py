@@ -45,7 +45,6 @@ from raneycf.words import (
     _Out,
     _balanced,
     _feed_run,
-    _mul,
     _peel,
     mu,
     parse_word,
@@ -55,6 +54,7 @@ from raneycf.words import (
     tau_kappa,
     transpose_word,
 )
+from test_transducer import _mul
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 

@@ -23,6 +23,7 @@ from raneycf.matrices import (
 )
 from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
+    _enter,
     _key_step,
     _resolve_orbit,
     build_transducer,
@@ -45,9 +46,7 @@ from raneycf.words import (
     LRWord,
     _Out,
     _balanced,
-    _escape,
     _feed_run,
-    _mul,
     _peel,
     boundary_conjugates,
     mu,
@@ -188,6 +187,22 @@ def test_transduce_cycle_matches_per_pass_concatenation():
         seen["idx>0"] += idx > 0
         seen["straddle"] += straddles
     assert all(seen.values()), seen
+
+
+def _mul(t, letter, k):
+    """t * letter^k on raw (a, b, c, d) tuples."""
+    a, b, c, d = t
+    if letter == L:
+        return (a + b * k, b, c + d * k, d)
+    return (a, a * k + b, c, c * k + d)
+
+
+def _escape(t, letter):
+    """Least k >= 1 with t * letter^k unbalanced (t must be balanced)."""
+    a, b, c, d = t
+    if letter == L:
+        return -((a - c) // -(d - b))
+    return -((d - b) // -(a - c))
 
 
 def _reference_peel(t, out):
@@ -442,6 +457,20 @@ def test_transduce_cycle_rejects_single_letter():
         transduce_cycle(14, Mat2(7, 0, 0, 2), parse_word("L^7"))
 
 
+def test_transduce_cycle_takes_a_row_balanced_start():
+    """The start needs det n, content 1, nonnegative entries and row
+    balance, not DB_n: from (1, 3, 0, 7), which has a < b, the output's
+    period is image_period's.  Content 2, the wrong determinant and a start
+    that is not row balanced still raise."""
+    start, rep = Mat2(1, 3, 0, 7), lr_repetend(parse_cf("[;3]"))
+    assert in_RB(start, 7) and not in_DB(start, 7)
+    walk = transduce_cycle(7, start, rep)
+    assert lr_cycle_to_period(walk.output) == image_period(start, parse_cf("[;3]"))
+    for n, bad in ((4, Mat2(2, 0, 0, 2)), (6, start), (7, Mat2(1, 0, 7, 7))):
+        with pytest.raises(ValueError):
+            transduce_cycle(n, bad, rep)
+
+
 def test_lr_cycle_to_period_examples():
     assert lr_cycle_to_period(parse_word("R^3L^3")) == 1
     assert lr_cycle_to_period(parse_word("R^4L")) == 2
@@ -531,14 +560,17 @@ def test_reduce_identity():
 
 
 def test_reduce_A2():
+    """A2 escapes in the first run, R^2, and comes back to A2 at its end;
+    the tail starts at the next run."""
     state, tail, _ = reduce_to_DB(Mat2(2, 0, 0, 1), parse_cf("[;2]"))
     assert state == A2
-    assert tail == parse_word("R^2L^2")
+    assert tail == parse_word("L^2R^2")
 
 
 def test_reduce_intro_matrix():
     state, tail, _ = reduce_to_DB(Mat2(12, 1, 17, 2), parse_cf("[;3]"))
-    assert in_DB(state, 7)
+    assert in_RB(state, 7)
+    assert lr_cycle_to_period(transduce_cycle(7, state, tail).output) == 6
 
 
 def test_reduce_rejects_singular():
@@ -608,6 +640,71 @@ def test_hermite_form_escapes_once_into_DB():
                         continue
                     assert k <= 2 * n - 1, (n, h, k)
                     assert _reference_peel(t2, None) in db, (n, h, t2)
+
+
+def _reference_enter(n, t, runs, r):
+    """_enter at letter level: absorb each run up to its escape (_escape,
+    _mul); at the first escape, peel with _reference_peel, check DB_n, and
+    finish that run through _reference_feed_run.  Returns (state, next run,
+    output, the runs fed, letters up to and including the escaping one)."""
+    out = _Out()
+    fed = []
+    letters = 0
+    while True:
+        letter, e = runs[r]
+        fed.append(runs[r])
+        r = (r + 1) % len(runs)
+        k = _escape(t, letter)
+        if k > e:
+            t = _mul(t, letter, e)
+            letters += e
+            continue
+        t = _reference_peel(_mul(t, letter, k), out)
+        _check_db(t, n)
+        t = _reference_feed_run(n, t, letter, e - k, out)[0]
+        return t, r, out.word(), fed, letters + k
+
+
+def test_enter_matches_a_letter_by_letter_reference():
+    """_enter from every primitive Hermite form with n <= 60 and from states
+    part way into an edge (s letter^j for s in DB_n), on cyclic words with
+    runs past 2^63, against _reference_enter: it stops after the first run
+    that holds an escape, which comes within 2n - 1 letters, and its state,
+    next run and output are the reference's.  The state is in RB_n, and
+    t mu(runs fed) = mu(output) state."""
+    rng = random.Random(18)
+    seen = {"hermite": 0, "in-run": 0, "n=1": 0, "run past 2^63": 0, "escape past run r": 0}
+
+    def exp():
+        return rng.choice((rng.randint(1, 3), rng.randint(1, 40), rng.randint(2**63, 2**70)))
+
+    def check(n, t, kind):
+        first = rng.choice((L, R))
+        runs = tuple((first if i % 2 == 0 else star_letter(first), exp()) for i in range(2 * rng.randint(1, 3)))
+        r = rng.randrange(len(runs))
+        out = _Out()
+        state, nxt = _enter(n, t, runs, r, out)
+        *ref, fed, letters = _reference_enter(n, t, runs, r)
+        assert (state, nxt, out.word()) == tuple(ref), (n, t, runs, r)
+        assert letters <= 2 * n - 1, (n, t, runs, r)
+        assert in_RB(Mat2(*state), n)
+        assert Mat2(*t) * mu(LRWord.from_runs(fed)) == mu(out.word()) * Mat2(*state)
+        seen[kind] += 1
+        seen["n=1"] += n == 1
+        seen["run past 2^63"] += any(e > 2**63 for _, e in fed)
+        seen["escape past run r"] += len(fed) > 1
+
+    for n in range(1, 61):
+        for g, b, d in _primitive_forms(n):
+            check(n, (g, b, 0, d), "hermite")
+        states = _db_states(n)
+        for _ in range(10):
+            s = rng.choice(states)
+            letter = rng.choice((L, R))
+            k0 = _escape(s, letter)
+            if k0 > 1:
+                check(n, _mul(s, letter, rng.randint(1, k0 - 1)), "in-run")
+    assert all(seen.values()), seen
 
 
 def _random_unimodular(rng):
