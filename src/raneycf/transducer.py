@@ -10,11 +10,13 @@ repeats within a run, so a partial quotient of any size costs at most
 form alike: whole runs up to the end of the run of its first escape
 (_enter), then one pass of the repetend per block (_close_cycle).  The
 output cycle's runs, read cyclically, are the image's partial quotients
-(lr_cycle_to_repetend).  The sharpness search keys its nodes on (run,
-Hermite form of the state): it resolves every primitive Hermite form once,
-as such a start, walks each orbit's keys with no kernel call, feeds the
-kernel once per key cycle, with output, and reads its witness off keys
-alone, with no step table of its own.  The explicit edge table
+(lr_cycle_to_repetend), and the transform and the search read their
+exponents straight off the output's run counts (_Out.cyclic_exps).  The
+sharpness search keys its nodes on (run, Hermite form of the state): it
+resolves every primitive Hermite form once, as such a start, walks each
+orbit's keys with no kernel call, feeds the kernel once per key cycle,
+with output, and reads its witness off keys alone, with no step table of
+its own.  The explicit edge table
 (build_transducer) exists for display and for the exhaustive lemma
 checks, and is built through the same kernel one letter at a time.  The
 independent references are in the tests: _reference_feed_run, one call
@@ -104,7 +106,7 @@ def build_transducer(n: int) -> Transducer:
                     runs2 = runs + ((letter, 1),)
                 out = _Out()
                 t2 = _feed_run(n, t, ((letter, 1),), out)
-                if out.runs:  # an escape, whose peel emits at least one letter
+                if out:  # an escape, whose peel emits at least one letter
                     edges.append(
                         TransducerEdge(m, LRWord(runs2), out.word(), Mat2(*t2))
                     )
@@ -174,15 +176,17 @@ def transduce_cycle(n: int, start: Mat2, repetend: LRWord) -> ClosedWalk:
         raise ValueError(f"{start!r} is not a row-balanced start for T_{n}")
     if len(repetend.runs) < 2:  # adjacent runs of a word differ in letter
         raise ValueError("repetend must contain both letters")
-    state, output, gamma = _close_cycle(n, start.entries, repetend.runs)
-    return ClosedWalk(Mat2(*state), repetend**gamma, output, gamma)
+    state, gamma, out, cut = _close_cycle(n, start.entries, repetend.runs)
+    return ClosedWalk(Mat2(*state), repetend**gamma, out.word(cut), gamma)
 
 
 def _close_cycle(n, t, runs):
     """Feed runs block by block from the balanced state t until a state at
-    a block boundary repeats; returns (that state, the output between its
-    two visits, gamma = the number of blocks between them).  t need not be
-    in DB_n: _feed_run checks every state that an escape leads to."""
+    a block boundary repeats; returns (that state, gamma = the number of
+    blocks between its two visits, the output accumulator, the snap of the
+    first visit): the output cycle runs from that snap to the output's end.
+    t need not be in DB_n: _feed_run checks every state that an escape
+    leads to."""
     out = _Out()
     snaps = [out.snap()]  # snaps[p]: end of the output after p blocks
     boundary = {t: 0}
@@ -190,19 +194,31 @@ def _close_cycle(n, t, runs):
         t = _feed_run(n, t, runs, out)
         idx = boundary.get(t)
         if idx is not None:
-            return t, out.word(snaps[idx]), len(snaps) - idx
+            return t, len(snaps) - idx, out, snaps[idx]
         boundary[t] = len(snaps)
         snaps.append(out.snap())
+
+
+def _least_cycle(exps) -> tuple[int, ...]:
+    """A cyclic sequence of exponents cut at its least cyclic period."""
+    exps = tuple(exps)
+    return exps[: _primitive_period(exps)]
 
 
 def lr_cycle_to_repetend(cycle: LRWord) -> tuple[int, ...]:
     """The repetend, up to rotation, of the number whose LR tail repeats
     `cycle`: the exponents of its runs read cyclically (_cyclic_runs), cut
-    at their least cyclic period.  The proof is in lr_cycle_to_period."""
+    at their least cyclic period.  The proof is in lr_cycle_to_period.
+
+    The transform and the search read the same exponents off _close_cycle's
+    output accumulator without building the word: there the output cycle is
+    a slice of the run counts between two snaps, whose first and last runs
+    share a letter exactly when the slice has odd length, and folding the
+    last count into the first then is _cyclic_runs on counts
+    (_Out.cyclic_exps)."""
     if len(cycle.runs) < 2:  # adjacent runs of a word differ in letter
         raise ValueError("cycle must contain both letters")
-    exps = tuple([e for _, e in _cyclic_runs(cycle.runs)])
-    return exps[: _primitive_period(exps)]
+    return _least_cycle([e for _, e in _cyclic_runs(cycle.runs)])
 
 
 def lr_cycle_to_period(cycle: LRWord) -> int:
@@ -245,7 +261,7 @@ def _enter(n, t, runs, r, out):
     balanced.  On R, h_t'(-1) = b/d < 1 and W starts with R.  _feed_run's
     _check_db holds that contract, and the state it returns is row balanced.
     """
-    while not out.runs:
+    while not out:
         t = _feed_run(n, t, (runs[r],), out)
         r = (r + 1) % len(runs)
     return t, r
@@ -287,10 +303,12 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
 
 def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
     """The repetend of h_m(x), up to rotation, computed entirely through the
-    transducer machinery."""
+    transducer machinery: transduce_cycle's walk from reduce_to_DB's state,
+    row balanced by construction, with lr_cycle_to_repetend's exponents read
+    straight off the output's run counts."""
     state, tail, _ = reduce_to_DB(m, x)
-    walk = transduce_cycle(det(state), state, tail)
-    return lr_cycle_to_repetend(walk.output)
+    _, _, out, cut = _close_cycle(det(state), state.entries, tail.runs)
+    return _least_cycle(out.cyclic_exps(cut))
 
 
 def image_period(m: Mat2, x: PeriodicCF) -> int:
@@ -376,7 +394,8 @@ def _resolve_orbit(n, runs, t, key):
     output, until a block-boundary state repeats (_close_cycle,
     transduce_cycle's loop).  The boundary states walk the node's orbit, so
     the output between two visits of one of them is a whole number of the
-    orbit's cycles, and lr_cycle_to_period reads its least period.
+    orbit's cycles, and its least period is read off the run counts as in
+    lr_cycle_to_period (_Out.cyclic_exps, _least_cycle).
     """
     nr = len(runs)
     r, form = key
@@ -390,7 +409,8 @@ def _resolve_orbit(n, runs, t, key):
             break
         keys.append(nxt)
     t, r = _enter(n, t, runs, r, _Out())
-    return keys, lr_cycle_to_period(_close_cycle(n, t, runs[r:] + runs[:r])[1])
+    _, _, out, cut = _close_cycle(n, t, runs[r:] + runs[:r])
+    return keys, len(_least_cycle(out.cyclic_exps(cut)))
 
 
 def search_max_ratio(n: int, cf: PeriodicCF):

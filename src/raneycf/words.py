@@ -9,12 +9,17 @@ The package's one escape kernel lives here too, on raw (a, b, c, d)
 tuples: _feed_run absorbs input runs on the right and peels output runs
 off the left, and _peel is that kernel with nothing to absorb.  It sits
 below the transducer in the import graph, so word_of_matrix and the
-transducer share it.
+transducer share it.  Its output goes to an _Out, which stores only the
+exponents of the output's runs: merged runs alternate in letter, so run i
+is an L-run for even i and an R-run for odd i, and a peel either adds to
+the last exponent or appends one.  Letters come back from the parity of
+the index when an LRWord is cut out between two snaps (_Out.word).
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import cycle
 
 from .matrices import IDENTITY, Mat2, _check_db, det
 from .surds import _primitive_period
@@ -321,38 +326,60 @@ def _balanced(t):
 
 
 class _Out:
-    """Run-merging output accumulator: runs[i] = [letter, count]."""
+    """Output accumulator of alternating runs: counts[i] is the exponent of
+    run i, whose letter is L for even i and R for odd i.  It starts as [0];
+    only counts[0] can be 0 (an output that starts with R), and every later
+    count is >= 1, so a peel merges into the last run exactly when its
+    letter is that run's, and appends a count otherwise."""
 
-    __slots__ = ("runs",)
+    __slots__ = ("counts",)
 
     def __init__(self):
-        self.runs: list[list] = []
+        self.counts: list[int] = [0]
+
+    def __bool__(self) -> bool:
+        """Whether any output is held (only counts[0] can be 0)."""
+        return bool(self.counts[-1])
 
     def snap(self):
-        """The current end of the output: (number of runs, last run's count)."""
-        return (len(self.runs), self.runs[-1][1] if self.runs else 0)
+        """The current end of the output: (number of counts, last count)."""
+        return (len(self.counts), self.counts[-1])
 
-    def word(self, start=(0, 0), stop=None) -> LRWord:
-        """The output between two snaps; by default all of it."""
+    def _cut(self, start, stop):
+        """(index of the first run, the run exponents) of the output between
+        two snaps: the edge runs are cut at them, and dropped if cut to 0."""
         i, a = start
         j, b = self.snap() if stop is None else stop
-        runs = list(map(tuple, self.runs[max(i - 1, 0) : j]))
-        if j:
-            runs[-1] = (runs[-1][0], b)
-        if i:
-            runs[0] = (runs[0][0], runs[0][1] - a)
+        exps = self.counts[i - 1 : j]
+        exps[-1] = b
+        exps[0] -= a
         # only the two edge runs can have been cut to zero; the rest are
         # merged runs
-        if runs and not runs[-1][1]:
-            runs.pop()
-        if runs and not runs[0][1]:
-            del runs[0]
-        return LRWord._trusted(tuple(runs))
+        if not exps[-1]:
+            exps.pop()
+        if exps and not exps[0]:
+            del exps[0]
+            i += 1
+        return i - 1, exps
+
+    def word(self, start=(1, 0), stop=None) -> LRWord:
+        """The output between two snaps; by default all of it."""
+        first, exps = self._cut(start, stop)
+        return LRWord._trusted(tuple(zip(cycle((R, L) if first % 2 else (L, R)), exps)))
+
+    def cyclic_exps(self, start, stop=None) -> list[int]:
+        """The run exponents of the output between two snaps, read
+        cyclically: an odd number of runs starts and ends on one letter, so
+        the last exponent folds into the first (_cyclic_runs on counts)."""
+        exps = self._cut(start, stop)[1]
+        if len(exps) % 2 and len(exps) > 1:
+            exps[0] += exps.pop()
+        return exps
 
 
 def _feed_run(n, t, runs, out):
     r"""Consume the input runs ((letter, count), ...) in order, peeling the
-    output into out.runs (out may be None); returns the balanced state left.
+    output into out.counts (out may be None); returns the balanced state left.
 
     The one escape kernel.  Each step peels maximal L/R runs off the left
     until the state is balanced, checks it against DB_n if an escape led
@@ -361,6 +388,12 @@ def _feed_run(n, t, runs, out):
     nonnegative entries; exactly one peel applies at every unbalanced
     state, so each peel ends in the balanced region.  An unbalanced t is
     peeled first, with no check, so runs = () is a plain peel (_peel).
+
+    The output.  Whether out's last run is an L-run is the parity of its
+    number of counts, read once at entry and then kept in on_l, so each
+    peel of L^k (R^k) adds k to the last count when that run has its letter
+    and appends k otherwise: one integer operation, no letter stored.  With
+    out=None the peels go to a scratch [0].
 
     A peel of L^k keeps c - k a and d - k b nonnegative, so k is at most
     min(c // a, d // b); det > 0 gives d / b > c / a when b > 0, so that
@@ -384,7 +417,8 @@ def _feed_run(n, t, runs, out):
     however long it is, where LS_n is the set of DB_n states with b = 0
     (RS_n, those with c = 0, for an R-run).
     """
-    emitted = out.runs if out is not None else []
+    emitted = out.counts if out is not None else [0]
+    on_l = len(emitted) % 2 == 1  # whether the last run is an L-run
     runs = iter(runs)
     count = 0
     a, b, c, d = t
@@ -395,18 +429,22 @@ def _feed_run(n, t, runs, out):
                 k = c // a
                 c -= k * a
                 d -= k * b
-                peeled = L
+                if on_l:
+                    emitted[-1] += k
+                else:
+                    emitted.append(k)
+                    on_l = True
             elif a >= c and b >= d:
                 k = b // d
                 a -= k * c
                 b -= k * d
-                peeled = R
+                if on_l:
+                    emitted.append(k)
+                    on_l = False
+                else:
+                    emitted[-1] += k
             else:
                 raise AssertionError(f"no peel applies to {(a, b, c, d)}")
-            if emitted and emitted[-1][0] == peeled:
-                emitted[-1][1] += k
-            else:
-                emitted.append([peeled, k])
         if check and not (a > b and d > c):
             _check_db((a, b, c, d), n)
         while True:  # absorb up to the next escape
@@ -450,6 +488,6 @@ def _feed_run(n, t, runs, out):
 
 def _peel(t, out):
     """Peel maximal L/R runs off the left of t until the remainder is
-    balanced, merging them into out.runs (out may be None): the kernel with
+    balanced, merging them into out.counts (out may be None): the kernel with
     no letters to absorb."""
     return _feed_run(0, t, (), out)

@@ -42,7 +42,6 @@ from raneycf.transducer import (
 )
 from raneycf.words import (
     LRWord,
-    _Out,
     _balanced,
     _feed_run,
     _peel,
@@ -54,7 +53,7 @@ from raneycf.words import (
     tau_kappa,
     transpose_word,
 )
-from test_transducer import _mul
+from test_transducer import _Out, _mul
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -122,6 +121,8 @@ def test_5_dual_bound_computation():
     with stopwatch(120):
         for n in range(2, 31):
             assert s_n_via_transducer(n) == s_n_closed_form(n).total, n
+        for n, total in ((60, 556), (120, 1256), (240, 2908)):
+            assert s_n_via_transducer(n) == s_n_closed_form(n).total == total, n
 
 
 def test_6_oracle_equivalence_and_sandwich():

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from raneycf import words
 from raneycf.matrices import (
     Mat2,
     _check_db,
@@ -44,8 +45,8 @@ from raneycf.words import (
     L,
     R,
     LRWord,
-    _Out,
     _balanced,
+    _cyclic_runs,
     _feed_run,
     _peel,
     boundary_conjugates,
@@ -82,14 +83,29 @@ def _feed_word(n, t, runs, out):
     return t
 
 
+class _Out(words._Out):
+    """The package's output accumulator with a read-only view of its runs,
+    ((letter, count), ...), for assertions."""
+
+    __slots__ = ()
+
+    @property
+    def runs(self):
+        # run i is an L-run for even i; only counts[0] can be 0
+        return tuple((R if i % 2 else L, e) for i, e in enumerate(self.counts) if e)
+
+
 def _emit(out, letter, k):
-    """Append letter^k to an output accumulator, merging equal letters."""
+    """Append letter^k to an output accumulator, merging equal letters:
+    add k to the last count when that run has the letter (run i is an
+    L-run for even i), append it otherwise."""
     if k <= 0:
         return
-    if out.runs and out.runs[-1][0] == letter:
-        out.runs[-1][1] += k
+    counts = out.counts
+    if (letter == L) == (len(counts) % 2 == 1):
+        counts[-1] += k
     else:
-        out.runs.append([letter, k])
+        counts.append(k)
 
 
 # -- factorization -------------------------------------------------------------
@@ -207,8 +223,8 @@ def _escape(t, letter):
 
 def _reference_peel(t, out):
     """The peel as a routine of its own: maximal L/R runs off the left until
-    the remainder is balanced, merged into out.runs (out may be None)."""
-    runs = out.runs if out is not None else []
+    the remainder is balanced, merged into out through _emit (out may be
+    None)."""
     a, b, c, d = t
     while not (a > c and d > b):
         if c >= a and d >= b:
@@ -227,10 +243,8 @@ def _reference_peel(t, out):
             letter = R
         else:
             raise AssertionError(f"no peel applies to {(a, b, c, d)}")
-        if runs and runs[-1][0] == letter:
-            runs[-1][1] += k
-        else:
-            runs.append([letter, k])
+        if out is not None:
+            _emit(out, letter, k)
     return (a, b, c, d)
 
 
@@ -450,6 +464,119 @@ def test_out_word_slices_between_snaps():
         assert out.word(s0) == LRWord.from_letters(letters[p0:])
         assert out.word(stop=s1) == LRWord.from_letters(letters[:p1])
         assert out.word() == LRWord.from_letters(letters)
+
+
+class _RunsOut:
+    """The list-of-runs accumulator that the run counts replaced, as a
+    reference: runs[i] = [letter, count], each peel merged into the last
+    run when it has the peel's letter."""
+
+    def __init__(self):
+        self.runs = []
+
+    def emit(self, letter, k):
+        if self.runs and self.runs[-1][0] == letter:
+            self.runs[-1][1] += k
+        else:
+            self.runs.append([letter, k])
+
+    def snap(self):
+        return (len(self.runs), self.runs[-1][1] if self.runs else 0)
+
+    def word(self, start=(0, 0), stop=None):
+        i, a = start
+        j, b = self.snap() if stop is None else stop
+        runs = list(map(tuple, self.runs[max(i - 1, 0) : j]))
+        if j:
+            runs[-1] = (runs[-1][0], b)
+        if i:
+            runs[0] = (runs[0][0], runs[0][1] - a)
+        if runs and not runs[-1][1]:
+            runs.pop()
+        if runs and not runs[0][1]:
+            del runs[0]
+        return LRWord(tuple(runs))
+
+
+def _peel_run(out, letter, k):
+    """Peel letter^k into out through the kernel: letter^k peels to the
+    identity in one step."""
+    assert _peel(_mul((1, 0, 0, 1), letter, k), out) == (1, 0, 0, 1)
+
+
+def _assert_slices_match(out, ref, snaps):
+    """Between every ordered pair of (snap, reference snap) taken at the same
+    points, out.word() is the reference's word, and out.cyclic_exps() is
+    _cyclic_runs on its runs."""
+    for x, (s0, r0) in enumerate(snaps):
+        for s1, r1 in snaps[x:]:
+            word = ref.word(r0, r1)
+            assert out.word(s0, s1) == word, (out.counts, ref.runs, s0, s1)
+            assert out.cyclic_exps(s0, s1) == [e for _, e in _cyclic_runs(word.runs)]
+    assert out.runs == tuple(map(tuple, ref.runs))
+
+
+def test_run_counts_match_the_list_of_runs_accumulator():
+    """_Out's run counts against the list-of-runs accumulator they replaced,
+    fed the same peels through the kernel: outputs that start with either
+    letter, peels that merge into the last run, counts past 2^63, and snaps
+    taken at random, between every ordered pair of which word() and
+    cyclic_exps() agree with the reference."""
+    rng = random.Random(61)
+    seen = {L: 0, R: 0, "merge": 0, "past 2^63": 0}
+    for _ in range(300):
+        out, ref = _Out(), _RunsOut()
+        snaps = [(out.snap(), ref.snap())]
+        for _ in range(rng.randint(0, 10)):
+            letter = rng.choice((L, R))
+            k = rng.choice((rng.randint(1, 5), rng.randint(2**63, 2**70)))
+            seen["merge"] += bool(ref.runs) and ref.runs[-1][0] == letter
+            seen["past 2^63"] += k >= 2**63
+            _peel_run(out, letter, k)
+            ref.emit(letter, k)
+            if rng.random() < 0.5:
+                snaps.append((out.snap(), ref.snap()))
+        snaps.append((out.snap(), ref.snap()))
+        if ref.runs:
+            seen[ref.runs[0][0]] += 1
+        _assert_slices_match(out, ref, snaps)
+    assert all(seen.values()), seen
+
+
+def test_run_counts_through_the_kernel():
+    """_feed_run writing run counts block by block over random words from a
+    DB_n state, into an _Out that may already hold output ending in either
+    letter: after each block the accumulator is the list-of-runs reference
+    fed that block's output from a fresh _Out, with a snap there, and the
+    kernel with out=None ends in the same state."""
+    rng = random.Random(67)
+    seen = {"prior ends in L": 0, "prior ends in R": 0, "seam merge": 0, "past 2^63": 0}
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        t = none_t = rng.choice(_db_states(n))
+        out, ref = _Out(), _RunsOut()
+        for _ in range(rng.choice((0, 1, 2))):
+            letter, k = rng.choice((L, R)), rng.randint(1, 4)
+            _peel_run(out, letter, k)
+            ref.emit(letter, k)
+        if ref.runs:
+            seen[f"prior ends in {ref.runs[-1][0]}"] += 1
+        snaps = [(out.snap(), ref.snap())]
+        for _ in range(rng.randint(1, 4)):
+            runs = random_word(rng, max_runs=4, max_exp=rng.choice((9, 2**70))).runs
+            fresh = _Out()
+            end = _feed_run(n, t, runs, fresh)
+            t = _feed_run(n, t, runs, out)
+            none_t = _feed_run(n, none_t, runs, None)
+            assert t == end == none_t
+            emitted = fresh.word().runs
+            seen["seam merge"] += bool(ref.runs and emitted) and ref.runs[-1][0] == emitted[0][0]
+            seen["past 2^63"] += any(e >= 2**63 for _, e in emitted)
+            for letter, k in emitted:
+                ref.emit(letter, k)
+            snaps.append((out.snap(), ref.snap()))
+        _assert_slices_match(out, ref, snaps)
+    assert all(seen.values()), seen
 
 
 def test_transduce_cycle_rejects_single_letter():
