@@ -85,16 +85,17 @@ def _random_cf(rng: random.Random, max_period: int, max_quotient: int) -> Period
 
 def _same_cycle(u: tuple, v: tuple) -> bool:
     """Whether v is a rotation of u: u found in v + v at a word boundary, by
-    bytes.find on 8-byte words (past 2^63, on comma-terminated decimals),
-    searched on past any match that straddles two words."""
+    bytes.find on 8-byte words (past 2^63, on little-endian words as wide as
+    the longest quotient, which are positive), searched on past any match
+    that straddles two words."""
     if len(u) != len(v):
         return False
     try:
         needle, hay, width = array("q", u).tobytes(), array("q", v).tobytes() * 2, 8
     except OverflowError:
-        needle = ("," + ",".join(map(str, u)) + ",").encode()
-        hay = ("," + ",".join(map(str, v * 2)) + ",").encode()
-        width = 1  # a match starts at a comma, so at a boundary
+        width = (max(q.bit_length() for q in u + v) + 7) // 8
+        needle = b"".join(q.to_bytes(width, "little") for q in u)
+        hay = b"".join(q.to_bytes(width, "little") for q in v) * 2
     i = hay.find(needle)
     while i > 0 and i % width:
         i = hay.find(needle, i + 1)
@@ -277,6 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact quotients of any size parse and print
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

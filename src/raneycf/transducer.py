@@ -2,12 +2,15 @@
 
 Transduction is implemented online: absorb input letters on the right,
 peel output letters off the left whenever the remainder stays balanced.
-Every escape step runs through one kernel, words._feed_run, which
-finishes a run in closed form once it reaches a state with b = 0 (for L)
-or c = 0 (for R), the only states on single-letter loops.  No other state
-repeats within a run, so a partial quotient of any size costs at most
-|DB_n| escape steps.  The transform and the search walk from a Hermite
-form alike: whole runs up to the end of the run of its first escape
+Every run goes through one kernel, words._feed_run, which absorbs an
+input run letter^e whole and then peels once, maximally: the
+factorization of a nonnegative matrix as mu(W) times a row-balanced one
+is unique (Raney), so that gives the same output and state as peeling at
+every escape.  A partial quotient of any size thus costs one absorb and
+one peel step per output run, and the kernel checks each run's last
+escape against DB_n, rebuilt from the state it ends in.  The transform
+and the search walk from a Hermite form alike (_walk_repetend): whole
+runs up to the end of the run of its first escape
 (_enter), then one pass of the repetend per block (_close_cycle).  The
 output cycle's runs, read cyclically, are the image's partial quotients
 (lr_cycle_to_repetend), and the transform and the search read their
@@ -258,13 +261,28 @@ def _enter(n, t, runs, r, out):
     while t' maps [0, inf] into [0, 1], so its peel W starts with L and maps
     [0, inf] into [0, 1] too.  The peeled state s = W^-1 t' thus sends -1 to
     h_W^-1(a/c) < 0, and a row-balanced s with h_s(-1) < 0 is doubly
-    balanced.  On R, h_t'(-1) = b/d < 1 and W starts with R.  _feed_run's
-    _check_db holds that contract, and the state it returns is row balanced.
+    balanced.  On R, h_t'(-1) = b/d < 1 and W starts with R.  Later escapes
+    of that run land in DB_n too, as every escape from a DB_n state does.
+    _feed_run's _check_db covers the last escape of the run that escaped,
+    rebuilt from the row-balanced state it returns.
     """
     while not out:
         t = _feed_run(n, t, (runs[r],), out)
         r = (r + 1) % len(runs)
     return t, r
+
+
+def _hermite_start(m: Mat2, x: PeriodicCF):
+    """(n, H, runs): reduce_to_DB's start, the Hermite form H of
+    primitive_part(m) * P as a raw tuple (g, b, 0, d), its det n = g d, and
+    the runs of lr_repetend(x).  The proof is in reduce_to_DB."""
+    if det(m) == 0:
+        raise ValueError("matrix must be nonsingular")
+    a, b, c, d = primitive_part(m).entries
+    for q in x.preperiod:  # times [[q, 1], [1, 0]], which is unimodular
+        a, b, c, d = a * q + b, a, c * q + d, c
+    a, b, d = _hermite(a, b, c, d)
+    return a * d, (a, b, 0, d), lr_repetend(x).runs
 
 
 def reduce_to_DB(m: Mat2, x: PeriodicCF):
@@ -288,27 +306,34 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     unique, so the result depends on m only through its coset GL2(Z) m.
     H is nonnegative and row balanced (g > 0 = c, d > b): a start for _enter.
     """
-    if det(m) == 0:
-        raise ValueError("matrix must be nonsingular")
-    a, b, c, d = primitive_part(m).entries
-    for q in x.preperiod:  # times [[q, 1], [1, 0]], which is unimodular
-        a, b, c, d = a * q + b, a, c * q + d, c
-    a, b, d = _hermite(a, b, c, d)
-    runs = lr_repetend(x).runs
+    n, t, runs = _hermite_start(m, x)
     out = _Out()
-    t, r = _enter(a * d, (a, b, 0, d), runs, 0, out)
+    t, r = _enter(n, t, runs, 0, out)
     # lr_repetend's runs alternate, even in number: a rotation is canonical
     return Mat2(*t), LRWord._trusted(runs[r:] + runs[:r]), out.word()
 
 
+def _walk_repetend(n, t, runs, r):
+    """The output's repetend, up to rotation, of the walk from the
+    row-balanced t fed runs[r], runs[r+1], ... cyclically.  The walk is
+    entered with scratch output (_enter), at a later node (r', t') of its
+    orbit, and one pass of the repetend, runs[r':] + runs[:r'], is fed from
+    there block by block, with output, until a block-boundary state repeats
+    (_close_cycle, transduce_cycle's loop).  The boundary states walk the
+    orbit, so the output between two visits of one of them is a whole
+    number of the orbit's cycles, and lr_cycle_to_repetend's exponents are
+    read straight off its run counts (_Out.cyclic_exps, _least_cycle)."""
+    t, r = _enter(n, t, runs, r, _Out())
+    _, _, out, cut = _close_cycle(n, t, runs[r:] + runs[:r])
+    return _least_cycle(out.cyclic_exps(cut))
+
+
 def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
     """The repetend of h_m(x), up to rotation, computed entirely through the
-    transducer machinery: transduce_cycle's walk from reduce_to_DB's state,
-    row balanced by construction, with lr_cycle_to_repetend's exponents read
-    straight off the output's run counts."""
-    state, tail, _ = reduce_to_DB(m, x)
-    _, _, out, cut = _close_cycle(det(state), state.entries, tail.runs)
-    return _least_cycle(out.cyclic_exps(cut))
+    transducer machinery: the walk from reduce_to_DB's Hermite start
+    (_hermite_start), on raw tuples (_walk_repetend)."""
+    n, t, runs = _hermite_start(m, x)
+    return _walk_repetend(n, t, runs, 0)
 
 
 def image_period(m: Mat2, x: PeriodicCF) -> int:
@@ -388,14 +413,8 @@ def _resolve_orbit(n, runs, t, key):
     cycle back to it, of at most nr psi(n) steps and a multiple of nr.  A
     node's orbit passes exactly the keys on its key's cycle, since the key
     of a node's successor is this step.  The keys are walked with no kernel
-    call.  Then t's walk is entered as in reduce_to_DB (_enter, with scratch
-    output), at a later node (r', t') of its orbit, and one pass of the
-    repetend, runs[r':] + runs[:r'], is fed from there block by block, with
-    output, until a block-boundary state repeats (_close_cycle,
-    transduce_cycle's loop).  The boundary states walk the node's orbit, so
-    the output between two visits of one of them is a whole number of the
-    orbit's cycles, and its least period is read off the run counts as in
-    lr_cycle_to_period (_Out.cyclic_exps, _least_cycle).
+    call.  The period is the length of the repetend of t's walk, read as
+    the transform reads its own (_walk_repetend).
     """
     nr = len(runs)
     r, form = key
@@ -408,9 +427,7 @@ def _resolve_orbit(n, runs, t, key):
         if nxt == key:
             break
         keys.append(nxt)
-    t, r = _enter(n, t, runs, r, _Out())
-    _, _, out, cut = _close_cycle(n, t, runs[r:] + runs[:r])
-    return keys, len(_least_cycle(out.cyclic_exps(cut)))
+    return keys, len(_walk_repetend(n, t, runs, r))
 
 
 def search_max_ratio(n: int, cf: PeriodicCF):

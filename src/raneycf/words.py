@@ -6,8 +6,9 @@ of thousands occur routinely, so nothing here ever expands a word into
 individual letters unless the caller asks for it).
 
 The package's one escape kernel lives here too, on raw (a, b, c, d)
-tuples: _feed_run absorbs input runs on the right and peels output runs
-off the left, and _peel is that kernel with nothing to absorb.  It sits
+tuples: _feed_run absorbs each input run whole on the right and then
+peels maximal output runs off the left, once, and _peel is that kernel
+with nothing to absorb.  It sits
 below the transducer in the import graph, so word_of_matrix and the
 transducer share it.  Its output goes to an _Out, which stores only the
 exponents of the output's runs: merged runs alternate in letter, so run i
@@ -381,13 +382,36 @@ def _feed_run(n, t, runs, out):
     r"""Consume the input runs ((letter, count), ...) in order, peeling the
     output into out.counts (out may be None); returns the balanced state left.
 
-    The one escape kernel.  Each step peels maximal L/R runs off the left
-    until the state is balanced, checks it against DB_n if an escape led
-    there (_check_db's contract, inlined), then absorbs letters up to the
-    next escape, until the runs are used up.  t needs det(t) > 0 and
-    nonnegative entries; exactly one peel applies at every unbalanced
-    state, so each peel ends in the balanced region.  An unbalanced t is
-    peeled first, with no check, so runs = () is a plain peel (_peel).
+    The one escape kernel.  It absorbs each run letter^e whole, t times
+    L^e (a += b e, c += d e) or R^e (b += a e, d += c e), then peels
+    maximal L/R runs off the left until the state is balanced.  t needs
+    det(t) > 0 and nonnegative entries.  An unbalanced t is peeled first,
+    with no check, so runs = () is a plain peel (_peel).
+
+    Why one peel per run gives the transducer's output.  A nonnegative M
+    of det > 0 has at most one of L^-1 M = (a, b, c - a, d - b) and
+    R^-1 M = (a - c, b - d, c, d) nonnegative: both would need a = c and
+    b = d, so det M = 0.  A row-balanced M (a > c, d > b) has neither, and
+    an unbalanced one has exactly one: a <= c with d < b would make
+    ad < bc, so a <= c forces d >= b, and d <= b forces a >= c.  So the first
+    letter of W in M = mu(W) B, with B nonnegative and row balanced, is
+    forced, and by induction the factorization is unique (Raney 1973);
+    the peel finds it, each step taking the forced letter as often as it
+    stays nonnegative.  Escape-by-escape transduction, which peels at
+    every escape and absorbs on, factors the same product: a left peel
+    commutes with a right absorb, so it writes t letter^e = mu(W) B with
+    the same kind of B, and uniqueness makes both W and B equal.  A run
+    escapes exactly when t letter^e is unbalanced: a balanced product is
+    its own factorization with W empty.
+
+    The check.  A run that peels anything escaped, and its last escape
+    landed on the DB_n state s that the rest of the run, letter^j with no
+    further escape, carried to the end state (a, b, c, d).  s is doubly
+    balanced, so after an L-run c_s < d_s gives j = c // d and
+    s = (a - b j, b, c mod d, d); after an R-run b_s < a_s gives
+    j = b // a and s = (a, b mod a, c, d - c j).  _check_db checks that s,
+    rebuilt in O(1), once per run that peels: one-letter feeds
+    (build_transducer, walk_LE) still check every escape.
 
     The output.  Whether out's last run is an L-run is the parity of its
     number of counts, read once at entry and then kept in on_l, so each
@@ -397,93 +421,55 @@ def _feed_run(n, t, runs, out):
 
     A peel of L^k keeps c - k a and d - k b nonnegative, so k is at most
     min(c // a, d // b); det > 0 gives d / b > c / a when b > 0, so that
-    minimum is c // a.  Likewise R^k peels b // d letters.
-
-    Single-letter loops.  Say the escapes of one L-run close a loop at a
-    DB_n state s, so s L^K = W s with W the word peeled on the way.  Then
-    W = s L^K s^-1 is a nonnegative matrix of determinant 1 and trace 2
-    that is not the identity, which makes it L^m or R^m with m > 0.
-    Comparing entries, s L^K = R^m s needs d K = 0, and s L^K = L^m s needs
-    b K = 0.  So every state on an L-loop has b = 0, and every state on an
-    R-loop has c = 0.  From a balanced state with b = 0, absorbing L^k
-    moves only c, to c + d k, and the peel then takes L^((c + d k) // a)
-    off and leaves (a, 0, (c + d k) % a, d): an R peel would need b >= d.
-    That is the closed form in which the kernel finishes an L-run once
-    b = 0, and an R-run once c = 0, where the mirror image gives
-    R^((b + a k) // d) and (a, (b + a k) % d, 0, d).  It needs no check:
-    an escape at k0 has c + d (k0 - 1) < a, so it lands on c' <= c + d k0 - a
-    < d, and c' < a, which is in DB_n.  Before the closed form starts, no
-    state repeats, so a run takes at most |DB_n \ LS_n| + 1 escape steps
-    however long it is, where LS_n is the set of DB_n states with b = 0
-    (RS_n, those with c = 0, for an R-run).
+    minimum is c // a.  Likewise R^k peels b // d letters.  The peel steps
+    alternate in letter, so a run takes one per output run it writes, plus
+    at most one that merges into the run before, on integers O(log e) bits
+    longer than t's: no step count grows with a partial quotient.
     """
     emitted = out.counts if out is not None else [0]
     on_l = len(emitted) % 2 == 1  # whether the last run is an L-run
     runs = iter(runs)
-    count = 0
+    letter = None  # the run just absorbed: none before the first
     a, b, c, d = t
-    check = False
     while True:
-        while not (a > c and d > b):
-            if c >= a and d >= b:
-                k = c // a
-                c -= k * a
-                d -= k * b
-                if on_l:
-                    emitted[-1] += k
+        if not (a > c and d > b):
+            while not (a > c and d > b):
+                if c >= a and d >= b:
+                    k = c // a
+                    c -= k * a
+                    d -= k * b
+                    if on_l:
+                        emitted[-1] += k
+                    else:
+                        emitted.append(k)
+                        on_l = True
+                elif a >= c and b >= d:
+                    k = b // d
+                    a -= k * c
+                    b -= k * d
+                    if on_l:
+                        emitted.append(k)
+                        on_l = False
+                    else:
+                        emitted[-1] += k
                 else:
-                    emitted.append(k)
-                    on_l = True
-            elif a >= c and b >= d:
-                k = b // d
-                a -= k * c
-                b -= k * d
-                if on_l:
-                    emitted.append(k)
-                    on_l = False
-                else:
-                    emitted[-1] += k
-            else:
-                raise AssertionError(f"no peel applies to {(a, b, c, d)}")
-        if check and not (a > b and d > c):
-            _check_db((a, b, c, d), n)
-        while True:  # absorb up to the next escape
-            if not count:
-                run = next(runs, None)
-                if run is None:
-                    return (a, b, c, d)
-                letter, count = run
-            if letter == L:
-                if not b:  # the closed form: absorb the rest, peel once
-                    c += d * count
-                    count = 0
-                    check = False
-                    break
-                k0 = -((a - c) // (b - d))
-                if k0 > count:
-                    a += b * count
-                    c += d * count
-                    count = 0
-                    continue
-                a += b * k0
-                c += d * k0
-            else:
-                if not c:
-                    b += a * count
-                    count = 0
-                    check = False
-                    break
-                k0 = -((d - b) // (c - a))
-                if k0 > count:
-                    b += a * count
-                    d += c * count
-                    count = 0
-                    continue
-                b += a * k0
-                d += c * k0
-            count -= k0
-            check = True
-            break
+                    raise AssertionError(f"no peel applies to {(a, b, c, d)}")
+            if letter == L:  # the run's last escape, rebuilt
+                j = c // d
+                _check_db((a - b * j, b, c - d * j, d), n)
+            elif letter == R:
+                j = b // a
+                _check_db((a, b - a * j, c, d - c * j), n)
+        run = next(runs, None)
+        if run is None:
+            return (a, b, c, d)
+        letter, e = run
+        if letter == L:
+            a += b * e
+            c += d * e
+        else:
+            b += a * e
+            d += c * e
 
 
 def _peel(t, out):

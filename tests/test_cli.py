@@ -12,7 +12,7 @@ import pytest
 from raneycf import cli
 from raneycf.cli import main
 from raneycf.matrices import J_MAT, Mat2, enumerate_DB
-from raneycf.surds import parse_cf, per
+from raneycf.surds import apply_mobius, cf_from_surd, format_cf, parse_cf, per, surd_from_cf
 
 
 def run(capsys, *argv):
@@ -105,6 +105,34 @@ def test_transform_quotient_past_maxsize(capsys):
     assert code == 0
     assert doc["per_hx"] == 5 and doc["verdict"] == "holds"
     assert doc["per_hx"] == per(parse_cf(doc["result_cf"]))  # the oracle's period
+
+
+@pytest.fixture
+def restore_int_digit_limit():
+    """main lifts the interpreter's int/str digit limit; put it back after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_transform_image_quotients_past_4300_digits(capsys, restore_int_digit_limit):
+    """The input parses under the default limit of 4,300 digits, but the
+    image's quotients are longer: transform must still exit 0, print them
+    exactly, and agree with the oracle."""
+    nines = "9" * 4299
+    code, out, err = run(
+        capsys, "transform", "--matrix=7000,3,0,1", "--cf", f"[;{nines},3]", "--format", "json",
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    m, cf = Mat2(7000, 3, 0, 1), parse_cf(f"[;{nines},3]")
+    oracle = cf_from_surd(apply_mobius(m, surd_from_cf(cf)))
+    assert max(oracle.repetend) > 10**4300
+    assert doc["per_hx"] == per(oracle) == 60
+    assert doc["result_cf"] == format_cf(oracle) and doc["verdict"] == "holds"
 
 
 def test_verify_quotients_past_maxsize(capsys):
@@ -268,7 +296,8 @@ def test_search_small(capsys):
 
 def test_same_cycle_against_rotations():
     """_same_cycle against the list of rotations, with quotients past 2^63
-    (the decimal fallback) and a match of the bytes off an 8-byte boundary."""
+    (the fixed-width fallback) and a match of the bytes off an 8-byte
+    boundary."""
     rng = random.Random(5)
     for _ in range(2000):
         top = rng.choice((2, 3, 2**64))
@@ -279,6 +308,24 @@ def test_same_cycle_against_rotations():
     assert not cli._same_cycle((1,), (1, 1))
     assert not cli._same_cycle((1,), (1 << 56,))  # the bytes of 1 sit at offset 7
     assert not cli._same_cycle((2, 2**64), (12, 2**64))
+
+
+def test_same_cycle_past_4300_digits():
+    """The fixed-width fallback needs no decimals, so it takes quotients
+    past the interpreter's default int/str limit of 4,300 digits."""
+    big = 10**4300 + 7
+    u = (3, big, 5, big + 2)
+    assert cli._same_cycle(u, u[2:] + u[:2]) and cli._same_cycle(u, u)
+    assert not cli._same_cycle(u, (5, big, 3, big + 2))  # no rotation of u
+    assert not cli._same_cycle(u, (3, big + 2, 5, big))
+    assert not cli._same_cycle((big,), (big + 1,))
+    # a byte rotation of big's word is found in big's doubled bytes, one
+    # byte off a word boundary
+    w = (big.bit_length() + 7) // 8
+    word = big.to_bytes(w, "little")
+    shifted = int.from_bytes(word[1:] + word[:1], "little")
+    assert shifted != big and (big.to_bytes(w, "little") * 2).find(shifted.to_bytes(w, "little")) == 1
+    assert not cli._same_cycle((shifted,), (big,))
 
 
 def _swap_two_quotients(rep):

@@ -309,7 +309,9 @@ def _reference_feed_run(n, t, letter, count, out):
     """_feed_run as one call per step: escape, absorb, peel through
     _emit, then loop detection on running letter totals from the first
     escape on.  Returns (end state, whether a loop was fast-forwarded,
-    number of escapes taken one by one)."""
+    number of escapes taken one by one, the state the last escape landed
+    on or None).  A fast-forward skips whole turns of a loop, which end
+    where they start, so the last escape's state is still the last peel's."""
     tot = {L: 0, R: 0}
 
     def emit(letter, k):
@@ -336,12 +338,13 @@ def _reference_feed_run(n, t, letter, count, out):
 
     fast_forwarded = False
     escapes = 0
+    last = None
     seen = {}
     while count > 0:
         k0 = _escape(t, letter)
         if k0 > count:
-            return _mul(t, letter, count), fast_forwarded, escapes
-        t = peel(_mul(t, letter, k0))
+            return _mul(t, letter, count), fast_forwarded, escapes, last
+        t = last = peel(_mul(t, letter, k0))
         _check_db(t, n)
         escapes += 1
         count -= k0
@@ -359,7 +362,7 @@ def _reference_feed_run(n, t, letter, count, out):
             count -= q * cyc
             fast_forwarded = True
         seen = {}
-    return t, fast_forwarded, escapes
+    return t, fast_forwarded, escapes, last
 
 
 def test_feed_run_matches_reference():
@@ -367,9 +370,9 @@ def test_feed_run_matches_reference():
     DB states and from states part way into an edge, with and without an
     output accumulator (which may already hold runs), for counts up to
     10**30.  Some runs are cut to escape exactly once, and the rest escape
-    any number of times.  Some start part way into an edge of a state with
-    b = 0 (for an L-run) or c = 0 (for an R-run), so the kernel's closed
-    form applies before the first escape."""
+    any number of times.  Some start from a state with b = 0 (for an L-run)
+    or c = 0 (for an R-run), or part way into its edge: the states of the
+    single-letter loops, whose escapes the reference fast-forwards."""
     fast_forwards = {True: 0, False: 0}  # by whether out was given
     escapes_seen = {0: 0, 1: 0, 2: 0}  # runs by escapes taken: 0, 1, 2 or more
     loop_starts = {True: 0, False: 0}  # on_loop draws, by whether mid-edge
@@ -401,7 +404,7 @@ def test_feed_run_matches_reference():
             count = k0 + count % _escape(landed, letter)
         if prior is None:
             end = _feed_run(n, t, ((letter, count),), None)
-            ref, ff, escapes = _reference_feed_run(n, t, letter, count, None)
+            ref, ff, escapes, _ = _reference_feed_run(n, t, letter, count, None)
             assert end == ref
         else:
             out, ref_out = _Out(), _Out()
@@ -409,7 +412,7 @@ def test_feed_run_matches_reference():
                 _emit(out, *r)
                 _emit(ref_out, *r)
             end = _feed_run(n, t, ((letter, count),), out)
-            ref, ff, escapes = _reference_feed_run(n, t, letter, count, ref_out)
+            ref, ff, escapes, _ = _reference_feed_run(n, t, letter, count, ref_out)
             assert (end, out.word()) == (ref, ref_out.word())
         assert escapes == 1 or not once
         fast_forwards[prior is not None] += ff
@@ -421,8 +424,66 @@ def test_feed_run_matches_reference():
     assert all(loop_starts.values()), loop_starts
 
 
+def test_whole_run_kernel_matches_reference_run_by_run(monkeypatch):
+    """Whole blocks of runs through the kernel in one call against
+    _reference_feed_run fed one run at a time, escape by escape: from
+    primitive Hermite forms, DB_n states and states part way into an edge,
+    for n = 1 up to 4096, counts past 2^64, with and without an output
+    accumulator that may already hold runs.  The end state and the output
+    word are the reference's, and the states the kernel hands _check_db
+    are the reference's last escapes, one per run that escapes, in order."""
+    checked = []
+
+    def record(t, n):
+        checked.append(t)
+        _check_db(t, n)
+
+    monkeypatch.setattr(words, "_check_db", record)
+    rng = random.Random(2019)
+    seen = {"hermite": 0, "db": 0, "mid": 0, "n=1": 0, "n>=1024": 0, "past 2^64": 0,
+            "no escape": 0, "2+ escapes in a run": 0, "prior": 0}
+    for _ in range(1500):
+        n = rng.choice((1, 2, 3, 7, 12, 60, 360, 1024, 4096))
+        kind = rng.choice(("hermite", "db", "mid"))
+        if kind == "hermite":
+            g, b, d = rng.choice(_primitive_forms(n))
+            t = (g, b, 0, d)
+        else:
+            t = rng.choice(_enumerate_DB(n))
+            if kind == "mid":
+                letter = rng.choice((L, R))
+                t = _mul(t, letter, rng.randrange(_escape(t, letter)))
+        max_exp = rng.choice((3, 10**6, 2**80))
+        runs = random_word(rng, max_runs=5, max_exp=max_exp).runs
+        out = ref_out = None
+        if rng.random() < 0.7:
+            out, ref_out = _Out(), _Out()
+            for r in rng.choice(((), ((L, 2),), ((R, 1), (L, 3)))):
+                _emit(out, *r)
+                _emit(ref_out, *r)
+            seen["prior"] += bool(out)
+        checked.clear()
+        end = _feed_run(n, t, runs, out)
+        ref, lasts = t, []
+        for letter, e in runs:
+            ref, _, escapes, last = _reference_feed_run(n, ref, letter, e, ref_out)
+            if escapes:
+                lasts.append(last)
+            seen["2+ escapes in a run"] += escapes >= 2
+        assert end == ref, (n, t, runs)
+        assert checked == lasts, (n, t, runs)
+        if out is not None:
+            assert out.word() == ref_out.word(), (n, t, runs)
+        seen[kind] += 1
+        seen["n=1"] += n == 1
+        seen["n>=1024"] += n >= 1024
+        seen["past 2^64"] += max(e for _, e in runs) > 2**64
+        seen["no escape"] += len(lasts) < len(runs)
+    assert all(seen.values()), seen
+
+
 def test_single_letter_loops_have_b_or_c_zero():
-    """The lemma behind the kernel's closed form, for every DB_n state,
+    """A fact about the single-letter loops of T_n, for every DB_n state,
     n <= 200, and both letters: following the escapes of one letter with
     the reference peel until a state repeats, every state on the loop has
     b = 0 (L) or c = 0 (R), and the escape of such a state peels only that
@@ -1044,7 +1105,7 @@ def _reference_search_max_ratio(n, cf):
                     r, t = key
                     for i in range(len(cycle)):
                         letter, e = runs[(r + i) % nr]
-                        t, _, _ = _reference_feed_run(n, t, letter, e, out)
+                        t = _reference_feed_run(n, t, letter, e, out)[0]
                     ratio_of[key] = Fraction(lr_cycle_to_period(out.word()), per_x)
                 break
             index[cur] = len(path)
