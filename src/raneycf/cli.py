@@ -85,58 +85,87 @@ def _random_cf(rng: random.Random, max_period: int, max_quotient: int) -> Period
 
 def _same_cycle(u: tuple, v: tuple) -> bool:
     """Whether v is a rotation of u: u found in v + v at a word boundary, by
-    bytes.find on 8-byte words (past 2^63, on little-endian words as wide as
-    the longest quotient, which are positive), searched on past any match
-    that straddles two words."""
+    bytes.find on 8-byte words, searched on past any match that straddles
+    two words.  Past 2^63 the words hold each quotient's rank among u's
+    distinct values instead, so their size is u's length, not its widest
+    quotient's."""
     if len(u) != len(v):
         return False
     try:
-        needle, hay, width = array("q", u).tobytes(), array("q", v).tobytes() * 2, 8
+        needle, hay = array("q", u).tobytes(), array("q", v).tobytes()
     except OverflowError:
-        width = (max(q.bit_length() for q in u + v) + 7) // 8
-        needle = b"".join(q.to_bytes(width, "little") for q in u)
-        hay = b"".join(q.to_bytes(width, "little") for q in v) * 2
+        rank = {q: i for i, q in enumerate(set(u))}
+        if not rank.keys() >= set(v):
+            return False
+        needle, hay = (array("q", [rank[q] for q in w]).tobytes() for w in (u, v))
+    hay *= 2
     i = hay.find(needle)
-    while i > 0 and i % width:
+    while i > 0 and i % 8:
         i = hay.find(needle, i + 1)
     return i >= 0
 
 
+def _gate(m: Mat2, cf: PeriodicCF):
+    """The transducer's answer for h_m(cf) checked against the oracle's:
+    (the oracle's expansion, n = |det| of m's primitive part, per(cf),
+    per(h_m(cf)) by image_repetend, check_bound's verdict, whether the two
+    repetends agree up to rotation)."""
+    oracle = cf_from_surd(apply_mobius(m, surd_from_cf(cf)))
+    rep_hx = image_repetend(m, cf)
+    n = abs(det(primitive_part(m)))
+    per_x = per(cf)
+    verdict = check_bound(n, per_x, len(rep_hx))
+    return oracle, n, per_x, len(rep_hx), verdict, _same_cycle(rep_hx, oracle.repetend)
+
+
+def _render(report: dict, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(report, indent=2)
+    return "\n".join(f"{k} = {v}" for k, v in report.items())
+
+
 def run_trial(args) -> dict | None:
     """One verify trial; deterministic in (seed, index). Returns a failure
-    record, with a `repro` command line, or None."""
+    record, with a `repro` command line, or None.  A crash anywhere in the
+    gate is an `error: ...` record with per_hx and oracle_per null."""
     n, seed, idx, max_period, max_quotient = args
     rng = random.Random(f"{seed}:{idx}")
     cf = _random_cf(rng, max_period, max_quotient)
     m = _random_matrix(rng, n)
     assert abs(det(m)) == n and content_gcd(m) == 1
-    per_x = per(cf)
-    oracle = cf_from_surd(apply_mobius(m, surd_from_cf(cf))).repetend
-    oracle_per = len(oracle)
-
-    def failure(per_hx, verdict):
-        # --matrix=... keeps argparse from reading a negative entry as a flag
-        return {
-            "index": idx,
-            "matrix": format_mat2(m),
-            "cf": format_cf(cf),
-            "per_x": per_x,
-            "per_hx": per_hx,
-            "verdict": verdict,
-            "oracle_per": oracle_per,
-            "repro": f'raneycf transform --matrix={format_mat2(m)} --cf "{format_cf(cf)}"',
-        }
-
     try:
-        rep_hx = image_repetend(m, cf)
+        oracle, _, _, per_hx, verdict, agrees = _gate(m, cf)
     except Exception as exc:  # a crash is a failure, not an abort
-        return failure(None, f"error: {exc}")
-    per_hx = len(rep_hx)
-    verdict = check_bound(n, per_x, per_hx)
-    agrees = _same_cycle(rep_hx, oracle)
-    if agrees and verdict == "holds":
-        return None
-    return failure(per_hx, verdict if agrees else f"{verdict}; oracle mismatch")
+        per_hx, oracle_per, verdict = None, None, f"error: {exc}"
+    else:
+        if agrees and verdict == "holds":
+            return None
+        oracle_per = per(oracle)
+        if not agrees:
+            verdict += "; oracle mismatch"
+    # --matrix=... keeps argparse from reading a negative entry as a flag
+    return {
+        "index": idx,
+        "matrix": format_mat2(m),
+        "cf": format_cf(cf),
+        "per_x": per(cf),
+        "per_hx": per_hx,
+        "verdict": verdict,
+        "oracle_per": oracle_per,
+        "repro": f'raneycf transform --matrix={format_mat2(m)} --cf "{format_cf(cf)}"',
+    }
+
+
+def _trials(tasks: list, jobs: int):
+    """run_trial over tasks, in input order; in a pool of `jobs` processes
+    when jobs > 1."""
+    if jobs == 1:
+        yield from map(run_trial, tasks)
+        return
+    import multiprocessing  # only --jobs > 1 pays for this import
+
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(run_trial, tasks, chunksize=32)
 
 
 def cmd_bound(n: int, breakdown: bool = False, fmt: str = "text") -> str:
@@ -146,53 +175,35 @@ def cmd_bound(n: int, breakdown: bool = False, fmt: str = "text") -> str:
     if fmt == "json":
         return breakdown_to_json(bb)
     lines = [f"S_{n} = {bb.total}"]
-    for t in bb.terms:
-        lines.append(f"  t={t.t} j={t.j} xi={t.xi} term={t.term}")
+    lines += (f"  t={t.t} j={t.j} xi={t.xi} term={t.term}" for t in bb.terms)
     return "\n".join(lines)
 
 
 def cmd_transducer(n: int, fmt: str = "table") -> str:
     t = build_transducer(n)
-    if fmt == "dot":
-        return to_dot(t)
-    if fmt == "csv":
-        return to_csv(t)
-    if fmt == "json":
-        return to_json(t)
+    if fmt != "table":
+        return {"dot": to_dot, "csv": to_csv, "json": to_json}[fmt](t)
     lines = [f"T_{n}: {len(t.states)} states, {len(t.edges)} edges"]
-    for e in t.edges:
-        lines.append(
-            f"  {format_mat2(e.src)}  --{format_word(e.input)}|{format_word(e.output)}-->  {format_mat2(e.dst)}"
-        )
+    lines += (
+        f"  {format_mat2(e.src)}  --{format_word(e.input)}|{format_word(e.output)}-->  {format_mat2(e.dst)}"
+        for e in t.edges
+    )
     return "\n".join(lines)
 
 
 def cmd_transform(m: Mat2, cf: PeriodicCF, fmt: str = "text") -> tuple[str, int]:
-    n = abs(det(primitive_part(m)))
-    result_cf = cf_from_surd(apply_mobius(m, surd_from_cf(cf)))
-    per_x = per(cf)
-    rep_hx = image_repetend(m, cf)
-    per_hx = len(rep_hx)
-    s_n = s_n_total(n)
-    verdict = check_bound(n, per_x, per_hx)
-    status = 0
-    if not _same_cycle(rep_hx, result_cf.repetend):
-        print(
-            f"transducer repetend (period {per_hx}) disagrees with oracle's"
-            f" (period {per(result_cf)})",
-            file=sys.stderr,
-        )
-        status = 1
+    result_cf, n, per_x, per_hx, verdict, agrees = _gate(m, cf)
+    if not agrees:
+        print(f"transducer repetend (period {per_hx}) disagrees with oracle's"
+              f" (period {per(result_cf)})", file=sys.stderr)
     report = {
         "result_cf": format_cf(result_cf),
         "per_x": per_x,
         "per_hx": per_hx,
-        "S_n": s_n,
+        "S_n": s_n_total(n),
         "verdict": verdict,
     }
-    if fmt == "json":
-        return json.dumps(report, indent=2), status
-    return "\n".join(f"{k} = {v}" for k, v in report.items()), status
+    return _render(report, fmt), 0 if agrees else 1
 
 
 def cmd_verify(
@@ -206,19 +217,13 @@ def cmd_verify(
     t0 = time.monotonic()
     jobs = min(jobs, os.cpu_count() or 1)
     tasks = [(n, seed, i, max_period, max_quotient) for i in range(samples)]
-    if jobs > 1:
-        import multiprocessing  # only --jobs > 1 pays for this import
-
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(run_trial, tasks, chunksize=32)
-    else:
-        results = []
-        tick = max(1, samples // 10)
-        for i, task in enumerate(tasks):
-            results.append(run_trial(task))
-            if (i + 1) % tick == 0:
-                print(f"verify n={n}: {i + 1}/{samples}", file=sys.stderr)
-    failures = [r for r in results if r is not None]
+    failures = []
+    tick = max(1, samples // 10)
+    for i, record in enumerate(_trials(tasks, jobs), 1):
+        if record is not None:
+            failures.append(record)
+        if i % tick == 0:
+            print(f"verify n={n}: {i}/{samples}", file=sys.stderr)
     report = {
         "n": n,
         "samples": samples,
@@ -236,9 +241,7 @@ def cmd_search(n: int, cf: PeriodicCF, fmt: str = "text") -> str:
         "witness_state": format_mat2(state),
         "witness_offset": offset,
     }
-    if fmt == "json":
-        return json.dumps(report, indent=2)
-    return "\n".join(f"{k} = {v}" for k, v in report.items())
+    return _render(report, fmt)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,51 +286,33 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    least = 2 if args.command == "verify" else 1
+    if getattr(args, "n", least) < least:
+        parser.error(f"n must be >= {least}")
     try:
         if args.command == "bound":
-            if args.n < 1:
-                parser.error("n must be >= 1")
-            print(cmd_bound(args.n, args.breakdown, args.format))
-            return 0
-        if args.command == "transducer":
-            if args.n < 1:
-                parser.error("n must be >= 1")
-            print(cmd_transducer(args.n, args.format), end="")
-            if args.format == "table":
-                print()
-            return 0
-        if args.command == "transform":
+            text, status = cmd_bound(args.n, args.breakdown, args.format), 0
+        elif args.command == "transducer":
+            text, status = cmd_transducer(args.n, args.format), 0
+        elif args.command == "transform":
             m = parse_mat2(args.matrix)
             if det(m) == 0:
                 parser.error("matrix must be nonsingular")
-            cf = parse_cf(args.cf)
-            text, status = cmd_transform(m, cf, args.format)
-            print(text)
-            return status
-        if args.command == "verify":
-            if args.n < 2:
-                parser.error("n must be >= 2")
+            text, status = cmd_transform(m, parse_cf(args.cf), args.format)
+        elif args.command == "verify":
             if args.samples < 1 or args.max_period < 1 or args.max_quotient < 1:
                 parser.error("samples, max-period and max-quotient must be >= 1")
             text, status = cmd_verify(
-                args.n,
-                args.samples,
-                _resolve_seed(args.seed),
-                args.max_period,
-                args.max_quotient,
-                max(1, args.jobs),
+                args.n, args.samples, _resolve_seed(args.seed),
+                args.max_period, args.max_quotient, max(1, args.jobs),
             )
-            print(text)
-            return status
-        if args.command == "search":
-            if args.n < 1:
-                parser.error("n must be >= 1")
-            print(cmd_search(args.n, parse_cf(args.cf), args.format))
-            return 0
+        else:
+            text, status = cmd_search(args.n, parse_cf(args.cf), args.format), 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+    print(text.rstrip("\n"))  # every format ends in exactly one newline
+    return status
 
 
 if __name__ == "__main__":

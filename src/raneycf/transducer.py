@@ -42,6 +42,7 @@ from .matrices import (
     _primitive_forms,
     content_gcd,
     det,
+    format_mat2,
     in_RB,
     is_LE,
     is_RE,
@@ -119,17 +120,13 @@ def build_transducer(n: int) -> Transducer:
     return Transducer(n, frozenset(states), tuple(edges))
 
 
-def _state_label(m: Mat2) -> str:
-    return f"{m.a},{m.b},{m.c},{m.d}"
-
-
 def to_dot(t: Transducer) -> str:
     lines = [f"digraph T_{t.n} {{", "  rankdir=LR;"]
     for s in sorted(t.states, key=lambda m: m.entries):
-        lines.append(f'  "{_state_label(s)}";')
+        lines.append(f'  "{format_mat2(s)}";')
     for e in t.edges:
         label = f"{format_word(e.input)}|{format_word(e.output)}"
-        lines.append(f'  "{_state_label(e.src)}" -> "{_state_label(e.dst)}" [label="{label}"];')
+        lines.append(f'  "{format_mat2(e.src)}" -> "{format_mat2(e.dst)}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -139,7 +136,7 @@ def to_csv(t: Transducer) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["from", "input", "output", "to"])
     for e in t.edges:
-        w.writerow([_state_label(e.src), format_word(e.input), format_word(e.output), _state_label(e.dst)])
+        w.writerow([format_mat2(e.src), format_word(e.input), format_word(e.output), format_mat2(e.dst)])
     return buf.getvalue()
 
 
@@ -273,9 +270,22 @@ def _enter(n, t, runs, r, out):
 
 
 def _hermite_start(m: Mat2, x: PeriodicCF):
-    """(n, H, runs): reduce_to_DB's start, the Hermite form H of
-    primitive_part(m) * P as a raw tuple (g, b, 0, d), its det n = g d, and
-    the runs of lr_repetend(x).  The proof is in reduce_to_DB."""
+    """(n, H, runs): the start of every walk of h_m(x), the Hermite form H
+    of primitive_part(m) * P as a raw tuple (g, b, 0, d), its det n = g d,
+    and the runs of lr_repetend(x).
+
+    Write x = h_P(y), where P is the product of [[q, 1], [1, 0]] over the
+    preperiod and y = [r0; r1, ...] > 1 is purely periodic, with LR stream
+    lr_repetend(x).  Left row operations in GL2(Z) (matrices._hermite)
+    bring B = primitive_part(m) * P to its Hermite form H = [[g, b], [0, d]]
+    with g d = n, 0 <= b < d and content 1, for either sign of det m.  So
+    B = U H with U unimodular, h_m(x) = h_U(h_H(y)), and a unimodular map
+    keeps the tail of a continued fraction (Serret), so
+    per(h_m(x)) = per(h_H(y)).  U = B H^-1 records every shift and flip
+    between the two.  The Hermite form is unique, so the result depends on
+    m only through its coset GL2(Z) m.  H is nonnegative and row balanced
+    (g > 0 = c, d > b): a start for _enter.
+    """
     if det(m) == 0:
         raise ValueError("matrix must be nonsingular")
     a, b, c, d = primitive_part(m).entries
@@ -289,22 +299,11 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     """Reduce h_m(x) to a row-balanced state fed by x's periodic tail.
 
     Returns (state, tail, emitted): state, of det n = |det m| over the
-    content of m, ends the run in which the walk from the Hermite form H
-    below first escapes (_enter), so it is row balanced and not always in
-    DB_n; tail is the periodic LR input stream rotated to the next run;
-    emitted is the walk's output up to state.
-
-    Write x = h_P(y), where P is the product of [[q, 1], [1, 0]] over the
-    preperiod and y = [r0; r1, ...] > 1 is purely periodic, with LR stream
-    lr_repetend(x).  Left row operations in GL2(Z) (matrices._hermite)
-    bring B = primitive_part(m) * P to its Hermite form H = [[g, b], [0, d]]
-    with g d = n, 0 <= b < d and content 1, for either sign of det m.  So
-    B = U H with U unimodular, h_m(x) = h_U(h_H(y)), and a unimodular map
-    keeps the tail of a continued fraction (Serret), so
-    per(h_m(x)) = per(h_H(y)).  U = B H^-1 records every shift and flip
-    between the two.  The Hermite form is
-    unique, so the result depends on m only through its coset GL2(Z) m.
-    H is nonnegative and row balanced (g > 0 = c, d > b): a start for _enter.
+    content of m, ends the run in which the walk from the Hermite form H of
+    _hermite_start first escapes (_enter), so it is row balanced and not
+    always in DB_n; tail is the periodic LR input stream rotated to the
+    next run; emitted is the walk's output up to state.  Why H's walk
+    gives the period of h_m(x) is proved in _hermite_start.
     """
     n, t, runs = _hermite_start(m, x)
     out = _Out()
@@ -330,8 +329,8 @@ def _walk_repetend(n, t, runs, r):
 
 def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
     """The repetend of h_m(x), up to rotation, computed entirely through the
-    transducer machinery: the walk from reduce_to_DB's Hermite start
-    (_hermite_start), on raw tuples (_walk_repetend)."""
+    transducer machinery: the walk from the Hermite start (_hermite_start,
+    where the proof is), on raw tuples (_walk_repetend)."""
     n, t, runs = _hermite_start(m, x)
     return _walk_repetend(n, t, runs, 0)
 
@@ -414,7 +413,8 @@ def _resolve_orbit(n, runs, t, key):
     node's orbit passes exactly the keys on its key's cycle, since the key
     of a node's successor is this step.  The keys are walked with no kernel
     call.  The period is the length of the repetend of t's walk, read as
-    the transform reads its own (_walk_repetend).
+    the transform reads its own (_walk_repetend); it is the period of the
+    image of every node whose state has t's coset (_hermite_start).
     """
     nr = len(runs)
     r, form = key
@@ -446,7 +446,7 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     from run r on.  The orbit of node (r, t) outputs the LR tail of
     h_t(y_r), so its period is per(h_t(y_r)), which depends only on the
     coset GL2(Z) t: a unimodular map keeps the tail of a continued fraction
-    (Serret; see reduce_to_DB).  So periods are kept per key
+    (Serret; see _hermite_start).  So periods are kept per key
     (r, _hermite(t)).  W is unimodular, so the node k letters short of the
     run's end reached from s has the key (r+1, _key_step(form, letter, k))
     for s's form.  The successor's key is the same step by the node's run,

@@ -5,6 +5,7 @@ import random
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,12 @@ def test_transducer_json_roundtrip(capsys):
     code, out, _ = run(capsys, "transducer", "3", "--format", "json")
     doc = json.loads(out)
     assert doc["n"] == 3 and len(doc["edges"]) == 10
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot", "table"])
+def test_transducer_output_ends_in_one_newline(capsys, fmt):
+    code, out, _ = run(capsys, "transducer", "3", "--format", fmt)
+    assert code == 0 and out.endswith("\n") and not out.endswith("\n\n")
 
 
 # -- transform -----------------------------------------------------------------
@@ -186,13 +193,15 @@ def test_verify_rejects_n_1(capsys):
 
 
 def test_verify_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "verify", "4", "--samples", "32", "--seed", "7")
-    _, parallel, _ = run(
+    _, serial, serial_err = run(capsys, "verify", "4", "--samples", "32", "--seed", "7")
+    _, parallel, parallel_err = run(
         capsys, "verify", "4", "--samples", "32", "--seed", "7", "--jobs", "2"
     )
     a, b = json.loads(serial), json.loads(parallel)
     a.pop("elapsed"), b.pop("elapsed")
     assert a == b
+    progress = [f"verify n=4: {i}/32" for i in range(3, 33, 3)]
+    assert serial_err.splitlines() == parallel_err.splitlines() == progress
 
 
 def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
@@ -208,8 +217,8 @@ def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return list(map(fn, tasks))
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
 
     import multiprocessing
 
@@ -276,7 +285,26 @@ def test_verify_failure_records_carry_repro(monkeypatch):
     monkeypatch.setattr(cli, "image_repetend", crash)
     r = cli.run_trial((6, 11, 0, 8, 50))
     assert r["verdict"] == "error: boom"
+    assert r["per_hx"] is None and r["oracle_per"] is None
     _assert_repro(r)
+
+
+def test_verify_records_an_oracle_crash(capsys, monkeypatch):
+    """A crash on the oracle's side of the gate is an error record, like a
+    transducer crash, and the run goes on to report it."""
+
+    def crash(y):
+        raise ZeroDivisionError("oracle boom")
+
+    monkeypatch.setattr(cli, "cf_from_surd", crash)
+    r = cli.run_trial((6, 11, 0, 8, 50))
+    assert r["verdict"] == "error: oracle boom"
+    assert r["per_hx"] is None and r["oracle_per"] is None
+    _assert_repro(r)
+    code, out, _ = run(capsys, "verify", "5", "--samples", "4", "--seed", "2")
+    failures = json.loads(out)["failures"]
+    assert code == 1 and [r["index"] for r in failures] == [0, 1, 2, 3]
+    assert all(r["verdict"] == "error: oracle boom" for r in failures)
 
 
 # -- search -----------------------------------------------------------------------
@@ -311,8 +339,8 @@ def test_same_cycle_against_rotations():
 
 
 def test_same_cycle_past_4300_digits():
-    """The fixed-width fallback needs no decimals, so it takes quotients
-    past the interpreter's default int/str limit of 4,300 digits."""
+    """The fallback past 2^63 needs no decimals, so it takes quotients past
+    the interpreter's default int/str limit of 4,300 digits."""
     big = 10**4300 + 7
     u = (3, big, 5, big + 2)
     assert cli._same_cycle(u, u[2:] + u[:2]) and cli._same_cycle(u, u)
@@ -326,6 +354,27 @@ def test_same_cycle_past_4300_digits():
     shifted = int.from_bytes(word[1:] + word[:1], "little")
     assert shifted != big and (big.to_bytes(w, "little") * 2).find(shifted.to_bytes(w, "little")) == 1
     assert not cli._same_cycle((shifted,), (big,))
+    # past 2^63 the words hold ranks among u's values, so one 400,000-bit
+    # quotient among 199 threes costs a few kilobytes, not 200 copies of
+    # its width
+    huge = (1 << 400_000) - 1
+    u = (3,) * 199 + (huge,)
+    cases = [
+        (u[7:] + u[:7], True),
+        (u, True),
+        ((3,) * 198 + (huge, 3), True),
+        ((3,) * 198 + (huge, 4), False),  # 4 is not among u's values
+        ((3,) * 198 + (huge, huge), False),
+        ((3,) * 200, False),
+    ]
+    tracemalloc.start()
+    try:
+        got = [cli._same_cycle(u, v) for v, _ in cases]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == [want for _, want in cases]
+    assert peak < 1 << 20, peak
 
 
 def _swap_two_quotients(rep):
