@@ -16,8 +16,6 @@ from .matrices import (
     det,
     enumerate_DB,
     enumerate_LE,
-    enumerate_RE,
-    in_CB,
     in_D,
     in_DB,
     in_RB,
@@ -25,7 +23,6 @@ from .matrices import (
     is_LE,
     is_LS,
     is_RE,
-    is_RS,
     nu_L,
     nu_R,
     parse_mat2,
@@ -49,7 +46,6 @@ from .words import (
     sigma,
     sigma_c,
     star,
-    tau_kappa,
     transpose_word,
     word_of_matrix,
 )
@@ -59,9 +55,7 @@ from .surds import (
     apply_mobius,
     cf_from_surd,
     format_cf,
-    format_surd,
     parse_cf,
-    parse_surd,
     per,
     surd,
     surd_from_cf,

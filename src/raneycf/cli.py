@@ -48,18 +48,6 @@ _R_INV = Mat2(1, -1, 0, 1)
 _DRESS = (Mat2(1, 0, 1, 1), Mat2(1, 1, 0, 1), _L_INV, _R_INV)
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("CFM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"CFM_SEED is not an integer: {env!r}") from None
-    return 0
-
-
 def _random_matrix(rng: random.Random, n: int) -> Mat2:
     """A matrix with |det| = n and content 1: a DB_n seed dressed with short
     unimodular words, optionally sign-flipped and column-swapped."""
@@ -268,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="randomized transducer-vs-oracle verification")
     v.add_argument("n", type=int)
     v.add_argument("--samples", type=int, default=100)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--max-period", type=int, default=8)
     v.add_argument("--max-quotient", type=int, default=50)
     v.add_argument("--jobs", type=int, default=1)
@@ -303,7 +291,7 @@ def main(argv=None) -> int:
             if args.samples < 1 or args.max_period < 1 or args.max_quotient < 1:
                 parser.error("samples, max-period and max-quotient must be >= 1")
             text, status = cmd_verify(
-                args.n, args.samples, _resolve_seed(args.seed),
+                args.n, args.samples, args.seed,
                 args.max_period, args.max_quotient, max(1, args.jobs),
             )
         else:

@@ -1,7 +1,7 @@
 """Exact 2x2 integer matrices and Raney's balanced matrix classes.
 
 Matrices are row-major [[a,b],[c,d]].  The class predicates (D_n, RB_n,
-CB_n, DB_n, ...) follow Raney's definitions: determinant n, nonnegative
+DB_n, LE, RE, ...) follow Raney's definitions: determinant n, nonnegative
 entries, content 1, plus row/column balance inequalities.
 """
 from __future__ import annotations
@@ -99,10 +99,6 @@ def in_D(m: Mat2, n: int) -> bool:
 
 def in_RB(m: Mat2, n: int) -> bool:
     return in_D(m, n) and m.a > m.c and m.d > m.b
-
-
-def in_CB(m: Mat2, n: int) -> bool:
-    return in_D(m, n) and m.a > m.b and m.d > m.c
 
 
 def in_DB(m: Mat2, n: int) -> bool:
@@ -231,11 +227,6 @@ def is_LS(m: Mat2) -> bool:
     return m.b == 0
 
 
-def is_RS(m: Mat2) -> bool:
-    _require_DB(m)
-    return m.c == 0
-
-
 def is_LE(m: Mat2) -> bool:
     _require_DB(m)
     return m.b == 0 and m.c < gcd(m.a, m.d)
@@ -272,10 +263,6 @@ def enumerate_LE(n: int) -> set[Mat2]:
         for u in us:
             out.add(Mat2(t, 0, u, m))
     return out
-
-
-def enumerate_RE(n: int) -> set[Mat2]:
-    return {associated(m) for m in enumerate_LE(n)}
 
 
 def parse_mat2(text: str) -> Mat2:

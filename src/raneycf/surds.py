@@ -273,15 +273,3 @@ def format_cf(cf: PeriodicCF) -> str:
     rep = ",".join(map(str, cf.repetend))
     return f"[{pre};{rep}]"
 
-
-def parse_surd(text: str) -> QuadraticSurd:
-    """Parse "P,Q,D" meaning (P + sqrt(D))/Q."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected P,Q,D, got {text!r}")
-    P, Q, D = (int(p.strip()) for p in parts)
-    return surd(P, Q, D)
-
-
-def format_surd(x: QuadraticSurd) -> str:
-    return f"{x.P},{x.Q},{x.D}"

@@ -259,32 +259,6 @@ def primitive_root(word: LRWord) -> tuple[LRWord, int]:
     return LRWord._trusted(root), len(fused) // q
 
 
-def _cmp_words(w1: LRWord, w2: LRWord) -> int:
-    """Lexicographic comparison (L < R) without expanding runs."""
-    i = j = 0
-    oi = oj = 0  # letters consumed inside the current run
-    r1, r2 = w1.runs, w2.runs
-    while i < len(r1) and j < len(r2):
-        l1, e1 = r1[i]
-        l2, e2 = r2[j]
-        if l1 != l2:
-            return -1 if l1 == L else 1
-        step = min(e1 - oi, e2 - oj)
-        oi += step
-        oj += step
-        if oi == e1:
-            i += 1
-            oi = 0
-        if oj == e2:
-            j += 1
-            oj = 0
-    if i < len(r1):
-        return 1
-    if j < len(r2):
-        return -1
-    return 0
-
-
 def kappa(word: LRWord, n: int) -> LRWord:
     """Normalize each run exponent to its mod-n representative in [4n, 5n-1]."""
     if not word:
@@ -297,24 +271,17 @@ def kappa(word: LRWord, n: int) -> LRWord:
 def tau_kappa(word: LRWord, n: int) -> set[LRWord]:
     """Conjugacy class of kappa applied to a sigma_c-realizing conjugate.
 
-    Tie-break: the lexicographically least (L < R) conjugate among those
-    attaining sigma_c.  Single-letter words are rejected: their kappa image
-    is conjugacy-degenerate and the underlying bound machinery never needs
-    them.
+    Every such conjugate gives one class.  A conjugate has sigma_c runs
+    exactly when it is cut at a run boundary of the cyclic word, whose runs
+    are _cyclic_runs(runs) (a cut inside a run leaves one run more), so each
+    is a rotation of the fused cycle, run for run; kappa acts run by run, so
+    it maps them all to rotations of kappa(fused cycle).  Words with one
+    letter or none are rejected: their kappa image is conjugacy-degenerate
+    and the bound machinery never needs them.
     """
-    if not word:
-        raise ValueError("tau_kappa of the empty word")
     if len({l for l, _ in word.runs}) < 2:
         raise ValueError("tau_kappa requires both letters present")
-    target = sigma_c(word)
-    minimal = [w for w in boundary_conjugates(word) if sigma(w) == target]
-    if not minimal:
-        raise AssertionError("no conjugate attains sigma_c")
-    least = minimal[0]
-    for w in minimal[1:]:
-        if _cmp_words(w, least) < 0:
-            least = w
-    return conjugates(kappa(least, n))
+    return conjugates(kappa(LRWord._trusted(_cyclic_runs(word.runs)), n))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,7 @@ from raneycf.surds import (
     conjugate_approx,
     floor_surd,
     format_cf,
-    format_surd,
     parse_cf,
-    parse_surd,
     per,
     surd,
     surd_from_cf,
@@ -299,10 +297,3 @@ def test_parse_format_cf():
     for bad in ("[1,2]", "3", "[1;]", "[a;2]"):
         with pytest.raises(ValueError):
             parse_cf(bad)
-
-
-def test_parse_format_surd():
-    assert parse_surd("1,1,2") == surd(1, 1, 2)
-    assert format_surd(surd(1, 1, 2)) == "1,1,2"
-    with pytest.raises(ValueError):
-        parse_surd("1,2")

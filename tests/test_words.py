@@ -1,4 +1,6 @@
 """LR-word calculus: run structure, mu, conjugacy, primitivity, kappa."""
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -322,3 +324,23 @@ def test_tau_kappa_examples():
     assert tau_kappa(parse_word("R^3L^3"), 2) == conjugates(parse_word("L^9R^9"))
     with pytest.raises(ValueError):
         tau_kappa(parse_word("L^4"), 2)
+
+
+def _brute_tau_kappa(w, n):
+    """tau_kappa by its definition on letter strings: the least (L < R)
+    rotation with sigma_c runs, kappa, then every rotation of the result."""
+    letters = "".join(w.letters())
+    rotations = (letters[k:] + letters[:k] for k in range(len(letters)))
+    least = min(r for r in rotations if sigma(LRWord.from_letters(r)) == sigma_c(w))
+    image = "".join(kappa(LRWord.from_letters(least), n).letters())
+    return {LRWord.from_letters(image[k:] + image[:k]) for k in range(len(image))}
+
+
+def test_tau_kappa_matches_definition():
+    rng = random.Random(0)
+    for _ in range(300):
+        first = rng.choice((L, R))
+        runs = [(first if i % 2 == 0 else star_letter(first), rng.randint(1, 9))
+                for i in range(rng.randint(2, 7))]
+        w, n = LRWord(tuple(runs)), rng.randint(1, 6)
+        assert tau_kappa(w, n) == _brute_tau_kappa(w, n), (w, n)
