@@ -299,7 +299,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text.rstrip("\n"))  # every format ends in exactly one newline
+    try:
+        print(text.rstrip("\n"))  # every format ends in exactly one newline
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): the report's status stands.
+        # Python flushes stdout again at exit, so point it at devnull first
+        # (the recipe in the docs of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

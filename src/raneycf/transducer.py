@@ -9,21 +9,22 @@ is unique (Raney), so that gives the same output and state as peeling at
 every escape.  A partial quotient of any size thus costs one absorb and
 one peel step per output run, and the kernel checks each run's last
 escape against DB_n, rebuilt from the state it ends in.  The transform
-and the search walk from a Hermite form alike (_walk_repetend): whole
-runs up to the end of the run of its first escape
-(_enter), then one pass of the repetend per block (_close_cycle).  The
-output cycle's runs, read cyclically, are the image's partial quotients
-(lr_cycle_to_repetend), and the transform and the search read their
-exponents straight off the output's run counts (_Out.cyclic_exps).  The
-sharpness search keys its nodes on (run, Hermite form of the state): it
-resolves every primitive Hermite form once, as such a start, walks each
-orbit's keys with no kernel call, feeds the kernel once per key cycle,
-with output, and reads its witness off keys alone, with no step table of
-its own.  The explicit edge table
-(build_transducer) exists for display and for the exhaustive lemma
-checks, and is built through the same kernel one letter at a time.  The
-independent references are in the tests: _reference_feed_run, one call
-per escape step, and test_9's letter-by-letter edge walk.
+walks from a Hermite form (_walk_repetend): whole runs up to the end of
+the run of its first escape (_enter), then one pass of the repetend per
+block (_close_cycle).  The output cycle's runs, read cyclically, are the
+image's partial quotients (lr_cycle_to_repetend), and the transform and
+the search read their exponents straight off the output's run counts
+(_Out.cyclic_exps).  The sharpness search keys its nodes on (run,
+Hermite form of the state) and keeps periods for run-0 keys only: it
+feeds each primitive Hermite form that no walk has reached yet whole
+blocks, aligned to block boundaries, and reads the run-0 keys of its
+cycle off the walk's block-boundary states (_resolve_cycle), one kernel
+walk per run-0 key cycle.  Its witness scan steps those periods from run
+to run by key steps alone, with no step table of its own.  The explicit
+edge table (build_transducer) exists for display and for the exhaustive
+lemma checks, and is built through the same kernel one letter at a time.
+The independent references are in the tests: _reference_feed_run, one
+call per escape step, and test_9's letter-by-letter edge walk.
 """
 from __future__ import annotations
 
@@ -176,7 +177,7 @@ def transduce_cycle(n: int, start: Mat2, repetend: LRWord) -> ClosedWalk:
         raise ValueError(f"{start!r} is not a row-balanced start for T_{n}")
     if len(repetend.runs) < 2:  # adjacent runs of a word differ in letter
         raise ValueError("repetend must contain both letters")
-    state, gamma, out, cut = _close_cycle(n, start.entries, repetend.runs)
+    state, gamma, out, cut, _ = _close_cycle(n, start.entries, repetend.runs)
     return ClosedWalk(Mat2(*state), repetend**gamma, out.word(cut), gamma)
 
 
@@ -184,9 +185,10 @@ def _close_cycle(n, t, runs):
     """Feed runs block by block from the balanced state t until a state at
     a block boundary repeats; returns (that state, gamma = the number of
     blocks between its two visits, the output accumulator, the snap of the
-    first visit): the output cycle runs from that snap to the output's end.
-    t need not be in DB_n: _feed_run checks every state that an escape
-    leads to."""
+    first visit, the block-boundary states in the order of their first
+    visits, t first): the output cycle runs from that snap to the output's
+    end.  t need not be in DB_n: _feed_run checks every state that an
+    escape leads to."""
     out = _Out()
     snaps = [out.snap()]  # snaps[p]: end of the output after p blocks
     boundary = {t: 0}
@@ -194,7 +196,7 @@ def _close_cycle(n, t, runs):
         t = _feed_run(n, t, runs, out)
         idx = boundary.get(t)
         if idx is not None:
-            return t, len(snaps) - idx, out, snaps[idx]
+            return t, len(snaps) - idx, out, snaps[idx], boundary
         boundary[t] = len(snaps)
         snaps.append(out.snap())
 
@@ -312,9 +314,9 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     return Mat2(*t), LRWord._trusted(runs[r:] + runs[:r]), out.word()
 
 
-def _walk_repetend(n, t, runs, r):
+def _walk_repetend(n, t, runs):
     """The output's repetend, up to rotation, of the walk from the
-    row-balanced t fed runs[r], runs[r+1], ... cyclically.  The walk is
+    row-balanced t fed runs[0], runs[1], ... cyclically.  The walk is
     entered with scratch output (_enter), at a later node (r', t') of its
     orbit, and one pass of the repetend, runs[r':] + runs[:r'], is fed from
     there block by block, with output, until a block-boundary state repeats
@@ -322,8 +324,8 @@ def _walk_repetend(n, t, runs, r):
     orbit, so the output between two visits of one of them is a whole
     number of the orbit's cycles, and lr_cycle_to_repetend's exponents are
     read straight off its run counts (_Out.cyclic_exps, _least_cycle)."""
-    t, r = _enter(n, t, runs, r, _Out())
-    _, _, out, cut = _close_cycle(n, t, runs[r:] + runs[:r])
+    t, r = _enter(n, t, runs, 0, _Out())
+    _, _, out, cut, _ = _close_cycle(n, t, runs[r:] + runs[:r])
     return _least_cycle(out.cyclic_exps(cut))
 
 
@@ -332,7 +334,7 @@ def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
     transducer machinery: the walk from the Hermite start (_hermite_start,
     where the proof is), on raw tuples (_walk_repetend)."""
     n, t, runs = _hermite_start(m, x)
-    return _walk_repetend(n, t, runs, 0)
+    return _walk_repetend(n, t, runs)
 
 
 def image_period(m: Mat2, x: PeriodicCF) -> int:
@@ -401,33 +403,37 @@ def _key_step(form, letter, k):
     return _hermite(g + b * k, b, d * k, d)
 
 
-def _resolve_orbit(n, runs, t, key):
-    """(keys, period) for the search node (r, t) with key = (r, form):
-    the keys (run index, Hermite form) of its run-by-run walk over the
-    cyclic word runs, in order from key up to its return there, and the
-    output period of its orbit.
+def _resolve_cycle(n, form, runs):
+    """(states, period) for the search node (0, H), H = (g, b, 0, d) for
+    the primitive form (g, b, d): the block-boundary states of H's walk
+    over the cyclic word runs, and the output period of its orbit.
 
-    The next key is (r + 1, _key_step(form, *runs[r])).  That step is a
-    bijection on the nr psi(n) keys, so the walk from any key is a pure
-    cycle back to it, of at most nr psi(n) steps and a multiple of nr.  A
-    node's orbit passes exactly the keys on its key's cycle, since the key
-    of a node's successor is this step.  The keys are walked with no kernel
-    call.  The period is the length of the repetend of t's walk, read as
-    the transform reads its own (_walk_repetend); it is the period of the
-    image of every node whose state has t's coset (_hermite_start).
+    The walk is fed whole blocks, runs[0], runs[1], ..., so that every
+    state it stops at is a run-0 node.  H is fed with scratch output until
+    a block has escaped, as _enter would within it, then _close_cycle feeds
+    it on, with output, until a block-boundary state repeats.  The period
+    is the length of the repetend of that output cycle, read as the
+    transform reads its own (_walk_repetend): per(h_H(y)) for
+    y = [; repetend] (_hermite_start), which is the period of every node
+    (0, s) whose state s has the coset of a boundary state.
+
+    The states' forms sweep H's whole run-0 key cycle.  The step of a
+    run-0 key by one block is a bijection on the psi(n) forms (_key_step),
+    so the key cycle is pure, and H's form lies on it.  The state after j
+    blocks is U H B^j, B the block's matrix and U unimodular (the peels),
+    so its form is H's stepped j times.  _close_cycle returns tau + gamma
+    states, the last gamma of them a cycle of states: a state's return
+    implies its form's, so the key cycle's length divides gamma, and those
+    gamma consecutive forms cover it.  The search also gives H's own form
+    the period, so that coverage bears on cost only.
     """
-    nr = len(runs)
-    r, form = key
-    keys = [key]
-    rr = r
-    while True:
-        form = _key_step(form, *runs[rr])
-        rr = rr + 1 if rr + 1 < nr else 0
-        nxt = (rr, form)
-        if nxt == key:
-            break
-        keys.append(nxt)
-    return keys, len(_walk_repetend(n, t, runs, r))
+    g, b, d = form
+    t = (g, b, 0, d)
+    scratch = _Out()
+    while not scratch:
+        t = _feed_run(n, t, runs, scratch)
+    _, _, out, cut, states = _close_cycle(n, t, runs)
+    return states, len(_least_cycle(out.cyclic_exps(cut)))
 
 
 def search_max_ratio(n: int, cf: PeriodicCF):
@@ -446,48 +452,51 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     from run r on.  The orbit of node (r, t) outputs the LR tail of
     h_t(y_r), so its period is per(h_t(y_r)), which depends only on the
     coset GL2(Z) t: a unimodular map keeps the tail of a continued fraction
-    (Serret; see _hermite_start).  So periods are kept per key
+    (Serret; see _hermite_start).  So a period belongs to the key
     (r, _hermite(t)).  W is unimodular, so the node k letters short of the
     run's end reached from s has the key (r+1, _key_step(form, letter, k))
     for s's form.  The successor's key is the same step by the node's run,
-    a bijection on the nr psi(n) keys (_key_step, _resolve_orbit), so the
-    keys of an orbit lie on one pure cycle, and every key on it gets the
-    orbit's period.
+    a bijection on the nr psi(n) keys (_key_step), so the keys of an orbit
+    lie on one pure cycle, and every key on it has the orbit's period.
 
     The maximum.  Each of the psi(n) primitive forms (g, b, d)
-    (_primitive_forms) whose key (0, (g, b, d)) is not yet resolved is fed
-    as the node (0, H), H = (g, b, 0, d), through _resolve_orbit, which
-    enters its walk as reduce_to_DB does.  A key cycle steps through every
-    run index, so the key r steps before any (r, F) has run 0, and the loop
-    resolves all nr psi(n) keys.  Key (0, H) has period per(h_H(y)) for
-    y = y_0 = [; repetend], so best_ratio, the largest period over per(y),
-    is the maximum of per(h_H(y)) / per(y) over the primitive forms H by
-    construction.  Any x with this repetend is h_P(y), P unimodular, so it
-    is also the maximum of per(h_M(x)) / per(x) over every primitive M with
-    |det M| = n.  Each coset's image has the tail of one (offset, DB_n
-    state) node's orbit (reduce_to_DB), so some node attains it.
+    (_primitive_forms) that no earlier walk reached is fed as the node
+    (0, H), H = (g, b, 0, d), through _resolve_cycle: one kernel walk
+    aligned to block boundaries, whose boundary states' forms cover H's
+    run-0 key cycle, and each of them, H's own form too, gets the walk's
+    period.  So period_of holds the psi(n) run-0 keys, one walk per run-0
+    key cycle.  Key (0, H) has period per(h_H(y)) for y = y_0
+    = [; repetend], so best_ratio, the largest period over per(y), is the
+    maximum of per(h_H(y)) / per(y) over the primitive forms H by
+    construction.  A key cycle steps through every run index, so no run
+    holds a larger period.  Any x with this repetend is h_P(y), P
+    unimodular, so it is also the maximum of per(h_M(x)) / per(x) over
+    every primitive M with |det M| = n.  Each coset's image has the tail of
+    one (offset, DB_n state) node's orbit (reduce_to_DB), so some node
+    attains it.
 
     The witness.  Returns (best_ratio, witness_state, witness_offset): the
     first offset, then the first state in entry order, that attains the
     maximum.  The scan goes through the runs in order and returns the first
     hit: the starts (r, s) at the run's first offset, then for
     k = e-1 ... max(1, e-n) and each start the key
-    (r+1, _key_step(form, letter, k)), at e - k letters into the run.  The
-    key _key_step(form, letter, k) is periodic in k with a period dividing
-    n: for R it is d / gcd(g, d), and for L, H L^n H^-1 =
+    (r+1, _key_step(form, letter, k)), at e - k letters into the run.  Run
+    r + 1's periods come from run r's by one key step per form, the key
+    cycle's own step, built only when the scan gets past run r's starts.
+    The key _key_step(form, letter, k) is periodic in k with a period
+    dividing n: for R it is d / gcd(g, d), and for L, H L^n H^-1 =
     I + [[b d, -b^2], [d^2, -b d]] lies in SL2(Z), so H L^(k+n) has the
     coset of H L^k.  So the largest k < e that hits, the run's first
     offset inside it, lies among the n offsets of that window.
 
-    The cost is, for each of the nr psi(n) keys, one key step and a share
-    of one output feed, plus at most n |DB_n| key steps per run that the
-    witness scan reads.  None of it depends on the size of the partial
-    quotients.
+    The cost is one output walk per run-0 key cycle, with a Hermite form
+    per block-boundary state, plus psi(n) key steps and at most
+    n |DB_n| more per run that the witness scan reads.  None of it depends
+    on the size of the partial quotients.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     runs = lr_repetend(cf).runs
-    nr = len(runs)
     starts = _enumerate_DB(n)
     # content is checked here once: every later state is a unimodular image
     # of a start (see _check_db)
@@ -497,24 +506,25 @@ def search_max_ratio(n: int, cf: PeriodicCF):
         for a, b, c, d in starts
     ):
         raise RuntimeError(f"enumerate_DB({n}) returned a state outside DB_{n}")
-    period_of: dict = {}  # (run, Hermite form) -> output period of the orbit
-    for g, b, d in _primitive_forms(n):
-        key = (0, (g, b, d))
-        if key not in period_of:
-            keys, period = _resolve_orbit(n, runs, (g, b, 0, d), key)
-            for key in keys:
-                period_of[key] = period
+    period_of: dict = {}  # Hermite form of a run-0 node -> its orbit's period
+    for form in _primitive_forms(n):
+        if form not in period_of:
+            states, period = _resolve_cycle(n, form, runs)
+            period_of[form] = period
+            for s in states:
+                period_of[_hermite(*s)] = period
     best = max(period_of.values())
     ratio = Fraction(best, per(cf))
     forms = [_hermite(*s) for s in starts]
     offset = 0
-    for r, (letter, e) in enumerate(runs):
+    here = period_of  # Hermite form of a node of the run scanned -> period
+    for letter, e in runs:
         for s, form in zip(starts, forms):
-            if period_of[(r, form)] == best:
+            if here[form] == best:
                 return ratio, Mat2(*s), offset
-        nxt = (r + 1) % nr
+        here = {_key_step(f, letter, e): p for f, p in here.items()}
         for k in range(e - 1, max(1, e - n) - 1, -1):
             for s, form in zip(starts, forms):
-                if period_of[(nxt, _key_step(form, letter, k))] == best:
+                if here[_key_step(form, letter, k)] == best:
                     return ratio, Mat2(*s), offset + e - k
         offset += e

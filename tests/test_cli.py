@@ -227,14 +227,41 @@ def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
     assert sizes == [2]
 
 
+def _child_env():
+    """The environment for a child Python that imports this raneycf."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_import_leaves_multiprocessing_unloaded():
     # only verify --jobs > 1 needs it, and every CLI start would pay for it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, raneycf.cli; print('multiprocessing' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["transducer", "200"], 1),  # 150 kB, past a pipe's buffer
+        (["search", "9", "--cf", "[;4696]"], 0),  # closed before it prints
+    ],
+)
+def test_reader_closing_the_pipe_early_is_not_an_error(argv, lines):
+    # `raneycf transducer 720 | head -n1`: the reader's exit is no failure
+    # of the command, so no traceback and the command's own status
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "raneycf.cli", *argv],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert err == ""
 
 
 def _reference_random_matrix(rng, n):

@@ -26,7 +26,7 @@ from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius,
 from raneycf.transducer import (
     _enter,
     _key_step,
-    _resolve_orbit,
+    _resolve_cycle,
     build_transducer,
     factorize_to_DB,
     image_period,
@@ -1238,14 +1238,30 @@ def test_search_nodes_of_one_coset_share_their_period():
     assert shared  # some cosets hold more than one node
 
 
+def _reference_key_cycle(runs, key):
+    """The keys (run index, Hermite form) of a search node's run-by-run
+    walk over the cyclic word runs, from key = (r, form) up to its return
+    there: each step is one _key_step by the run, with no kernel call."""
+    nr = len(runs)
+    r, form = key
+    keys = [key]
+    while True:
+        form = _key_step(form, *runs[r])
+        r = (r + 1) % nr
+        if (r, form) == key:
+            return keys
+        keys.append((r, form))
+
+
 def test_key_walk_matches_the_state_walk():
-    """_resolve_orbit walks a search node's keys with no kernel call; its
-    cycle holds each key once, is exactly the set of keys that the node's
-    state walk passes (closed on states, as orbit_period in
-    test_search_nodes_of_one_coset_share_their_period does), and gets the
-    same period.  The cycle is a multiple of nr runs long and at most
-    nr * psi(n).  Start nodes and in-run offset nodes are both drawn, and
-    some repetends hold a quotient past 2^63."""
+    """The reference key cycle of a search node holds each key once, is
+    exactly the set of keys that the node's state walk passes (closed on
+    states, as orbit_period in
+    test_search_nodes_of_one_coset_share_their_period does), is a multiple
+    of nr runs long and at most nr * psi(n).  _resolve_cycle fed any run-0
+    form of that cycle gets the state walk's period, and the forms of its
+    boundary states lie on the cycle.  Start nodes and in-run offset nodes
+    are both drawn, and some repetends hold a quotient past 2^63."""
     rng = random.Random(53)
     drawn = 0  # offset nodes
     for i in range(80):
@@ -1280,14 +1296,15 @@ def test_key_walk_matches_the_state_walk():
             offset_nodes, min(len(offset_nodes), 15)
         ):
             r, t = node
-            key = (r, _hermite(*t))
-            keys, period = _resolve_orbit(n, runs, t, key)
+            keys = _reference_key_cycle(runs, (r, _hermite(*t)))
             ref_keys, ref_period = state_walk(node)
-            assert keys[0] == key
             assert len(set(keys)) == len(keys), (n, rep, node)
             assert set(keys) == ref_keys, (n, rep, node)
-            assert period == ref_period, (n, rep, node)
             assert len(keys) % nr == 0 and len(keys) <= nr * len(_primitive_forms(n))
+            form = rng.choice([f for r, f in keys if r == 0])
+            states, period = _resolve_cycle(n, form, runs)
+            assert period == ref_period, (n, rep, node)
+            assert {(0, _hermite(*s)) for s in states} <= ref_keys, (n, rep, node)
     assert drawn
 
 
@@ -1409,12 +1426,13 @@ def test_search_matches_the_reference_scan_on_short_repetends():
 
 
 def test_orbit_fed_from_a_hermite_form():
-    """_resolve_orbit fed from a primitive Hermite form H = (g, b, 0, d), as
-    the search resolves the key (0, (g, b, d)), reads per(h_H(y)) for
-    y = [; repetend] as image_period does, and its keys are distinct and
-    start at that key.  Every form for n <= 30 and a sample of forms at n
-    in the hundreds; purely periodic repetends, some of odd period and some
-    with a quotient past 2^63."""
+    """_resolve_cycle fed a primitive Hermite form H = (g, b, 0, d), as the
+    search resolves the key (0, (g, b, d)), reads per(h_H(y)) for
+    y = [; repetend] as image_period does, and the Hermite forms of its
+    block-boundary states are exactly the run-0 keys of H's reference key
+    cycle: one walk covers the cycle.  Every form for n <= 30 and a sample
+    of forms at n in the hundreds; purely periodic repetends, some of odd
+    period and some with a quotient past 2^63."""
     rng = random.Random(73)
     for n in list(range(1, 31)) + [128, 210, 360, 499]:
         forms = _primitive_forms(n)
@@ -1430,11 +1448,67 @@ def test_orbit_fed_from_a_hermite_form():
             cf = PeriodicCF.create([], rep)
             runs = lr_repetend(cf).runs
             for g, b, d in forms:
-                key = (0, (g, b, d))
-                keys, period = _resolve_orbit(n, runs, (g, b, 0, d), key)
-                assert period == image_period(Mat2(g, b, 0, d), cf), (n, rep, key)
-                assert keys[0] == key
-                assert len(set(keys)) == len(keys), (n, rep, key)
+                states, period = _resolve_cycle(n, (g, b, d), runs)
+                assert period == image_period(Mat2(g, b, 0, d), cf), (n, rep, (g, b, d))
+                cycle = {f for r, f in _reference_key_cycle(runs, (0, (g, b, d))) if r == 0}
+                assert {_hermite(*s) for s in states} == cycle, (n, rep, (g, b, d))
+
+
+def test_search_walks_once_per_run0_key_cycle(monkeypatch):
+    """The search calls _resolve_cycle exactly once per run-0 key cycle of
+    the reference key walk, once from a form on each cycle: every later
+    form of a cycle is already read off its walk.  n <= 30, repetends of
+    1-4 quotients, some of them past 2^63."""
+    import raneycf.transducer as transducer
+
+    walked = []
+
+    def counting(n, form, runs):
+        walked.append(form)
+        return _resolve_cycle(n, form, runs)
+
+    monkeypatch.setattr(transducer, "_resolve_cycle", counting)
+    rng = random.Random(83)
+    for i in range(120):
+        n = rng.randint(1, 30)
+        rep = [rng.choice((rng.randint(1, 3), rng.randint(1, 300))) for _ in range(rng.randint(1, 4))]
+        if i % 3 == 0:
+            rep[rng.randrange(len(rep))] = 2**63 + rng.randint(1, 10**6)
+        cf = PeriodicCF.create([], rep)
+        runs = lr_repetend(cf).runs
+        cycle_of = {}  # run-0 form -> index of its reference run-0 key cycle
+        for form in _primitive_forms(n):
+            if form not in cycle_of:
+                index = len(set(cycle_of.values()))
+                for r, f in _reference_key_cycle(runs, (0, form)):
+                    if r == 0:
+                        cycle_of[f] = index
+        walked.clear()
+        search_max_ratio(n, cf)
+        assert sorted(cycle_of[f] for f in walked) == list(range(len(set(cycle_of.values())))), (n, rep)
+
+
+@pytest.mark.parametrize(
+    "n, rep, inside",
+    [
+        # inside run 1: the scan steps its run-0 periods by runs 0 and 1 to
+        # read run 2's keys
+        (6, [1, 3, 3, 81, 95, 3], True),
+        (12, [1, 8, 2, 1, 30, 3], True),
+        # odd periods, whose LR word is the repetend read twice, at run 1's
+        # first offset
+        (3, [1, 2, 1020, 1, 2], False),
+        (4, [1, 1, 517, 2, 2], False),
+    ],
+)
+def test_search_witness_past_run_0_matches_reference(n, rep, inside):
+    """Witnesses past run 0, from seeded searches: random draws put nearly
+    every witness in run 0, and no draw put one past run 1."""
+    cf = PeriodicCF.create([], rep)
+    (_, e0), (_, e1), *_ = lr_repetend(cf).runs
+    result = search_max_ratio(n, cf)
+    assert (e0 < result[2] < e0 + e1) if inside else result[2] == e0
+    assert result == _reference_search_max_ratio(n, cf)
 
 
 @pytest.mark.parametrize(
