@@ -28,7 +28,8 @@ class BoundBreakdown:
 
 
 def _s_n_terms(n: int):
-    """The terms (t, j, xi(j, t), 2*floor(xi/2)+1) of S_n, one at a time."""
+    """The terms (t, j, xi(j, t), 2*floor(xi/2)+1) of S_n, one at a time;
+    2*floor(x/2)+1 is x | 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     for t in range(1, n + 1):
@@ -39,7 +40,7 @@ def _s_n_terms(n: int):
             if g > 1 and j % g == 0:
                 continue
             x = xi(j, t)
-            yield t, j, x, 2 * (x // 2) + 1
+            yield t, j, x, x | 1
 
 
 def s_n_closed_form(n: int) -> BoundBreakdown:

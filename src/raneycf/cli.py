@@ -107,7 +107,13 @@ def _gate(m: Mat2, cf: PeriodicCF):
 
 
 def _render(report: dict, fmt: str) -> str:
+    """The report as text, or as json.dumps(report, indent=2) writes it.
+    indent sends json to its Python encoder; a nonempty report of str and
+    int values takes the C one, whose separators below give the same
+    bytes."""
     if fmt == "json":
+        if report and all(type(v) in (str, int) for v in report.values()):
+            return "{\n  " + json.dumps(report, separators=(",\n  ", ": "))[1:-1] + "\n}"
         return json.dumps(report, indent=2)
     return "\n".join(f"{k} = {v}" for k, v in report.items())
 

@@ -77,12 +77,13 @@ def xi(a: int, c: int) -> int:
     """
     if a < 0 or c < 0:
         raise ValueError("xi expects nonnegative arguments")
-    if a == 0 and c == 0:
+    if a < c:
+        a, c = c, a
+    if not a:
         raise ValueError("xi(0, 0) is undefined")
-    hi, lo = max(a, c), min(a, c)
     steps = 0
-    while lo:
-        hi, lo = lo, hi % lo
+    while c:
+        a, c = c, a % c
         steps += 1
     return steps
 

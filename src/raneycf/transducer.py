@@ -10,21 +10,24 @@ every escape.  A partial quotient of any size thus costs one absorb and
 one peel step per output run, and the kernel checks each run's last
 escape against DB_n, rebuilt from the state it ends in.  The transform
 walks from a Hermite form (_walk_repetend): whole runs up to the end of
-the run of its first escape (_enter), then one pass of the repetend per
-block (_close_cycle).  The output cycle's runs, read cyclically, are the
-image's partial quotients (lr_cycle_to_repetend), and the transform and
-the search read their exponents straight off the output's run counts
-(_Out.cyclic_exps).  The sharpness search keys its nodes on (run,
-Hermite form of the state) and keeps periods for run-0 keys only: it
+the run of its first escape (_enter), then one kernel call that feeds one
+pass of the repetend per block until a block-boundary state repeats
+(_feed_run with a boundary dict).  The output cycle's runs, read
+cyclically, are the image's partial quotients (lr_cycle_to_repetend), and
+the transform and the search read their exponents straight off the
+output's run counts (_Out.cyclic_exps).  The sharpness search keys its
+nodes on (run, Hermite form of the state) and keeps periods for run-0
+keys only: it
 feeds each primitive Hermite form that no walk has reached yet whole
 blocks, aligned to block boundaries, and reads the run-0 keys of its
-cycle off the walk's block-boundary states (_resolve_cycle), one kernel
+cycle off the kernel's block-boundary states (_resolve_cycle), one kernel
 walk per run-0 key cycle.  Its witness scan steps those periods from run
 to run by key steps alone, with no step table of its own.  The explicit
 edge table (build_transducer) exists for display and for the exhaustive
 lemma checks, and is built through the same kernel one letter at a time.
 The independent references are in the tests: _reference_feed_run, one
-call per escape step, and test_9's letter-by-letter edge walk.
+call per escape step, _reference_close_cycle, one kernel call per block,
+and test_9's letter-by-letter edge walk.
 """
 from __future__ import annotations
 
@@ -172,33 +175,16 @@ class ClosedWalk:
 
 def transduce_cycle(n: int, start: Mat2, repetend: LRWord) -> ClosedWalk:
     """Feed the repetend cyclically from the row-balanced `start`, in DB_n
-    or not (_close_cycle), until a boundary state repeats."""
+    or not, one block per pass, until a block-boundary state repeats: one
+    _feed_run call with a boundary dict, which returns the repeated state,
+    gamma and the output cycle's start."""
     if not in_RB(start, n):
         raise ValueError(f"{start!r} is not a row-balanced start for T_{n}")
     if len(repetend.runs) < 2:  # adjacent runs of a word differ in letter
         raise ValueError("repetend must contain both letters")
-    state, gamma, out, cut, _ = _close_cycle(n, start.entries, repetend.runs)
-    return ClosedWalk(Mat2(*state), repetend**gamma, out.word(cut), gamma)
-
-
-def _close_cycle(n, t, runs):
-    """Feed runs block by block from the balanced state t until a state at
-    a block boundary repeats; returns (that state, gamma = the number of
-    blocks between its two visits, the output accumulator, the snap of the
-    first visit, the block-boundary states in the order of their first
-    visits, t first): the output cycle runs from that snap to the output's
-    end.  t need not be in DB_n: _feed_run checks every state that an
-    escape leads to."""
     out = _Out()
-    snaps = [out.snap()]  # snaps[p]: end of the output after p blocks
-    boundary = {t: 0}
-    while True:
-        t = _feed_run(n, t, runs, out)
-        idx = boundary.get(t)
-        if idx is not None:
-            return t, len(snaps) - idx, out, snaps[idx], boundary
-        boundary[t] = len(snaps)
-        snaps.append(out.snap())
+    state, gamma, cut = _feed_run(n, start.entries, repetend.runs, out, {})
+    return ClosedWalk(Mat2(*state), repetend**gamma, out.word(cut), gamma)
 
 
 def _least_cycle(exps) -> tuple[int, ...]:
@@ -212,7 +198,7 @@ def lr_cycle_to_repetend(cycle: LRWord) -> tuple[int, ...]:
     `cycle`: the exponents of its runs read cyclically (_cyclic_runs), cut
     at their least cyclic period.  The proof is in lr_cycle_to_period.
 
-    The transform and the search read the same exponents off _close_cycle's
+    The transform and the search read the same exponents off the kernel's
     output accumulator without building the word: there the output cycle is
     a slice of the run counts between two snaps, whose first and last runs
     share a letter exactly when the slice has odd length, and folding the
@@ -319,13 +305,15 @@ def _walk_repetend(n, t, runs):
     row-balanced t fed runs[0], runs[1], ... cyclically.  The walk is
     entered with scratch output (_enter), at a later node (r', t') of its
     orbit, and one pass of the repetend, runs[r':] + runs[:r'], is fed from
-    there block by block, with output, until a block-boundary state repeats
-    (_close_cycle, transduce_cycle's loop).  The boundary states walk the
-    orbit, so the output between two visits of one of them is a whole
-    number of the orbit's cycles, and lr_cycle_to_repetend's exponents are
-    read straight off its run counts (_Out.cyclic_exps, _least_cycle)."""
+    there block by block, with output, until a block-boundary state repeats,
+    all in one kernel call (_feed_run with a boundary dict, as in
+    transduce_cycle).  The boundary states walk the orbit, so the output
+    between two visits of one of them is a whole number of the orbit's
+    cycles, and lr_cycle_to_repetend's exponents are read straight off its
+    run counts (_Out.cyclic_exps, _least_cycle)."""
     t, r = _enter(n, t, runs, 0, _Out())
-    _, _, out, cut, _ = _close_cycle(n, t, runs[r:] + runs[:r])
+    out = _Out()
+    _, _, cut = _feed_run(n, t, runs[r:] + runs[:r], out, {})
     return _least_cycle(out.cyclic_exps(cut))
 
 
@@ -406,22 +394,24 @@ def _key_step(form, letter, k):
 def _resolve_cycle(n, form, runs):
     """(states, period) for the search node (0, H), H = (g, b, 0, d) for
     the primitive form (g, b, d): the block-boundary states of H's walk
-    over the cyclic word runs, and the output period of its orbit.
+    over the cyclic word runs (a dict keyed by them, in the order of their
+    first visits), and the output period of its orbit.
 
     The walk is fed whole blocks, runs[0], runs[1], ..., so that every
     state it stops at is a run-0 node.  H is fed with scratch output until
-    a block has escaped, as _enter would within it, then _close_cycle feeds
-    it on, with output, until a block-boundary state repeats.  The period
-    is the length of the repetend of that output cycle, read as the
-    transform reads its own (_walk_repetend): per(h_H(y)) for
-    y = [; repetend] (_hermite_start), which is the period of every node
-    (0, s) whose state s has the coset of a boundary state.
+    a block has escaped, as _enter would within it, then one more kernel
+    call with a boundary dict feeds it on, with output, until a
+    block-boundary state repeats.  The period is the length of the
+    repetend of that output cycle, read as the transform reads its own
+    (_walk_repetend): per(h_H(y)) for y = [; repetend] (_hermite_start),
+    which is the period of every node (0, s) whose state s has the coset
+    of a boundary state.
 
     The states' forms sweep H's whole run-0 key cycle.  The step of a
     run-0 key by one block is a bijection on the psi(n) forms (_key_step),
     so the key cycle is pure, and H's form lies on it.  The state after j
     blocks is U H B^j, B the block's matrix and U unimodular (the peels),
-    so its form is H's stepped j times.  _close_cycle returns tau + gamma
+    so its form is H's stepped j times.  The kernel records tau + gamma
     states, the last gamma of them a cycle of states: a state's return
     implies its form's, so the key cycle's length divides gamma, and those
     gamma consecutive forms cover it.  The search also gives H's own form
@@ -432,7 +422,8 @@ def _resolve_cycle(n, form, runs):
     scratch = _Out()
     while not scratch:
         t = _feed_run(n, t, runs, scratch)
-    _, _, out, cut, states = _close_cycle(n, t, runs)
+    out, states = _Out(), {}
+    _, _, cut = _feed_run(n, t, runs, out, states)
     return states, len(_least_cycle(out.cyclic_exps(cut)))
 
 

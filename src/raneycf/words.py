@@ -8,13 +8,15 @@ individual letters unless the caller asks for it).
 The package's one escape kernel lives here too, on raw (a, b, c, d)
 tuples: _feed_run absorbs each input run whole on the right and then
 peels maximal output runs off the left, once, and _peel is that kernel
-with nothing to absorb.  It sits
-below the transducer in the import graph, so word_of_matrix and the
-transducer share it.  Its output goes to an _Out, which stores only the
-exponents of the output's runs: merged runs alternate in letter, so run i
-is an L-run for even i and an R-run for odd i, and a peel either adds to
-the last exponent or appends one.  Letters come back from the parity of
-the index when an LRWord is cut out between two snaps (_Out.word).
+with nothing to absorb.  Given a dict of block-boundary states, it also
+feeds a block of runs again and again until a boundary state repeats,
+which closes a periodic walk in one call.  It sits below the transducer
+in the import graph, so word_of_matrix and the transducer share it.  Its
+output goes to an _Out, which stores only the exponents of the output's
+runs: merged runs alternate in letter, so run i is an L-run for even i
+and an R-run for odd i, and a peel either adds to the last exponent or
+appends one.  Letters come back from the parity of the index when an
+LRWord is cut out between two snaps (_Out.word).
 """
 from __future__ import annotations
 
@@ -345,15 +347,26 @@ class _Out:
         return exps
 
 
-def _feed_run(n, t, runs, out):
+def _feed_run(n, t, runs, out, boundary=None):
     r"""Consume the input runs ((letter, count), ...) in order, peeling the
     output into out.counts (out may be None); returns the balanced state left.
 
     The one escape kernel.  It absorbs each run letter^e whole, t times
     L^e (a += b e, c += d e) or R^e (b += a e, d += c e), then peels
     maximal L/R runs off the left until the state is balanced.  t needs
-    det(t) > 0 and nonnegative entries.  An unbalanced t is peeled first,
-    with no check, so runs = () is a plain peel (_peel).
+    det(t) > 0 and nonnegative entries.  An unbalanced t is fed the empty
+    run (None, 0) first, whose peel is not checked, so runs = () is a plain
+    peel (_peel).
+
+    The cycle.  Given a dict `boundary`, empty, the kernel feeds the tuple
+    runs as a block again and again from t and records each state at a
+    block boundary, t first, as boundary[state] = (blocks fed, the output's
+    snap there), until a state repeats.  It then returns (that state,
+    gamma = the number of blocks between its two visits, the snap of its
+    first visit): the output cycle runs from that snap to the output's end,
+    and boundary's keys are the block-boundary states in the order of
+    their first visits.  t need not be in DB_n: the kernel checks every
+    state that an escape leads to.
 
     Why one peel per run gives the transducer's output.  A nonnegative M
     of det > 0 has at most one of L^-1 M = (a, b, c - a, d - b) and
@@ -395,12 +408,23 @@ def _feed_run(n, t, runs, out):
     """
     emitted = out.counts if out is not None else [0]
     on_l = len(emitted) % 2 == 1  # whether the last run is an L-run
-    runs = iter(runs)
-    letter = None  # the run just absorbed: none before the first
     a, b, c, d = t
+    # an unbalanced t is peeled by the empty run (None, 0), with no check
+    block = runs if a > c and d > b else ((None, 0), *runs)
+    if boundary is not None:
+        blocks = 0
+        boundary[t] = (0, len(emitted), emitted[-1])
     while True:
-        if not (a > c and d > b):
-            while not (a > c and d > b):
+        for letter, e in block:
+            if letter == L:
+                a += b * e
+                c += d * e
+            else:
+                b += a * e
+                d += c * e
+            if a > c and d > b:
+                continue
+            while True:
                 if c >= a and d >= b:
                     k = c // a
                     c -= k * a
@@ -421,22 +445,23 @@ def _feed_run(n, t, runs, out):
                         emitted[-1] += k
                 else:
                     raise AssertionError(f"no peel applies to {(a, b, c, d)}")
+                if a > c and d > b:
+                    break
             if letter == L:  # the run's last escape, rebuilt
                 j = c // d
                 _check_db((a - b * j, b, c - d * j, d), n)
             elif letter == R:
                 j = b // a
                 _check_db((a, b - a * j, c, d - c * j), n)
-        run = next(runs, None)
-        if run is None:
-            return (a, b, c, d)
-        letter, e = run
-        if letter == L:
-            a += b * e
-            c += d * e
-        else:
-            b += a * e
-            d += c * e
+        t = (a, b, c, d)
+        if boundary is None:
+            return t
+        blocks += 1
+        visit = (blocks, len(emitted), emitted[-1])
+        first = boundary.setdefault(t, visit)
+        if first is not visit:
+            return t, blocks - first[0], first[1:]
+        block = runs
 
 
 def _peel(t, out):

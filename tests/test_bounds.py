@@ -1,11 +1,13 @@
 """The period bound S_n: closed form, walk-sum dual, prime formula, verdicts."""
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from raneycf.bounds import (
+    _s_n_terms,
     breakdown_to_json,
     check_bound,
     prime_sharp_bound,
@@ -141,3 +143,25 @@ def test_breakdown_json_schema():
     doc = json.loads(breakdown_to_json(s_n_closed_form(7)))
     assert doc["n"] == 7 and doc["total"] == 24
     assert all(set(t) == {"t", "j", "xi", "term"} for t in doc["terms"])
+
+
+def _euclid_steps(a, c):
+    """Division steps of Euclid on (a, c), by recursion."""
+    return 0 if min(a, c) == 0 else 1 + _euclid_steps(min(a, c), max(a, c) % min(a, c))
+
+
+def test_s_n_terms_match_the_definition():
+    """_s_n_terms gives (t, j, xi(j, t), 2*floor(xi/2)+1) over the divisors
+    t of n and j in [t, 2t-1] off the multiples of gcd(t, n/t) > 1, for
+    every n <= 300, with xi counted by an independent Euclid; and the
+    pinned S_55440."""
+    for n in range(1, 301):
+        expected = []
+        for t in (t for t in range(1, n + 1) if n % t == 0):
+            g = math.gcd(t, n // t)
+            for j in range(t, 2 * t):
+                if g == 1 or j % g:
+                    x = _euclid_steps(j, t)
+                    expected.append((t, j, x, 2 * (x // 2) + 1))
+        assert list(_s_n_terms(n)) == expected, n
+    assert s_n_total(55440) == 1565184

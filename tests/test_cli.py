@@ -439,3 +439,49 @@ def test_gates_fail_a_repetend_with_two_quotients_swapped(capsys, monkeypatch):
     for r in failures:
         assert r["verdict"].endswith("oracle mismatch") and r["per_hx"] == r["oracle_per"]
         _assert_repro(r)
+
+
+# -- rendering ----------------------------------------------------------------------
+
+
+def test_render_json_is_the_indented_dump_byte_for_byte():
+    """_render's JSON, written by the C encoder, equals json.dumps(report,
+    indent=2) byte for byte on flat reports of the transform's and the
+    search's shape: strings that need escapes (quotes, backslashes,
+    control characters, non-ASCII), negative and huge ints."""
+    texts = ["[;3]", 'a "quoted" \\ path', "tab\there\nnewline", "caf\u00e9 \u2028 \U0001f600",
+             "\x00\x1f\x7f", "", "3/7", "holds; oracle mismatch"]
+    ints = [0, 1, -1, 2**63, -(2**64), 10**5000]
+    rng = random.Random(9)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for _ in range(200):
+            keys = rng.sample(["result_cf", "per_x", "per_hx", "S_n", "verdict", "best_ratio",
+                               "witness_state", "witness_offset", 'k"ey', "k\u00e9y"], rng.randint(1, 6))
+            report = {k: rng.choice((rng.choice(texts), rng.choice(ints))) for k in keys}
+            assert cli._render(report, "json") == json.dumps(report, indent=2), report
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_render_json_falls_back_off_flat_reports():
+    """A report that is empty or holds a list, a dict, a bool, a float or
+    None goes through json.dumps(report, indent=2) itself."""
+    for report in ({}, {"a": [1, 2]}, {"a": {"b": 1}, "c": 2}, {"a": []}, {"a": {}},
+                   {"a": True}, {"a": 0.5}, {"a": None}):
+        assert cli._render(report, "json") == json.dumps(report, indent=2), report
+
+
+def test_transform_and_search_json_is_the_indented_dump(capsys):
+    """transform and search --format json print what json.dumps(...,
+    indent=2) prints for the same report."""
+    for argv in (("transform", "--matrix", "12,1,17,2", "--cf", "[;3]", "--format", "json"),
+                 ("transform", "--matrix=-5,3,7,2", "--cf", "[-7,2;100000000000000000000000,1]",
+                  "--format", "json"),
+                 ("search", "9", "--cf", "[;4696]", "--format", "json"),
+                 ("search", "12", "--cf", "[;499398,18446744073709552092]", "--format", "json")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n", argv

@@ -1,5 +1,6 @@
 """Quadratic surd oracle: expansion, periods, exact Moebius application."""
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd, isqrt
@@ -297,3 +298,36 @@ def test_parse_format_cf():
     for bad in ("[1,2]", "3", "[1;]", "[a;2]"):
         with pytest.raises(ValueError):
             parse_cf(bad)
+
+
+def test_format_cf_matches_str_of_each_quotient():
+    """format_cf, whose quotients 0-1023 come from a table, writes what
+    str() writes: at the table's edges, on negative and zero heads and on
+    quotients of 5,001 digits, which raise the interpreter's int/str
+    ValueError as str() does unless the limit is lifted."""
+
+    def old(cf):
+        return f"[{','.join(map(str, cf.preperiod))};{','.join(map(str, cf.repetend))}]"
+
+    edges = [1, 2, 9, 10, 99, 100, 1022, 1023, 1024, 1025, 2**63, 10**40]
+    rng = random.Random(1023)
+    cases = [PeriodicCF((h,), (q,)) for h in (0, -1, -1023, -1024, 1023, 1024) for q in edges]
+    for _ in range(300):
+        head = [rng.choice([0, -5, -2000] + edges)] if rng.random() < 0.5 else []
+        pre = head + [rng.choice(edges) for _ in range(rng.randint(0, 3))]
+        cases.append(PeriodicCF(tuple(pre), tuple(rng.choice(edges) for _ in range(rng.randint(1, 6)))))
+    for cf in cases:
+        assert format_cf(cf) == old(cf), cf
+    huge = PeriodicCF((-(10**5000),), (3, 10**5000))
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ValueError):
+                old(huge)
+            with pytest.raises(ValueError):
+                format_cf(huge)
+            sys.set_int_max_str_digits(0)
+            assert format_cf(huge) == old(huge)
+        finally:
+            sys.set_int_max_str_digits(limit)

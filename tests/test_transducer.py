@@ -25,6 +25,7 @@ from raneycf.matrices import (
 from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
     _enter,
+    _hermite_start,
     _key_step,
     _resolve_cycle,
     build_transducer,
@@ -441,8 +442,8 @@ def test_whole_run_kernel_matches_reference_run_by_run(monkeypatch):
     monkeypatch.setattr(words, "_check_db", record)
     rng = random.Random(2019)
     seen = {"hermite": 0, "db": 0, "mid": 0, "n=1": 0, "n>=1024": 0, "past 2^64": 0,
-            "no escape": 0, "2+ escapes in a run": 0, "prior": 0}
-    for _ in range(1500):
+            "no escape": 0, "2+ escapes in a run": 0, "prior": 0, "blocks": 0, "gamma>=2": 0}
+    for i in range(1500):
         n = rng.choice((1, 2, 3, 7, 12, 60, 360, 1024, 4096))
         kind = rng.choice(("hermite", "db", "mid"))
         if kind == "hermite":
@@ -474,11 +475,93 @@ def test_whole_run_kernel_matches_reference_run_by_run(monkeypatch):
         assert checked == lasts, (n, t, runs)
         if out is not None:
             assert out.word() == ref_out.word(), (n, t, runs)
+        if i % 10 == 0 and max(e for _, e in runs) < 2**64:
+            # the block mode: the same runs fed as a block again and again
+            # until a block-boundary state repeats, against the reference
+            # fed them run by run, block after block
+            checked.clear()
+            out, ref_out = _Out(), _Out()
+            end, gamma, _ = _feed_run(n, t, runs, out, {})
+            ref, lasts, boundary = t, [], {t: 0}
+            while True:
+                for letter, e in runs:
+                    ref, _, escapes, last = _reference_feed_run(n, ref, letter, e, ref_out)
+                    if escapes:
+                        lasts.append(last)
+                if ref in boundary:
+                    break
+                boundary[ref] = len(boundary)
+            assert (end, gamma) == (ref, len(boundary) - boundary[ref]), (n, t, runs)
+            assert checked == lasts, (n, t, runs)
+            assert out.word() == ref_out.word(), (n, t, runs)
+            seen["blocks"] += 1
+            seen["gamma>=2"] += gamma >= 2
         seen[kind] += 1
         seen["n=1"] += n == 1
         seen["n>=1024"] += n >= 1024
         seen["past 2^64"] += max(e for _, e in runs) > 2**64
         seen["no escape"] += len(lasts) < len(runs)
+    assert all(seen.values()), seen
+
+
+def _reference_close_cycle(n, t, runs):
+    """The kernel's block mode as one kernel call per block: feed runs
+    from t until a block-boundary state repeats.  Returns (that state,
+    gamma, the output, the snap of its first visit, the block-boundary
+    states in the order of their first visits)."""
+    out = _Out()
+    snaps = [out.snap()]  # snaps[p]: end of the output after p blocks
+    boundary = {t: 0}
+    while True:
+        t = _feed_run(n, t, runs, out)
+        idx = boundary.get(t)
+        if idx is not None:
+            return t, len(snaps) - idx, out, snaps[idx], list(boundary)
+        boundary[t] = len(snaps)
+        snaps.append(out.snap())
+
+
+def test_block_mode_matches_one_kernel_call_per_block():
+    """_feed_run with a boundary dict against _reference_close_cycle: the
+    state, gamma, the output's run counts, the snap the cycle is cut at and
+    the block-boundary states in first-visit order.  From transform starts
+    (a Hermite start entered as _walk_repetend enters it, the block rotated
+    to the run after the first escape) and search starts (a primitive form
+    fed whole blocks with scratch output until one escapes, as
+    _resolve_cycle does), at n in {1, 2, 12, 720, 4096}, with odd periods
+    and quotients past 2^64."""
+    rng = random.Random(24)
+    seen = {"transform": 0, "search": 0, "odd period": 0, "past 2^64": 0, "gamma>=2": 0}
+    for i in range(160):
+        n = (1, 2, 12, 720, 4096)[i % 5]
+        rep = [rng.choice((rng.randint(1, 9), _log_uniform(rng, 10**6))) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.25:
+            rep[rng.randrange(len(rep))] = 2**64 + rng.randint(1, 10**9)
+        cf = PeriodicCF.create([rng.randint(-9, 9)] if rng.random() < 0.5 else [], rep)
+        if i % 2:
+            g = rng.choice([q for q in range(1, n + 1) if n % q == 0])
+            b = rng.choice([b for b in range(n // g) if gcd(g, b, n // g) == 1])
+            m = _random_unimodular(rng) * Mat2(g, b, 0, n // g) * _random_unimodular(rng)
+            nn, t, runs = _hermite_start(m, cf)
+            assert nn == n
+            t, r = _enter(n, t, runs, 0, _Out())
+            runs = runs[r:] + runs[:r]
+            seen["transform"] += 1
+        else:
+            g, b, d = rng.choice(_primitive_forms(n))
+            t, runs, scratch = (g, b, 0, d), lr_repetend(cf).runs, _Out()
+            while not scratch:
+                t = _feed_run(n, t, runs, scratch)
+            seen["search"] += 1
+        out, boundary = _Out(), {}
+        state, gamma, cut = _feed_run(n, t, runs, out, boundary)
+        ref_state, ref_gamma, ref_out, ref_cut, ref_states = _reference_close_cycle(n, t, runs)
+        assert (state, gamma, cut) == (ref_state, ref_gamma, ref_cut), (n, t, runs)
+        assert out.counts == ref_out.counts, (n, t, runs)
+        assert list(boundary) == ref_states, (n, t, runs)
+        seen["odd period"] += per(cf) % 2
+        seen["past 2^64"] += max(cf.repetend) > 2**64
+        seen["gamma>=2"] += gamma >= 2
     assert all(seen.values()), seen
 
 
