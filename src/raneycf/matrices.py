@@ -108,10 +108,12 @@ def in_DB(m: Mat2, n: int) -> bool:
 
 def _check_db(t, n):
     """Raise unless t, reached by absorbing and peeling from a row-balanced
-    state, is itself in DB_n.  The escape kernel (words._feed_run) calls it
-    once per input run that escapes, on that run's last escape, which it
-    rebuilds from the state the run ends in; a one-letter run escapes at
-    most once, so one-letter feeds check every escape.
+    state, is itself in DB_n; the one place that raises this contract
+    error.  The escape kernel (words._feed_run) rebuilds each escaping input
+    run's last escape from the state the run ends in and tests it inline on
+    the one condition that the end state does not already give; it calls
+    this only on a rebuilt state that fails it, to raise.  A one-letter
+    run escapes at most once, so one-letter feeds check every escape.
 
     Only the balance conditions are checked: the content gcd(a, b, c, d)
     cannot change on the way.  Absorbing letter^k multiplies t on the right

@@ -248,7 +248,7 @@ def _enter(n, t, runs, r, out):
     h_W^-1(a/c) < 0, and a row-balanced s with h_s(-1) < 0 is doubly
     balanced.  On R, h_t'(-1) = b/d < 1 and W starts with R.  Later escapes
     of that run land in DB_n too, as every escape from a DB_n state does.
-    _feed_run's _check_db covers the last escape of the run that escaped,
+    _feed_run's DB_n check covers the last escape of the run that escaped,
     rebuilt from the row-balanced state it returns.
     """
     while not out:

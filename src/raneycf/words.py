@@ -384,27 +384,44 @@ def _feed_run(n, t, runs, out, boundary=None):
     escapes exactly when t letter^e is unbalanced: a balanced product is
     its own factorization with W empty.
 
+    The peel.  Absorbing only adds to entries and each peel step keeps
+    them nonnegative, with det unchanged, so every state has a >= 1 and
+    d >= 1 (a = 0 or d = 0 would give det = -bc <= 0).  A peel of L^k
+    keeps c - k a and d - k b nonnegative, so k is at most
+    min(c // a, d // b); det > 0 gives d / b > c / a when b > 0, so that
+    minimum is c // a.  Likewise R^k peels b // d letters.  The peel
+    alternates: an unbalanced state with c >= a has d >= b (the lemma
+    above), so it takes L^(c // a), which leaves c < a and is balanced
+    exactly when d > b; otherwise a > c and, the state being unbalanced,
+    d <= b, so it takes R^(b // d) with no test, which leaves b < d and is
+    balanced exactly when a > c; otherwise it loops.  Those two cases
+    cover every unbalanced state, and by the lemma each one's letter peels,
+    so no state is left on which neither does: the loop needs no branch
+    for one.  A run thus takes one step per output run it writes, plus at
+    most one that merges into the run before, on integers O(log e) bits
+    longer than t's: no step count grows with a partial quotient.
+
     The check.  A run that peels anything escaped, and its last escape
     landed on the DB_n state s that the rest of the run, letter^j with no
     further escape, carried to the end state (a, b, c, d).  s is doubly
     balanced, so after an L-run c_s < d_s gives j = c // d and
-    s = (a - b j, b, c mod d, d); after an R-run b_s < a_s gives
-    j = b // a and s = (a, b mod a, c, d - c j).  _check_db checks that s,
-    rebuilt in O(1), once per run that peels: one-letter feeds
-    (build_transducer, walk_LE) still check every escape.
+    s = (x, b, c mod d, d) with x = a - b j; after an R-run b_s < a_s
+    gives j = b // a and s = (a, b mod a, c, x) with x = d - c j.  Three
+    of _check_db's four conditions on s hold already.  After an L-run, s
+    and the end state share b and d, and the end state's balance gives
+    d > b; a residue gives d > c mod d; and the end state's a > c reads
+    x + b j > c mod d + d j, so x > c mod d + (d - b) j >= c mod d.  After
+    an R-run, likewise, a > c, a > b mod a and x > b mod a + (a - c) j.
+    So the kernel tests the fourth inline, x > b after L and x > c after
+    R, once per run that peels, and hands s to _check_db, which raises,
+    only when it fails.  One-letter feeds (build_transducer, walk_LE) still
+    check every escape.
 
     The output.  Whether out's last run is an L-run is the parity of its
     number of counts, read once at entry and then kept in on_l, so each
     peel of L^k (R^k) adds k to the last count when that run has its letter
     and appends k otherwise: one integer operation, no letter stored.  With
     out=None the peels go to a scratch [0].
-
-    A peel of L^k keeps c - k a and d - k b nonnegative, so k is at most
-    min(c // a, d // b); det > 0 gives d / b > c / a when b > 0, so that
-    minimum is c // a.  Likewise R^k peels b // d letters.  The peel steps
-    alternate in letter, so a run takes one per output run it writes, plus
-    at most one that merges into the run before, on integers O(log e) bits
-    longer than t's: no step count grows with a partial quotient.
     """
     emitted = out.counts if out is not None else [0]
     on_l = len(emitted) % 2 == 1  # whether the last run is an L-run
@@ -424,8 +441,8 @@ def _feed_run(n, t, runs, out, boundary=None):
                 d += c * e
             if a > c and d > b:
                 continue
-            while True:
-                if c >= a and d >= b:
+            while True:  # the alternating peel (see "The peel")
+                if c >= a:  # so d >= b
                     k = c // a
                     c -= k * a
                     d -= k * b
@@ -434,25 +451,27 @@ def _feed_run(n, t, runs, out, boundary=None):
                     else:
                         emitted.append(k)
                         on_l = True
-                elif a >= c and b >= d:
-                    k = b // d
-                    a -= k * c
-                    b -= k * d
-                    if on_l:
-                        emitted.append(k)
-                        on_l = False
-                    else:
-                        emitted[-1] += k
+                    if d > b:  # and c < a
+                        break
+                # a > c and d <= b
+                k = b // d
+                a -= k * c
+                b -= k * d
+                if on_l:
+                    emitted.append(k)
+                    on_l = False
                 else:
-                    raise AssertionError(f"no peel applies to {(a, b, c, d)}")
-                if a > c and d > b:
+                    emitted[-1] += k
+                if a > c:  # and d > b
                     break
-            if letter == L:  # the run's last escape, rebuilt
-                j = c // d
-                _check_db((a - b * j, b, c - d * j, d), n)
-            elif letter == R:
-                j = b // a
-                _check_db((a, b - a * j, c, d - c * j), n)
+            if letter == L:  # the run's last escape, rebuilt: (x, b, c % d, d)
+                x = a - b * (c // d)
+                if x <= b:
+                    _check_db((x, b, c % d, d), n)
+            elif letter == R:  # (a, b % a, c, x)
+                x = d - c * (b // a)
+                if x <= c:
+                    _check_db((a, b % a, c, x), n)
         t = (a, b, c, d)
         if boundary is None:
             return t

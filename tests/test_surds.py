@@ -197,6 +197,51 @@ def test_cf_from_surd_period_1000_is_fast():
     assert elapsed < 1, f"took {elapsed:.2f}s, budget 1s"
 
 
+def test_cf_from_surd_matches_reference_on_a_long_image():
+    """An image with thousands of repetend quotients, D of 5,000 bits."""
+    rng = random.Random(1)
+    cf = PeriodicCF.create([], [rng.randint(1, 20) for _ in range(800)])
+    x = apply_mobius(Mat2(5, 3, 7, 2), surd_from_cf(cf))
+    image = cf_from_surd(x)
+    assert per(image) >= 3000
+    assert image == _reference_cf_from_surd(x)
+
+
+def test_cf_from_surd_matches_reference_past_2_64():
+    """Reduced cycles whose quotients pass 2^64, and their images."""
+    rng = random.Random(64)
+    for _ in range(40):
+        rep = [rng.choice((rng.randint(1, 9), 2**64 + rng.randint(-5, 5), rng.randint(2**64, 2**90)))
+               for _ in range(rng.randint(1, 12))]
+        cf = PeriodicCF.create([], rep)
+        x = surd_from_cf(cf)
+        assert cf_from_surd(x) == _reference_cf_from_surd(x) == cf
+        m = Mat2(*(rng.randint(-30, 30) for _ in range(4)))
+        if det(m):
+            y = apply_mobius(m, x)
+            assert cf_from_surd(y) == _reference_cf_from_surd(y)
+
+
+@pytest.mark.parametrize("offset, first", [(-1, 1), (0, 2)])
+def test_cf_from_surd_at_the_one_quotient_boundary(offset, first):
+    """Reduced surds (P + sqrt(D))/Q with P + isqrt(D) = 2Q - 1, whose
+    quotient is 1 with remainder Q - 1, and P + isqrt(D) = 2Q, whose
+    quotient is 2 with remainder 0: the edges of the reduced loop's a = 1
+    branch."""
+    rng = random.Random(offset)
+    for _ in range(200):
+        r = rng.randint(3, 3000)
+        Q = rng.randint((2 * r - offset) // 3 + 1, r)  # 2r < 3Q + offset, Q <= r
+        P = 2 * Q + offset - r
+        D = r * r + 1 + (P * P - r * r - 1) % Q  # r^2 < D <= r^2 + Q < (r + 1)^2
+        assert isqrt(D) == r and (D - P * P) % Q == 0
+        assert Q > 0 and P <= r < P + Q and Q - P <= r  # reduced
+        x = QuadraticSurd(P, Q, D)
+        cf = cf_from_surd(x)
+        assert (cf.preperiod, cf.repetend[0]) == ((), first)
+        assert cf == _reference_cf_from_surd(x)
+
+
 def test_per_examples():
     assert per(parse_cf("[;3]")) == 1
     assert per(parse_cf("[;200]")) == 1

@@ -1,6 +1,7 @@
 """Transducer construction, transduction of periodic input, LE walks, search."""
 import json
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
@@ -425,21 +426,42 @@ def test_feed_run_matches_reference():
     assert all(loop_starts.values()), loop_starts
 
 
-def test_whole_run_kernel_matches_reference_run_by_run(monkeypatch):
+@pytest.fixture
+def checked(monkeypatch):
+    """The states the kernel hands _check_db, in order, each still checked."""
+    calls = []
+
+    def record(t, n):
+        calls.append(t)
+        _check_db(t, n)
+
+    monkeypatch.setattr(words, "_check_db", record)
+    return calls
+
+
+def _rebuilt_escape(letter, t):
+    """The last escape of a run of `letter` that escaped and ended at t,
+    rebuilt as _feed_run's check rebuilds it: the doubly balanced state the
+    rest of the run, letter^j with no escape, carried to t."""
+    a, b, c, d = t
+    if letter == L:
+        return (a - b * (c // d), b, c % d, d)
+    return (a, b % a, c, d - c * (b // a))
+
+
+def test_whole_run_kernel_matches_reference_run_by_run(checked):
     """Whole blocks of runs through the kernel in one call against
     _reference_feed_run fed one run at a time, escape by escape: from
     primitive Hermite forms, DB_n states and states part way into an edge,
     for n = 1 up to 4096, counts past 2^64, with and without an output
     accumulator that may already hold runs.  The end state and the output
-    word are the reference's, and the states the kernel hands _check_db
-    are the reference's last escapes, one per run that escapes, in order."""
-    checked = []
-
-    def record(t, n):
-        checked.append(t)
-        _check_db(t, n)
-
-    monkeypatch.setattr(words, "_check_db", record)
+    word are the reference's.  The same runs fed to the kernel one call
+    per run end where the reference does after each run, and the rebuild
+    of the kernel's check on the end state of each run that escapes is the
+    reference's last escape, which the reference checks is in DB_n.  On
+    these valid inputs the kernel's inline check passes every run, so it
+    never calls _check_db (block mode included);
+    test_kernel_check_raises_outside_its_precondition covers the calls."""
     rng = random.Random(2019)
     seen = {"hermite": 0, "db": 0, "mid": 0, "n=1": 0, "n>=1024": 0, "past 2^64": 0,
             "no escape": 0, "2+ escapes in a run": 0, "prior": 0, "blocks": 0, "gamma>=2": 0}
@@ -463,36 +485,36 @@ def test_whole_run_kernel_matches_reference_run_by_run(monkeypatch):
                 _emit(out, *r)
                 _emit(ref_out, *r)
             seen["prior"] += bool(out)
-        checked.clear()
         end = _feed_run(n, t, runs, out)
-        ref, lasts = t, []
+        ref, lasts, cur, rebuilt = t, [], t, []
         for letter, e in runs:
             ref, _, escapes, last = _reference_feed_run(n, ref, letter, e, ref_out)
+            cur = _feed_run(n, cur, ((letter, e),), None)
+            assert cur == ref, (n, t, runs)
             if escapes:
                 lasts.append(last)
+                rebuilt.append(_rebuilt_escape(letter, cur))
             seen["2+ escapes in a run"] += escapes >= 2
         assert end == ref, (n, t, runs)
-        assert checked == lasts, (n, t, runs)
+        assert rebuilt == lasts, (n, t, runs)
+        assert checked == [], (n, t, runs)
         if out is not None:
             assert out.word() == ref_out.word(), (n, t, runs)
         if i % 10 == 0 and max(e for _, e in runs) < 2**64:
             # the block mode: the same runs fed as a block again and again
             # until a block-boundary state repeats, against the reference
             # fed them run by run, block after block
-            checked.clear()
             out, ref_out = _Out(), _Out()
             end, gamma, _ = _feed_run(n, t, runs, out, {})
-            ref, lasts, boundary = t, [], {t: 0}
+            ref, boundary = t, {t: 0}
             while True:
                 for letter, e in runs:
-                    ref, _, escapes, last = _reference_feed_run(n, ref, letter, e, ref_out)
-                    if escapes:
-                        lasts.append(last)
+                    ref = _reference_feed_run(n, ref, letter, e, ref_out)[0]
                 if ref in boundary:
                     break
                 boundary[ref] = len(boundary)
             assert (end, gamma) == (ref, len(boundary) - boundary[ref]), (n, t, runs)
-            assert checked == lasts, (n, t, runs)
+            assert checked == [], (n, t, runs)
             assert out.word() == ref_out.word(), (n, t, runs)
             seen["blocks"] += 1
             seen["gamma>=2"] += gamma >= 2
@@ -502,6 +524,25 @@ def test_whole_run_kernel_matches_reference_run_by_run(monkeypatch):
         seen["past 2^64"] += max(e for _, e in runs) > 2**64
         seen["no escape"] += len(lasts) < len(runs)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("t, runs, landed", [
+    ((0, 1, -2, 3), ((L, 1),), (1, 1, 0, 2)),
+    ((3, -2, 1, 0), ((R, 1),), (2, 0, 1, 1)),
+    ((0, 2, -3, 5), ((L, 2),), (2, 2, 0, 3)),  # ends at (4, 2, 3, 3), j = 1
+    ((5, -3, 2, 0), ((R, 2),), (3, 0, 2, 2)),  # ends at (3, 3, 2, 4), j = 1
+])
+@pytest.mark.parametrize("block", [False, True])
+def test_kernel_check_raises_outside_its_precondition(checked, t, runs, landed, block):
+    """Starts with a negative entry, outside the kernel's precondition,
+    whose run's last escape lands on a balanced state that is not doubly
+    balanced: the inline check fails, and the kernel hands the rebuilt
+    escape, not the end state, to _check_db, which raises the contract
+    error, in block mode too."""
+    message = f"factorization left {landed} balanced but not doubly balanced for n=2"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        _feed_run(2, t, runs, _Out(), {} if block else None)
+    assert checked == [landed]
 
 
 def _reference_close_cycle(n, t, runs):
