@@ -102,7 +102,17 @@ def prime_sharp_bound(n: int) -> int:
 
 
 def check_bound(n: int, per_x: int, per_hx: int) -> str:
-    """Verdict for per_x/S_n <= per_hx <= S_n*per_x."""
+    """Verdict for per_x/S_n <= per_hx <= S_n*per_x.
+
+    The lower bound is the upper bound read backwards.  Say y = h_M(x) with
+    |det M| = n, and let adj M = inverse_times_det(M).  Then
+    adj M * M = det(M) I, whose map is the identity, so
+    h_{adj M}(y) = x, and |det adj M| = n too.  So a ratio
+    rho = per(y) / per(x) at (x, M) gives 1/rho at (y, adj M): the upper
+    bound at (y, adj M), per(x) <= S_n per(y), is the lower bound at
+    (x, M), and 1/S_n is reached exactly where S_n is, one transform away
+    from a best witness.
+    """
     if n < 1 or per_x < 1 or per_hx < 1:
         raise ValueError("all arguments must be positive")
     s = s_n_total(n)

@@ -280,9 +280,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    least = 2 if args.command == "verify" else 1
-    if getattr(args, "n", least) < least:
-        parser.error(f"n must be >= {least}")
+    if getattr(args, "n", 1) < 1:
+        parser.error("n must be >= 1")
     try:
         if args.command == "bound":
             text, status = cmd_bound(args.n, args.breakdown, args.format), 0

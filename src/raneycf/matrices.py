@@ -179,7 +179,8 @@ def _enumerate_DB(n: int) -> tuple[tuple[int, int, int, int], ...]:
     b and c >= 0 solve ub + vc = n - uv, where b steps by v/g with
     g = gcd(u, v).  With c = (n - uv - ub) / v the band reads
     n / (u + v) - v < b < n / (u + v), a window of width v in b, so each
-    pair has at most g solutions, found from one modular inverse.  The
+    pair has at most g solutions, found from one modular inverse and walked
+    in steps of v/g while b stays in the window.  The
     associated matrix (a, b, c, d) -> (d, c, b, a) swaps u and v, so only
     u <= v is solved.  Content is gcd(u, v, b, c), which only g > 1 can
     break.  The cost is O(n log n), against the n^2 / 2 pairs (a, c) of a
@@ -202,12 +203,14 @@ def _enumerate_DB(n: int) -> tuple[tuple[int, int, int, int], ...]:
                 hi = m // u
             step = v // g
             b0 = m // g * pow(u // g, -1, step)
-            for b in range(lo + (b0 - lo) % step, hi + 1, step):
+            b = lo + (b0 - lo) % step
+            while b <= hi:
                 c = (m - u * b) // v
                 if g == 1 or gcd(g, b, c) == 1:
                     add((c + u, b, c, b + v))
                     if u != v:
                         add((b + v, c, b, c + u))
+                b += step
     found.sort()
     return tuple(found)
 

@@ -21,10 +21,12 @@ keys only: it
 feeds each primitive Hermite form that no walk has reached yet whole
 blocks, aligned to block boundaries, and reads the run-0 keys of its
 cycle off the kernel's block-boundary states (_resolve_cycle), one kernel
-walk per run-0 key cycle.  Its witness scan steps those periods from run
-to run by key steps alone, with no step table of its own.  The explicit
-edge table (build_transducer) exists for display and for the exhaustive
-lemma checks, and is built through the same kernel one letter at a time.
+call per run-0 key cycle.  Its witness scan reads run 0's starts first,
+computing each one's form only when it gets there, and steps the periods
+from run to run by key steps alone, with no step table of its own.  The
+explicit edge table (build_transducer) exists for display and for the
+exhaustive lemma checks, and is built through the same kernel one letter
+at a time.
 The independent references are in the tests: _reference_feed_run, one
 call per escape step, _reference_close_cycle, one kernel call per block,
 and test_9's letter-by-letter edge walk.
@@ -189,8 +191,7 @@ def transduce_cycle(n: int, start: Mat2, repetend: LRWord) -> ClosedWalk:
 
 def _least_cycle(exps) -> tuple[int, ...]:
     """A cyclic sequence of exponents cut at its least cyclic period."""
-    exps = tuple(exps)
-    return exps[: _primitive_period(exps)]
+    return tuple(exps[: _primitive_period(exps)])
 
 
 def lr_cycle_to_repetend(cycle: LRWord) -> tuple[int, ...]:
@@ -394,37 +395,35 @@ def _key_step(form, letter, k):
 def _resolve_cycle(n, form, runs):
     """(states, period) for the search node (0, H), H = (g, b, 0, d) for
     the primitive form (g, b, d): the block-boundary states of H's walk
-    over the cyclic word runs (a dict keyed by them, in the order of their
-    first visits), and the output period of its orbit.
+    over the cyclic word runs (a dict keyed by them, H first, in the order
+    of their first visits), and the output period of its orbit.
 
-    The walk is fed whole blocks, runs[0], runs[1], ..., so that every
-    state it stops at is a run-0 node.  H is fed with scratch output until
-    a block has escaped, as _enter would within it, then one more kernel
-    call with a boundary dict feeds it on, with output, until a
-    block-boundary state repeats.  The period is the length of the
-    repetend of that output cycle, read as the transform reads its own
-    (_walk_repetend): per(h_H(y)) for y = [; repetend] (_hermite_start),
-    which is the period of every node (0, s) whose state s has the coset
-    of a boundary state.
+    One kernel call feeds H whole blocks, runs[0], runs[1], ..., so that
+    every state it stops at is a run-0 node, until a block-boundary state
+    repeats (_feed_run with a boundary dict).  H is row balanced, so it is
+    a start for the kernel as for _enter, and the kernel checks every state
+    that an escape leads to.  The output from the repeated state's first
+    visit on is a whole number of the orbit's output cycles, and the
+    transient blocks from H before it, with their output, are cut away at
+    that visit's snap.  The cycle's repetend is read as the transform reads
+    its own (_walk_repetend): the period is per(h_H(y)) for y = [; repetend]
+    (_hermite_start), which is the period of every node (0, s) whose state
+    s has the coset of a boundary state.
 
-    The states' forms sweep H's whole run-0 key cycle.  The step of a
-    run-0 key by one block is a bijection on the psi(n) forms (_key_step),
-    so the key cycle is pure, and H's form lies on it.  The state after j
-    blocks is U H B^j, B the block's matrix and U unimodular (the peels),
-    so its form is H's stepped j times.  The kernel records tau + gamma
-    states, the last gamma of them a cycle of states: a state's return
-    implies its form's, so the key cycle's length divides gamma, and those
-    gamma consecutive forms cover it.  The search also gives H's own form
-    the period, so that coverage bears on cost only.
+    The states' forms are H's run-0 key cycle, with none off it.  The state
+    after j blocks is U H B^j, B the block's matrix and U unimodular (the
+    peels), so its form is H's stepped j times, j = 0 included.  The step
+    of a run-0 key by one block is a bijection on the psi(n) forms
+    (_key_step), so the key cycle is pure: the transient states' forms lie
+    on it too.  The kernel records tau + gamma states, the last gamma of
+    them a cycle of states; a state's return implies its form's, so the key
+    cycle's length divides gamma, and those gamma consecutive forms cover
+    it.
     """
     g, b, d = form
-    t = (g, b, 0, d)
-    scratch = _Out()
-    while not scratch:
-        t = _feed_run(n, t, runs, scratch)
     out, states = _Out(), {}
-    _, _, cut = _feed_run(n, t, runs, out, states)
-    return states, len(_least_cycle(out.cyclic_exps(cut)))
+    _, _, cut = _feed_run(n, (g, b, 0, d), runs, out, states)
+    return states, _primitive_period(out.cyclic_exps(cut))
 
 
 def search_max_ratio(n: int, cf: PeriodicCF):
@@ -453,8 +452,8 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     The maximum.  Each of the psi(n) primitive forms (g, b, d)
     (_primitive_forms) that no earlier walk reached is fed as the node
     (0, H), H = (g, b, 0, d), through _resolve_cycle: one kernel walk
-    aligned to block boundaries, whose boundary states' forms cover H's
-    run-0 key cycle, and each of them, H's own form too, gets the walk's
+    aligned to block boundaries from H, whose boundary states' forms, H's
+    own first, cover H's run-0 key cycle, and each of them gets the walk's
     period.  So period_of holds the psi(n) run-0 keys, one walk per run-0
     key cycle.  Key (0, H) has period per(h_H(y)) for y = y_0
     = [; repetend], so best_ratio, the largest period over per(y), is the
@@ -471,19 +470,27 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     maximum.  The scan goes through the runs in order and returns the first
     hit: the starts (r, s) at the run's first offset, then for
     k = e-1 ... max(1, e-n) and each start the key
-    (r+1, _key_step(form, letter, k)), at e - k letters into the run.  Run
-    r + 1's periods come from run r's by one key step per form, the key
-    cycle's own step, built only when the scan gets past run r's starts.
-    The key _key_step(form, letter, k) is periodic in k with a period
-    dividing n: for R it is d / gcd(g, d), and for L, H L^n H^-1 =
-    I + [[b d, -b^2], [d^2, -b d]] lies in SL2(Z), so H L^(k+n) has the
-    coset of H L^k.  So the largest k < e that hits, the run's first
-    offset inside it, lies among the n offsets of that window.
+    (r+1, _key_step(form, letter, k)), at e - k letters into the run.  At
+    run 0's first offset the key of (0, s) is s's own form, so each start's
+    form is computed only when the scan reaches that start, and the scan
+    returns at the first hit.  Only when no start hits there are all the
+    forms held, once each, for the offsets inside the runs and for the
+    later runs' starts.  Run r + 1's periods come from run r's by one key
+    step per form, the key cycle's own step, built only when the scan gets
+    past run r's starts.  The key _key_step(form, letter, k) is periodic in
+    k with a period dividing n: for R it is d / gcd(g, d), and for L,
+    H L^n H^-1 = I + [[b d, -b^2], [d^2, -b d]] lies in SL2(Z), so
+    H L^(k+n) has the coset of H L^k.  So the largest k < e that hits, the
+    run's first offset inside it, lies among the n offsets of that window.
 
-    The cost is one output walk per run-0 key cycle, with a Hermite form
-    per block-boundary state, plus psi(n) key steps and at most
-    n |DB_n| more per run that the witness scan reads.  None of it depends
-    on the size of the partial quotients.
+    The cost is one kernel call per run-0 key cycle (_resolve_cycle), with
+    a Hermite form per block-boundary state, then the forms of the starts
+    that run 0's first offset reads, up to its first hit; only a scan that
+    gets past it pays for every start's form, psi(n) key steps and at most
+    n |DB_n| more per run that it reads.  None of it depends on the size of
+    the partial quotients.  The witness sits at run 0's first offset in
+    nearly every search: in 59 of the benchmark's 60 search problems
+    (seed 7), where it is the 3.5th of about 34 starts on average.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -501,18 +508,23 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     for form in _primitive_forms(n):
         if form not in period_of:
             states, period = _resolve_cycle(n, form, runs)
-            period_of[form] = period
-            for s in states:
+            for s in states:  # H first, whose form is form
                 period_of[_hermite(*s)] = period
     best = max(period_of.values())
     ratio = Fraction(best, per(cf))
-    forms = [_hermite(*s) for s in starts]
+    forms = []  # the starts' forms, each computed once when reached
+    for s in starts:
+        form = _hermite(*s)
+        if period_of[form] == best:
+            return ratio, Mat2(*s), 0
+        forms.append(form)
     offset = 0
     here = period_of  # Hermite form of a node of the run scanned -> period
     for letter, e in runs:
-        for s, form in zip(starts, forms):
-            if here[form] == best:
-                return ratio, Mat2(*s), offset
+        if offset:
+            for s, form in zip(starts, forms):
+                if here[form] == best:
+                    return ratio, Mat2(*s), offset
         here = {_key_step(f, letter, e): p for f, p in here.items()}
         for k in range(e - 1, max(1, e - n) - 1, -1):
             for s, form in zip(starts, forms):

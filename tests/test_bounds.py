@@ -1,6 +1,7 @@
 """The period bound S_n: closed form, walk-sum dual, prime formula, verdicts."""
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,10 @@ from raneycf.bounds import (
     s_n_total,
     s_n_via_transducer,
 )
+from raneycf.cli import _same_cycle
+from raneycf.matrices import Mat2, det, inverse_times_det, primitive_part
+from raneycf.surds import PeriodicCF, apply_mobius, cf_from_surd, parse_cf, per, surd_from_cf
+from raneycf.transducer import image_repetend
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -137,6 +142,58 @@ def test_check_bound_matches_fraction_formula_at_the_edges(n):
         ]:
             if per_x >= 1 and per_hx >= 1:
                 assert check_bound(n, per_x, per_hx) == _reference_check_bound(n, per_x, per_hx)
+
+
+# the search witnesses at offset 0 that CI pins: (n, repetend, best ratio,
+# witness state), the state applied to [; repetend]
+_PINNED_WITNESSES = [
+    (1, "[;5]", Fraction(1), Mat2(1, 0, 0, 1)),
+    (1024, "[;7]", Fraction(1280), Mat2(2, 1, 0, 512)),
+    (720, "[;1,1,3]", Fraction(10), Mat2(9, 8, 0, 80)),
+    (240, "[;3,1,4,1,5,9]", Fraction(26, 3), Mat2(13, 7, 1, 19)),
+    (4096, "[;1,2]", Fraction(1136), Mat2(1, 0, 0, 4096)),
+    (500, "[;1,1,2,3,5,8,13]", Fraction(1186, 7), Mat2(3, 2, 2, 168)),
+    (16384, "[;1,2]", Fraction(4532), Mat2(3, 2, 1, 5462)),
+    (2310, "[;3,1,4]", Fraction(76, 3), Mat2(12, 1, 6, 193)),
+]
+
+
+def _dressed(rng, n):
+    """A seeded matrix of |det| n: a triangular [[g, b], [0, n/g]] with
+    content up to 3, times random words in L, R, J and a sign on both
+    sides."""
+    g = rng.choice([t for t in range(1, n + 1) if n % t == 0])
+    k = rng.randint(1, 3)
+    m = Mat2(g * k, rng.randrange(n // g) * k, 0, n // g * k)
+    words = [Mat2(1, 0, 1, 1), Mat2(1, 1, 0, 1), Mat2(0, 1, 1, 0), Mat2(-1, 0, 0, 1)]
+    for _ in range(rng.randint(0, 6)):
+        m = rng.choice(words) * m if rng.random() < 0.5 else m * rng.choice(words)
+    return m
+
+
+def test_lower_bound_is_the_upper_bound_read_backwards():
+    """With y = h_M(x) from the surd oracle, the transducer's walk of
+    h_{adj M}(y) gives back x's repetend up to rotation, so a ratio rho at
+    (x, M) is 1/rho at (y, adj M) and both verdicts agree: on 150 seeded
+    (M, x), n from 1 to 60 with content up to 3, preperiods and negative
+    determinants included, and on each search witness that CI pins at
+    offset 0, whose ratio is the search's best."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(150):
+        pre = [rng.randint(-20, 20)] + [rng.randint(1, 9) for _ in range(rng.randint(0, 2))]
+        rep = [rng.choice((rng.randint(1, 4), rng.randint(1, 300))) for _ in range(rng.randint(1, 5))]
+        cases.append((_dressed(rng, rng.randint(1, 60)), PeriodicCF.create(pre, rep), None))
+    for n, text, ratio, state in _PINNED_WITNESSES:
+        cases.append((state, parse_cf(text), ratio))
+    for m, x, ratio in cases:
+        y = cf_from_surd(apply_mobius(m, surd_from_cf(x)))
+        back = image_repetend(inverse_times_det(m), y)
+        assert _same_cycle(back, x.repetend), (m, x)
+        n = abs(det(primitive_part(m)))
+        assert check_bound(n, per(x), per(y)) == check_bound(n, per(y), per(x)) == "holds"
+        if ratio is not None:
+            assert Fraction(per(y), per(x)) == ratio, (m, x)
 
 
 def test_breakdown_json_schema():

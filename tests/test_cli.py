@@ -184,9 +184,14 @@ def test_verify_seed_ignores_environment(capsys, monkeypatch):
         assert code == 0 and json.loads(out)["seed"] == 0
 
 
-def test_verify_rejects_n_1(capsys):
+def test_verify_accepts_n_1_and_rejects_n_0(capsys):
+    # S_1 = 1, so each trial's verdict `holds` is per(h_M(x)) = per(x) for
+    # unimodular M: Serret's theorem, checked by the oracle
+    code, out, _ = run(capsys, "verify", "1", "--samples", "50")
+    report = json.loads(out)
+    assert code == 0 and report["n"] == 1 and report["failures"] == []
     with pytest.raises(SystemExit) as e:
-        run(capsys, "verify", "1")
+        run(capsys, "verify", "0")
     assert e.value.code == 2
 
 

@@ -2,6 +2,7 @@
 import random
 import sys
 import time
+import timeit
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -13,6 +14,7 @@ from raneycf.surds import (
     PeriodicCF,
     QuadraticSurd,
     _preperiod_bound,
+    _primitive_period,
     apply_mobius,
     approx,
     cf_from_surd,
@@ -258,6 +260,65 @@ def test_periodiccf_normalization():
         PeriodicCF((), (0,))
     with pytest.raises(ValueError):
         PeriodicCF((1, 0), (2,))
+
+
+def _reference_primitive_period(seq):
+    """The least cyclic period of seq by a scan over every p <= len/2 that
+    divides its length, each tested by repeating seq[:p]."""
+    n = len(seq)
+    for p in range(1, n // 2 + 1):
+        # seq[p : 2p] == seq[:p] rules out most p before the full comparison
+        if not n % p and seq[p : 2 * p] == seq[:p] and seq[:p] * (n // p) == seq:
+            return p
+    return n
+
+
+def _powers(rng, length, alphabet):
+    """Seeded sequences of the given length: for each of a few divisors d,
+    a random root of length d over the alphabet repeated length / d times,
+    and the same with one entry changed."""
+    divisors = [d for d in range(1, length + 1) if length % d == 0]
+    for d in rng.sample(divisors, min(len(divisors), 3)):
+        seq = [rng.choice(alphabet) for _ in range(d)] * (length // d)
+        yield seq
+        seq = list(seq)
+        seq[rng.randrange(length)] = rng.choice(alphabet)
+        yield seq
+
+
+def test_primitive_period_matches_the_reference_scan():
+    """_primitive_period agrees with the reference scan on seeded powers and
+    near-powers, as tuples and as lists: every length 1-200, prime lengths
+    up to 1009, quotients past 2^64, and long powers of short roots."""
+    rng = random.Random(97)
+    big = [2**64 + k for k in (0, 1, 7)]
+    primes = [2, 3, 5, 7, 11, 13, 97, 199, 211, 997, 1009]
+    cases = []
+    for length in range(1, 201):
+        cases += _powers(rng, length, (1, 2) if length % 3 else (1, 2, 3, 4, 50))
+        cases += _powers(rng, length, big)
+    for p in primes:
+        cases += [[1] * p, [1] * (p - 1) + [2], [rng.choice(big) for _ in range(p)]]
+    cases += [[1, 2] * 2048, [1] * 4095 + [2], [3, 1, 4] * 343, list(range(720)) * 6]
+    for seq in cases:
+        expected = _reference_primitive_period(seq)
+        assert _primitive_period(seq) == _primitive_period(tuple(seq)) == expected, seq[:12]
+
+
+def test_primitive_period_of_a_high_power_costs_one_comparison():
+    """(1, 2) * 2048, a 2048th power of a root of length 2, takes no longer
+    than the reference scan, which tests p = 1 and p = 2 and compares
+    seq[:2] * 2048 once: _primitive_period makes the same one comparison,
+    for its guess at the prime 2.  Best of 7 timings each; the bound allows
+    30 % for timing noise, and a step that halved the length one comparison
+    at a time would take about 1.6 times as long."""
+    seq = (1, 2) * 2048
+    assert _primitive_period(seq) == 2
+
+    def best(fn):
+        return min(timeit.repeat(lambda: fn(seq), number=100, repeat=7))
+
+    assert best(_primitive_period) <= 1.3 * best(_reference_primitive_period)
 
 
 def test_surd_from_cf_examples():

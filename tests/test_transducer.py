@@ -1578,6 +1578,49 @@ def test_orbit_fed_from_a_hermite_form():
                 assert {_hermite(*s) for s in states} == cycle, (n, rep, (g, b, d))
 
 
+def test_resolve_cycle_is_one_kernel_call_from_H(monkeypatch):
+    """_resolve_cycle makes exactly one _feed_run call per walk, started at
+    H itself, and H's own form is among its states' forms (H is the first
+    state); the transform's walk still enters through _enter before its
+    one cycle call.  n up to 40 and from 100 to 400, repetends of 1-4
+    quotients, some past 2^63."""
+    import raneycf.transducer as transducer
+
+    calls = []
+
+    def counting_feed(n, t, runs, out, boundary=None):
+        calls.append(t)
+        return _feed_run(n, t, runs, out, boundary)
+
+    entered = []
+
+    def counting_enter(n, t, runs, r, out):
+        entered.append(t)
+        return _enter(n, t, runs, r, out)
+
+    monkeypatch.setattr(transducer, "_feed_run", counting_feed)
+    rng = random.Random(89)
+    for i in range(60):
+        n = rng.choice((rng.randint(1, 40), rng.randint(100, 400)))
+        rep = [rng.choice((rng.randint(1, 3), rng.randint(1, 300))) for _ in range(rng.randint(1, 4))]
+        if i % 4 == 0:
+            rep[rng.randrange(len(rep))] = 2**63 + rng.randint(1, 10**6)
+        cf = PeriodicCF.create([], rep)
+        runs = lr_repetend(cf).runs
+        for g, b, d in rng.sample(_primitive_forms(n), min(8, len(_primitive_forms(n)))):
+            calls.clear()
+            states, period = _resolve_cycle(n, (g, b, d), runs)
+            assert calls == [(g, b, 0, d)], (n, rep, (g, b, d))
+            assert next(iter(states)) == (g, b, 0, d)
+            assert (g, b, d) in {_hermite(*s) for s in states}
+            assert period == image_period(Mat2(g, b, 0, d), cf), (n, rep, (g, b, d))
+    monkeypatch.setattr(transducer, "_enter", counting_enter)
+    m, cf = Mat2(5, 3, 7, 2), parse_cf("[;3,1,4]")
+    calls.clear()
+    image_repetend(m, cf)
+    assert calls[0] == entered[0] == _hermite_start(m, cf)[1] and len(entered) == 1
+
+
 def test_search_walks_once_per_run0_key_cycle(monkeypatch):
     """The search calls _resolve_cycle exactly once per run-0 key cycle of
     the reference key walk, once from a form on each cycle: every later
