@@ -143,38 +143,26 @@ def _primitive_period(seq) -> int:
     Were the q left larger than p, some prime f would divide q / p, and
     then at f's turn, with q' the multiple of q held then, q' // f would
     have been a multiple of p that divides n, hence a period: f would have
-    divided q' once more.  So this greedy step ends at p.  The divisors
-    r = q / f^j that are periods are those with j up to some J, so the
-    greedy step stops at the least of them; one guess goes there first:
-    the least r = q / f^j whose first entry repeats seq's, a necessary
-    condition, tested whole by one comparison.  If it is a period it is
-    where the step stops; if not, the step runs.
+    divided q' once more.  So this greedy step ends at p.
 
-    The cost is trial division up to sqrt(n) and, per prime of n, a few
-    entry tests and at most one guess, one failed step and one step per
-    division taken.  A divisor r of the current period q is a period
-    exactly when seq[r:q] == seq[:q - r]: within q's prefix, so the steps
-    of a high power shrink geometrically and sum to O(n), and a tiny period
-    under a high power costs the one comparison of its guess.
+    The cost is trial division up to sqrt(n) and, per prime f of n, the
+    steps taken and one more tried.  A step to a divisor r of the current
+    period q tests seq[r] == seq[0], then compares seq[r:q] == seq[: q - r],
+    which holds exactly when r is a period.  The comparisons stay within
+    q's prefix, so the steps of a high power shrink geometrically and sum
+    to O(n).
     """
-    n = q = m = len(seq)
+    q = m = len(seq)
     f = 2
     while m > 1:
         if f * f > m:
             f = m  # the last prime of n
         if not m % f:
-            r = m
             m //= f
             while not m % f:
                 m //= f
-            r = q // (r // m)  # q / f^k, f^k the power of f in n and in q
-            while r < q and seq[r] != seq[0]:
-                r *= f
-            if r < q and seq[:r] * (q // r) == (seq if q == n else seq[:q]):
-                q = r
-            else:
-                while not q % f and seq[q // f] == seq[0] and seq[q // f : q] == seq[: q - q // f]:
-                    q //= f
+            while not q % f and seq[q // f] == seq[0] and seq[q // f : q] == seq[: q - q // f]:
+                q //= f
         f += 1 if f == 2 else 2
     return q
 

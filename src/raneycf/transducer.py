@@ -521,13 +521,15 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     offset = 0
     here = period_of  # Hermite form of a node of the run scanned -> period
     for letter, e in runs:
-        if offset:
-            for s, form in zip(starts, forms):
-                if here[form] == best:
-                    return ratio, Mat2(*s), offset
         here = {_key_step(f, letter, e): p for f, p in here.items()}
         for k in range(e - 1, max(1, e - n) - 1, -1):
             for s, form in zip(starts, forms):
                 if here[_key_step(form, letter, k)] == best:
                     return ratio, Mat2(*s), offset + e - k
         offset += e
+        # the next run's first offset; after the last run, here is
+        # period_of stepped one whole block along its own key cycles, so
+        # the periods read are run 0's and this cannot hit
+        for s, form in zip(starts, forms):
+            if here[form] == best:
+                return ratio, Mat2(*s), offset

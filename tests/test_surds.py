@@ -2,7 +2,6 @@
 import random
 import sys
 import time
-import timeit
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -305,20 +304,39 @@ def test_primitive_period_matches_the_reference_scan():
         assert _primitive_period(seq) == _primitive_period(tuple(seq)) == expected, seq[:12]
 
 
-def test_primitive_period_of_a_high_power_costs_one_comparison():
-    """(1, 2) * 2048, a 2048th power of a root of length 2, takes no longer
-    than the reference scan, which tests p = 1 and p = 2 and compares
-    seq[:2] * 2048 once: _primitive_period makes the same one comparison,
-    for its guess at the prime 2.  Best of 7 timings each; the bound allows
-    30 % for timing noise, and a step that halved the length one comparison
-    at a time would take about 1.6 times as long."""
-    seq = (1, 2) * 2048
-    assert _primitive_period(seq) == 2
+class _SliceCounter(tuple):
+    """A tuple that counts the entries of the slices taken of it: what a
+    least-period search compares, at C level."""
 
-    def best(fn):
-        return min(timeit.repeat(lambda: fn(seq), number=100, repeat=7))
+    def __getitem__(self, i):
+        item = tuple.__getitem__(self, i)
+        if isinstance(i, slice):
+            self.sliced += len(item)
+        return item
 
-    assert best(_primitive_period) <= 1.3 * best(_reference_primitive_period)
+
+def _sliced(seq):
+    """(the least period of seq, the entries sliced to find it)."""
+    seq = _SliceCounter(seq)
+    seq.sliced = 0
+    return _primitive_period(seq), seq.sliced
+
+
+def test_primitive_period_compares_within_the_current_period():
+    """A step from the current period q to q / f compares seq[q/f:q] with
+    seq[:q - q/f], 2 (q - q/f) entries, so the steps taken from len(seq)
+    down to the least period p telescope to 2 (len(seq) - p) entries: O(n)
+    for a high power, where comparing whole shifts of seq would take
+    2 len(seq) per step.  A step that fails past its entry test,
+    seq[q/f] == seq[0], adds its own 2 (q - q/f); a sequence whose first
+    entry never repeats is settled by entry tests alone."""
+    assert _sliced((1, 2) * 2048) == (2, 2 * (4096 - 2))
+    assert _sliced([1] * 720) == (1, 2 * (720 - 1))
+    assert _sliced((3, 1, 4) * 343) == (3, 2 * (1029 - 3))
+    # 1050 = 2 * 3 * 5^2 * 7: at q = 35, the step to 7 passes its entry test
+    # (seq[7] == seq[0] == 1) and fails, 2 * 28 entries
+    assert _sliced((1, 2, 1, 1, 2) * 210) == (5, 2 * (1050 - 5) + 2 * 28)
+    assert _sliced(tuple(range(4096))) == (4096, 0)
 
 
 def test_surd_from_cf_examples():
