@@ -69,7 +69,6 @@ from .transducer import (
     image_period,
     image_repetend,
     lr_cycle_to_period,
-    lr_cycle_to_repetend,
     lr_repetend,
     reduce_to_DB,
     search_max_ratio,

@@ -121,9 +121,11 @@ def _check_db(t, n):
     all four are integer matrices of determinant 1.  The entries of U t V
     are integer combinations of those of t, so content(t) divides
     content(U t V), and t = U^-1 (U t V) V^-1 gives the converse.  So a walk
-    keeps the content of its start, and each walk checks it once where it
-    enters: transduce_cycle's in_RB(start), the search's seeds, and the
-    content checks of factorize_to_DB and walk_LE's is_LE.  The determinant
+    keeps the content of its start, and each walk settles it once where it
+    enters: transduce_cycle's in_RB(start) and the content checks of
+    factorize_to_DB and walk_LE's is_LE check it, and the search's starts
+    (_primitive_forms, _enumerate_DB) and the transform's
+    (transducer._hermite_start) are built with content 1.  The determinant
     is kept for the same reason; absorbing only adds to entries, and the
     peel's quotients keep them nonnegative.
     """

@@ -9,11 +9,11 @@ is unique (Raney), so that gives the same output and state as peeling at
 every escape.  A partial quotient of any size thus costs one absorb and
 one peel step per output run, and the kernel checks each run's last
 escape against DB_n, rebuilt from the state it ends in.  The transform
-walks from a Hermite form (_walk_repetend): whole runs up to the end of
+walks from a Hermite form (image_repetend): whole runs up to the end of
 the run of its first escape (_enter), then one kernel call that feeds one
 pass of the repetend per block until a block-boundary state repeats
 (_feed_run with a boundary dict).  The output cycle's runs, read
-cyclically, are the image's partial quotients (lr_cycle_to_repetend), and
+cyclically, are the image's partial quotients (lr_cycle_to_period), and
 the transform and the search read their exponents straight off the
 output's run counts (_Out.cyclic_exps).  The sharpness search keys its
 nodes on (run, Hermite form of the state) and keeps periods for run-0
@@ -54,7 +54,6 @@ from .matrices import (
     is_RE,
     nu_L,
     nu_R,
-    primitive_part,
 )
 from .surds import PeriodicCF, _primitive_period, per
 from .words import (
@@ -189,27 +188,6 @@ def transduce_cycle(n: int, start: Mat2, repetend: LRWord) -> ClosedWalk:
     return ClosedWalk(Mat2(*state), repetend**gamma, out.word(cut), gamma)
 
 
-def _least_cycle(exps) -> tuple[int, ...]:
-    """A cyclic sequence of exponents cut at its least cyclic period."""
-    return tuple(exps[: _primitive_period(exps)])
-
-
-def lr_cycle_to_repetend(cycle: LRWord) -> tuple[int, ...]:
-    """The repetend, up to rotation, of the number whose LR tail repeats
-    `cycle`: the exponents of its runs read cyclically (_cyclic_runs), cut
-    at their least cyclic period.  The proof is in lr_cycle_to_period.
-
-    The transform and the search read the same exponents off the kernel's
-    output accumulator without building the word: there the output cycle is
-    a slice of the run counts between two snaps, whose first and last runs
-    share a letter exactly when the slice has odd length, and folding the
-    last count into the first then is _cyclic_runs on counts
-    (_Out.cyclic_exps)."""
-    if len(cycle.runs) < 2:  # adjacent runs of a word differ in letter
-        raise ValueError("cycle must contain both letters")
-    return _least_cycle([e for _, e in _cyclic_runs(cycle.runs)])
-
-
 def lr_cycle_to_period(cycle: LRWord) -> int:
     """Period of the number whose LR tail repeats `cycle`.
 
@@ -221,8 +199,17 @@ def lr_cycle_to_period(cycle: LRWord) -> int:
     period and E[:p] its repetend up to rotation.  No primitive root and no
     V star(V) test are needed: a cycle that is a power, or V star(V), only
     makes E repeat.
+
+    The transform and the search read the same exponents off the kernel's
+    output accumulator without building the word: there the output cycle is
+    a slice of the run counts between two snaps, whose first and last runs
+    share a letter exactly when the slice has odd length, and folding the
+    last count into the first then is _cyclic_runs on counts
+    (_Out.cyclic_exps).
     """
-    return len(lr_cycle_to_repetend(cycle))
+    if len(cycle.runs) < 2:  # adjacent runs of a word differ in letter
+        raise ValueError("cycle must contain both letters")
+    return _primitive_period([e for _, e in _cyclic_runs(cycle.runs)])
 
 
 def lr_repetend(cf: PeriodicCF) -> LRWord:
@@ -260,28 +247,39 @@ def _enter(n, t, runs, r, out):
 
 def _hermite_start(m: Mat2, x: PeriodicCF):
     """(n, H, runs): the start of every walk of h_m(x), the Hermite form H
-    of primitive_part(m) * P as a raw tuple (g, b, 0, d), its det n = g d,
-    and the runs of lr_repetend(x).
+    of B = m P over its content as a raw tuple (g, b, 0, d), its det
+    n = g d, and the runs of lr_repetend(x).
 
     Write x = h_P(y), where P is the product of [[q, 1], [1, 0]] over the
     preperiod and y = [r0; r1, ...] > 1 is purely periodic, with LR stream
     lr_repetend(x).  Left row operations in GL2(Z) (matrices._hermite)
-    bring B = primitive_part(m) * P to its Hermite form H = [[g, b], [0, d]]
-    with g d = n, 0 <= b < d and content 1, for either sign of det m.  So
-    B = U H with U unimodular, h_m(x) = h_U(h_H(y)), and a unimodular map
-    keeps the tail of a continued fraction (Serret), so
-    per(h_m(x)) = per(h_H(y)).  U = B H^-1 records every shift and flip
-    between the two.  The Hermite form is unique, so the result depends on
-    m only through its coset GL2(Z) m.  H is nonnegative and row balanced
-    (g > 0 = c, d > b): a start for _enter.
+    bring B over its content to its Hermite form H = [[g, b], [0, d]] with
+    g d = n, 0 <= b < d and content 1, for either sign of det m.  So
+    B = k U H with k the content and U unimodular, h_m(x) = h_U(h_H(y)),
+    and a unimodular map keeps the tail of a continued fraction (Serret),
+    so per(h_m(x)) = per(h_H(y)).  U = B H^-1 / k records every shift and
+    flip between the two.  The Hermite form is unique, so the result
+    depends on m only through its coset GL2(Z) m.  H is nonnegative and row
+    balanced (g > 0 = c, d > b): a start for _enter.
+
+    H is reached one quotient at a time, never through B itself: the form
+    of m over its content gcd(g, b, d) (the content of m), then, per
+    quotient q, the form of the current form times [[q, 1], [1, 0]],
+    [[g q + b, g], [d, 0]].  Each step multiplies the matrix so far on the
+    left by a unimodular matrix, so after the last it is U' B / k for some
+    unimodular U', a Hermite form with B's coset: H, by uniqueness.  The
+    entries of each step lie within n (|q| + 1), so each quotient costs one
+    Euclid on numbers of O(log n + log |q|) bits, and the preperiod's
+    length never enters the size of an entry.
     """
     if det(m) == 0:
         raise ValueError("matrix must be nonsingular")
-    a, b, c, d = primitive_part(m).entries
-    for q in x.preperiod:  # times [[q, 1], [1, 0]], which is unimodular
-        a, b, c, d = a * q + b, a, c * q + d, c
-    a, b, d = _hermite(a, b, c, d)
-    return a * d, (a, b, 0, d), lr_repetend(x).runs
+    g, b, d = _hermite(*m.entries)
+    k = gcd(g, b, d)
+    g, b, d = g // k, b // k, d // k
+    for q in x.preperiod:
+        g, b, d = _hermite(g * q + b, g, d, 0)
+    return g * d, (g, b, 0, d), lr_repetend(x).runs
 
 
 def reduce_to_DB(m: Mat2, x: PeriodicCF):
@@ -301,29 +299,24 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     return Mat2(*t), LRWord._trusted(runs[r:] + runs[:r]), out.word()
 
 
-def _walk_repetend(n, t, runs):
-    """The output's repetend, up to rotation, of the walk from the
-    row-balanced t fed runs[0], runs[1], ... cyclically.  The walk is
-    entered with scratch output (_enter), at a later node (r', t') of its
-    orbit, and one pass of the repetend, runs[r':] + runs[:r'], is fed from
-    there block by block, with output, until a block-boundary state repeats,
-    all in one kernel call (_feed_run with a boundary dict, as in
+def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
+    """The repetend of h_m(x), up to rotation, computed entirely through the
+    transducer machinery, on raw tuples: the walk from the Hermite start
+    (_hermite_start, where the proof is) fed x's runs cyclically.  The walk
+    is entered with scratch output (_enter), at a later node (r, t) of its
+    orbit, and one pass of the repetend, runs[r:] + runs[:r], is fed from
+    there block by block, with output, until a block-boundary state
+    repeats, all in one kernel call (_feed_run with a boundary dict, as in
     transduce_cycle).  The boundary states walk the orbit, so the output
     between two visits of one of them is a whole number of the orbit's
-    cycles, and lr_cycle_to_repetend's exponents are read straight off its
-    run counts (_Out.cyclic_exps, _least_cycle)."""
+    cycles, and lr_cycle_to_period's exponents are read straight off its
+    run counts (_Out.cyclic_exps), cut at their least cyclic period."""
+    n, t, runs = _hermite_start(m, x)
     t, r = _enter(n, t, runs, 0, _Out())
     out = _Out()
     _, _, cut = _feed_run(n, t, runs[r:] + runs[:r], out, {})
-    return _least_cycle(out.cyclic_exps(cut))
-
-
-def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
-    """The repetend of h_m(x), up to rotation, computed entirely through the
-    transducer machinery: the walk from the Hermite start (_hermite_start,
-    where the proof is), on raw tuples (_walk_repetend)."""
-    n, t, runs = _hermite_start(m, x)
-    return _walk_repetend(n, t, runs)
+    exps = out.cyclic_exps(cut)
+    return tuple(exps[: _primitive_period(exps)])
 
 
 def image_period(m: Mat2, x: PeriodicCF) -> int:
@@ -406,7 +399,7 @@ def _resolve_cycle(n, form, runs):
     visit on is a whole number of the orbit's output cycles, and the
     transient blocks from H before it, with their output, are cut away at
     that visit's snap.  The cycle's repetend is read as the transform reads
-    its own (_walk_repetend): the period is per(h_H(y)) for y = [; repetend]
+    its own (image_repetend): the period is per(h_H(y)) for y = [; repetend]
     (_hermite_start), which is the period of every node (0, s) whose state
     s has the coset of a boundary state.
 
@@ -496,14 +489,6 @@ def search_max_ratio(n: int, cf: PeriodicCF):
         raise ValueError("n must be >= 1")
     runs = lr_repetend(cf).runs
     starts = _enumerate_DB(n)
-    # content is checked here once: every later state is a unimodular image
-    # of a start (see _check_db)
-    if not all(
-        a * d - b * c == n and a > c >= 0 and d > b >= 0 and a > b and d > c
-        and gcd(a, b, c, d) == 1
-        for a, b, c, d in starts
-    ):
-        raise RuntimeError(f"enumerate_DB({n}) returned a state outside DB_{n}")
     period_of: dict = {}  # Hermite form of a run-0 node -> its orbit's period
     for form in _primitive_forms(n):
         if form not in period_of:

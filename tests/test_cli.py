@@ -12,7 +12,7 @@ import pytest
 
 from raneycf import cli
 from raneycf.cli import main
-from raneycf.matrices import J_MAT, Mat2, enumerate_DB
+from raneycf.matrices import J_MAT, Mat2, content_gcd, det, enumerate_DB
 from raneycf.surds import apply_mobius, cf_from_surd, format_cf, parse_cf, per, surd_from_cf
 
 
@@ -289,8 +289,10 @@ def _reference_random_matrix(rng, n):
 def test_random_matrix_matches_reference(n):
     for k in range(50):
         rng, ref = random.Random(k), random.Random(k)
-        assert cli._random_matrix(rng, n) == _reference_random_matrix(ref, n)
+        m = cli._random_matrix(rng, n)
+        assert m == _reference_random_matrix(ref, n)
         assert rng.random() == ref.random()  # the same draws were used up
+        assert abs(det(m)) == n and content_gcd(m) == 1
 
 
 def _assert_repro(record):

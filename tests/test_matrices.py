@@ -205,6 +205,18 @@ def test_enumerate_DB_matches_pair_loop(n):
     assert _enumerate_DB(n) == tuple(m.entries for m in _pair_loop_enumerate_DB(n))
 
 
+@pytest.mark.parametrize("n", [2310, 4096, 16384])
+def test_enumerate_DB_is_DB_n_at_the_search_sizes(n):
+    """At the CI search sizes past the pair loop's reach, every tuple that
+    _enumerate_DB returns is in DB_n, and the tuples strictly increase (no
+    repeats).  The search reads these states without checking them."""
+    states = _enumerate_DB(n)
+    for a, b, c, d in states:
+        assert a * d - b * c == n and a > c >= 0 and d > b >= 0 and a > b and d > c, (a, b, c, d)
+        assert gcd(a, b, c, d) == 1, (a, b, c, d)
+    assert all(s < t for s, t in zip(states, states[1:]))
+
+
 # -- LS/RS/LE/RE ----------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from raneycf.matrices import (
     in_DB,
     in_RB,
     nu_R,
+    primitive_part,
     xi,
 )
 from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
@@ -566,7 +567,7 @@ def test_block_mode_matches_one_kernel_call_per_block():
     """_feed_run with a boundary dict against _reference_close_cycle: the
     state, gamma, the output's run counts, the snap the cycle is cut at and
     the block-boundary states in first-visit order.  From transform starts
-    (a Hermite start entered as _walk_repetend enters it, the block rotated
+    (a Hermite start entered as image_repetend enters it, the block rotated
     to the run after the first escape) and search starts (a primitive form
     fed whole blocks with scratch output until one escapes, as
     _resolve_cycle does), at n in {1, 2, 12, 720, 4096}, with odd periods
@@ -1054,6 +1055,76 @@ def test_reduce_depends_only_on_the_coset():
         um = u * m
         assert reduce_to_DB(Mat2(*(k * e for e in um.entries)), cf) == reduce_to_DB(m, cf), (m, u, k, cf)
     assert dets == {1, -1}
+
+
+def _reference_hermite_start(m, x):
+    """_hermite_start through the product B = primitive_part(m) P: the whole
+    preperiod multiplied in, then one Euclid on B's O(k)-bit entries."""
+    a, b, c, d = primitive_part(m).entries
+    for q in x.preperiod:  # times [[q, 1], [1, 0]], which is unimodular
+        a, b, c, d = a * q + b, a, c * q + d, c
+    a, b, d = _hermite(a, b, c, d)
+    return a * d, (a, b, 0, d), lr_repetend(x).runs
+
+
+def _random_start_case(rng, k=None):
+    """A nonsingular matrix with entries in [-99, 99] times a content of 1
+    to 3, and a cf with a signed head and up to 12 more preperiod
+    quotients up to 10^8 (k of them when k is given)."""
+    while True:
+        m = Mat2(*(rng.randint(-99, 99) for _ in range(4)))
+        if det(m):
+            break
+    m = Mat2(*(rng.randint(1, 3) * e for e in m.entries))
+    more = rng.randint(0, 12) if k is None else k
+    pre = [rng.randint(-30, 30)] + [
+        rng.choice((rng.randint(1, 20), _log_uniform(rng, 10**8))) for _ in range(more)
+    ]
+    if rng.random() < 0.1:
+        pre = []
+    rep = [rng.randint(1, 50) for _ in range(rng.randint(1, 4))]
+    return m, PeriodicCF.create(pre, rep)
+
+
+def test_hermite_start_matches_the_product_reference():
+    """_hermite_start, which takes the Hermite form one preperiod quotient
+    at a time, against _reference_hermite_start on 2,000 seeded cases of
+    both signs of det and content 1 to 3, and one preperiod of 3,000
+    quotients."""
+    rng = random.Random(28)
+    seen = {"det<0": 0, "det>0": 0, "content>1": 0, "head<0": 0, "long": 0}
+    cases = [_random_start_case(rng) for _ in range(2000)]
+    cases.append(_random_start_case(rng, k=3000))
+    for m, cf in cases:
+        assert _hermite_start(m, cf) == _reference_hermite_start(m, cf), (m, cf)
+        seen["det<0" if det(m) < 0 else "det>0"] += 1
+        seen["content>1"] += gcd(*m.entries) > 1
+        seen["head<0"] += bool(cf.preperiod) and cf.preperiod[0] < 0
+        seen["long"] += len(cf.preperiod) >= 3000
+    assert all(seen.values()), seen
+
+
+def test_hermite_start_entries_stay_below_n_times_the_quotient(monkeypatch):
+    """Every _hermite call of _hermite_start after the first, one per
+    preperiod quotient q in order, has all its entries within n (|q| + 1):
+    the preperiod is never multiplied into one matrix."""
+    import raneycf.transducer as transducer
+
+    calls = []
+
+    def recording_hermite(*entries):
+        calls.append(entries)
+        return _hermite(*entries)
+
+    monkeypatch.setattr(transducer, "_hermite", recording_hermite)
+    rng = random.Random(29)
+    for i in range(300):
+        m, cf = _random_start_case(rng, k=200 if i % 50 == 0 else None)
+        calls.clear()
+        n = _hermite_start(m, cf)[0]
+        assert len(calls) == len(cf.preperiod) + 1, (m, cf)
+        for entries, q in zip(calls[1:], cf.preperiod):
+            assert max(map(abs, entries)) <= n * (abs(q) + 1), (m, cf, entries, q)
 
 
 def test_image_period_oracle_equivalence_wide():
@@ -1695,25 +1766,6 @@ def test_search_pinned_witnesses(n, text, expected):
     # a window of one offset would miss it, and the last lies inside a run
     # longer than 2^64
     assert search_max_ratio(n, parse_cf(text)) == expected
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        Mat2(2, 0, 0, 2),  # content 2
-        Mat2(1, 0, 0, 3),  # determinant 3
-        Mat2(4, -1, 0, 1),  # a negative entry
-        Mat2(4, 0, 3, 1),  # not column balanced: c > d
-        Mat2(2, 1, 2, 3),  # not row balanced: a = c
-    ],
-)
-def test_search_rejects_a_state_outside_DB(monkeypatch, bad):
-    import raneycf.transducer as transducer
-
-    states = transducer._enumerate_DB(4)
-    monkeypatch.setattr(transducer, "_enumerate_DB", lambda n: states + (bad.entries,))
-    with pytest.raises(RuntimeError, match="outside DB_4"):
-        search_max_ratio(4, parse_cf("[;3]"))
 
 
 def test_search_rejects_n_below_1():
