@@ -67,7 +67,7 @@ def s_n_via_transducer(n: int) -> int:
     untouched, so the walk lives in T_{n/k^2} with identical sigma.
     """
     total = 0
-    for m in sorted(enumerate_LE(n), key=lambda m: m.entries):
+    for m in sorted(enumerate_LE(n)):
         m = primitive_part(m)
         nn = det(m)
         nu = nu_L(m)

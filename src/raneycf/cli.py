@@ -292,11 +292,11 @@ def main(argv=None) -> int:
                 parser.error("matrix must be nonsingular")
             text, status = cmd_transform(m, parse_cf(args.cf), args.format)
         elif args.command == "verify":
-            if args.samples < 1 or args.max_period < 1 or args.max_quotient < 1:
-                parser.error("samples, max-period and max-quotient must be >= 1")
+            if min(args.samples, args.max_period, args.max_quotient, args.jobs) < 1:
+                parser.error("samples, max-period, max-quotient and jobs must be >= 1")
             text, status = cmd_verify(
                 args.n, args.samples, args.seed,
-                args.max_period, args.max_quotient, max(1, args.jobs),
+                args.max_period, args.max_quotient, args.jobs,
             )
         else:
             text, status = cmd_search(args.n, parse_cf(args.cf), args.format), 0

@@ -6,32 +6,28 @@ entries, content 1, plus row/column balance inequalities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
+    """A matrix stored as its entry tuple (a, b, c, d): it equals, hashes,
+    sorts and unpacks like that tuple, so an entry tuple that the escape
+    kernel (words._feed_run) returns is the same state."""
+
     a: int
     b: int
     c: int
     d: int
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __repr__(self) -> str:
         return f"Mat2({self.a},{self.b},{self.c},{self.d})"
-
-    @property
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
 
 
 IDENTITY = Mat2(1, 0, 0, 1)
@@ -88,32 +84,34 @@ def xi(a: int, c: int) -> int:
     return steps
 
 
-def _nonneg(m: Mat2) -> bool:
-    return m.a >= 0 and m.b >= 0 and m.c >= 0 and m.d >= 0
-
-
 def in_D(m: Mat2, n: int) -> bool:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return det(m) == n and _nonneg(m) and content_gcd(m) == 1
+    return det(m) == n and min(m) >= 0 and content_gcd(m) == 1
+
+
+def _balanced(t) -> bool:
+    # row balance a > c, d > b: the "still inside an edge" condition
+    return t[0] > t[2] and t[3] > t[1]
 
 
 def in_RB(m: Mat2, n: int) -> bool:
-    return in_D(m, n) and m.a > m.c and m.d > m.b
+    return in_D(m, n) and _balanced(m)
 
 
 def in_DB(m: Mat2, n: int) -> bool:
-    return in_D(m, n) and m.a > m.c and m.d > m.b and m.a > m.b and m.d > m.c
+    return in_RB(m, n) and m.a > m.b and m.d > m.c
 
 
-def _check_db(t, n):
+def _check_db(t):
     """Raise unless t, reached by absorbing and peeling from a row-balanced
-    state, is itself in DB_n; the one place that raises this contract
-    error.  The escape kernel (words._feed_run) rebuilds each escaping input
-    run's last escape from the state the run ends in and tests it inline on
-    the one condition that the end state does not already give; it calls
-    this only on a rebuilt state that fails it, to raise.  A one-letter
-    run escapes at most once, so one-letter feeds check every escape.
+    state, is itself in DB_n for n = det(t); the one place that raises this
+    contract error.  The escape kernel (words._feed_run) rebuilds each
+    escaping input run's last escape from the state the run ends in and
+    tests it inline on the one condition that the end state does not
+    already give; it calls this only on a rebuilt state that fails it, to
+    raise.  A one-letter run escapes at most once, so one-letter feeds
+    check every escape.
 
     Only the balance conditions are checked: the content gcd(a, b, c, d)
     cannot change on the way.  Absorbing letter^k multiplies t on the right
@@ -122,18 +120,20 @@ def _check_db(t, n):
     are integer combinations of those of t, so content(t) divides
     content(U t V), and t = U^-1 (U t V) V^-1 gives the converse.  So a walk
     keeps the content of its start, and each walk settles it once where it
-    enters: transduce_cycle's in_RB(start) and the content checks of
-    factorize_to_DB and walk_LE's is_LE check it, and the search's starts
-    (_primitive_forms, _enumerate_DB) and the transform's
-    (transducer._hermite_start) are built with content 1.  The determinant
-    is kept for the same reason; absorbing only adds to entries, and the
-    peel's quotients keep them nonnegative.
+    enters: transduce_cycle's in_RB(start), factorize_to_DB's in_D and
+    walk_LE's is_LE check it, and the search's starts (_primitive_forms,
+    _enumerate_DB) and the transform's (transducer._hermite_start) are
+    built with content 1.  The determinant is kept for the same reason;
+    absorbing only adds to entries, and the peel's quotients keep them
+    nonnegative.  So n = det(t), computed only on the way to raising, is
+    the det of the walk's start, and no caller passes it.
     """
     a, b, c, d = t
     if not (a > c and d > b and a > b and d > c):
         raise RuntimeError(
             f"factorization left {(a, b, c, d)} balanced but not doubly "
-            f"balanced for n={n}; the edge construction contract is violated"
+            f"balanced for n={a * d - b * c}; the edge construction contract "
+            "is violated"
         )
 
 
@@ -173,7 +173,8 @@ def _primitive_forms(n: int) -> list[tuple[int, int, int]]:
 @lru_cache(maxsize=None)
 def _enumerate_DB(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """The entries (a, b, c, d) of DB_n, sorted; the memo every caller
-    reads.  Callers that need Mat2s build them (enumerate_DB).
+    reads.  They are plain tuples, which equal the Mat2s of the same
+    entries; callers that hand Mat2s out build them (enumerate_DB).
 
     Put u = a - c and v = d - b.  Then ad - bc = n reads n = uv + ub + vc,
     and the column balance a > b, d > c reads -v < b - c < u.  Both u and v

@@ -279,7 +279,7 @@ def apply_mobius(m: Mat2, x: QuadraticSurd) -> QuadraticSurd:
     surd brings to primitive form."""
     if mat_det(m) == 0:
         raise ValueError("singular matrix")
-    A, B, C, Dm = m.entries
+    A, B, C, Dm = m
     alpha = A * x.P + B * x.Q
     beta = C * x.P + Dm * x.Q
     e = x.Q * mat_det(m)  # coefficient of sqrt(D) after rationalizing

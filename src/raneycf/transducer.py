@@ -42,13 +42,14 @@ from math import gcd
 
 from .matrices import (
     Mat2,
+    _balanced,
     _check_db,
     _enumerate_DB,
     _hermite,
     _primitive_forms,
-    content_gcd,
     det,
     format_mat2,
+    in_D,
     in_RB,
     is_LE,
     is_RE,
@@ -61,7 +62,6 @@ from .words import (
     LRWord,
     R,
     _Out,
-    _balanced,
     _cyclic_runs,
     _feed_run,
     _peel,
@@ -89,13 +89,13 @@ class Transducer:
 
 def factorize_to_DB(p: Mat2, n: int) -> tuple[LRWord, Mat2]:
     """Unique factorization p = mu(w) * k with w nonempty and k in DB_n."""
-    if det(p) != n or min(p.entries) < 0 or content_gcd(p) != 1:
+    if not in_D(p, n):
         raise ValueError(f"{p!r} is not in D_{n}")
-    if _balanced(p.entries):
+    if _balanced(p):
         raise ValueError(f"{p!r} is row balanced; the peeled word would be empty")
     out = _Out()
-    t = _peel(p.entries, out)
-    _check_db(t, n)
+    t = _peel(p, out)
+    _check_db(t)
     return out.word(), Mat2(*t)
 
 
@@ -105,7 +105,7 @@ def build_transducer(n: int) -> Transducer:
     states = [Mat2(*s) for s in _enumerate_DB(n)]
     edges = []
     for m in states:
-        stack = [((), m.entries)]
+        stack = [((), m)]
         while stack:
             runs, t = stack.pop()
             for letter in (L, R):
@@ -114,20 +114,20 @@ def build_transducer(n: int) -> Transducer:
                 else:
                     runs2 = runs + ((letter, 1),)
                 out = _Out()
-                t2 = _feed_run(n, t, ((letter, 1),), out)
+                t2 = _feed_run(t, ((letter, 1),), out)
                 if out:  # an escape, whose peel emits at least one letter
                     edges.append(
                         TransducerEdge(m, LRWord(runs2), out.word(), Mat2(*t2))
                     )
                 else:
                     stack.append((runs2, t2))
-    edges.sort(key=lambda e: (e.src.entries, e.input.runs))
+    edges.sort(key=lambda e: (e.src, e.input.runs))
     return Transducer(n, frozenset(states), tuple(edges))
 
 
 def to_dot(t: Transducer) -> str:
     lines = [f"digraph T_{t.n} {{", "  rankdir=LR;"]
-    for s in sorted(t.states, key=lambda m: m.entries):
+    for s in sorted(t.states):
         lines.append(f'  "{format_mat2(s)}";')
     for e in t.edges:
         label = f"{format_word(e.input)}|{format_word(e.output)}"
@@ -148,13 +148,13 @@ def to_csv(t: Transducer) -> str:
 def to_json(t: Transducer) -> str:
     doc = {
         "n": t.n,
-        "states": [list(s.entries) for s in sorted(t.states, key=lambda m: m.entries)],
+        "states": [list(s) for s in sorted(t.states)],
         "edges": [
             {
-                "from": list(e.src.entries),
+                "from": list(e.src),
                 "input": format_word(e.input),
                 "output": format_word(e.output),
-                "to": list(e.dst.entries),
+                "to": list(e.dst),
             }
             for e in t.edges
         ],
@@ -184,7 +184,7 @@ def transduce_cycle(n: int, start: Mat2, repetend: LRWord) -> ClosedWalk:
     if len(repetend.runs) < 2:  # adjacent runs of a word differ in letter
         raise ValueError("repetend must contain both letters")
     out = _Out()
-    state, gamma, cut = _feed_run(n, start.entries, repetend.runs, out, {})
+    state, gamma, cut = _feed_run(start, repetend.runs, out, {})
     return ClosedWalk(Mat2(*state), repetend**gamma, out.word(cut), gamma)
 
 
@@ -221,12 +221,13 @@ def lr_repetend(cf: PeriodicCF) -> LRWord:
     return LRWord._trusted(tuple(zip((R, L) * (len(rep) // 2), rep)))
 
 
-def _enter(n, t, runs, r, out):
+def _enter(t, runs, r, out):
     """Feed runs[r], runs[r+1], ... (cyclically) from t, one whole run per
     _feed_run call, until the empty accumulator out holds output; returns
     (the state at the end of that run, the next run's index).
 
-    t must be nonnegative, row balanced and of det n: then a >= c + 1 and
+    t must be nonnegative and row balanced, and n is its own det, which
+    the walk keeps (g d for a Hermite start).  Then a >= c + 1 and
     d >= b + 1, so n >= a + d - 1, the entries sum to at most 2n, and each
     letter absorbed without an escape adds at least 1, so the walk escapes
     within 2n - 1 letters.  The escape lands in DB_n.  Say it is on L, from
@@ -240,14 +241,14 @@ def _enter(n, t, runs, r, out):
     rebuilt from the row-balanced state it returns.
     """
     while not out:
-        t = _feed_run(n, t, (runs[r],), out)
+        t = _feed_run(t, (runs[r],), out)
         r = (r + 1) % len(runs)
     return t, r
 
 
 def _hermite_start(m: Mat2, x: PeriodicCF):
-    """(n, H, runs): the start of every walk of h_m(x), the Hermite form H
-    of B = m P over its content as a raw tuple (g, b, 0, d), its det
+    """(H, runs): the start of every walk of h_m(x), the Hermite form H of
+    B = m P over its content as the entry tuple (g, b, 0, d), of det
     n = g d, and the runs of lr_repetend(x).
 
     Write x = h_P(y), where P is the product of [[q, 1], [1, 0]] over the
@@ -274,12 +275,12 @@ def _hermite_start(m: Mat2, x: PeriodicCF):
     """
     if det(m) == 0:
         raise ValueError("matrix must be nonsingular")
-    g, b, d = _hermite(*m.entries)
+    g, b, d = _hermite(*m)
     k = gcd(g, b, d)
     g, b, d = g // k, b // k, d // k
     for q in x.preperiod:
         g, b, d = _hermite(g * q + b, g, d, 0)
-    return g * d, (g, b, 0, d), lr_repetend(x).runs
+    return (g, b, 0, d), lr_repetend(x).runs
 
 
 def reduce_to_DB(m: Mat2, x: PeriodicCF):
@@ -292,16 +293,16 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     next run; emitted is the walk's output up to state.  Why H's walk
     gives the period of h_m(x) is proved in _hermite_start.
     """
-    n, t, runs = _hermite_start(m, x)
+    t, runs = _hermite_start(m, x)
     out = _Out()
-    t, r = _enter(n, t, runs, 0, out)
+    t, r = _enter(t, runs, 0, out)
     # lr_repetend's runs alternate, even in number: a rotation is canonical
     return Mat2(*t), LRWord._trusted(runs[r:] + runs[:r]), out.word()
 
 
 def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
     """The repetend of h_m(x), up to rotation, computed entirely through the
-    transducer machinery, on raw tuples: the walk from the Hermite start
+    transducer machinery, on entry tuples: the walk from the Hermite start
     (_hermite_start, where the proof is) fed x's runs cyclically.  The walk
     is entered with scratch output (_enter), at a later node (r, t) of its
     orbit, and one pass of the repetend, runs[r:] + runs[:r], is fed from
@@ -311,10 +312,10 @@ def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
     between two visits of one of them is a whole number of the orbit's
     cycles, and lr_cycle_to_period's exponents are read straight off its
     run counts (_Out.cyclic_exps), cut at their least cyclic period."""
-    n, t, runs = _hermite_start(m, x)
-    t, r = _enter(n, t, runs, 0, _Out())
+    t, runs = _hermite_start(m, x)
+    t, r = _enter(t, runs, 0, _Out())
     out = _Out()
-    _, _, cut = _feed_run(n, t, runs[r:] + runs[:r], out, {})
+    _, _, cut = _feed_run(t, runs[r:] + runs[:r], out, {})
     exps = out.cyclic_exps(cut)
     return tuple(exps[: _primitive_period(exps)])
 
@@ -341,10 +342,10 @@ def walk_LE(n: int, m: Mat2, i: int):
     if not nu <= i <= 2 * nu - 1:
         raise ValueError(f"i={i} outside [{nu}, {2 * nu - 1}]")
     out = _Out()
-    cur = _feed_run(n, m.entries, ((L, i),), out)
+    cur = _feed_run(m, ((L, i),), out)
     completions = []  # (j, state, snap)
     for j in range(1, 3 * n + 1):
-        cur = _feed_run(n, cur, ((R, 1),), out)
+        cur = _feed_run(cur, ((R, 1),), out)
         a, b, c, d = cur
         if a > b and d > c:
             completions.append((j, Mat2(*cur), out.snap()))
@@ -385,7 +386,7 @@ def _key_step(form, letter, k):
     return _hermite(g + b * k, b, d * k, d)
 
 
-def _resolve_cycle(n, form, runs):
+def _resolve_cycle(form, runs):
     """(states, period) for the search node (0, H), H = (g, b, 0, d) for
     the primitive form (g, b, d): the block-boundary states of H's walk
     over the cyclic word runs (a dict keyed by them, H first, in the order
@@ -415,7 +416,7 @@ def _resolve_cycle(n, form, runs):
     """
     g, b, d = form
     out, states = _Out(), {}
-    _, _, cut = _feed_run(n, (g, b, 0, d), runs, out, states)
+    _, _, cut = _feed_run((g, b, 0, d), runs, out, states)
     return states, _primitive_period(out.cyclic_exps(cut))
 
 
@@ -492,7 +493,7 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     period_of: dict = {}  # Hermite form of a run-0 node -> its orbit's period
     for form in _primitive_forms(n):
         if form not in period_of:
-            states, period = _resolve_cycle(n, form, runs)
+            states, period = _resolve_cycle(form, runs)
             for s in states:  # H first, whose form is form
                 period_of[_hermite(*s)] = period
     best = max(period_of.values())

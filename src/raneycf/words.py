@@ -5,10 +5,11 @@ distinct and exponents >= 1 (arbitrary precision — exponents in the tens
 of thousands occur routinely, so nothing here ever expands a word into
 individual letters unless the caller asks for it).
 
-The package's one escape kernel lives here too, on raw (a, b, c, d)
-tuples: _feed_run absorbs each input run whole on the right and then
-peels maximal output runs off the left, once, and _peel is that kernel
-with nothing to absorb.  Given a dict of block-boundary states, it also
+The package's one escape kernel lives here too: _feed_run takes a state,
+a Mat2 or any entry tuple (a, b, c, d) that equals one, absorbs each
+input run whole on the right and then peels maximal output runs off the
+left, once, and _peel is that kernel with nothing to absorb.  The state
+carries its own determinant, so no n is passed along.  Given a dict of block-boundary states, it also
 feeds a block of runs again and again until a boundary state repeats,
 which closes a periodic walk in one call.  It sits below the transducer
 in the import graph, so word_of_matrix and the transducer share it.  Its
@@ -24,7 +25,7 @@ import re
 from dataclasses import dataclass
 from itertools import cycle
 
-from .matrices import IDENTITY, Mat2, _check_db, det
+from .matrices import IDENTITY, Mat2, _check_db, in_D
 from .surds import _primitive_period
 
 L = "L"
@@ -70,7 +71,9 @@ class LRWord:
 
     @classmethod
     def from_runs(cls, runs) -> "LRWord":
-        return cls(_canonical(runs))
+        # _canonical rejects bad letters and negative exponents, drops zeros
+        # and merges equal neighbours, so its runs need no second check
+        return cls._trusted(_canonical(runs))
 
     @classmethod
     def _trusted(cls, runs: tuple[tuple[str, int], ...]) -> "LRWord":
@@ -82,7 +85,7 @@ class LRWord:
 
     @classmethod
     def from_letters(cls, letters) -> "LRWord":
-        return cls(_canonical((l, 1) for l in letters))
+        return cls._trusted(_canonical((l, 1) for l in letters))
 
     def __post_init__(self):
         for i, (letter, exp) in enumerate(self.runs):
@@ -170,10 +173,10 @@ def word_of_matrix(m: Mat2) -> LRWord:
     a >= c + 1 and d >= b + 1, so det 1 = ad - bc >= b + c + 1 forces
     b = c = 0 and a = d = 1.
     """
-    if det(m) != 1 or min(m.entries) < 0:
+    if not in_D(m, 1):  # det 1 gives content 1
         raise ValueError(f"{m!r} is not a nonnegative matrix of determinant 1")
     out = _Out()
-    _peel(m.entries, out)
+    _peel(m, out)
     return out.word()
 
 
@@ -287,12 +290,7 @@ def tau_kappa(word: LRWord, n: int) -> set[LRWord]:
 
 
 # ---------------------------------------------------------------------------
-# low-level engine on raw (a, b, c, d) tuples
-
-
-def _balanced(t):
-    # row balance a > c, d > b: the "still inside an edge" condition
-    return t[0] > t[2] and t[3] > t[1]
+# the escape kernel
 
 
 class _Out:
@@ -347,16 +345,18 @@ class _Out:
         return exps
 
 
-def _feed_run(n, t, runs, out, boundary=None):
-    r"""Consume the input runs ((letter, count), ...) in order, peeling the
-    output into out.counts (out may be None); returns the balanced state left.
+def _feed_run(t, runs, out, boundary=None):
+    r"""Consume the input runs ((letter, count), ...) in order from the state
+    t, a Mat2 or its entry tuple, peeling the output into out.counts (out
+    may be None); returns the balanced state left, as an entry tuple.
 
     The one escape kernel.  It absorbs each run letter^e whole, t times
     L^e (a += b e, c += d e) or R^e (b += a e, d += c e), then peels
     maximal L/R runs off the left until the state is balanced.  t needs
     det(t) > 0 and nonnegative entries.  An unbalanced t is fed the empty
     run (None, 0) first, whose peel is not checked, so runs = () is a plain
-    peel (_peel).
+    peel (_peel).  Every state of the walk keeps det(t) (see "The peel"),
+    so DB_n below is for n = det(t), and no caller passes n.
 
     The cycle.  Given a dict `boundary`, empty, the kernel feeds the tuple
     runs as a block again and again from t and records each state at a
@@ -467,11 +467,11 @@ def _feed_run(n, t, runs, out, boundary=None):
             if letter == L:  # the run's last escape, rebuilt: (x, b, c % d, d)
                 x = a - b * (c // d)
                 if x <= b:
-                    _check_db((x, b, c % d, d), n)
+                    _check_db((x, b, c % d, d))
             elif letter == R:  # (a, b % a, c, x)
                 x = d - c * (b // a)
                 if x <= c:
-                    _check_db((a, b % a, c, x), n)
+                    _check_db((a, b % a, c, x))
         t = (a, b, c, d)
         if boundary is None:
             return t
@@ -487,4 +487,4 @@ def _peel(t, out):
     """Peel maximal L/R runs off the left of t until the remainder is
     balanced, merging them into out.counts (out may be None): the kernel with
     no letters to absorb."""
-    return _feed_run(0, t, (), out)
+    return _feed_run(t, (), out)

@@ -17,6 +17,7 @@ from raneycf.bounds import check_bound, prime_sharp_bound, s_n_closed_form, s_n_
 from raneycf.cli import main, run_trial
 from raneycf.matrices import (
     Mat2,
+    _balanced,
     _check_db,
     _enumerate_DB,
     content_gcd,
@@ -42,7 +43,6 @@ from raneycf.transducer import (
 )
 from raneycf.words import (
     LRWord,
-    _balanced,
     _feed_run,
     _peel,
     mu,
@@ -173,15 +173,15 @@ def test_8_prime_formula_concordance():
 # -- criterion 9: lemma-level property suites ---------------------------------
 
 
-def _l_completions(n, m, max_letters):
+def _l_completions(m, max_letters):
     """States reached at peel completions while feeding single L letters."""
-    cur = m.entries
+    cur = m
     out = []
     for k in range(1, max_letters + 1):
         cur = _mul(cur, "L", 1)
         if not _balanced(cur):
             cur = _peel(cur, None)
-            _check_db(cur, n)
+            _check_db(cur)
             out.append((k, Mat2(*cur)))
     return out
 
@@ -196,7 +196,7 @@ def test_9_lemma_suites():
             per_state = {}
             for src, vin, vout, dst in edge_set:
                 assert src * mu(vin) == mu(vout) * dst
-                cur = src.entries
+                cur = src
                 letters = list(vin.letters())
                 for letter in letters[:-1]:
                     cur = _mul(cur, letter, 1)
@@ -221,8 +221,8 @@ def test_9_lemma_suites():
 
         # LS characterization and the LE funnel, n <= 20
         for n in range(1, 21):
-            for m in sorted(enumerate_DB(n), key=lambda q: q.entries):
-                comps = _l_completions(n, m, n)
+            for m in sorted(enumerate_DB(n)):
+                comps = _l_completions(m, n)
                 returns = [k for k, s in comps if s == m]
                 if m.b == 0:
                     expect = m.a // gcd(m.a, m.d)
@@ -231,13 +231,13 @@ def test_9_lemma_suites():
                     assert not returns, (n, m)
                 assert len({s for _, s in comps if is_LE(s)}) == 1, (n, m)
                 last = comps[-1][1] if comps else m
-                assert all(is_LS(s) for _, s in _l_completions(n, last, 2 * n))
+                assert all(is_LS(s) for _, s in _l_completions(last, 2 * n))
 
         # deflation: shortening a run of length >= 4n by n preserves the
         # endpoint, sigma of the output, and its first letter
         for _ in range(400):
             n = rng.randint(1, 8)
-            start = rng.choice(sorted(enumerate_DB(n), key=lambda q: q.entries))
+            start = rng.choice(sorted(enumerate_DB(n)))
             k = rng.randint(1, 5)
             first = rng.choice("LR")
             runs = [[first if i % 2 == 0 else ("R" if first == "L" else "L"),
@@ -246,8 +246,8 @@ def test_9_lemma_suites():
             short = [r[:] for r in runs]
             next(r for r in short if r[1] >= 4 * n)[1] -= n
             o1, o2 = _Out(), _Out()
-            e1 = _feed_run(n, start.entries, LRWord.from_runs(runs).runs, o1)
-            e2 = _feed_run(n, start.entries, LRWord.from_runs(short).runs, o2)
+            e1 = _feed_run(start, LRWord.from_runs(runs).runs, o1)
+            e2 = _feed_run(start, LRWord.from_runs(short).runs, o2)
             assert e1 == e2 and len(o1.runs) == len(o2.runs)
             if o1.runs:
                 assert o1.runs[0][0] == o2.runs[0][0]
@@ -256,7 +256,7 @@ def test_9_lemma_suites():
         # sigma_c(output) at least the original's, n <= 5
         for _ in range(120):
             n = rng.randint(1, 5)
-            seeds = sorted(enumerate_DB(n), key=lambda q: q.entries)
+            seeds = sorted(enumerate_DB(n))
             first = rng.choice("LR")
             rep = LRWord.from_runs(
                 (first if i % 2 == 0 else ("R" if first == "L" else "L"),
@@ -269,13 +269,13 @@ def test_9_lemma_suites():
             for vhat in tau_kappa(walk.input, n):
                 for s in seeds:
                     out = _Out()
-                    if _feed_run(n, s.entries, vhat.runs, out) == s.entries:
+                    if _feed_run(s, vhat.runs, out) == s:
                         best = max(best, sigma_c(out.word()))
             assert best >= target, (n, rep, walk, best)
 
         # walk_LE sigma formula, n <= 20 (content > 1 members walk reduced)
         for n in range(1, 21):
-            for m in sorted(enumerate_LE(n), key=lambda q: q.entries):
+            for m in sorted(enumerate_LE(n)):
                 k = content_gcd(m)
                 mm = Mat2(m.a // k, m.b // k, m.c // k, m.d // k)
                 nn = n // (k * k)

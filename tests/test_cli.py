@@ -232,6 +232,24 @@ def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
     assert sizes == [2]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_1(capsys, monkeypatch, jobs):
+    """--jobs below 1 is a usage error, exit 2, like the other counts, and
+    no trial runs and no pool starts."""
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(cli, "run_trial", no_pool)
+    with pytest.raises(SystemExit) as e:
+        run(capsys, "verify", "4", "--samples", "8", "--jobs", jobs)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "jobs must be >= 1" in err
+
+
 def _child_env():
     """The environment for a child Python that imports this raneycf."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -272,7 +290,7 @@ def test_reader_closing_the_pipe_early_is_not_an_error(argv, lines):
 def _reference_random_matrix(rng, n):
     """_random_matrix with its seed drawn from enumerate_DB's set, sorted
     afresh on every call."""
-    seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
+    seeds = sorted(enumerate_DB(n))
     m = rng.choice(seeds)
     for _ in range(rng.randint(0, 4)):
         m = rng.choice(cli._DRESS) * m

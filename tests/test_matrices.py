@@ -1,5 +1,6 @@
 """Matrix classes D/RB/DB, LS/LE/RE, the xi step count, enumerations."""
 import random
+import re
 from math import gcd
 
 import pytest
@@ -10,6 +11,7 @@ from raneycf.matrices import (
     L_MAT,
     Mat2,
     R_MAT,
+    _check_db,
     _enumerate_DB,
     associated,
     content_gcd,
@@ -84,6 +86,27 @@ def test_multiply_and_adjugate():
     assert transpose(Mat2(1, 2, 3, 4)) == Mat2(1, 3, 2, 4)
 
 
+def test_mat2_is_its_entry_tuple():
+    """A Mat2 equals and hashes as its entries, sorts in entry order,
+    unpacks as a, b, c, d, keeps the Mat2(a,b,c,d) repr, and * is still the
+    matrix product, on seeded matrices."""
+    rng = random.Random(8)
+    ms = []
+    for _ in range(300):
+        t = tuple(rng.randint(-40, 40) for _ in range(4))
+        m = Mat2(*t)
+        assert m == t and hash(m) == hash(t)
+        a, b, c, d = m
+        assert (a, b, c, d) == (m.a, m.b, m.c, m.d) == t
+        assert repr(m) == f"Mat2({a},{b},{c},{d})"
+        e, f, g, h = u = Mat2(*(rng.randint(-40, 40) for _ in range(4)))
+        prod = m * u
+        assert type(prod) is Mat2
+        assert prod == (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        ms.append(m)
+    assert [tuple(m) for m in sorted(ms)] == sorted(tuple(m) for m in ms)
+
+
 def test_parse_format_mat2():
     assert parse_mat2("12, 1, 17, 2") == Mat2(12, 1, 17, 2)
     assert format_mat2(Mat2(-1, 0, 2, 3)) == "-1,0,2,3"
@@ -110,6 +133,28 @@ def test_membership_implications(a, b, c, d):
         return
     assert not in_DB(m, n) or in_RB(m, n)
     assert not in_RB(m, n) or in_D(m, n)
+
+
+def test_check_db_message_names_the_det():
+    """_check_db passes a doubly balanced state and raises on a balanced
+    one that is not, naming n = det(t) in its message, on seeded states of
+    determinants from 1 to the hundreds."""
+    rng = random.Random(12)
+    dets = set()
+    for _ in range(2000):
+        top = rng.choice((4, 30))
+        a, b, c, d = t = tuple(rng.randint(0, top) for _ in range(4))
+        if not (a > c and d > b):  # the kernel hands it balanced states
+            continue
+        n = a * d - b * c
+        if a > b and d > c:
+            assert _check_db(t) is None
+            continue
+        dets.add(n)
+        message = f"factorization left {t} balanced but not doubly balanced for n={n};"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            _check_db(t)
+    assert len(dets) > 50 and min(dets) < 10 and max(dets) > 300, sorted(dets)
 
 
 def test_enumerate_DB_small():
@@ -147,12 +192,12 @@ def _reference_enumerate_DB(n):
                 d = num // a
                 if d > b and d > c and a > b and gcd(a, b, c, d) == 1:
                     found.append(Mat2(a, b, c, d))
-    return tuple(sorted(found, key=lambda m: m.entries))
+    return tuple(sorted(found))
 
 
 def test_enumerate_DB_matches_reference_loop():
     for n in range(1, 101):
-        assert _enumerate_DB(n) == tuple(m.entries for m in _reference_enumerate_DB(n)), n
+        assert _enumerate_DB(n) == _reference_enumerate_DB(n), n
 
 
 def _doubly_balanced_up_to(top):
@@ -174,12 +219,12 @@ def _doubly_balanced_up_to(top):
                     for d in range(d, d + (top - n) // a + 1):
                         if gcd(a, b, c, d) == 1:
                             found[a * d - b * c].append(Mat2(a, b, c, d))
-    return {n: tuple(sorted(ms, key=lambda m: m.entries)) for n, ms in found.items()}
+    return {n: tuple(sorted(ms)) for n, ms in found.items()}
 
 
 def test_enumerate_DB_matches_every_matrix_up_to_300():
     for n, states in _doubly_balanced_up_to(300).items():
-        assert _enumerate_DB(n) == tuple(m.entries for m in states), n
+        assert _enumerate_DB(n) == states, n
 
 
 def _pair_loop_enumerate_DB(n):
@@ -197,12 +242,12 @@ def _pair_loop_enumerate_DB(n):
                 d = (n + b * c) // a
                 if d > b and d > c and gcd(a, b, c, d) == 1:
                     found.append(Mat2(a, b, c, d))
-    return tuple(sorted(found, key=lambda m: m.entries))
+    return tuple(sorted(found))
 
 
 @pytest.mark.parametrize("n", sorted(random.Random(0).sample(range(301, 2001), 3)))
 def test_enumerate_DB_matches_pair_loop(n):
-    assert _enumerate_DB(n) == tuple(m.entries for m in _pair_loop_enumerate_DB(n))
+    assert _enumerate_DB(n) == _pair_loop_enumerate_DB(n)
 
 
 @pytest.mark.parametrize("n", [2310, 4096, 16384])

@@ -12,12 +12,14 @@ from hypothesis import given, settings, strategies as st
 from raneycf import words
 from raneycf.matrices import (
     Mat2,
+    _balanced,
     _check_db,
     _enumerate_DB,
     _hermite,
     _primitive_forms,
     det,
     enumerate_DB,
+    in_D,
     in_DB,
     in_RB,
     nu_R,
@@ -48,7 +50,6 @@ from raneycf.words import (
     L,
     R,
     LRWord,
-    _balanced,
     _cyclic_runs,
     _feed_run,
     _peel,
@@ -59,6 +60,7 @@ from raneycf.words import (
     sigma,
     star,
     star_letter,
+    word_of_matrix,
 )
 from test_words import _brute_root
 
@@ -78,11 +80,11 @@ def random_word(rng, max_runs=6, max_exp=8, min_runs=1):
     return LRWord(tuple(runs))
 
 
-def _feed_word(n, t, runs, out):
+def _feed_word(t, runs, out):
     """Feed a word's runs through the kernel one call per run: the
     reference for feeding a whole pass in one call."""
     for run in runs:
-        t = _feed_run(n, t, (run,), out)
+        t = _feed_run(t, (run,), out)
     return t
 
 
@@ -126,6 +128,34 @@ def test_factorize_rejects_balanced_and_foreign():
         factorize_to_DB(Mat2(1, 0, -1, 2), 2)
 
 
+def test_factorize_and_word_of_matrix_reject_exactly_outside_D():
+    """factorize_to_DB(p, n) rejects p as outside D_n, and word_of_matrix(m)
+    rejects m, exactly when in_D does, on every matrix with entries in
+    -3..6 and, for factorize_to_DB, n = det(p) and a seeded other n."""
+    rng = random.Random(6)
+    box = range(-3, 7)
+    seen = {"in D": 0, "outside D": 0, "det 1": 0}
+    for m in (Mat2(a, b, c, d) for a in box for b in box for c in box for d in box):
+        for n in {max(det(m), 1), rng.randint(1, 12)}:
+            try:
+                factorize_to_DB(m, n)
+                rejected = False
+            except ValueError as exc:  # outside D_n, or row balanced
+                rejected = "is not in D_" in str(exc)
+            except RuntimeError:  # in D_n, peeled onto RB_n outside DB_n
+                rejected = False
+            assert rejected == (not in_D(m, n)), (m, n)
+            seen["outside D" if rejected else "in D"] += 1
+        try:
+            word = word_of_matrix(m)
+        except ValueError:
+            assert not in_D(m, 1), m
+        else:
+            assert in_D(m, 1) and mu(word) == m, m
+            seen["det 1"] += 1
+    assert all(seen.values()), seen
+
+
 # -- construction ----------------------------------------------------------------
 
 
@@ -160,7 +190,7 @@ def test_transduce_cycle_closure_identity():
     rng = random.Random(5)
     for _ in range(100):
         n = rng.randint(1, 9)
-        start = rng.choice(sorted(enumerate_DB(n), key=lambda m: m.entries))
+        start = rng.choice(sorted(enumerate_DB(n)))
         rep = random_word(rng, min_runs=2)
         walk = transduce_cycle(n, start, rep)
         assert walk.start * mu(walk.input) == mu(walk.output) * walk.start
@@ -174,13 +204,13 @@ def test_transduce_cycle_closure_identity():
 def test_transduce_cycle_matches_per_pass_concatenation():
     """Reference: one fresh accumulator per pass, the cycle's passes joined."""
 
-    def ref(n, start, rep):
-        boundary = {start.entries: 0}
+    def ref(start, rep):
+        boundary = {start: 0}
         outputs = []
-        cur = start.entries
+        cur = start
         while True:
             out = _Out()
-            cur = _feed_word(n, cur, rep.runs, out)
+            cur = _feed_word(cur, rep.runs, out)
             outputs.append(out.word())
             if cur in boundary:
                 break
@@ -195,11 +225,11 @@ def test_transduce_cycle_matches_per_pass_concatenation():
     seen = {"gamma>=2": 0, "idx>0": 0, "straddle": 0}
     for _ in range(400):
         n = rng.randint(1, 30)
-        start = rng.choice(sorted(enumerate_DB(n), key=lambda m: m.entries))
+        start = rng.choice(sorted(enumerate_DB(n)))
         rep = random_word(rng, max_runs=6, max_exp=9, min_runs=2)
         if len({l for l, _ in rep.runs}) < 2:
             continue
-        idx, gamma, output, straddles = ref(n, start, rep)
+        idx, gamma, output, straddles = ref(start, rep)
         walk = transduce_cycle(n, start, rep)
         assert (walk.gamma, walk.output) == (gamma, output)
         seen["gamma>=2"] += gamma >= 2
@@ -209,7 +239,7 @@ def test_transduce_cycle_matches_per_pass_concatenation():
 
 
 def _mul(t, letter, k):
-    """t * letter^k on raw (a, b, c, d) tuples."""
+    """t * letter^k on entry tuples (a, b, c, d), as the kernel's states are."""
     a, b, c, d = t
     if letter == L:
         return (a + b * k, b, c + d * k, d)
@@ -252,7 +282,7 @@ def _reference_peel(t, out):
 
 
 def _db_states(n):
-    return [m.entries for m in sorted(enumerate_DB(n), key=lambda m: m.entries)]
+    return sorted(enumerate_DB(n))
 
 
 def _unbalanced_D_n():
@@ -263,7 +293,7 @@ def _unbalanced_D_n():
     def build(n, pick, exps):
         states = _db_states(n)
         w = LRWord.from_runs((R if i % 2 else L, e) for i, e in enumerate(exps))
-        return (mu(w) * Mat2(*states[pick % len(states)])).entries
+        return mu(w) * states[pick % len(states)]
 
     exp = st.one_of(st.integers(1, 5), st.integers(1, 10**6))
     built = st.builds(build, st.integers(1, 40), st.integers(0, 10**6), st.lists(exp, min_size=1, max_size=6))
@@ -280,14 +310,14 @@ def test_peel_only_kernel_matches_reference_peel(t, prior):
     """The kernel with no letters to absorb is the plain peel: same state,
     same output merged into whatever out already holds, and no check."""
     if prior is None:
-        assert _feed_run(0, t, (), None) == _reference_peel(t, None)
+        assert _feed_run(t, (), None) == _reference_peel(t, None)
         assert _peel(t, None) == _reference_peel(t, None)
         return
     out, ref = _Out(), _Out()
     for r in prior:
         _emit(out, *r)
         _emit(ref, *r)
-    assert _feed_run(0, t, (), out) == _reference_peel(t, ref)
+    assert _feed_run(t, (), out) == _reference_peel(t, ref)
     assert out.word() == ref.word()
 
 
@@ -301,14 +331,14 @@ def test_single_step_kernel_matches_reference_peel(n, pick, letter, with_out):
     k0 = _escape(s, letter)
     ref_out = _Out()
     ref = _reference_peel(_mul(s, letter, k0), ref_out)
-    _check_db(ref, n)
+    _check_db(ref)
     out = _Out() if with_out else None
-    assert _feed_run(n, s, ((letter, k0),), out) == ref
+    assert _feed_run(s, ((letter, k0),), out) == ref
     if with_out:
         assert out.runs == ref_out.runs
 
 
-def _reference_feed_run(n, t, letter, count, out):
+def _reference_feed_run(t, letter, count, out):
     """_feed_run as one call per step: escape, absorb, peel through
     _emit, then loop detection on running letter totals from the first
     escape on.  Returns (end state, whether a loop was fast-forwarded,
@@ -348,7 +378,7 @@ def _reference_feed_run(n, t, letter, count, out):
         if k0 > count:
             return _mul(t, letter, count), fast_forwarded, escapes, last
         t = last = peel(_mul(t, letter, k0))
-        _check_db(t, n)
+        _check_db(t)
         escapes += 1
         count -= k0
         snap = seen.get(t)
@@ -393,7 +423,7 @@ def test_feed_run_matches_reference():
     )
     @settings(max_examples=500, deadline=None)
     def check(n, pick, pre_letter, pre_k, letter, count, prior, once, on_loop):
-        states = [m.entries for m in sorted(enumerate_DB(n), key=lambda m: m.entries)]
+        states = _db_states(n)
         if on_loop:  # b = 0 for L, c = 0 for R; absorbing the letter keeps it
             states = [s for s in states if s[1 if letter == L else 2] == 0]
             pre_letter = letter
@@ -403,19 +433,19 @@ def test_feed_run_matches_reference():
             loop_starts[not (t[0] > t[1] and t[3] > t[2])] += 1
         if once:  # past the first escape, short of the second
             k0 = _escape(t, letter)
-            landed = _reference_feed_run(n, t, letter, k0, None)[0]
+            landed = _reference_feed_run(t, letter, k0, None)[0]
             count = k0 + count % _escape(landed, letter)
         if prior is None:
-            end = _feed_run(n, t, ((letter, count),), None)
-            ref, ff, escapes, _ = _reference_feed_run(n, t, letter, count, None)
+            end = _feed_run(t, ((letter, count),), None)
+            ref, ff, escapes, _ = _reference_feed_run(t, letter, count, None)
             assert end == ref
         else:
             out, ref_out = _Out(), _Out()
             for r in prior:
                 _emit(out, *r)
                 _emit(ref_out, *r)
-            end = _feed_run(n, t, ((letter, count),), out)
-            ref, ff, escapes, _ = _reference_feed_run(n, t, letter, count, ref_out)
+            end = _feed_run(t, ((letter, count),), out)
+            ref, ff, escapes, _ = _reference_feed_run(t, letter, count, ref_out)
             assert (end, out.word()) == (ref, ref_out.word())
         assert escapes == 1 or not once
         fast_forwards[prior is not None] += ff
@@ -432,9 +462,9 @@ def checked(monkeypatch):
     """The states the kernel hands _check_db, in order, each still checked."""
     calls = []
 
-    def record(t, n):
+    def record(t):
         calls.append(t)
-        _check_db(t, n)
+        _check_db(t)
 
     monkeypatch.setattr(words, "_check_db", record)
     return calls
@@ -486,11 +516,11 @@ def test_whole_run_kernel_matches_reference_run_by_run(checked):
                 _emit(out, *r)
                 _emit(ref_out, *r)
             seen["prior"] += bool(out)
-        end = _feed_run(n, t, runs, out)
+        end = _feed_run(t, runs, out)
         ref, lasts, cur, rebuilt = t, [], t, []
         for letter, e in runs:
-            ref, _, escapes, last = _reference_feed_run(n, ref, letter, e, ref_out)
-            cur = _feed_run(n, cur, ((letter, e),), None)
+            ref, _, escapes, last = _reference_feed_run(ref, letter, e, ref_out)
+            cur = _feed_run(cur, ((letter, e),), None)
             assert cur == ref, (n, t, runs)
             if escapes:
                 lasts.append(last)
@@ -506,11 +536,11 @@ def test_whole_run_kernel_matches_reference_run_by_run(checked):
             # until a block-boundary state repeats, against the reference
             # fed them run by run, block after block
             out, ref_out = _Out(), _Out()
-            end, gamma, _ = _feed_run(n, t, runs, out, {})
+            end, gamma, _ = _feed_run(t, runs, out, {})
             ref, boundary = t, {t: 0}
             while True:
                 for letter, e in runs:
-                    ref = _reference_feed_run(n, ref, letter, e, ref_out)[0]
+                    ref = _reference_feed_run(ref, letter, e, ref_out)[0]
                 if ref in boundary:
                     break
                 boundary[ref] = len(boundary)
@@ -539,14 +569,16 @@ def test_kernel_check_raises_outside_its_precondition(checked, t, runs, landed, 
     whose run's last escape lands on a balanced state that is not doubly
     balanced: the inline check fails, and the kernel hands the rebuilt
     escape, not the end state, to _check_db, which raises the contract
-    error, in block mode too."""
-    message = f"factorization left {landed} balanced but not doubly balanced for n=2"
+    error, in block mode too.  The message's n is det(landed), the
+    determinant that the walk keeps from its start."""
+    n = det(Mat2(*landed))
+    message = f"factorization left {landed} balanced but not doubly balanced for n={n}"
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        _feed_run(2, t, runs, _Out(), {} if block else None)
+        _feed_run(t, runs, _Out(), {} if block else None)
     assert checked == [landed]
 
 
-def _reference_close_cycle(n, t, runs):
+def _reference_close_cycle(t, runs):
     """The kernel's block mode as one kernel call per block: feed runs
     from t until a block-boundary state repeats.  Returns (that state,
     gamma, the output, the snap of its first visit, the block-boundary
@@ -555,7 +587,7 @@ def _reference_close_cycle(n, t, runs):
     snaps = [out.snap()]  # snaps[p]: end of the output after p blocks
     boundary = {t: 0}
     while True:
-        t = _feed_run(n, t, runs, out)
+        t = _feed_run(t, runs, out)
         idx = boundary.get(t)
         if idx is not None:
             return t, len(snaps) - idx, out, snaps[idx], list(boundary)
@@ -584,20 +616,20 @@ def test_block_mode_matches_one_kernel_call_per_block():
             g = rng.choice([q for q in range(1, n + 1) if n % q == 0])
             b = rng.choice([b for b in range(n // g) if gcd(g, b, n // g) == 1])
             m = _random_unimodular(rng) * Mat2(g, b, 0, n // g) * _random_unimodular(rng)
-            nn, t, runs = _hermite_start(m, cf)
-            assert nn == n
-            t, r = _enter(n, t, runs, 0, _Out())
+            t, runs = _hermite_start(m, cf)
+            assert det(Mat2(*t)) == n
+            t, r = _enter(t, runs, 0, _Out())
             runs = runs[r:] + runs[:r]
             seen["transform"] += 1
         else:
             g, b, d = rng.choice(_primitive_forms(n))
             t, runs, scratch = (g, b, 0, d), lr_repetend(cf).runs, _Out()
             while not scratch:
-                t = _feed_run(n, t, runs, scratch)
+                t = _feed_run(t, runs, scratch)
             seen["search"] += 1
         out, boundary = _Out(), {}
-        state, gamma, cut = _feed_run(n, t, runs, out, boundary)
-        ref_state, ref_gamma, ref_out, ref_cut, ref_states = _reference_close_cycle(n, t, runs)
+        state, gamma, cut = _feed_run(t, runs, out, boundary)
+        ref_state, ref_gamma, ref_out, ref_cut, ref_states = _reference_close_cycle(t, runs)
         assert (state, gamma, cut) == (ref_state, ref_gamma, ref_cut), (n, t, runs)
         assert out.counts == ref_out.counts, (n, t, runs)
         assert list(boundary) == ref_states, (n, t, runs)
@@ -625,7 +657,7 @@ def test_single_letter_loops_have_b_or_c_zero():
                     if nxt is None:
                         out = _Out()
                         nxt = succ[s] = _reference_peel(_mul(s, letter, _escape(s, letter)), out)
-                        _check_db(nxt, n)
+                        _check_db(nxt)
                         assert s[zero] or [l for l, _ in out.runs] == [letter], (n, s, out.runs)
                     s = nxt
                 if s in path:  # the chain closes a loop not seen before
@@ -751,9 +783,9 @@ def test_run_counts_through_the_kernel():
         for _ in range(rng.randint(1, 4)):
             runs = random_word(rng, max_runs=4, max_exp=rng.choice((9, 2**70))).runs
             fresh = _Out()
-            end = _feed_run(n, t, runs, fresh)
-            t = _feed_run(n, t, runs, out)
-            none_t = _feed_run(n, none_t, runs, None)
+            end = _feed_run(t, runs, fresh)
+            t = _feed_run(t, runs, out)
+            none_t = _feed_run(none_t, runs, None)
             assert t == end == none_t
             emitted = fresh.word().runs
             seen["seam merge"] += bool(ref.runs and emitted) and ref.runs[-1][0] == emitted[0][0]
@@ -901,7 +933,7 @@ def test_image_period_oracle_equivalence_randomized():
     rng = random.Random(99)
     for _ in range(150):
         n = rng.randint(2, 9)
-        seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
+        seeds = sorted(enumerate_DB(n))
         m = rng.choice(seeds)
         for _ in range(rng.randint(0, 3)):
             g = rng.choice([Mat2(1, 0, 1, 1), Mat2(1, 1, 0, 1),
@@ -955,7 +987,7 @@ def test_hermite_form_escapes_once_into_DB():
                     assert _reference_peel(t2, None) in db, (n, h, t2)
 
 
-def _reference_enter(n, t, runs, r):
+def _reference_enter(t, runs, r):
     """_enter at letter level: absorb each run up to its escape (_escape,
     _mul); at the first escape, peel with _reference_peel, check DB_n, and
     finish that run through _reference_feed_run.  Returns (state, next run,
@@ -973,8 +1005,8 @@ def _reference_enter(n, t, runs, r):
             letters += e
             continue
         t = _reference_peel(_mul(t, letter, k), out)
-        _check_db(t, n)
-        t = _reference_feed_run(n, t, letter, e - k, out)[0]
+        _check_db(t)
+        t = _reference_feed_run(t, letter, e - k, out)[0]
         return t, r, out.word(), fed, letters + k
 
 
@@ -996,12 +1028,12 @@ def test_enter_matches_a_letter_by_letter_reference():
         runs = tuple((first if i % 2 == 0 else star_letter(first), exp()) for i in range(2 * rng.randint(1, 3)))
         r = rng.randrange(len(runs))
         out = _Out()
-        state, nxt = _enter(n, t, runs, r, out)
-        *ref, fed, letters = _reference_enter(n, t, runs, r)
+        state, nxt = _enter(t, runs, r, out)
+        *ref, fed, letters = _reference_enter(t, runs, r)
         assert (state, nxt, out.word()) == tuple(ref), (n, t, runs, r)
         assert letters <= 2 * n - 1, (n, t, runs, r)
         assert in_RB(Mat2(*state), n)
-        assert Mat2(*t) * mu(LRWord.from_runs(fed)) == mu(out.word()) * Mat2(*state)
+        assert Mat2(*t) * mu(LRWord.from_runs(fed)) == mu(out.word()) * state
         seen[kind] += 1
         seen["n=1"] += n == 1
         seen["run past 2^63"] += any(e > 2**63 for _, e in fed)
@@ -1053,18 +1085,18 @@ def test_reduce_depends_only_on_the_coset():
         dets.add(det(u))
         k = rng.choice((1, 2, 5))
         um = u * m
-        assert reduce_to_DB(Mat2(*(k * e for e in um.entries)), cf) == reduce_to_DB(m, cf), (m, u, k, cf)
+        assert reduce_to_DB(Mat2(*(k * e for e in um)), cf) == reduce_to_DB(m, cf), (m, u, k, cf)
     assert dets == {1, -1}
 
 
 def _reference_hermite_start(m, x):
     """_hermite_start through the product B = primitive_part(m) P: the whole
     preperiod multiplied in, then one Euclid on B's O(k)-bit entries."""
-    a, b, c, d = primitive_part(m).entries
+    a, b, c, d = primitive_part(m)
     for q in x.preperiod:  # times [[q, 1], [1, 0]], which is unimodular
         a, b, c, d = a * q + b, a, c * q + d, c
     a, b, d = _hermite(a, b, c, d)
-    return a * d, (a, b, 0, d), lr_repetend(x).runs
+    return (a, b, 0, d), lr_repetend(x).runs
 
 
 def _random_start_case(rng, k=None):
@@ -1075,7 +1107,7 @@ def _random_start_case(rng, k=None):
         m = Mat2(*(rng.randint(-99, 99) for _ in range(4)))
         if det(m):
             break
-    m = Mat2(*(rng.randint(1, 3) * e for e in m.entries))
+    m = Mat2(*(rng.randint(1, 3) * e for e in m))
     more = rng.randint(0, 12) if k is None else k
     pre = [rng.randint(-30, 30)] + [
         rng.choice((rng.randint(1, 20), _log_uniform(rng, 10**8))) for _ in range(more)
@@ -1098,7 +1130,7 @@ def test_hermite_start_matches_the_product_reference():
     for m, cf in cases:
         assert _hermite_start(m, cf) == _reference_hermite_start(m, cf), (m, cf)
         seen["det<0" if det(m) < 0 else "det>0"] += 1
-        seen["content>1"] += gcd(*m.entries) > 1
+        seen["content>1"] += gcd(*m) > 1
         seen["head<0"] += bool(cf.preperiod) and cf.preperiod[0] < 0
         seen["long"] += len(cf.preperiod) >= 3000
     assert all(seen.values()), seen
@@ -1121,7 +1153,8 @@ def test_hermite_start_entries_stay_below_n_times_the_quotient(monkeypatch):
     for i in range(300):
         m, cf = _random_start_case(rng, k=200 if i % 50 == 0 else None)
         calls.clear()
-        n = _hermite_start(m, cf)[0]
+        (g, _, _, d), _ = _hermite_start(m, cf)
+        n = g * d
         assert len(calls) == len(cf.preperiod) + 1, (m, cf)
         for entries, q in zip(calls[1:], cf.preperiod):
             assert max(map(abs, entries)) <= n * (abs(q) + 1), (m, cf, entries, q)
@@ -1143,7 +1176,7 @@ def test_image_period_oracle_equivalence_wide():
         b = rng.choice([b for b in range(d) if gcd(g, b, d) == 1])
         m = _random_unimodular(rng) * Mat2(g, b, 0, d) * _random_unimodular(rng)
         k = rng.choice((1, 1, 1, 2, 3, 12))
-        m = Mat2(*(k * e for e in m.entries))
+        m = Mat2(*(k * e for e in m))
 
         def quotient():
             return rng.randint(1, 20) if rng.random() < 0.5 else _log_uniform(rng, 10**6)
@@ -1186,7 +1219,7 @@ def test_walk_LE_shape():
     for n in range(2, 13):
         from raneycf.matrices import content_gcd, enumerate_LE, is_RE, nu_L
 
-        for m in sorted(enumerate_LE(n), key=lambda m: m.entries):
+        for m in sorted(enumerate_LE(n)):
             if content_gcd(m) != 1:
                 continue
             nu = nu_L(m)
@@ -1235,22 +1268,22 @@ def test_search_matches_direct_enumeration():
         best = None
         for off in range(len(word)):
             runs = rotate(word, off).runs
-            for seed in sorted(enumerate_DB(n), key=lambda m: m.entries):
-                path, index, cur = [], {}, seed.entries
+            for seed in sorted(enumerate_DB(n)):
+                path, index, cur = [], {}, seed
                 while True:
                     if cur in index:
                         cyc = path[index[cur]:]
                         out = _Out()
                         node = cyc[0]
                         for _ in cyc:
-                            node = _feed_word(n, node, runs, out)
+                            node = _feed_word(node, runs, out)
                         r = Fraction(lr_cycle_to_period(out.word()), per(cf))
                         if best is None or r > best[0]:
                             best = (r, seed, off)
                         break
                     index[cur] = len(path)
                     path.append(cur)
-                    cur = _feed_word(n, cur, runs, None)
+                    cur = _feed_word(cur, runs, None)
         return best
 
     rng = random.Random(17)
@@ -1270,7 +1303,7 @@ def _reference_search_max_ratio(n, cf):
     runs = word.runs
     nr = len(runs)
     per_x = per(cf)
-    seeds = sorted(enumerate_DB(n), key=lambda m: m.entries)
+    seeds = sorted(enumerate_DB(n))
     step_memo = {}
     orbit_of = {}  # node -> canonical node of its terminal orbit
     ratio_of = {}  # canonical orbit node -> Fraction
@@ -1280,7 +1313,7 @@ def _reference_search_max_ratio(n, cf):
         if nxt is None:
             r, t = node
             letter, e = runs[r]
-            nxt = ((r + 1) % nr, _feed_run(n, t, ((letter, e),), None))
+            nxt = ((r + 1) % nr, _feed_run(t, ((letter, e),), None))
             step_memo[node] = nxt
         return nxt
 
@@ -1300,7 +1333,7 @@ def _reference_search_max_ratio(n, cf):
                     r, t = key
                     for i in range(len(cycle)):
                         letter, e = runs[(r + i) % nr]
-                        t = _reference_feed_run(n, t, letter, e, out)[0]
+                        t = _reference_feed_run(t, letter, e, out)[0]
                     ratio_of[key] = Fraction(lr_cycle_to_period(out.word()), per_x)
                 break
             index[cur] = len(path)
@@ -1322,9 +1355,9 @@ def _reference_search_max_ratio(n, cf):
         letter, e = runs[r]
         for seed in seeds:
             if within:
-                node = ((r + 1) % nr, _feed_run(n, seed.entries, ((letter, e - within),), None))
+                node = ((r + 1) % nr, _feed_run(seed, ((letter, e - within),), None))
             else:
-                node = (r, seed.entries)
+                node = (r, seed)
             ratio = ratio_of[resolve(node)]
             if best is None or ratio > best[0]:
                 best = (ratio, seed, off)
@@ -1342,8 +1375,8 @@ def test_search_matches_reference_witness(n, rep):
     assert search_max_ratio(n, cf) == _reference_search_max_ratio(n, cf)
 
 
-def _run_states(n, starts, letter, e):
-    """The distinct states _feed_run(n, s, ((letter, k),), None) over every
+def _run_states(starts, letter, e):
+    """The distinct states _feed_run(s, ((letter, k),), None) over every
     DB_n state s in starts and 0 < k < e.
 
     Walked letter by letter, a start's path passes s * letter^j for
@@ -1359,7 +1392,7 @@ def _run_states(n, starts, letter, e):
         k0 = _escape(s, letter)
         inside.extend(_mul(s, letter, j) for j in range(1, min(k0, e)))
         if k0 < e:
-            escapes[_feed_run(n, s, ((letter, k0),), None)] = None
+            escapes[_feed_run(s, ((letter, k0),), None)] = None
     return inside + list(escapes)
 
 
@@ -1370,7 +1403,7 @@ def test_run_states_match_letter_by_letter_walks():
     rng = random.Random(5)
     for _ in range(150):
         n = rng.randint(1, 30)
-        seeds = [m.entries for m in sorted(enumerate_DB(n), key=lambda m: m.entries)]
+        seeds = _db_states(n)
         letter = rng.choice((L, R))
         e = rng.choice((rng.randint(1, 2 * n + 2), rng.randint(1, 400)))  # escapes take <= n
         walks = []
@@ -1380,7 +1413,7 @@ def test_run_states_match_letter_by_letter_walks():
                 t = _mul(walk[-1], letter, 1)
                 walk.append(t if _balanced(t) else _peel(t, None))
             walks.append(walk)
-        listed = _run_states(n, seeds, letter, e)
+        listed = _run_states(seeds, letter, e)
         assert len(set(listed)) == len(listed)
         assert set(listed) == {t for walk in walks for t in walk[1:]}
 
@@ -1407,13 +1440,13 @@ def test_search_nodes_of_one_coset_share_their_period():
                 index[cur] = len(path)
                 path.append(cur)
                 r, t = cur
-                cur = ((r + 1) % nr, _feed_run(n, t, (runs[r],), None))
+                cur = ((r + 1) % nr, _feed_run(t, (runs[r],), None))
             if cur in period_of:
                 period = period_of[cur]
             else:
                 r, t = cur
                 out = _Out()
-                _feed_run(n, t, [runs[(r + i) % nr] for i in range(len(path) - index[cur])], out)
+                _feed_run(t, [runs[(r + i) % nr] for i in range(len(path) - index[cur])], out)
                 period = lr_cycle_to_period(out.word())
             for p in path:
                 period_of[p] = period
@@ -1426,7 +1459,7 @@ def test_search_nodes_of_one_coset_share_their_period():
                 period = orbit_period((r, s))
                 periods.setdefault((r, _hermite(*s)), []).append(period)
                 periods.setdefault((nxt, _hermite(*_mul(s, letter, e))), []).append(period)
-            for t in _run_states(n, starts, letter, e):
+            for t in _run_states(starts, letter, e):
                 periods.setdefault((nxt, _hermite(*t)), []).append(orbit_period((nxt, t)))
         assert all(len(set(p)) == 1 for p in periods.values()), (n, rep)
         shared += sum(len(p) > 1 for p in periods.values())
@@ -1474,17 +1507,17 @@ def test_key_walk_matches_the_state_walk():
                 index[cur] = len(path)
                 path.append(cur)
                 r, t = cur
-                cur = ((r + 1) % nr, _feed_run(n, t, (runs[r],), None))
+                cur = ((r + 1) % nr, _feed_run(t, (runs[r],), None))
             r, t = cur
             out = _Out()
-            _feed_run(n, t, [runs[(r + j) % nr] for j in range(len(path) - index[cur])], out)
+            _feed_run(t, [runs[(r + j) % nr] for j in range(len(path) - index[cur])], out)
             return {(r, _hermite(*t)) for r, t in path}, lr_cycle_to_period(out.word())
 
         start_nodes = [(r, s) for r in range(nr) for s in starts]
         offset_nodes = [
             ((r + 1) % nr, t)
             for r, (letter, e) in enumerate(runs)
-            for t in _run_states(n, starts, letter, e)
+            for t in _run_states(starts, letter, e)
         ]
         drawn += min(len(offset_nodes), 15)
         for node in rng.sample(start_nodes, min(len(start_nodes), 15)) + rng.sample(
@@ -1497,7 +1530,7 @@ def test_key_walk_matches_the_state_walk():
             assert set(keys) == ref_keys, (n, rep, node)
             assert len(keys) % nr == 0 and len(keys) <= nr * len(_primitive_forms(n))
             form = rng.choice([f for r, f in keys if r == 0])
-            states, period = _resolve_cycle(n, form, runs)
+            states, period = _resolve_cycle(form, runs)
             assert period == ref_period, (n, rep, node)
             assert {(0, _hermite(*s)) for s in states} <= ref_keys, (n, rep, node)
     assert drawn
@@ -1550,7 +1583,7 @@ def test_coset_count_and_hermite_forms():
             u = Mat2(1, 0, 0, 1)
             for _ in range(6):
                 u = u * rng.choice(words)
-            assert _hermite(*(u * Mat2(*s)).entries) == _hermite(*s)
+            assert _hermite(*(u * Mat2(*s))) == _hermite(*s)
 
 
 def test_key_step_matches_the_hermite_form_of_the_product():
@@ -1565,7 +1598,7 @@ def test_key_step_matches_the_hermite_form_of_the_product():
             u = Mat2(1, 0, 0, 1)
             for _ in range(8):
                 u = u * rng.choice(words)
-            states.append((u * Mat2(*s)).entries)
+            states.append(u * Mat2(*s))
         ks = list(range(3 * n + 1)) + [2**63 + rng.randint(0, 10**6) for _ in range(3)]
         for s in states:
             form = _hermite(*s)
@@ -1643,7 +1676,7 @@ def test_orbit_fed_from_a_hermite_form():
             cf = PeriodicCF.create([], rep)
             runs = lr_repetend(cf).runs
             for g, b, d in forms:
-                states, period = _resolve_cycle(n, (g, b, d), runs)
+                states, period = _resolve_cycle((g, b, d), runs)
                 assert period == image_period(Mat2(g, b, 0, d), cf), (n, rep, (g, b, d))
                 cycle = {f for r, f in _reference_key_cycle(runs, (0, (g, b, d))) if r == 0}
                 assert {_hermite(*s) for s in states} == cycle, (n, rep, (g, b, d))
@@ -1659,15 +1692,15 @@ def test_resolve_cycle_is_one_kernel_call_from_H(monkeypatch):
 
     calls = []
 
-    def counting_feed(n, t, runs, out, boundary=None):
+    def counting_feed(t, runs, out, boundary=None):
         calls.append(t)
-        return _feed_run(n, t, runs, out, boundary)
+        return _feed_run(t, runs, out, boundary)
 
     entered = []
 
-    def counting_enter(n, t, runs, r, out):
+    def counting_enter(t, runs, r, out):
         entered.append(t)
-        return _enter(n, t, runs, r, out)
+        return _enter(t, runs, r, out)
 
     monkeypatch.setattr(transducer, "_feed_run", counting_feed)
     rng = random.Random(89)
@@ -1680,7 +1713,7 @@ def test_resolve_cycle_is_one_kernel_call_from_H(monkeypatch):
         runs = lr_repetend(cf).runs
         for g, b, d in rng.sample(_primitive_forms(n), min(8, len(_primitive_forms(n)))):
             calls.clear()
-            states, period = _resolve_cycle(n, (g, b, d), runs)
+            states, period = _resolve_cycle((g, b, d), runs)
             assert calls == [(g, b, 0, d)], (n, rep, (g, b, d))
             assert next(iter(states)) == (g, b, 0, d)
             assert (g, b, d) in {_hermite(*s) for s in states}
@@ -1689,7 +1722,7 @@ def test_resolve_cycle_is_one_kernel_call_from_H(monkeypatch):
     m, cf = Mat2(5, 3, 7, 2), parse_cf("[;3,1,4]")
     calls.clear()
     image_repetend(m, cf)
-    assert calls[0] == entered[0] == _hermite_start(m, cf)[1] and len(entered) == 1
+    assert calls[0] == entered[0] == _hermite_start(m, cf)[0] and len(entered) == 1
 
 
 def test_search_walks_once_per_run0_key_cycle(monkeypatch):
@@ -1701,9 +1734,9 @@ def test_search_walks_once_per_run0_key_cycle(monkeypatch):
 
     walked = []
 
-    def counting(n, form, runs):
+    def counting(form, runs):
         walked.append(form)
-        return _resolve_cycle(n, form, runs)
+        return _resolve_cycle(form, runs)
 
     monkeypatch.setattr(transducer, "_resolve_cycle", counting)
     rng = random.Random(83)

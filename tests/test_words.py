@@ -66,6 +66,13 @@ def test_canonical_form_rejects_bad_runs():
         LRWord(((L, 1), (L, 2)))
     with pytest.raises(ValueError):
         LRWord((("X", 1),))
+    # from_runs and from_letters validate in _canonical alone
+    with pytest.raises(ValueError, match="not a letter"):
+        LRWord.from_runs(((L, 1), ("X", 2)))
+    with pytest.raises(ValueError, match="negative run exponent"):
+        LRWord.from_runs(((L, 1), (R, -1)))
+    with pytest.raises(ValueError, match="not a letter"):
+        LRWord.from_letters("LRX")
 
 
 def test_from_runs_merges_and_drops():
