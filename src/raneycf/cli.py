@@ -9,9 +9,10 @@ import argparse
 import json
 import os
 import random
+import struct
 import sys
 import time
-from array import array
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .bounds import breakdown_to_json, check_bound, s_n_closed_form, s_n_total
 from .matrices import (
@@ -23,15 +24,7 @@ from .matrices import (
     parse_mat2,
     primitive_part,
 )
-from .surds import (
-    PeriodicCF,
-    apply_mobius,
-    cf_from_surd,
-    format_cf,
-    parse_cf,
-    per,
-    surd_from_cf,
-)
+from .surds import PeriodicCF, cf_from_surd, format_cf, image_surd, parse_cf, per
 from .transducer import (
     build_transducer,
     image_repetend,
@@ -72,20 +65,27 @@ def _random_cf(rng: random.Random, max_period: int, max_quotient: int) -> Period
 
 
 def _same_cycle(u: tuple, v: tuple) -> bool:
-    """Whether v is a rotation of u: u found in v + v at a word boundary, by
-    bytes.find on 8-byte words, searched on past any match that straddles
-    two words.  Past 2^63 the words hold each quotient's rank among u's
-    distinct values instead, so their size is u's length, not its widest
-    quotient's."""
+    """Whether v is a rotation of u: u found in v + v, on the bytes of both.
+
+    Quotients below 256 take one byte each, so every match is at a quotient
+    boundary.  Past that, they take 8-byte words, and the search goes on
+    past any match that straddles two words.  Past 2^63 the words hold each
+    quotient's rank among u's distinct values instead, so their size is u's
+    length, not its widest quotient's."""
     if len(u) != len(v):
         return False
     try:
-        needle, hay = array("q", u).tobytes(), array("q", v).tobytes()
-    except OverflowError:
+        return bytes(u) in bytes(v) * 2
+    except ValueError:  # a quotient past 255
+        pass
+    words = f"<{len(u)}q"
+    try:
+        needle, hay = struct.pack(words, *u), struct.pack(words, *v)
+    except struct.error:  # a quotient past 2^63
         rank = {q: i for i, q in enumerate(set(u))}
         if not rank.keys() >= set(v):
             return False
-        needle, hay = (array("q", [rank[q] for q in w]).tobytes() for w in (u, v))
+        needle, hay = (struct.pack(words, *map(rank.__getitem__, w)) for w in (u, v))
     hay *= 2
     i = hay.find(needle)
     while i > 0 and i % 8:
@@ -98,7 +98,7 @@ def _gate(m: Mat2, cf: PeriodicCF):
     (the oracle's expansion, n = |det| of m's primitive part, per(cf),
     per(h_m(cf)) by image_repetend, check_bound's verdict, whether the two
     repetends agree up to rotation)."""
-    oracle = cf_from_surd(apply_mobius(m, surd_from_cf(cf)))
+    oracle = cf_from_surd(image_surd(m, cf))
     rep_hx = image_repetend(m, cf)
     n = abs(det(primitive_part(m)))
     per_x = per(cf)
@@ -108,14 +108,24 @@ def _gate(m: Mat2, cf: PeriodicCF):
 
 def _render(report: dict, fmt: str) -> str:
     """The report as text, or as json.dumps(report, indent=2) writes it.
-    indent sends json to its Python encoder; a nonempty report of str and
-    int values takes the C one, whose separators below give the same
-    bytes."""
-    if fmt == "json":
-        if report and all(type(v) in (str, int) for v in report.values()):
-            return "{\n  " + json.dumps(report, separators=(",\n  ", ": "))[1:-1] + "\n}"
-        return json.dumps(report, indent=2)
-    return "\n".join(f"{k} = {v}" for k, v in report.items())
+    A nonempty report of str keys and str and int values is written here,
+    one value at a time, with the encoder's own C string quoting and
+    int.__repr__, which give the same bytes; any other report goes to
+    json.dumps."""
+    if fmt != "json":
+        return "\n".join(f"{k} = {v}" for k, v in report.items())
+    items = []
+    for k, v in report.items():
+        if type(k) is not str:
+            return json.dumps(report, indent=2)
+        if type(v) is str:
+            v = _json_str(v)
+        elif type(v) is int:
+            v = int.__repr__(v)
+        else:
+            return json.dumps(report, indent=2)
+        items.append(f"{_json_str(k)}: {v}")
+    return "{\n  " + ",\n  ".join(items) + "\n}" if items else "{}"
 
 
 def run_trial(args) -> dict | None:

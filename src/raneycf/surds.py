@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .matrices import Mat2, det as mat_det
+from .matrices import IDENTITY, Mat2
 
 
 def _is_square(n: int) -> bool:
@@ -65,6 +65,11 @@ def surd(P: int, Q: int, D: int) -> QuadraticSurd:
     divide out g = gcd(P, Q, (D - P^2)/Q): with D - P^2 = Q m and g | P, Q, m,
     g^2 divides D, and D/g^2 - (P/g)^2 = (Q/g)(m/g), so (P/g, Q/g, D/g^2)
     is in that form too, with the same value and gcd 1.
+
+    A value has exactly one primitive form.  Two forms of one value differ
+    by a factor t = u/v > 0 in lowest terms: (P', Q', D') = (tP, tQ, t^2 D),
+    and (D' - P'^2)/Q' = t m.  Each of those is an integer, so v divides P,
+    Q and m, and v = 1 when (P, Q, D) is primitive; u = 1 likewise.
     """
     if Q == 0:
         raise ValueError("Q must be nonzero")
@@ -104,6 +109,17 @@ def conjugate_approx(x: QuadraticSurd, digits: int = 30) -> Fraction:
 class PeriodicCF:
     preperiod: tuple[int, ...]
     repetend: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, preperiod: tuple[int, ...], repetend: tuple[int, ...]) -> "PeriodicCF":
+        """Wrap tuples that are normal by construction (a nonempty primitive
+        repetend of quotients >= 1, preperiod entries after the first >= 1,
+        the preperiod's last entry unequal to the repetend's last), skipping
+        validation."""
+        cf = object.__new__(cls)
+        object.__setattr__(cf, "preperiod", preperiod)
+        object.__setattr__(cf, "repetend", repetend)
+        return cf
 
     def __post_init__(self):
         if not self.repetend:
@@ -207,7 +223,15 @@ def cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
     reduced complete quotient), so the result is already normal.  k is at
     most `_preperiod_bound`; past it lies a bug, not an input.  From there
     the step is an injective map of the at most r(r+1) reduced pairs
-    (1 <= P <= r, r - P < Q <= r + P), so the pair must come back.
+    (1 <= P <= r, r - P < Q <= r + P), so the pair must come back.  Every
+    quotient after the first is >= 1, because x_k > 1 for k >= 1, so the
+    result is built with PeriodicCF._trusted.
+
+    The preperiod loop takes floor(x_k) in one floor division: P + sqrt(D)
+    lies strictly between P + r and P + r + 1, so for Q > 0 the floor is
+    (P + r) // Q, and for Q < 0, which reverses the order, it is
+    (P + r + 1) // Q, as no integer multiple of Q lies strictly between the
+    two ends.
 
     The reduced loop carries u = P + r in place of P: a, rem = divmod(u, Q)
     gives P' = a Q - P = r - rem, so u' = 2r - rem and
@@ -225,7 +249,7 @@ def cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
     while not (Q > 0 and P <= r < P + Q and Q - P <= r):
         if len(quotients) >= limit:
             raise RuntimeError(f"no reduced complete quotient within {limit} steps")
-        a = _floor(P, Q, r)
+        a = (P + r) // Q if Q > 0 else (P + r + 1) // Q
         quotients.append(a)
         P1 = a * Q - P
         P, Q, Q_prev = P1, Q_prev + a * (P - P1), Q
@@ -250,18 +274,31 @@ def cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
             break
     P = u - r
     assert Q * Q_prev == D - P * P
-    return PeriodicCF(tuple(quotients[:start]), tuple(quotients[start:]))
+    return PeriodicCF._trusted(tuple(quotients[:start]), tuple(quotients[start:]))
 
 
 def surd_from_cf(cf: PeriodicCF) -> QuadraticSurd:
-    """Fixed-point construction: the purely periodic tail y satisfies
-    c*y^2 + (d-a)*y - b = 0 for the convergent matrix of the repetend."""
+    """The value of cf as a surd in primitive form: image_surd by the
+    identity."""
+    return image_surd(IDENTITY, cf)
+
+
+def image_surd(m: Mat2, cf: PeriodicCF) -> QuadraticSurd:
+    """h_m(x) for the value x of cf, in primitive form, normalised once.
+
+    Fixed-point construction: the purely periodic tail y satisfies
+    c*y^2 + (d-a)*y - b = 0 for the convergent matrix [[a, b], [c, d]] of
+    the repetend, so y = (a - d + sqrt(disc))/(2c) with
+    disc = (a + d)^2 - 4(ad - bc); c >= 1, as every repetend quotient is.
+    x = h_P(y) for the preperiod's convergent matrix P, so
+    h_m(x) = h_{m P}(y): one 2x2 integer product and one Moebius step on y
+    as it stands.  A value has exactly one primitive form, so this is the
+    surd that normalising y, then h_P(y), then h_m of that would give.
+    """
     a, b, c, d = _convergent_entries(cf.repetend)
-    disc = (a + d) ** 2 - 4 * (a * d - b * c)
-    y = surd(a - d, 2 * c, disc)
     if cf.preperiod:
-        y = apply_mobius(Mat2(*_convergent_entries(cf.preperiod)), y)
-    return y
+        m = m * Mat2(*_convergent_entries(cf.preperiod))
+    return _mobius(m, a - d, 2 * c, (a + d) ** 2 - 4 * (a * d - b * c))
 
 
 def _convergent_entries(quotients) -> tuple[int, int, int, int]:
@@ -273,19 +310,26 @@ def _convergent_entries(quotients) -> tuple[int, int, int, int]:
 
 
 def apply_mobius(m: Mat2, x: QuadraticSurd) -> QuadraticSurd:
-    """h_m(x) = (a*x + b)/(c*x + d), exactly, staying in Q(sqrt(D)).
+    """h_m(x) = (a*x + b)/(c*x + d), exactly, staying in Q(sqrt(D))."""
+    return _mobius(m, x.P, x.Q, x.D)
+
+
+def _mobius(m, P: int, Q: int, D: int) -> QuadraticSurd:
+    """h_m((P + sqrt(D))/Q) in primitive form, for Q != 0 and D > 0
+    nonsquare, whether or not (P, Q, D) is primitive or Q divides D - P^2.
 
     Multiplying by the conjugate of c x + d gives (P2 + sqrt(D2))/Q2, which
     surd brings to primitive form."""
-    if mat_det(m) == 0:
-        raise ValueError("singular matrix")
     A, B, C, Dm = m
-    alpha = A * x.P + B * x.Q
-    beta = C * x.P + Dm * x.Q
-    e = x.Q * mat_det(m)  # coefficient of sqrt(D) after rationalizing
-    P2 = alpha * beta - A * C * x.D
-    Q2 = beta * beta - C * C * x.D
-    D2 = e * e * x.D
+    n = A * Dm - B * C
+    if n == 0:
+        raise ValueError("singular matrix")
+    alpha = A * P + B * Q
+    beta = C * P + Dm * Q
+    e = Q * n  # coefficient of sqrt(D) after rationalizing
+    P2 = alpha * beta - A * C * D
+    Q2 = beta * beta - C * C * D
+    D2 = e * e * D
     if e < 0:
         P2, Q2 = -P2, -Q2
     return surd(P2, Q2, D2)

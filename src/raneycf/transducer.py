@@ -43,13 +43,13 @@ from math import gcd
 from .matrices import (
     Mat2,
     _balanced,
-    _check_db,
     _enumerate_DB,
     _hermite,
     _primitive_forms,
     det,
     format_mat2,
     in_D,
+    in_DB,
     in_RB,
     is_LE,
     is_RE,
@@ -88,15 +88,21 @@ class Transducer:
 
 
 def factorize_to_DB(p: Mat2, n: int) -> tuple[LRWord, Mat2]:
-    """Unique factorization p = mu(w) * k with w nonempty and k in DB_n."""
+    """Unique factorization p = mu(w) * k with w nonempty and k in DB_n.
+
+    The maximal peel leaves the one row-balanced k with p = mu(w) * k; a p
+    in D_n whose k is not column balanced as well, such as (1, 1, 1, 3)
+    with k = (1, 1, 0, 2), has no such factorization, and is a ValueError
+    that names k."""
     if not in_D(p, n):
         raise ValueError(f"{p!r} is not in D_{n}")
     if _balanced(p):
         raise ValueError(f"{p!r} is row balanced; the peeled word would be empty")
     out = _Out()
-    t = _peel(p, out)
-    _check_db(t)
-    return out.word(), Mat2(*t)
+    k = Mat2(*_peel(p, out))
+    if not in_DB(k, n):
+        raise ValueError(f"{p!r} peels onto {k!r}, which is not in DB_{n}")
+    return out.word(), k
 
 
 def build_transducer(n: int) -> Transducer:

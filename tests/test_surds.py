@@ -8,7 +8,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from raneycf.matrices import IDENTITY, L_MAT, Mat2, R_MAT, det, inverse_times_det
+from raneycf.matrices import IDENTITY, J_MAT, L_MAT, Mat2, R_MAT, content_gcd, det, inverse_times_det
 from raneycf.surds import (
     PeriodicCF,
     QuadraticSurd,
@@ -20,6 +20,7 @@ from raneycf.surds import (
     conjugate_approx,
     floor_surd,
     format_cf,
+    image_surd,
     parse_cf,
     per,
     surd,
@@ -182,6 +183,75 @@ def test_cf_from_surd_is_normal_within_bound(x):
     cf = cf_from_surd(x)
     assert len(cf.preperiod) <= _preperiod_bound(x.Q, isqrt(x.D))
     assert PeriodicCF.create(cf.preperiod, cf.repetend) == cf
+
+
+def _oracle_sweep(seed, count):
+    """Seeded (m, cf) pairs for the gate's oracle: either sign of det m,
+    content 1 to 6, preperiods of 0-4 quotients with a signed head half the
+    time, and quotients up to 9, 10^6, 2^64 + 7 or 2^90."""
+    rng = random.Random(seed)
+    while count:
+        top = rng.choice((9, 10**6, 2**64 + 7, 2**90))
+        rep = [rng.randint(1, top) for _ in range(rng.randint(1, 5))]
+        pre = [rng.randint(1, top) for _ in range(rng.randint(0, 4))]
+        if pre and rng.random() < 0.5:
+            pre[0] = rng.randint(-top, top)
+        g = rng.choice((1, 1, 2, 6))
+        m = Mat2(*(g * rng.randint(-30, 30) for _ in range(4)))
+        if det(m):
+            count -= 1
+            yield (m * J_MAT if rng.random() < 0.5 else m), PeriodicCF.create(pre, rep)
+
+
+def _normalised_thrice(m, cf):
+    """h_m(cf) by three normalised steps: the repetend's fixed point
+    (a - d + sqrt(disc))/(2c), then the preperiod's convergent matrix, then
+    m, each through surd."""
+    a, b, c, d = IDENTITY
+    for q in cf.repetend:
+        a, b, c, d = a * q + b, a, c * q + d, c
+    y = surd(a - d, 2 * c, (a + d) ** 2 - 4 * (a * d - b * c))
+    if cf.preperiod:
+        p = IDENTITY
+        for q in cf.preperiod:
+            p = p * Mat2(q, 1, 1, 0)
+        y = apply_mobius(p, y)
+    return apply_mobius(m, y)
+
+
+def test_image_surd_is_one_mobius_step_of_the_three():
+    """The gate's oracle surd, h_{m P}(y) normalised once, equals h_m of
+    surd_from_cf(cf), and the three normalised steps, as a value and in its
+    primitive form; surd_from_cf is image_surd by the identity."""
+    seen = dict.fromkeys(("det < 0", "content > 1", "negative head", "past 2^63"), 0)
+    for m, cf in _oracle_sweep(30, 400):
+        x = image_surd(m, cf)
+        for ref in (apply_mobius(m, surd_from_cf(cf)), _normalised_thrice(m, cf)):
+            assert x == ref and (x.P, x.Q, x.D) == (ref.P, ref.Q, ref.D), (m, cf)
+        assert _surd_content(x) == 1
+        y, ref = surd_from_cf(cf), _normalised_thrice(IDENTITY, cf)
+        assert (y.P, y.Q, y.D) == (ref.P, ref.Q, ref.D), cf
+        seen["det < 0"] += det(m) < 0
+        seen["content > 1"] += content_gcd(m) > 1
+        seen["negative head"] += bool(cf.preperiod) and cf.preperiod[0] < 0
+        seen["past 2^63"] += max(cf.repetend) >= 2**63
+    assert all(seen.values()), seen
+    with pytest.raises(ValueError, match="singular"):
+        image_surd(Mat2(1, 2, 2, 4), parse_cf("[-3,1;2]"))
+
+
+def test_cf_from_surd_result_is_its_own_normal_form():
+    """cf_from_surd builds its result unvalidated: on the gate's oracle
+    surds and the inputs' own surds it equals PeriodicCF.create of its own
+    two parts, which validates and normalises, and the reference
+    expansion."""
+    for m, cf in _oracle_sweep(31, 200):
+        for x in (image_surd(m, cf), surd_from_cf(cf)):
+            out = cf_from_surd(x)
+            assert out == PeriodicCF.create(out.preperiod, out.repetend), (m, cf)
+            assert type(out.preperiod) is tuple and type(out.repetend) is tuple
+            assert out == _reference_cf_from_surd(x), (m, cf)
+        assert cf_from_surd(surd_from_cf(cf)) == cf
 
 
 def test_cf_from_surd_period_1000_is_fast():

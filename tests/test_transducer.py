@@ -131,19 +131,24 @@ def test_factorize_rejects_balanced_and_foreign():
 def test_factorize_and_word_of_matrix_reject_exactly_outside_D():
     """factorize_to_DB(p, n) rejects p as outside D_n, and word_of_matrix(m)
     rejects m, exactly when in_D does, on every matrix with entries in
-    -3..6 and, for factorize_to_DB, n = det(p) and a seeded other n."""
+    -3..6 and, for factorize_to_DB, n = det(p) and a seeded other n.  A p
+    in D_n whose peel lands in RB_n outside DB_n is a ValueError that names
+    the remainder, which is row balanced and not column balanced."""
     rng = random.Random(6)
     box = range(-3, 7)
-    seen = {"in D": 0, "outside D": 0, "det 1": 0}
+    seen = {"in D": 0, "outside D": 0, "det 1": 0, "peels outside DB": 0}
     for m in (Mat2(a, b, c, d) for a in box for b in box for c in box for d in box):
         for n in {max(det(m), 1), rng.randint(1, 12)}:
             try:
                 factorize_to_DB(m, n)
                 rejected = False
-            except ValueError as exc:  # outside D_n, or row balanced
+            except ValueError as exc:  # outside D_n, row balanced, or peels outside DB_n
                 rejected = "is not in D_" in str(exc)
-            except RuntimeError:  # in D_n, peeled onto RB_n outside DB_n
-                rejected = False
+                landed = re.search(rf"peels onto Mat2\((.*)\), which is not in DB_{n}$", str(exc))
+                if landed:
+                    k = Mat2(*map(int, landed[1].split(",")))
+                    assert in_D(m, n) and in_RB(k, n) and not in_DB(k, n), (m, n, k)
+                    seen["peels outside DB"] += 1
             assert rejected == (not in_D(m, n)), (m, n)
             seen["outside D" if rejected else "in D"] += 1
         try:
