@@ -9,9 +9,9 @@ import argparse
 import json
 import os
 import random
-import struct
 import sys
 import time
+from array import array
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .bounds import breakdown_to_json, check_bound, s_n_closed_form, s_n_total
@@ -65,27 +65,20 @@ def _random_cf(rng: random.Random, max_period: int, max_quotient: int) -> Period
 
 
 def _same_cycle(u: tuple, v: tuple) -> bool:
-    """Whether v is a rotation of u: u found in v + v, on the bytes of both.
-
-    Quotients below 256 take one byte each, so every match is at a quotient
-    boundary.  Past that, they take 8-byte words, and the search goes on
-    past any match that straddles two words.  Past 2^63 the words hold each
-    quotient's rank among u's distinct values instead, so their size is u's
-    length, not its widest quotient's."""
+    """Whether v is a rotation of u: u found in v + v at a word boundary, by
+    bytes.find on 8-byte words, searched on past any match that straddles
+    two words.  Past 2^63 the words hold each quotient's rank among u's
+    distinct values instead, so their size is u's length, not its widest
+    quotient's."""
     if len(u) != len(v):
         return False
     try:
-        return bytes(u) in bytes(v) * 2
-    except ValueError:  # a quotient past 255
-        pass
-    words = f"<{len(u)}q"
-    try:
-        needle, hay = struct.pack(words, *u), struct.pack(words, *v)
-    except struct.error:  # a quotient past 2^63
+        needle, hay = array("q", u).tobytes(), array("q", v).tobytes()
+    except OverflowError:
         rank = {q: i for i, q in enumerate(set(u))}
         if not rank.keys() >= set(v):
             return False
-        needle, hay = (struct.pack(words, *map(rank.__getitem__, w)) for w in (u, v))
+        needle, hay = (array("q", [rank[q] for q in w]).tobytes() for w in (u, v))
     hay *= 2
     i = hay.find(needle)
     while i > 0 and i % 8:

@@ -87,11 +87,12 @@ def floor_surd(x: QuadraticSurd) -> int:
 
 
 def _floor(P: int, Q: int, r: int) -> int:
-    """floor((P + sqrt(D))/Q) for r = isqrt(D), D nonsquare."""
-    num = P + r  # floor(P + sqrt(D)), exact since D is nonsquare
-    if Q > 0:
-        return num // Q
-    return -(num // -Q) - 1
+    """floor((P + sqrt(D))/Q) for r = isqrt(D), D nonsquare, in one floor
+    division: P + sqrt(D) lies strictly between P + r and P + r + 1, so for
+    Q > 0 the floor is (P + r) // Q, and for Q < 0, which reverses the
+    order, it is (P + r + 1) // Q, as no integer multiple of Q lies strictly
+    between the two ends."""
+    return (P + r) // Q if Q > 0 else (P + r + 1) // Q
 
 
 def approx(x: QuadraticSurd, digits: int = 30) -> Fraction:
@@ -227,12 +228,6 @@ def cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
     quotient after the first is >= 1, because x_k > 1 for k >= 1, so the
     result is built with PeriodicCF._trusted.
 
-    The preperiod loop takes floor(x_k) in one floor division: P + sqrt(D)
-    lies strictly between P + r and P + r + 1, so for Q > 0 the floor is
-    (P + r) // Q, and for Q < 0, which reverses the order, it is
-    (P + r + 1) // Q, as no integer multiple of Q lies strictly between the
-    two ends.
-
     The reduced loop carries u = P + r in place of P: a, rem = divmod(u, Q)
     gives P' = a Q - P = r - rem, so u' = 2r - rem and
     Q' = Q_prev + a (u - u'), and the cycle closes when (u, Q) is back at
@@ -249,7 +244,7 @@ def cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
     while not (Q > 0 and P <= r < P + Q and Q - P <= r):
         if len(quotients) >= limit:
             raise RuntimeError(f"no reduced complete quotient within {limit} steps")
-        a = (P + r) // Q if Q > 0 else (P + r + 1) // Q
+        a = _floor(P, Q, r)
         quotients.append(a)
         P1 = a * Q - P
         P, Q, Q_prev = P1, Q_prev + a * (P - P1), Q
