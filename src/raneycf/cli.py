@@ -152,9 +152,10 @@ def run_trial(args) -> dict | None:
     }
 
 
-def _trials(tasks: list, jobs: int):
-    """run_trial over tasks, in input order; in a pool of `jobs` processes
-    when jobs > 1."""
+def _trials(tasks, jobs: int):
+    """run_trial over the iterable tasks, in input order; in a pool of
+    `jobs` processes when jobs > 1.  Both map and Pool.imap draw tasks as
+    they go, so a generator of tasks is never held whole."""
     if jobs == 1:
         yield from map(run_trial, tasks)
         return
@@ -212,7 +213,7 @@ def cmd_verify(
 ) -> tuple[str, int]:
     t0 = time.monotonic()
     jobs = min(jobs, os.cpu_count() or 1)
-    tasks = [(n, seed, i, max_period, max_quotient) for i in range(samples)]
+    tasks = ((n, seed, i, max_period, max_quotient) for i in range(samples))
     failures = []
     tick = max(1, samples // 10)
     for i, record in enumerate(_trials(tasks, jobs), 1):

@@ -10,23 +10,22 @@ every escape.  A partial quotient of any size thus costs one absorb and
 one peel step per output run, and the kernel checks each run's last
 escape against DB_n, rebuilt from the state it ends in.  The transform
 walks from a Hermite form (image_repetend): whole runs up to the end of
-the run of its first escape (_enter), then one kernel call that feeds one
-pass of the repetend per block until a block-boundary state repeats
-(_feed_run with a boundary dict).  The output cycle's runs, read
-cyclically, are the image's partial quotients (lr_cycle_to_period), and
-the transform and the search read their exponents straight off the
-output's run counts (_Out.cyclic_exps).  The sharpness search keys its
-nodes on (run, Hermite form of the state) and keeps periods for run-0
-keys only: it
-feeds each primitive Hermite form that no walk has reached yet whole
-blocks, aligned to block boundaries, and reads the run-0 keys of its
-cycle off the kernel's block-boundary states (_resolve_cycle), one kernel
-call per run-0 key cycle.  Its witness scan reads run 0's starts first,
-computing each one's form only when it gets there, and steps the periods
-from run to run by key steps alone, with no step table of its own.  The
-explicit edge table (build_transducer) exists for display and for the
-exhaustive lemma checks, and is built through the same kernel one letter
-at a time.
+the run of its first escape (_enter), then the one cycle reader,
+_close_cycle: one kernel call that feeds one pass of the repetend per
+block until a block-boundary state repeats (_feed_run with a boundary
+dict).  The output cycle's runs, read cyclically, are the image's partial
+quotients (lr_cycle_to_period), and the reader takes their exponents
+straight off the output's run counts (_Out.cyclic_exps).  The sharpness
+search keys its nodes on (run, Hermite form of the state) and keeps
+periods for run-0 keys only: it feeds each primitive Hermite form that no
+walk has reached yet straight to _close_cycle, whole blocks aligned to
+block boundaries, and reads the run-0 keys of its cycle off the kernel's
+block-boundary states, one kernel call per run-0 key cycle.  Its witness
+scan reads run 0's starts first, computing each one's form only when it
+gets there, and steps the periods from run to run by key steps alone,
+with no step table of its own.  The explicit edge table (build_transducer)
+exists for display and for the exhaustive lemma checks, and is built
+through the same kernel one letter at a time.
 The independent references are in the tests: _reference_feed_run, one
 call per escape step, _reference_close_cycle, one kernel call per block,
 and test_9's letter-by-letter edge walk.
@@ -227,10 +226,10 @@ def lr_repetend(cf: PeriodicCF) -> LRWord:
     return LRWord._trusted(tuple(zip((R, L) * (len(rep) // 2), rep)))
 
 
-def _enter(t, runs, r, out):
-    """Feed runs[r], runs[r+1], ... (cyclically) from t, one whole run per
+def _enter(t, runs, out):
+    """Feed runs[0], runs[1], ... (cyclically) from t, one whole run per
     _feed_run call, until the empty accumulator out holds output; returns
-    (the state at the end of that run, the next run's index).
+    (the state at the end of that run, runs rotated to the next run).
 
     t must be nonnegative and row balanced, and n is its own det, which
     the walk keeps (g d for a Hermite start).  Then a >= c + 1 and
@@ -246,10 +245,39 @@ def _enter(t, runs, r, out):
     _feed_run's DB_n check covers the last escape of the run that escaped,
     rebuilt from the row-balanced state it returns.
     """
+    r = 0
     while not out:
         t = _feed_run(t, (runs[r],), out)
         r = (r + 1) % len(runs)
-    return t, r
+    return t, runs[r:] + runs[:r]
+
+
+def _close_cycle(t, runs, states):
+    """The repetend, up to rotation, of the output of the walk from t over
+    the cyclic word runs, as a list of partial quotients; states, an empty
+    dict, is left keyed by the walk's block-boundary states, t first, in
+    the order of their first visits.
+
+    One kernel call feeds t whole blocks, runs[0], runs[1], ..., until a
+    block-boundary state repeats (_feed_run with the boundary dict
+    states).  t must be nonnegative and row balanced, so it is a start for
+    the kernel as for _enter, and the kernel checks every state that an
+    escape leads to.  The output from the repeated state's first visit on
+    is a whole number of the orbit's output cycles, and the transient
+    blocks from t before it, with their output, are cut away at that
+    visit's snap.  Read cyclically, the cycle's run exponents are the
+    image's partial quotients (lr_cycle_to_period), taken straight off the
+    output's run counts (_Out.cyclic_exps) and cut at their least cyclic
+    period, which divides every period of the sequence.  So from any
+    state t of the walk from a Hermite form H (_hermite_start), H itself
+    included, with runs rotated to start at t's next run, the result is
+    the repetend of h_H(y) for y = [; repetend], up to rotation, and its
+    length is per(h_H(y)).
+    """
+    out = _Out()
+    _, _, cut = _feed_run(t, runs, out, states)
+    exps = out.cyclic_exps(cut)
+    return exps[: _primitive_period(exps)]
 
 
 def _hermite_start(m: Mat2, x: PeriodicCF):
@@ -301,29 +329,20 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     """
     t, runs = _hermite_start(m, x)
     out = _Out()
-    t, r = _enter(t, runs, 0, out)
+    t, tail = _enter(t, runs, out)
     # lr_repetend's runs alternate, even in number: a rotation is canonical
-    return Mat2(*t), LRWord._trusted(runs[r:] + runs[:r]), out.word()
+    return Mat2(*t), LRWord._trusted(tail), out.word()
 
 
 def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
     """The repetend of h_m(x), up to rotation, computed entirely through the
     transducer machinery, on entry tuples: the walk from the Hermite start
-    (_hermite_start, where the proof is) fed x's runs cyclically.  The walk
-    is entered with scratch output (_enter), at a later node (r, t) of its
-    orbit, and one pass of the repetend, runs[r:] + runs[:r], is fed from
-    there block by block, with output, until a block-boundary state
-    repeats, all in one kernel call (_feed_run with a boundary dict, as in
-    transduce_cycle).  The boundary states walk the orbit, so the output
-    between two visits of one of them is a whole number of the orbit's
-    cycles, and lr_cycle_to_period's exponents are read straight off its
-    run counts (_Out.cyclic_exps), cut at their least cyclic period."""
+    (_hermite_start, where the proof is) fed x's runs cyclically, entered
+    with scratch output (_enter) and closed from there (_close_cycle).
+    Entering first saves the walk a transient block: from H the kernel
+    usually needs one, from the entered node almost never."""
     t, runs = _hermite_start(m, x)
-    t, r = _enter(t, runs, 0, _Out())
-    out = _Out()
-    _, _, cut = _feed_run(t, runs[r:] + runs[:r], out, {})
-    exps = out.cyclic_exps(cut)
-    return tuple(exps[: _primitive_period(exps)])
+    return tuple(_close_cycle(*_enter(t, runs, _Out()), {}))
 
 
 def image_period(m: Mat2, x: PeriodicCF) -> int:
@@ -392,40 +411,6 @@ def _key_step(form, letter, k):
     return _hermite(g + b * k, b, d * k, d)
 
 
-def _resolve_cycle(form, runs):
-    """(states, period) for the search node (0, H), H = (g, b, 0, d) for
-    the primitive form (g, b, d): the block-boundary states of H's walk
-    over the cyclic word runs (a dict keyed by them, H first, in the order
-    of their first visits), and the output period of its orbit.
-
-    One kernel call feeds H whole blocks, runs[0], runs[1], ..., so that
-    every state it stops at is a run-0 node, until a block-boundary state
-    repeats (_feed_run with a boundary dict).  H is row balanced, so it is
-    a start for the kernel as for _enter, and the kernel checks every state
-    that an escape leads to.  The output from the repeated state's first
-    visit on is a whole number of the orbit's output cycles, and the
-    transient blocks from H before it, with their output, are cut away at
-    that visit's snap.  The cycle's repetend is read as the transform reads
-    its own (image_repetend): the period is per(h_H(y)) for y = [; repetend]
-    (_hermite_start), which is the period of every node (0, s) whose state
-    s has the coset of a boundary state.
-
-    The states' forms are H's run-0 key cycle, with none off it.  The state
-    after j blocks is U H B^j, B the block's matrix and U unimodular (the
-    peels), so its form is H's stepped j times, j = 0 included.  The step
-    of a run-0 key by one block is a bijection on the psi(n) forms
-    (_key_step), so the key cycle is pure: the transient states' forms lie
-    on it too.  The kernel records tau + gamma states, the last gamma of
-    them a cycle of states; a state's return implies its form's, so the key
-    cycle's length divides gamma, and those gamma consecutive forms cover
-    it.
-    """
-    g, b, d = form
-    out, states = _Out(), {}
-    _, _, cut = _feed_run((g, b, 0, d), runs, out, states)
-    return states, _primitive_period(out.cyclic_exps(cut))
-
-
 def search_max_ratio(n: int, cf: PeriodicCF):
     """Max of per(output)/per(input) over all DB_n start states and all
     letter rotations of the input repetend's LR word, and its first witness.
@@ -451,19 +436,30 @@ def search_max_ratio(n: int, cf: PeriodicCF):
 
     The maximum.  Each of the psi(n) primitive forms (g, b, d)
     (_primitive_forms) that no earlier walk reached is fed as the node
-    (0, H), H = (g, b, 0, d), through _resolve_cycle: one kernel walk
-    aligned to block boundaries from H, whose boundary states' forms, H's
-    own first, cover H's run-0 key cycle, and each of them gets the walk's
-    period.  So period_of holds the psi(n) run-0 keys, one walk per run-0
-    key cycle.  Key (0, H) has period per(h_H(y)) for y = y_0
-    = [; repetend], so best_ratio, the largest period over per(y), is the
-    maximum of per(h_H(y)) / per(y) over the primitive forms H by
-    construction.  A key cycle steps through every run index, so no run
-    holds a larger period.  Any x with this repetend is h_P(y), P
-    unimodular, so it is also the maximum of per(h_M(x)) / per(x) over
-    every primitive M with |det M| = n.  Each coset's image has the tail of
-    one (offset, DB_n state) node's orbit (reduce_to_DB), so some node
-    attains it.
+    (0, H), H = (g, b, 0, d), straight to _close_cycle: one kernel call
+    feeds H whole blocks, so that every state it stops at is a run-0 node,
+    and the length of the repetend it returns is per(h_H(y)) for
+    y = [; repetend] (_hermite_start), which is the period of every node
+    (0, s) whose state s has the coset of a boundary state.  The boundary
+    states' forms, H's own first, are H's run-0 key cycle, with none off
+    it.  The state after j blocks is U H B^j, B the block's matrix and U
+    unimodular (the peels), so its form is H's stepped j times, j = 0
+    included.  The step of a run-0 key by one block is a bijection on the
+    psi(n) forms (_key_step), so the key cycle is pure: the transient
+    states' forms lie on it too.  The kernel records tau + gamma states,
+    the last gamma of them a cycle of states; a state's return implies its
+    form's, so the key cycle's length divides gamma, and those gamma
+    consecutive forms cover it.  Each of them gets the walk's period.  So
+    period_of holds the psi(n) run-0 keys, one walk per run-0 key cycle.
+    H is not entered first (_enter), as the transform's walk is: every
+    boundary state has to be a run-0 node.  So best_ratio, the largest
+    period over per(y), y = y_0, is the maximum of per(h_H(y)) / per(y)
+    over the primitive forms H by construction.  A key cycle steps through
+    every run index, so no run holds a larger period.  Any x with this
+    repetend is h_P(y), P unimodular, so it is also the maximum of
+    per(h_M(x)) / per(x) over every primitive M with |det M| = n.  Each
+    coset's image has the tail of one (offset, DB_n state) node's orbit
+    (reduce_to_DB), so some node attains it.
 
     The witness.  Returns (best_ratio, witness_state, witness_offset): the
     first offset, then the first state in entry order, that attains the
@@ -483,7 +479,7 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     H L^(k+n) has the coset of H L^k.  So the largest k < e that hits, the
     run's first offset inside it, lies among the n offsets of that window.
 
-    The cost is one kernel call per run-0 key cycle (_resolve_cycle), with
+    The cost is one kernel call per run-0 key cycle (_close_cycle), with
     a Hermite form per block-boundary state, then the forms of the starts
     that run 0's first offset reads, up to its first hit; only a scan that
     gets past it pays for every start's form, psi(n) key steps and at most
@@ -499,7 +495,9 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     period_of: dict = {}  # Hermite form of a run-0 node -> its orbit's period
     for form in _primitive_forms(n):
         if form not in period_of:
-            states, period = _resolve_cycle(form, runs)
+            g, b, d = form
+            states = {}
+            period = len(_close_cycle((g, b, 0, d), runs, states))
             for s in states:  # H first, whose form is form
                 period_of[_hermite(*s)] = period
     best = max(period_of.values())

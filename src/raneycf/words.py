@@ -347,8 +347,8 @@ class _Out:
 
 def _feed_run(t, runs, out, boundary=None):
     r"""Consume the input runs ((letter, count), ...) in order from the state
-    t, a Mat2 or its entry tuple, peeling the output into out.counts (out
-    may be None); returns the balanced state left, as an entry tuple.
+    t, a Mat2 or its entry tuple, peeling the output into out.counts;
+    returns the balanced state left, as an entry tuple.
 
     The one escape kernel.  It absorbs each run letter^e whole, t times
     L^e (a += b e, c += d e) or R^e (b += a e, d += c e), then peels
@@ -420,10 +420,9 @@ def _feed_run(t, runs, out, boundary=None):
     The output.  Whether out's last run is an L-run is the parity of its
     number of counts, read once at entry and then kept in on_l, so each
     peel of L^k (R^k) adds k to the last count when that run has its letter
-    and appends k otherwise: one integer operation, no letter stored.  With
-    out=None the peels go to a scratch [0].
+    and appends k otherwise: one integer operation, no letter stored.
     """
-    emitted = out.counts if out is not None else [0]
+    emitted = out.counts
     on_l = len(emitted) % 2 == 1  # whether the last run is an L-run
     a, b, c, d = t
     # an unbalanced t is peeled by the empty run (None, 0), with no check
@@ -485,6 +484,6 @@ def _feed_run(t, runs, out, boundary=None):
 
 def _peel(t, out):
     """Peel maximal L/R runs off the left of t until the remainder is
-    balanced, merging them into out.counts (out may be None): the kernel with
-    no letters to absorb."""
+    balanced, merging them into out.counts: the kernel with no letters to
+    absorb."""
     return _feed_run(t, (), out)

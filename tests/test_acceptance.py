@@ -180,7 +180,7 @@ def _l_completions(m, max_letters):
     for k in range(1, max_letters + 1):
         cur = _mul(cur, "L", 1)
         if not _balanced(cur):
-            cur = _peel(cur, None)
+            cur = _peel(cur, _Out())
             _check_db(cur)
             out.append((k, Mat2(*cur)))
     return out

@@ -233,6 +233,22 @@ def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
     assert sizes == [2]
 
 
+def test_verify_draws_its_tasks_as_it_goes(capsys, monkeypatch):
+    """verify's memory does not grow with --samples: with every trial
+    stubbed to pass, 200,000 samples peak under 2 MB, where a list of
+    their tasks alone takes about 23 MB."""
+    monkeypatch.setattr(cli, "run_trial", lambda task: None)
+    tracemalloc.start()
+    try:
+        text, status = cli.cmd_verify(4, samples=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and json.loads(text)["failures"] == []
+    assert capsys.readouterr().err.splitlines()[-1] == "verify n=4: 200000/200000"
+    assert peak < 2 << 20, peak
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_rejects_jobs_below_1(capsys, monkeypatch, jobs):
     """--jobs below 1 is a usage error, exit 2, like the other counts, and

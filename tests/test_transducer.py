@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raneycf import words
+from raneycf.cli import _same_cycle
 from raneycf.matrices import (
     Mat2,
     _balanced,
@@ -28,10 +29,10 @@ from raneycf.matrices import (
 )
 from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
+    _close_cycle,
     _enter,
     _hermite_start,
     _key_step,
-    _resolve_cycle,
     build_transducer,
     factorize_to_DB,
     image_period,
@@ -315,8 +316,8 @@ def test_peel_only_kernel_matches_reference_peel(t, prior):
     """The kernel with no letters to absorb is the plain peel: same state,
     same output merged into whatever out already holds, and no check."""
     if prior is None:
-        assert _feed_run(t, (), None) == _reference_peel(t, None)
-        assert _peel(t, None) == _reference_peel(t, None)
+        assert _feed_run(t, (), _Out()) == _reference_peel(t, None)
+        assert _peel(t, _Out()) == _reference_peel(t, None)
         return
     out, ref = _Out(), _Out()
     for r in prior:
@@ -337,7 +338,7 @@ def test_single_step_kernel_matches_reference_peel(n, pick, letter, with_out):
     ref_out = _Out()
     ref = _reference_peel(_mul(s, letter, k0), ref_out)
     _check_db(ref)
-    out = _Out() if with_out else None
+    out = _Out()
     assert _feed_run(s, ((letter, k0),), out) == ref
     if with_out:
         assert out.runs == ref_out.runs
@@ -405,13 +406,13 @@ def _reference_feed_run(t, letter, count, out):
 
 def test_feed_run_matches_reference():
     """The run-feeding kernel against the one-call-per-step reference, from
-    DB states and from states part way into an edge, with and without an
-    output accumulator (which may already hold runs), for counts up to
-    10**30.  Some runs are cut to escape exactly once, and the rest escape
+    DB states and from states part way into an edge, with the output
+    compared or not (an accumulator that may already hold runs), for counts
+    up to 10**30.  Some runs are cut to escape exactly once, and the rest escape
     any number of times.  Some start from a state with b = 0 (for an L-run)
     or c = 0 (for an R-run), or part way into its edge: the states of the
     single-letter loops, whose escapes the reference fast-forwards."""
-    fast_forwards = {True: 0, False: 0}  # by whether out was given
+    fast_forwards = {True: 0, False: 0}  # by whether the output is compared
     escapes_seen = {0: 0, 1: 0, 2: 0}  # runs by escapes taken: 0, 1, 2 or more
     loop_starts = {True: 0, False: 0}  # on_loop draws, by whether mid-edge
 
@@ -441,7 +442,7 @@ def test_feed_run_matches_reference():
             landed = _reference_feed_run(t, letter, k0, None)[0]
             count = k0 + count % _escape(landed, letter)
         if prior is None:
-            end = _feed_run(t, ((letter, count),), None)
+            end = _feed_run(t, ((letter, count),), _Out())
             ref, ff, escapes, _ = _reference_feed_run(t, letter, count, None)
             assert end == ref
         else:
@@ -489,9 +490,9 @@ def test_whole_run_kernel_matches_reference_run_by_run(checked):
     """Whole blocks of runs through the kernel in one call against
     _reference_feed_run fed one run at a time, escape by escape: from
     primitive Hermite forms, DB_n states and states part way into an edge,
-    for n = 1 up to 4096, counts past 2^64, with and without an output
-    accumulator that may already hold runs.  The end state and the output
-    word are the reference's.  The same runs fed to the kernel one call
+    for n = 1 up to 4096, counts past 2^64, into an output accumulator that
+    may already hold runs.  The end state is the reference's, and so is the
+    output word in the draws that feed the reference one.  The same runs fed to the kernel one call
     per run end where the reference does after each run, and the rebuild
     of the kernel's check on the end state of each run that escapes is the
     reference's last escape, which the reference checks is in DB_n.  On
@@ -514,9 +515,9 @@ def test_whole_run_kernel_matches_reference_run_by_run(checked):
                 t = _mul(t, letter, rng.randrange(_escape(t, letter)))
         max_exp = rng.choice((3, 10**6, 2**80))
         runs = random_word(rng, max_runs=5, max_exp=max_exp).runs
-        out = ref_out = None
+        out, ref_out = _Out(), None
         if rng.random() < 0.7:
-            out, ref_out = _Out(), _Out()
+            ref_out = _Out()
             for r in rng.choice(((), ((L, 2),), ((R, 1), (L, 3)))):
                 _emit(out, *r)
                 _emit(ref_out, *r)
@@ -525,7 +526,7 @@ def test_whole_run_kernel_matches_reference_run_by_run(checked):
         ref, lasts, cur, rebuilt = t, [], t, []
         for letter, e in runs:
             ref, _, escapes, last = _reference_feed_run(ref, letter, e, ref_out)
-            cur = _feed_run(cur, ((letter, e),), None)
+            cur = _feed_run(cur, ((letter, e),), _Out())
             assert cur == ref, (n, t, runs)
             if escapes:
                 lasts.append(last)
@@ -534,7 +535,7 @@ def test_whole_run_kernel_matches_reference_run_by_run(checked):
         assert end == ref, (n, t, runs)
         assert rebuilt == lasts, (n, t, runs)
         assert checked == [], (n, t, runs)
-        if out is not None:
+        if ref_out is not None:
             assert out.word() == ref_out.word(), (n, t, runs)
         if i % 10 == 0 and max(e for _, e in runs) < 2**64:
             # the block mode: the same runs fed as a block again and again
@@ -606,8 +607,8 @@ def test_block_mode_matches_one_kernel_call_per_block():
     the block-boundary states in first-visit order.  From transform starts
     (a Hermite start entered as image_repetend enters it, the block rotated
     to the run after the first escape) and search starts (a primitive form
-    fed whole blocks with scratch output until one escapes, as
-    _resolve_cycle does), at n in {1, 2, 12, 720, 4096}, with odd periods
+    fed whole blocks with scratch output until one escapes, then fed to
+    the block mode as the search feeds _close_cycle), at n in {1, 2, 12, 720, 4096}, with odd periods
     and quotients past 2^64."""
     rng = random.Random(24)
     seen = {"transform": 0, "search": 0, "odd period": 0, "past 2^64": 0, "gamma>=2": 0}
@@ -623,8 +624,7 @@ def test_block_mode_matches_one_kernel_call_per_block():
             m = _random_unimodular(rng) * Mat2(g, b, 0, n // g) * _random_unimodular(rng)
             t, runs = _hermite_start(m, cf)
             assert det(Mat2(*t)) == n
-            t, r = _enter(t, runs, 0, _Out())
-            runs = runs[r:] + runs[:r]
+            t, runs = _enter(t, runs, _Out())
             seen["transform"] += 1
         else:
             g, b, d = rng.choice(_primitive_forms(n))
@@ -770,13 +770,12 @@ def test_run_counts_through_the_kernel():
     """_feed_run writing run counts block by block over random words from a
     DB_n state, into an _Out that may already hold output ending in either
     letter: after each block the accumulator is the list-of-runs reference
-    fed that block's output from a fresh _Out, with a snap there, and the
-    kernel with out=None ends in the same state."""
+    fed that block's output from a fresh _Out, with a snap there."""
     rng = random.Random(67)
     seen = {"prior ends in L": 0, "prior ends in R": 0, "seam merge": 0, "past 2^63": 0}
     for _ in range(300):
         n = rng.randint(1, 40)
-        t = none_t = rng.choice(_db_states(n))
+        t = rng.choice(_db_states(n))
         out, ref = _Out(), _RunsOut()
         for _ in range(rng.choice((0, 1, 2))):
             letter, k = rng.choice((L, R)), rng.randint(1, 4)
@@ -790,8 +789,7 @@ def test_run_counts_through_the_kernel():
             fresh = _Out()
             end = _feed_run(t, runs, fresh)
             t = _feed_run(t, runs, out)
-            none_t = _feed_run(none_t, runs, None)
-            assert t == end == none_t
+            assert t == end
             emitted = fresh.word().runs
             seen["seam merge"] += bool(ref.runs and emitted) and ref.runs[-1][0] == emitted[0][0]
             seen["past 2^63"] += any(e >= 2**63 for _, e in emitted)
@@ -1020,8 +1018,10 @@ def test_enter_matches_a_letter_by_letter_reference():
     part way into an edge (s letter^j for s in DB_n), on cyclic words with
     runs past 2^63, against _reference_enter: it stops after the first run
     that holds an escape, which comes within 2n - 1 letters, and its state,
-    next run and output are the reference's.  The state is in RB_n, and
-    t mu(runs fed) = mu(output) state."""
+    output and runs rotated to the next run are the reference's.  Each
+    start is fed the runs rotated to a random run r, as the reference reads
+    them from r on.  The state is in RB_n, and t mu(runs fed) = mu(output)
+    state."""
     rng = random.Random(18)
     seen = {"hermite": 0, "in-run": 0, "n=1": 0, "run past 2^63": 0, "escape past run r": 0}
 
@@ -1033,9 +1033,10 @@ def test_enter_matches_a_letter_by_letter_reference():
         runs = tuple((first if i % 2 == 0 else star_letter(first), exp()) for i in range(2 * rng.randint(1, 3)))
         r = rng.randrange(len(runs))
         out = _Out()
-        state, nxt = _enter(t, runs, r, out)
-        *ref, fed, letters = _reference_enter(t, runs, r)
-        assert (state, nxt, out.word()) == tuple(ref), (n, t, runs, r)
+        state, tail = _enter(t, runs[r:] + runs[:r], out)
+        ref_state, nxt, ref_word, fed, letters = _reference_enter(t, runs, r)
+        assert (state, out.word()) == (ref_state, ref_word), (n, t, runs, r)
+        assert tail == runs[nxt:] + runs[:nxt], (n, t, runs, r)
         assert letters <= 2 * n - 1, (n, t, runs, r)
         assert in_RB(Mat2(*state), n)
         assert Mat2(*t) * mu(LRWord.from_runs(fed)) == mu(out.word()) * state
@@ -1288,7 +1289,7 @@ def test_search_matches_direct_enumeration():
                         break
                     index[cur] = len(path)
                     path.append(cur)
-                    cur = _feed_word(cur, runs, None)
+                    cur = _feed_word(cur, runs, _Out())
         return best
 
     rng = random.Random(17)
@@ -1318,7 +1319,7 @@ def _reference_search_max_ratio(n, cf):
         if nxt is None:
             r, t = node
             letter, e = runs[r]
-            nxt = ((r + 1) % nr, _feed_run(t, ((letter, e),), None))
+            nxt = ((r + 1) % nr, _feed_run(t, ((letter, e),), _Out()))
             step_memo[node] = nxt
         return nxt
 
@@ -1360,7 +1361,7 @@ def _reference_search_max_ratio(n, cf):
         letter, e = runs[r]
         for seed in seeds:
             if within:
-                node = ((r + 1) % nr, _feed_run(seed, ((letter, e - within),), None))
+                node = ((r + 1) % nr, _feed_run(seed, ((letter, e - within),), _Out()))
             else:
                 node = (r, seed)
             ratio = ratio_of[resolve(node)]
@@ -1381,7 +1382,7 @@ def test_search_matches_reference_witness(n, rep):
 
 
 def _run_states(starts, letter, e):
-    """The distinct states _feed_run(s, ((letter, k),), None) over every
+    """The distinct states _feed_run(s, ((letter, k),), _Out()) over every
     DB_n state s in starts and 0 < k < e.
 
     Walked letter by letter, a start's path passes s * letter^j for
@@ -1397,7 +1398,7 @@ def _run_states(starts, letter, e):
         k0 = _escape(s, letter)
         inside.extend(_mul(s, letter, j) for j in range(1, min(k0, e)))
         if k0 < e:
-            escapes[_feed_run(s, ((letter, k0),), None)] = None
+            escapes[_feed_run(s, ((letter, k0),), _Out())] = None
     return inside + list(escapes)
 
 
@@ -1416,7 +1417,7 @@ def test_run_states_match_letter_by_letter_walks():
             walk = [s]
             for _ in range(e - 1):
                 t = _mul(walk[-1], letter, 1)
-                walk.append(t if _balanced(t) else _peel(t, None))
+                walk.append(t if _balanced(t) else _peel(t, _Out()))
             walks.append(walk)
         listed = _run_states(seeds, letter, e)
         assert len(set(listed)) == len(listed)
@@ -1445,7 +1446,7 @@ def test_search_nodes_of_one_coset_share_their_period():
                 index[cur] = len(path)
                 path.append(cur)
                 r, t = cur
-                cur = ((r + 1) % nr, _feed_run(t, (runs[r],), None))
+                cur = ((r + 1) % nr, _feed_run(t, (runs[r],), _Out()))
             if cur in period_of:
                 period = period_of[cur]
             else:
@@ -1491,10 +1492,11 @@ def test_key_walk_matches_the_state_walk():
     exactly the set of keys that the node's state walk passes (closed on
     states, as orbit_period in
     test_search_nodes_of_one_coset_share_their_period does), is a multiple
-    of nr runs long and at most nr * psi(n).  _resolve_cycle fed any run-0
-    form of that cycle gets the state walk's period, and the forms of its
-    boundary states lie on the cycle.  Start nodes and in-run offset nodes
-    are both drawn, and some repetends hold a quotient past 2^63."""
+    of nr runs long and at most nr * psi(n).  _close_cycle fed any run-0
+    form of that cycle returns a repetend as long as the state walk's
+    period, and the forms of its boundary states lie on the cycle.  Start
+    nodes and in-run offset nodes are both drawn, and some repetends hold a
+    quotient past 2^63."""
     rng = random.Random(53)
     drawn = 0  # offset nodes
     for i in range(80):
@@ -1512,7 +1514,7 @@ def test_key_walk_matches_the_state_walk():
                 index[cur] = len(path)
                 path.append(cur)
                 r, t = cur
-                cur = ((r + 1) % nr, _feed_run(t, (runs[r],), None))
+                cur = ((r + 1) % nr, _feed_run(t, (runs[r],), _Out()))
             r, t = cur
             out = _Out()
             _feed_run(t, [runs[(r + j) % nr] for j in range(len(path) - index[cur])], out)
@@ -1534,8 +1536,9 @@ def test_key_walk_matches_the_state_walk():
             assert len(set(keys)) == len(keys), (n, rep, node)
             assert set(keys) == ref_keys, (n, rep, node)
             assert len(keys) % nr == 0 and len(keys) <= nr * len(_primitive_forms(n))
-            form = rng.choice([f for r, f in keys if r == 0])
-            states, period = _resolve_cycle(form, runs)
+            g, b, d = rng.choice([f for r, f in keys if r == 0])
+            states = {}
+            period = len(_close_cycle((g, b, 0, d), runs, states))
             assert period == ref_period, (n, rep, node)
             assert {(0, _hermite(*s)) for s in states} <= ref_keys, (n, rep, node)
     assert drawn
@@ -1659,13 +1662,15 @@ def test_search_matches_the_reference_scan_on_short_repetends():
 
 
 def test_orbit_fed_from_a_hermite_form():
-    """_resolve_cycle fed a primitive Hermite form H = (g, b, 0, d), as the
-    search resolves the key (0, (g, b, d)), reads per(h_H(y)) for
-    y = [; repetend] as image_period does, and the Hermite forms of its
-    block-boundary states are exactly the run-0 keys of H's reference key
-    cycle: one walk covers the cycle.  Every form for n <= 30 and a sample
-    of forms at n in the hundreds; purely periodic repetends, some of odd
-    period and some with a quotient past 2^63."""
+    """_close_cycle fed a primitive Hermite form H = (g, b, 0, d), as the
+    search resolves the key (0, (g, b, d)), reads the repetend of h_H(y)
+    for y = [; repetend]: a rotation of image_repetend's, which enters the
+    walk first (_enter), so the two readers agree on the repetend, not
+    only its length.  The Hermite forms of its block-boundary states are
+    exactly the run-0 keys of H's reference key cycle: one walk covers the
+    cycle.  Every form for n <= 30 and a sample of forms at n in the
+    hundreds; purely periodic repetends, some of odd period and some with a
+    quotient past 2^63."""
     rng = random.Random(73)
     for n in list(range(1, 31)) + [128, 210, 360, 499]:
         forms = _primitive_forms(n)
@@ -1681,18 +1686,19 @@ def test_orbit_fed_from_a_hermite_form():
             cf = PeriodicCF.create([], rep)
             runs = lr_repetend(cf).runs
             for g, b, d in forms:
-                states, period = _resolve_cycle((g, b, d), runs)
-                assert period == image_period(Mat2(g, b, 0, d), cf), (n, rep, (g, b, d))
+                states = {}
+                repetend = tuple(_close_cycle((g, b, 0, d), runs, states))
+                assert _same_cycle(repetend, image_repetend(Mat2(g, b, 0, d), cf)), (n, rep, (g, b, d))
                 cycle = {f for r, f in _reference_key_cycle(runs, (0, (g, b, d))) if r == 0}
                 assert {_hermite(*s) for s in states} == cycle, (n, rep, (g, b, d))
 
 
-def test_resolve_cycle_is_one_kernel_call_from_H(monkeypatch):
-    """_resolve_cycle makes exactly one _feed_run call per walk, started at
+def test_close_cycle_is_one_kernel_call_from_H(monkeypatch):
+    """_close_cycle makes exactly one _feed_run call per walk, started at
     H itself, and H's own form is among its states' forms (H is the first
     state); the transform's walk still enters through _enter before its
-    one cycle call.  n up to 40 and from 100 to 400, repetends of 1-4
-    quotients, some past 2^63."""
+    one _close_cycle call, which starts where _enter stops.  n up to 40
+    and from 100 to 400, repetends of 1-4 quotients, some past 2^63."""
     import raneycf.transducer as transducer
 
     calls = []
@@ -1701,11 +1707,18 @@ def test_resolve_cycle_is_one_kernel_call_from_H(monkeypatch):
         calls.append(t)
         return _feed_run(t, runs, out, boundary)
 
-    entered = []
+    entered, left = [], []
 
-    def counting_enter(t, runs, r, out):
+    def counting_enter(t, runs, out):
         entered.append(t)
-        return _enter(t, runs, r, out)
+        left.append(_enter(t, runs, out))
+        return left[-1]
+
+    closed = []
+
+    def counting_close(t, runs, states):
+        closed.append((t, runs))
+        return _close_cycle(t, runs, states)
 
     monkeypatch.setattr(transducer, "_feed_run", counting_feed)
     rng = random.Random(89)
@@ -1718,20 +1731,23 @@ def test_resolve_cycle_is_one_kernel_call_from_H(monkeypatch):
         runs = lr_repetend(cf).runs
         for g, b, d in rng.sample(_primitive_forms(n), min(8, len(_primitive_forms(n)))):
             calls.clear()
-            states, period = _resolve_cycle((g, b, d), runs)
+            states = {}
+            period = len(_close_cycle((g, b, 0, d), runs, states))
             assert calls == [(g, b, 0, d)], (n, rep, (g, b, d))
             assert next(iter(states)) == (g, b, 0, d)
             assert (g, b, d) in {_hermite(*s) for s in states}
             assert period == image_period(Mat2(g, b, 0, d), cf), (n, rep, (g, b, d))
     monkeypatch.setattr(transducer, "_enter", counting_enter)
+    monkeypatch.setattr(transducer, "_close_cycle", counting_close)
     m, cf = Mat2(5, 3, 7, 2), parse_cf("[;3,1,4]")
     calls.clear()
     image_repetend(m, cf)
     assert calls[0] == entered[0] == _hermite_start(m, cf)[0] and len(entered) == 1
+    assert closed == left
 
 
 def test_search_walks_once_per_run0_key_cycle(monkeypatch):
-    """The search calls _resolve_cycle exactly once per run-0 key cycle of
+    """The search calls _close_cycle exactly once per run-0 key cycle of
     the reference key walk, once from a form on each cycle: every later
     form of a cycle is already read off its walk.  n <= 30, repetends of
     1-4 quotients, some of them past 2^63."""
@@ -1739,11 +1755,12 @@ def test_search_walks_once_per_run0_key_cycle(monkeypatch):
 
     walked = []
 
-    def counting(form, runs):
-        walked.append(form)
-        return _resolve_cycle(form, runs)
+    def counting(t, runs, states):
+        g, b, _, d = t
+        walked.append((g, b, d))
+        return _close_cycle(t, runs, states)
 
-    monkeypatch.setattr(transducer, "_resolve_cycle", counting)
+    monkeypatch.setattr(transducer, "_close_cycle", counting)
     rng = random.Random(83)
     for i in range(120):
         n = rng.randint(1, 30)
