@@ -17,6 +17,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .bounds import breakdown_to_json, check_bound, s_n_closed_form, s_n_total
 from .matrices import (
     J_MAT,
+    L_MAT,
+    R_MAT,
     Mat2,
     _enumerate_DB,
     det,
@@ -35,9 +37,7 @@ from .transducer import (
 )
 from .words import format_word
 
-_L_INV = Mat2(1, 0, -1, 1)
-_R_INV = Mat2(1, -1, 0, 1)
-_DRESS = (Mat2(1, 0, 1, 1), Mat2(1, 1, 0, 1), _L_INV, _R_INV)
+_DRESS = (L_MAT, R_MAT, Mat2(1, 0, -1, 1), Mat2(1, -1, 0, 1))  # and their inverses
 
 
 def _random_matrix(rng: random.Random, n: int) -> Mat2:
@@ -101,24 +101,22 @@ def _gate(m: Mat2, cf: PeriodicCF):
 
 def _render(report: dict, fmt: str) -> str:
     """The report as text, or as json.dumps(report, indent=2) writes it.
-    A nonempty report of str keys and str and int values is written here,
-    one value at a time, with the encoder's own C string quoting and
-    int.__repr__, which give the same bytes; any other report goes to
-    json.dumps."""
+    transform and search build nonempty reports of str keys and str and
+    int values, written one value at a time with the encoder's own C
+    string quoting and int.__repr__, which give json.dumps's bytes; any
+    other value is a TypeError."""
     if fmt != "json":
         return "\n".join(f"{k} = {v}" for k, v in report.items())
     items = []
     for k, v in report.items():
-        if type(k) is not str:
-            return json.dumps(report, indent=2)
         if type(v) is str:
             v = _json_str(v)
         elif type(v) is int:
             v = int.__repr__(v)
         else:
-            return json.dumps(report, indent=2)
+            raise TypeError(f"cannot render {k}'s {type(v).__name__} value")
         items.append(f"{_json_str(k)}: {v}")
-    return "{\n  " + ",\n  ".join(items) + "\n}" if items else "{}"
+    return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
 def run_trial(args) -> dict | None:

@@ -61,9 +61,11 @@ def surd(P: int, Q: int, D: int) -> QuadraticSurd:
     """Build a surd in primitive form; the one place that normalises.
 
     First rescale (P, Q, D) -> (Pk, Qk, Dk^2) with k = |Q| if needed, so
-    that Q divides D - P^2 (the standard complete-quotient form).  Then
-    divide out g = gcd(P, Q, (D - P^2)/Q): with D - P^2 = Q m and g | P, Q, m,
-    g^2 divides D, and D/g^2 - (P/g)^2 = (Q/g)(m/g), so (P/g, Q/g, D/g^2)
+    that Q divides D - P^2 (the standard complete-quotient form).  The
+    divmod that tests it gives m = (D - P^2)/Q; after a rescale that is
+    sign(Q) (D - P^2) of the input, and m keeps the input's D - P^2.  Then
+    divide out g = gcd(P, Q, m), blind to m's sign: g^2 divides
+    D = P^2 +- Q m, and D/g^2 - (P/g)^2 = +-(Q/g)(m/g), so (P/g, Q/g, D/g^2)
     is in that form too, with the same value and gcd 1.
 
     A value has exactly one primitive form.  Two forms of one value differ
@@ -73,10 +75,11 @@ def surd(P: int, Q: int, D: int) -> QuadraticSurd:
     """
     if Q == 0:
         raise ValueError("Q must be nonzero")
-    if (D - P * P) % Q:
-        k = abs(Q)
-        P, Q, D = P * k, Q * k, D * k * k
-    g = gcd(P, Q, (D - P * P) // Q)
+    N = D - P * P
+    m, rem = divmod(N, Q)
+    if rem:  # rescale by k = |Q|
+        P, Q, D, m = P * abs(Q), Q * abs(Q), D * Q * Q, N
+    g = gcd(P, Q, m)
     if g > 1:
         P, Q, D = P // g, Q // g, D // (g * g)
     return QuadraticSurd(P, Q, D)

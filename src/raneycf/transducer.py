@@ -22,10 +22,11 @@ walk has reached yet straight to _close_cycle, whole blocks aligned to
 block boundaries, and reads the run-0 keys of its cycle off the kernel's
 block-boundary states, one kernel call per run-0 key cycle.  Its witness
 scan reads run 0's starts first, computing each one's form only when it
-gets there, and steps the periods from run to run by key steps alone,
-with no step table of its own.  The explicit edge table (build_transducer)
-exists for display and for the exhaustive lemma checks, and is built
-through the same kernel one letter at a time.
+gets there, then one window per run, up to the next run's first offset,
+and steps the periods from run to run by key steps alone, with no step
+table of its own.  The explicit edge table (build_transducer) exists for
+display and for the exhaustive lemma checks, and is built through the
+same kernel one letter at a time.
 The independent references are in the tests: _reference_feed_run, one
 call per escape step, _reference_close_cycle, one kernel call per block,
 and test_9's letter-by-letter edge walk.
@@ -463,21 +464,22 @@ def search_max_ratio(n: int, cf: PeriodicCF):
 
     The witness.  Returns (best_ratio, witness_state, witness_offset): the
     first offset, then the first state in entry order, that attains the
-    maximum.  The scan goes through the runs in order and returns the first
-    hit: the starts (r, s) at the run's first offset, then for
-    k = e-1 ... max(1, e-n) and each start the key
-    (r+1, _key_step(form, letter, k)), at e - k letters into the run.  At
-    run 0's first offset the key of (0, s) is s's own form, so each start's
-    form is computed only when the scan reaches that start, and the scan
-    returns at the first hit.  Only when no start hits there are all the
-    forms held, once each, for the offsets inside the runs and for the
-    later runs' starts.  Run r + 1's periods come from run r's by one key
-    step per form, the key cycle's own step, built only when the scan gets
-    past run r's starts.  The key _key_step(form, letter, k) is periodic in
-    k with a period dividing n: for R it is d / gcd(g, d), and for L,
-    H L^n H^-1 = I + [[b d, -b^2], [d^2, -b d]] lies in SL2(Z), so
-    H L^(k+n) has the coset of H L^k.  So the largest k < e that hits, the
-    run's first offset inside it, lies among the n offsets of that window.
+    maximum.  The scan returns the first hit: the starts (0, s) at run 0's
+    first offset, then, run by run, for k = e-1 ... max(0, e-n) and each
+    start the key (r+1, _key_step(form, letter, k)), at e - k letters into
+    the run; k = 0 is run r + 1's first offset.  At run 0's first offset
+    the key of (0, s) is s's own form, so each start's form is computed
+    only when the scan reaches that start.  Only when no start hits there
+    are all the forms held, once each, for the later offsets.  Run r + 1's
+    periods come from run r's by one key step per form, the key cycle's
+    own step, built only when the scan gets past run r's first offset.
+    The key _key_step(form, letter, k) is periodic in k with a period
+    dividing n: for R it is d / gcd(g, d), and for L, H L^n H^-1 =
+    I + [[b d, -b^2], [d^2, -b d]] lies in SL2(Z), so H L^(k+n) has the
+    coset of H L^k.  So the largest k < e that hits lies among the n
+    offsets of the window.  When e > n the window stops at k = e - n >= 1,
+    short of the next run's first offset, but it holds a multiple of n,
+    where each start's key is its k = 0 key: a hit there comes first.
 
     The cost is one kernel call per run-0 key cycle (_close_cycle), with
     a Hermite form per block-boundary state, then the forms of the starts
@@ -512,14 +514,8 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     here = period_of  # Hermite form of a node of the run scanned -> period
     for letter, e in runs:
         here = {_key_step(f, letter, e): p for f, p in here.items()}
-        for k in range(e - 1, max(1, e - n) - 1, -1):
+        for k in range(e - 1, max(0, e - n) - 1, -1):
             for s, form in zip(starts, forms):
                 if here[_key_step(form, letter, k)] == best:
                     return ratio, Mat2(*s), offset + e - k
         offset += e
-        # the next run's first offset; after the last run, here is
-        # period_of stepped one whole block along its own key cycles, so
-        # the periods read are run 0's and this cannot hit
-        for s, form in zip(starts, forms):
-            if here[form] == best:
-                return ratio, Mat2(*s), offset

@@ -538,12 +538,12 @@ def test_render_json_is_the_indented_dump_byte_for_byte():
             sys.set_int_max_str_digits(limit)
 
 
-def test_render_json_falls_back_off_flat_reports():
-    """A report that is empty or holds a list, a dict, a bool, a float or
-    None goes through json.dumps(report, indent=2) itself."""
-    for report in ({}, {"a": [1, 2]}, {"a": {"b": 1}, "c": 2}, {"a": []}, {"a": {}},
-                   {"a": True}, {"a": 0.5}, {"a": None}):
-        assert cli._render(report, "json") == json.dumps(report, indent=2), report
+@pytest.mark.parametrize("value", [0.5, None, [1, 2]])
+def test_render_json_rejects_values_off_the_reports_shape(value):
+    """transform and search write only str and int values; _render has no
+    second JSON path for any other value."""
+    with pytest.raises(TypeError):
+        cli._render({"per_x": 1, "a": value}, "json")
 
 
 def test_transform_and_search_json_is_the_indented_dump(capsys):

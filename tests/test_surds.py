@@ -65,6 +65,41 @@ def test_surd_validation():
 def test_surd_factory_rescales():
     x = surd(1, 3, 3)  # (1 + sqrt 3)/3 -> (3 + sqrt 27)/9
     assert (x.P, x.Q, x.D) == (3, 9, 27)
+    x = surd(1, -3, 3)  # (1 + sqrt 3)/-3 -> (3 + sqrt 27)/-9
+    assert (x.P, x.Q, x.D) == (3, -9, 27)
+
+
+def _reference_surd(P, Q, D):
+    """surd's normal form with two divisions: a remainder test, then the
+    rescaled quotient (D - P^2)/Q."""
+    if (D - P * P) % Q:
+        k = abs(Q)
+        P, Q, D = P * k, Q * k, D * k * k
+    g = gcd(P, Q, (D - P * P) // Q)
+    return P // g, Q // g, D // (g * g)
+
+
+def test_surd_matches_the_two_division_reference():
+    """surd's one divmod gives the two-division normal form, for either
+    sign of Q, with and without a rescale, with and without a content
+    to divide out."""
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(20000):
+        big = 10 ** rng.randint(1, 30)
+        Q = rng.choice((1, -1)) * rng.randint(1, big)
+        P = rng.randint(-big, big)
+        D = rng.randint(2, big) ** 2 + rng.randint(1, big)
+        if rng.random() < 0.5:  # Q | D - P^2, and often a content g > 1
+            g, m = rng.randint(1, 50), rng.randint(1, big) * (1 if Q > 0 else -1)
+            P, Q, D = P * g, Q * g, (P * P + Q * m) * g * g
+        if isqrt(D) ** 2 == D:
+            continue
+        x = surd(P, Q, D)
+        assert (x.P, x.Q, x.D) == _reference_surd(P, Q, D), (P, Q, D)
+        divides = (D - P * P) % Q == 0
+        seen.add((Q > 0, divides, x.Q != (Q if divides else Q * abs(Q))))  # g > 1
+    assert len(seen) == 8
 
 
 def _surd_content(x):

@@ -1807,6 +1807,55 @@ def test_search_witness_past_run_0_matches_reference(n, rep, inside):
 @pytest.mark.parametrize(
     "n, text, expected",
     [
+        (9, "[;1,53]", (Fraction(6), Mat2(2, 1, 1, 5), 1)),
+        (4, "[;1,251,197]", (Fraction(8, 3), Mat2(1, 0, 0, 4), 1)),
+        (20, "[;1,55,59]", (Fraction(20, 3), Mat2(4, 3, 0, 5), 1)),
+        (6, "[;1,3,14]", (Fraction(10, 3), Mat2(2, 1, 0, 3), 1)),
+    ],
+)
+def test_search_witness_at_a_later_runs_first_offset(n, text, expected):
+    """Witnesses at run 1's first offset, each after a one-letter run 0:
+    the scan meets them at k = 0 of run 0's window, so a window that
+    stopped at k = 1 would return a later offset."""
+    cf = parse_cf(text)
+    result = search_max_ratio(n, cf)
+    assert result == expected
+    assert result == _reference_search_max_ratio(n, cf)
+
+
+def test_search_witness_at_a_run_boundary_follows_a_short_run():
+    """A witness at a run boundary b > 0 follows a run of at most n
+    letters: past n, the run's window holds a multiple of n, whose key is
+    the boundary's (the key is periodic in k with a period dividing n), at
+    an earlier offset.  Seeded n <= 30 and quotients of 1-4, up to 3n + 3
+    or up to 400, half of them with a one-letter run 0, which puts nearly
+    every such witness at run 1's first offset; each boundary witness is
+    checked against the reference scan too."""
+    rng = random.Random(32)
+    boundaries = 0
+    for i in range(3000):
+        n = rng.randint(1, 30)
+        top = rng.choice((4, 3 * n + 3, 400))
+        rep = [rng.randint(1, top) for _ in range(rng.randint(1, 4))]
+        if i % 2:
+            rep[0] = 1
+        cf = PeriodicCF.create([], rep)
+        result = search_max_ratio(n, cf)
+        end = 0
+        for _, e in lr_repetend(cf).runs:
+            end += e
+            if end >= result[2]:
+                break
+        if result[2] and end == result[2]:
+            boundaries += 1
+            assert e <= n, (n, rep, result)
+            assert result == _reference_search_max_ratio(n, cf), (n, rep)
+    assert boundaries > 0
+
+
+@pytest.mark.parametrize(
+    "n, text, expected",
+    [
         (9, "[;1,17]", (Fraction(6), Mat2(2, 1, 1, 5), 1)),
         (2, "[;1,2,3,30]", (Fraction(3, 2), Mat2(1, 0, 0, 2), 1)),
         (36, "[;1,98,21]", (Fraction(12), Mat2(5, 1, 4, 8), 1)),
