@@ -13,6 +13,7 @@ import sys
 import time
 from array import array
 from json.encoder import encode_basestring_ascii as _json_str
+from math import gcd, isqrt
 
 from .bounds import breakdown_to_json, check_bound, s_n_closed_form, s_n_total
 from .matrices import (
@@ -20,7 +21,6 @@ from .matrices import (
     L_MAT,
     R_MAT,
     Mat2,
-    _enumerate_DB,
     det,
     format_mat2,
     parse_mat2,
@@ -41,10 +41,18 @@ _DRESS = (L_MAT, R_MAT, Mat2(1, 0, -1, 1), Mat2(1, -1, 0, 1))  # and their inver
 
 
 def _random_matrix(rng: random.Random, n: int) -> Mat2:
-    """A matrix with |det| = n and content 1: a DB_n seed dressed with short
-    unimodular words, optionally sign-flipped and column-swapped.  Each of
-    those steps keeps |det| and content, so both hold by construction."""
-    m = Mat2(*rng.choice(_enumerate_DB(n)))
+    """A matrix with |det| = n and content 1: a primitive Hermite form
+    [[g, b], [0, d]] (g | n by trial division to sqrt(n), d = n/g, then
+    b < d drawn until gcd(g, b, d) = 1, as b = 1 is) dressed with short
+    unimodular words, optionally sign-flipped and column-swapped.  Each
+    step keeps |det| and content, so both hold by construction."""
+    small = [t for t in range(1, isqrt(n) + 1) if not n % t]
+    g = rng.choice(small + [n // t for t in reversed(small) if t * t != n])
+    d = n // g
+    b = rng.randrange(d)
+    while gcd(g, b, d) > 1:
+        b = rng.randrange(d)
+    m = Mat2(g, b, 0, d)
     for _ in range(rng.randint(0, 4)):
         m = rng.choice(_DRESS) * m
     for _ in range(rng.randint(0, 4)):

@@ -3,55 +3,27 @@
 Everything here is integer-exact: floors come from math.isqrt, periodicity
 from repeating complete quotients.  This module is deliberately independent
 of the transducer machinery so the two can cross-check each other.
+
+QuadraticSurd and PeriodicCF are tuples that trust their arguments; surd,
+PeriodicCF.create and cf_from_surd check what comes from outside.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .matrices import IDENTITY, Mat2
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticSurd:
-    """The value (P + sqrt(D))/Q with D > 0 nonsquare, Q != 0, Q | D - P^2."""
+class QuadraticSurd(NamedTuple):
+    """The value (P + sqrt(D))/Q with D > 0 nonsquare, Q != 0, Q | D - P^2,
+    trusted as given.  surd builds a value's one primitive form, so value
+    equality is tuple equality."""
 
     P: int
     Q: int
     D: int
-
-    def __post_init__(self):
-        if self.Q == 0:
-            raise ValueError("Q must be nonzero")
-        if self.D <= 0 or _is_square(self.D):
-            raise ValueError("D must be a positive nonsquare")
-        if (self.D - self.P * self.P) % self.Q:
-            raise ValueError("not normalized: Q does not divide D - P^2")
-
-    # Value equality: (P + sqrt(D))/Q is determined by the pair of rationals
-    # (P/Q, D/Q^2) together with the sign of Q (sqrt(D)/Q = sgn(Q)*sqrt(D/Q^2)).
-    def _key(self):
-        return (
-            Fraction(self.P, self.Q),
-            Fraction(self.D, self.Q * self.Q),
-            self.Q > 0,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadraticSurd):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"QuadraticSurd({self.P},{self.Q},{self.D})"
@@ -60,8 +32,9 @@ class QuadraticSurd:
 def surd(P: int, Q: int, D: int) -> QuadraticSurd:
     """Build a surd in primitive form; the one place that normalises.
 
-    First rescale (P, Q, D) -> (Pk, Qk, Dk^2) with k = |Q| if needed, so
-    that Q divides D - P^2 (the standard complete-quotient form).  The
+    Q = 0 and D not a positive nonsquare are rejected.  First rescale
+    (P, Q, D) -> (Pk, Qk, Dk^2) with k = |Q| if needed, so that Q divides
+    D - P^2 (the standard complete-quotient form).  The
     divmod that tests it gives m = (D - P^2)/Q; after a rescale that is
     sign(Q) (D - P^2) of the input, and m keeps the input's D - P^2.  Then
     divide out g = gcd(P, Q, m), blind to m's sign: g^2 divides
@@ -73,8 +46,8 @@ def surd(P: int, Q: int, D: int) -> QuadraticSurd:
     and (D' - P'^2)/Q' = t m.  Each of those is an integer, so v divides P,
     Q and m, and v = 1 when (P, Q, D) is primitive; u = 1 likewise.
     """
-    if Q == 0:
-        raise ValueError("Q must be nonzero")
+    if Q == 0 or D <= 0 or isqrt(D) ** 2 == D:
+        raise ValueError("Q must be nonzero and D a positive nonsquare")
     N = D - P * P
     m, rem = divmod(N, Q)
     if rem:  # rescale by k = |Q|
@@ -109,38 +82,24 @@ def conjugate_approx(x: QuadraticSurd, digits: int = 30) -> Fraction:
     return Fraction(x.P * scale - isqrt(x.D * scale * scale), x.Q * scale)
 
 
-@dataclass(frozen=True)
-class PeriodicCF:
+class PeriodicCF(NamedTuple):
+    """[preperiod; repetend], trusted as given: a nonempty primitive repetend
+    of quotients >= 1, preperiod entries after the first >= 1, the
+    preperiod's last entry unequal to the repetend's last.  create builds it."""
+
     preperiod: tuple[int, ...]
     repetend: tuple[int, ...]
 
     @classmethod
-    def _trusted(cls, preperiod: tuple[int, ...], repetend: tuple[int, ...]) -> "PeriodicCF":
-        """Wrap tuples that are normal by construction (a nonempty primitive
-        repetend of quotients >= 1, preperiod entries after the first >= 1,
-        the preperiod's last entry unequal to the repetend's last), skipping
-        validation."""
-        cf = object.__new__(cls)
-        object.__setattr__(cf, "preperiod", preperiod)
-        object.__setattr__(cf, "repetend", repetend)
-        return cf
-
-    def __post_init__(self):
-        if not self.repetend:
-            raise ValueError("repetend must be nonempty")
-        if min(self.repetend) < 1:
-            raise ValueError("repetend entries must be positive")
-        if len(self.preperiod) > 1 and min(self.preperiod[1:]) < 1:
-            raise ValueError("preperiod entries after the first must be positive")
-
-    @classmethod
     def create(cls, preperiod, repetend) -> "PeriodicCF":
-        """Normalize: primitive repetend, then roll the cycle start backward
-        while the last preperiod entry matches the end of the cycle."""
+        """Check the signs, then normalize: primitive repetend, then roll the
+        cycle start back while the last preperiod entry matches its end."""
         pre = list(preperiod)
         rep = tuple(repetend)
-        if not rep:
-            raise ValueError("repetend must be nonempty")
+        if not rep or min(rep) < 1:
+            raise ValueError("the repetend must be nonempty and positive")
+        if len(pre) > 1 and min(pre[1:]) < 1:
+            raise ValueError("preperiod entries after the first must be positive")
         rep = rep[: _primitive_period(rep)]
         while pre and pre[-1] == rep[-1]:
             rep = rep[-1:] + rep[:-1]
@@ -228,8 +187,9 @@ def cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
     most `_preperiod_bound`; past it lies a bug, not an input.  From there
     the step is an injective map of the at most r(r+1) reduced pairs
     (1 <= P <= r, r - P < Q <= r + P), so the pair must come back.  Every
-    quotient after the first is >= 1, because x_k > 1 for k >= 1, so the
-    result is built with PeriodicCF._trusted.
+    quotient after the first is >= 1, as x_k > 1 for k >= 1, so the raw
+    PeriodicCF takes the result.  x is raw: Q = 0, r * r == D and a
+    remainder of the divmod that seeds Q_{-1} are ValueErrors.
 
     The reduced loop carries u = P + r in place of P: a, rem = divmod(u, Q)
     gives P' = a Q - P = r - rem, so u' = 2r - rem and
@@ -239,9 +199,13 @@ def cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
     Gauss-Kuzmin gives it 41.5 %, and it is 41 % to 42 % of the repetend
     quotients on the benchmark's three transform workloads.
     """
-    P, Q, D = x.P, x.Q, x.D
+    P, Q, D = x
     r = isqrt(D)
-    Q_prev = (D - P * P) // Q
+    if not Q or r * r == D:
+        raise ValueError(f"{x!r} needs Q != 0 and D a positive nonsquare")
+    Q_prev, rem = divmod(D - P * P, Q)
+    if rem:
+        raise ValueError(f"{x!r} is not normalised: Q does not divide D - P^2")
     limit = _preperiod_bound(Q, r)
     quotients: list[int] = []
     while not (Q > 0 and P <= r < P + Q and Q - P <= r):
@@ -272,7 +236,7 @@ def cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
             break
     P = u - r
     assert Q * Q_prev == D - P * P
-    return PeriodicCF._trusted(tuple(quotients[:start]), tuple(quotients[start:]))
+    return PeriodicCF(tuple(quotients[:start]), tuple(quotients[start:]))
 
 
 def surd_from_cf(cf: PeriodicCF) -> QuadraticSurd:

@@ -224,7 +224,7 @@ def lr_repetend(cf: PeriodicCF) -> LRWord:
     if len(rep) % 2:
         rep = rep + rep
     # PeriodicCF keeps the quotients positive, and R, L alternate
-    return LRWord._trusted(tuple(zip((R, L) * (len(rep) // 2), rep)))
+    return LRWord(tuple(zip((R, L) * (len(rep) // 2), rep)))
 
 
 def _enter(t, runs, out):
@@ -332,7 +332,7 @@ def reduce_to_DB(m: Mat2, x: PeriodicCF):
     out = _Out()
     t, tail = _enter(t, runs, out)
     # lr_repetend's runs alternate, even in number: a rotation is canonical
-    return Mat2(*t), LRWord._trusted(tail), out.word()
+    return Mat2(*t), LRWord(tail), out.word()
 
 
 def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:

@@ -67,32 +67,20 @@ def _cyclic_runs(runs):
 
 @dataclass(frozen=True)
 class LRWord:
+    """A word as its runs, trusted as given: letters L and R, exponents >= 1,
+    adjacent letters distinct.  from_runs, from_letters, parse_word build it."""
+
     runs: tuple[tuple[str, int], ...]
 
     @classmethod
     def from_runs(cls, runs) -> "LRWord":
-        # _canonical rejects bad letters and negative exponents, drops zeros
-        # and merges equal neighbours, so its runs need no second check
-        return cls._trusted(_canonical(runs))
-
-    @classmethod
-    def _trusted(cls, runs: tuple[tuple[str, int], ...]) -> "LRWord":
-        """Wrap runs that are canonical by construction (letters L/R,
-        exponents >= 1, adjacent letters distinct), skipping validation."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "runs", runs)
-        return word
+        """The canonical word of any runs: _canonical rejects bad letters and
+        negative exponents, drops zeros and merges equal neighbours."""
+        return cls(_canonical(runs))
 
     @classmethod
     def from_letters(cls, letters) -> "LRWord":
-        return cls._trusted(_canonical((l, 1) for l in letters))
-
-    def __post_init__(self):
-        for i, (letter, exp) in enumerate(self.runs):
-            if letter not in (L, R) or exp < 1:
-                raise ValueError(f"bad run {(letter, exp)}")
-            if i and self.runs[i - 1][0] == letter:
-                raise ValueError("adjacent runs share a letter")
+        return cls(_canonical((l, 1) for l in letters))
 
     def __len__(self) -> int:
         return sum(e for _, e in self.runs)
@@ -108,11 +96,11 @@ class LRWord:
             raise ValueError("negative power")
         runs = self.runs
         if not k or not runs or runs[0][0] != runs[-1][0]:
-            return LRWord._trusted(runs * k)  # no runs merge at the seams
+            return LRWord(runs * k)  # no runs merge at the seams
         if len(runs) == 1:
-            return LRWord._trusted(((runs[0][0], runs[0][1] * k),))
+            return LRWord(((runs[0][0], runs[0][1] * k),))
         # the last and first runs of adjacent copies merge at each seam
-        return LRWord._trusted(runs[:-1] + _cyclic_runs(runs) * (k - 1) + runs[-1:])
+        return LRWord(runs[:-1] + _cyclic_runs(runs) * (k - 1) + runs[-1:])
 
     def __str__(self) -> str:
         return format_word(self)
@@ -193,7 +181,7 @@ def sigma_c(word: LRWord) -> int:
 
 def star(word: LRWord) -> LRWord:
     # swapping the letters of a canonical word leaves it canonical
-    return LRWord._trusted(tuple((star_letter(l), e) for l, e in word.runs))
+    return LRWord(tuple((star_letter(l), e) for l, e in word.runs))
 
 
 def transpose_word(word: LRWord) -> LRWord:
@@ -213,7 +201,7 @@ def rotate(word: LRWord, k: int) -> LRWord:
     for i, (letter, exp) in enumerate(cyc):
         if k < exp:  # cut run i after k letters: its rest leads, its head trails
             head = ((letter, k),) if k else ()
-            return LRWord._trusted(((letter, exp - k),) + cyc[i + 1 :] + cyc[:i] + head)
+            return LRWord(((letter, exp - k),) + cyc[i + 1 :] + cyc[:i] + head)
         k -= exp
 
 
@@ -255,13 +243,13 @@ def primitive_root(word: LRWord) -> tuple[LRWord, int]:
         raise ValueError("primitive root of the empty word")
     if len(runs) == 1:
         letter, exp = runs[0]
-        return LRWord._trusted(((letter, 1),)), exp
+        return LRWord(((letter, 1),)), exp
     fused = _cyclic_runs(runs)
     q = _primitive_period(fused)
     root = runs[:q]
     if len(fused) < len(runs):  # the end runs fused
         root += ((runs[0][0], runs[-1][1]),)
-    return LRWord._trusted(root), len(fused) // q
+    return LRWord(root), len(fused) // q
 
 
 def kappa(word: LRWord, n: int) -> LRWord:
@@ -286,7 +274,7 @@ def tau_kappa(word: LRWord, n: int) -> set[LRWord]:
     """
     if len({l for l, _ in word.runs}) < 2:
         raise ValueError("tau_kappa requires both letters present")
-    return conjugates(kappa(LRWord._trusted(_cyclic_runs(word.runs)), n))
+    return conjugates(kappa(LRWord(_cyclic_runs(word.runs)), n))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +321,7 @@ class _Out:
     def word(self, start=(1, 0), stop=None) -> LRWord:
         """The output between two snaps; by default all of it."""
         first, exps = self._cut(start, stop)
-        return LRWord._trusted(tuple(zip(cycle((R, L) if first % 2 else (L, R)), exps)))
+        return LRWord(tuple(zip(cycle((R, L) if first % 2 else (L, R)), exps)))
 
     def cyclic_exps(self, start, stop=None) -> list[int]:
         """The run exponents of the output between two snaps, read

@@ -7,13 +7,14 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from raneycf import cli
 from raneycf.cli import main
-from raneycf.matrices import J_MAT, Mat2, content_gcd, det, enumerate_DB
+from raneycf.matrices import J_MAT, Mat2, content_gcd, det
 from raneycf.surds import apply_mobius, cf_from_surd, format_cf, parse_cf, per, surd_from_cf
 
 
@@ -305,10 +306,14 @@ def test_reader_closing_the_pipe_early_is_not_an_error(argv, lines):
 
 
 def _reference_random_matrix(rng, n):
-    """_random_matrix with its seed drawn from enumerate_DB's set, sorted
-    afresh on every call."""
-    seeds = sorted(enumerate_DB(n))
-    m = rng.choice(seeds)
+    """_random_matrix with its divisor drawn from a full scan of 1..n, and
+    b drawn until the Hermite form [[g, b], [0, n/g]] is primitive."""
+    g = rng.choice([t for t in range(1, n + 1) if n % t == 0])
+    while True:
+        b = rng.randrange(n // g)
+        if gcd(g, b, n // g) == 1:
+            break
+    m = Mat2(g, b, 0, n // g)
     for _ in range(rng.randint(0, 4)):
         m = rng.choice(cli._DRESS) * m
     for _ in range(rng.randint(0, 4)):
@@ -320,7 +325,7 @@ def _reference_random_matrix(rng, n):
     return m
 
 
-@pytest.mark.parametrize("n", [2, 12, 200])
+@pytest.mark.parametrize("n", [1, 2, 12, 36, 200])
 def test_random_matrix_matches_reference(n):
     for k in range(50):
         rng, ref = random.Random(k), random.Random(k)

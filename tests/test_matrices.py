@@ -33,6 +33,7 @@ from raneycf.matrices import (
     transpose,
     xi,
 )
+from raneycf.surds import PeriodicCF, QuadraticSurd, surd
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -105,6 +106,28 @@ def test_mat2_is_its_entry_tuple():
         assert prod == (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
         ms.append(m)
     assert [tuple(m) for m in sorted(ms)] == sorted(tuple(m) for m in ms)
+
+
+def test_surd_and_cf_are_their_tuples():
+    """QuadraticSurd and PeriodicCF, like Mat2, equal and hash as their
+    tuples and keep their reprs; surd of a triple scaled by k is the same
+    tuple, as a value has one primitive form, on seeded triples."""
+    rng = random.Random(33)
+    for _ in range(300):
+        t = (rng.randint(-40, 40), rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(2, 400))
+        if round(t[2] ** 0.5) ** 2 == t[2]:
+            continue
+        x = surd(*t)
+        assert x == tuple(x) and hash(x) == hash(tuple(x))
+        assert repr(x) == "QuadraticSurd({},{},{})".format(*x)
+        k = rng.randint(2, 10**6)
+        y = surd(t[0] * k, t[1] * k, t[2] * k * k)
+        assert type(y) is QuadraticSurd and tuple(y) == tuple(x)
+        pre = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 3)))
+        cf = PeriodicCF.create(pre, [rng.randint(1, 9) for _ in range(rng.randint(1, 4))])
+        assert cf == (cf.preperiod, cf.repetend) and hash(cf) == hash((cf.preperiod, cf.repetend))
+        assert repr(cf) == f"PeriodicCF(preperiod={cf.preperiod}, repetend={cf.repetend})"
+    assert QuadraticSurd(1, 1, 2) == (1, 1, 2) and QuadraticSurd(2, 2, 8) != (1, 1, 2)
 
 
 def test_parse_format_mat2():

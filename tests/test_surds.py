@@ -53,13 +53,31 @@ def surds():
 
 def test_surd_validation():
     with pytest.raises(ValueError):
-        QuadraticSurd(0, 0, 2)
+        surd(0, 0, 2)
     with pytest.raises(ValueError):
-        QuadraticSurd(0, 1, 4)  # perfect square
+        surd(0, 1, 4)  # perfect square
     with pytest.raises(ValueError):
-        QuadraticSurd(0, 1, -2)
-    with pytest.raises(ValueError):
-        QuadraticSurd(1, 3, 3)  # 3 does not divide 3 - 1
+        surd(0, 1, -2)
+
+
+@pytest.mark.parametrize(
+    "triple, reason",
+    [
+        ((1, 3, 3), "not normalised"),  # 3 does not divide 3 - 1
+        ((0, 1, 4), "positive nonsquare"),
+        ((2, 5, 7), "not normalised"),
+        ((1, 2, 10), "not normalised"),
+        ((0, 1, 9), "positive nonsquare"),
+        ((3, 7, 50), "not normalised"),
+        ((0, 0, 2), "positive nonsquare"),
+    ],
+)
+def test_cf_from_surd_rejects_a_raw_triple_it_cannot_expand(triple, reason):
+    """The raw constructor trusts its arguments, so cf_from_surd checks the
+    triple it expands: each of these is a ValueError, not a
+    ZeroDivisionError or a failed assertion."""
+    with pytest.raises(ValueError, match=reason):
+        cf_from_surd(QuadraticSurd(*triple))
 
 
 def test_surd_factory_rescales():
@@ -153,10 +171,11 @@ def test_cf_from_surd_examples():
     assert per(cf_from_surd(surd_from_cf(X3))) == 24
 
 
-# Reference: the textbook per-step expansion, with a validated QuadraticSurd
-# and a fresh isqrt per step, the next Q by division, and a dict of every (P, Q).
+# Reference: the textbook per-step expansion, with a fresh isqrt per step,
+# the next Q by an exact division, checked, and a dict of every (P, Q).
 def _reference_cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
     P, Q, D = x.P, x.Q, x.D
+    assert isqrt(D) ** 2 != D and (D - P * P) % Q == 0
     seen: dict[tuple[int, int], int] = {}
     quotients: list[int] = []
     while (P, Q) not in seen:
@@ -164,7 +183,9 @@ def _reference_cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
         a = floor_surd(QuadraticSurd(P, Q, D))
         quotients.append(a)
         P1 = a * Q - P
-        P, Q = P1, (D - P1 * P1) // Q
+        Q1, rem = divmod(D - P1 * P1, Q)
+        assert Q1 and not rem
+        P, Q = P1, Q1
     s = seen[(P, Q)]
     return PeriodicCF.create(quotients[:s], quotients[s:])
 
@@ -358,12 +379,12 @@ def test_periodiccf_normalization():
     assert PeriodicCF.create([], [2, 2, 2]).repetend == (2,)
     cf = PeriodicCF.create([4], [1, 4])
     assert cf.preperiod == () and cf.repetend == (4, 1)
-    with pytest.raises(ValueError):
-        PeriodicCF((), ())
-    with pytest.raises(ValueError):
-        PeriodicCF((), (0,))
-    with pytest.raises(ValueError):
-        PeriodicCF((1, 0), (2,))
+    with pytest.raises(ValueError, match="repetend must be nonempty and positive"):
+        PeriodicCF.create((), ())
+    with pytest.raises(ValueError, match="repetend must be nonempty and positive"):
+        PeriodicCF.create((), (0,))
+    with pytest.raises(ValueError, match="preperiod entries"):
+        PeriodicCF.create((1, 0), (2,))
 
 
 def _reference_primitive_period(seq):
