@@ -72,16 +72,12 @@ from .transducer import (
     lr_repetend,
     reduce_to_DB,
     search_max_ratio,
-    to_csv,
-    to_dot,
-    to_json,
     transduce_cycle,
     walk_LE,
 )
 from .bounds import (
     BoundBreakdown,
     BoundTerm,
-    breakdown_to_json,
     check_bound,
     prime_sharp_bound,
     s_n_closed_form,

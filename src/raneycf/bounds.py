@@ -1,8 +1,8 @@
 """The period bound S_n: divisor-sum closed form, the independent
-transducer-side sum over LE walks, and the (unproven) prime-case formula."""
+transducer-side sum over LE walks, and the (unproven) prime-case formula.
+The module computes; cli.cmd_bound writes the breakdown as text or JSON."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -122,11 +122,3 @@ def check_bound(n: int, per_x: int, per_hx: int) -> str:
         return "violates_lower"
     return "holds"
 
-
-def breakdown_to_json(bb: BoundBreakdown) -> str:
-    doc = {
-        "n": bb.n,
-        "terms": [{"t": t.t, "j": t.j, "xi": t.xi, "term": t.term} for t in bb.terms],
-        "total": bb.total,
-    }
-    return json.dumps(doc, indent=2)

@@ -1,11 +1,16 @@
 """Command-line surface: bound, transducer, transform, verify, search.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Long-running
-commands report progress on stderr; stdout carries exactly the report.
+Every report's format lives here: the library modules compute T_n, S_n and
+the gate's values, and each cmd_* function writes them as text, CSV, DOT
+or JSON.  Exit codes: 0 success, 1 verification failure, 2 input error.
+Long-running commands report progress on stderr; stdout carries exactly
+the report.
 """
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import random
@@ -15,26 +20,10 @@ from array import array
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, isqrt
 
-from .bounds import breakdown_to_json, check_bound, s_n_closed_form, s_n_total
-from .matrices import (
-    J_MAT,
-    L_MAT,
-    R_MAT,
-    Mat2,
-    det,
-    format_mat2,
-    parse_mat2,
-    primitive_part,
-)
+from .bounds import check_bound, s_n_closed_form, s_n_total
+from .matrices import J_MAT, L_MAT, R_MAT, Mat2, content_gcd, det, format_mat2, parse_mat2
 from .surds import PeriodicCF, cf_from_surd, format_cf, image_surd, parse_cf, per
-from .transducer import (
-    build_transducer,
-    image_repetend,
-    search_max_ratio,
-    to_csv,
-    to_dot,
-    to_json,
-)
+from .transducer import build_transducer, image_repetend, search_max_ratio
 from .words import format_word
 
 _DRESS = (L_MAT, R_MAT, Mat2(1, 0, -1, 1), Mat2(1, -1, 0, 1))  # and their inverses
@@ -96,12 +85,12 @@ def _same_cycle(u: tuple, v: tuple) -> bool:
 
 def _gate(m: Mat2, cf: PeriodicCF):
     """The transducer's answer for h_m(cf) checked against the oracle's:
-    (the oracle's expansion, n = |det| of m's primitive part, per(cf),
-    per(h_m(cf)) by image_repetend, check_bound's verdict, whether the two
-    repetends agree up to rotation)."""
+    (the oracle's expansion, n = |det m| / content(m)^2, the |det| of m's
+    primitive part, per(cf), per(h_m(cf)) by image_repetend, check_bound's
+    verdict, whether the two repetends agree up to rotation)."""
     oracle = cf_from_surd(image_surd(m, cf))
     rep_hx = image_repetend(m, cf)
-    n = abs(det(primitive_part(m)))
+    n = abs(det(m)) // content_gcd(m) ** 2
     per_x = per(cf)
     verdict = check_bound(n, per_x, len(rep_hx))
     return oracle, n, per_x, len(rep_hx), verdict, _same_cycle(rep_hx, oracle.repetend)
@@ -172,26 +161,50 @@ def _trials(tasks, jobs: int):
 
 
 def cmd_bound(n: int, breakdown: bool = False, fmt: str = "text") -> str:
+    """S_n's total, or its terms as text or JSON (--format json implies the
+    breakdown)."""
     if fmt == "text" and not breakdown:
         return f"S_{n} = {s_n_total(n)}"
     bb = s_n_closed_form(n)
     if fmt == "json":
-        return breakdown_to_json(bb)
+        terms = [{"t": t.t, "j": t.j, "xi": t.xi, "term": t.term} for t in bb.terms]
+        return json.dumps({"n": n, "terms": terms, "total": bb.total}, indent=2)
     lines = [f"S_{n} = {bb.total}"]
     lines += (f"  t={t.t} j={t.j} xi={t.xi} term={t.term}" for t in bb.terms)
     return "\n".join(lines)
 
 
 def cmd_transducer(n: int, fmt: str = "table") -> str:
+    """T_n as a table, CSV, DOT or JSON, all read off one row
+    (from, input, output, to) per edge in build_transducer's order.  The
+    CSV goes through csv.writer, which quotes format_mat2's commas."""
     t = build_transducer(n)
-    if fmt != "table":
-        return {"dot": to_dot, "csv": to_csv, "json": to_json}[fmt](t)
-    lines = [f"T_{n}: {len(t.states)} states, {len(t.edges)} edges"]
-    lines += (
-        f"  {format_mat2(e.src)}  --{format_word(e.input)}|{format_word(e.output)}-->  {format_mat2(e.dst)}"
+    rows = [
+        (format_mat2(e.src), format_word(e.input), format_word(e.output), format_mat2(e.dst))
         for e in t.edges
-    )
-    return "\n".join(lines)
+    ]
+    if fmt == "table":
+        lines = [f"T_{n}: {len(t.states)} states, {len(rows)} edges"]
+        lines += (f"  {src}  --{w}|{v}-->  {dst}" for src, w, v, dst in rows)
+        return "\n".join(lines)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["from", "input", "output", "to"])
+        writer.writerows(rows)
+        return buf.getvalue()
+    states = sorted(t.states)
+    if fmt == "dot":
+        lines = [f"digraph T_{n} {{", "  rankdir=LR;"]
+        lines += (f'  "{format_mat2(s)}";' for s in states)
+        lines += (f'  "{src}" -> "{dst}" [label="{w}|{v}"];' for src, w, v, dst in rows)
+        lines.append("}")
+        return "\n".join(lines)
+    edges = [
+        {"from": list(e.src), "input": w, "output": v, "to": list(e.dst)}
+        for e, (_, w, v, _) in zip(t.edges, rows)
+    ]
+    return json.dumps({"n": n, "states": [list(s) for s in states], "edges": edges}, indent=2)
 
 
 def cmd_transform(m: Mat2, cf: PeriodicCF, fmt: str = "text") -> tuple[str, int]:

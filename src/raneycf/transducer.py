@@ -26,16 +26,14 @@ gets there, then one window per run, up to the next run's first offset,
 and steps the periods from run to run by key steps alone, with no step
 table of its own.  The explicit edge table (build_transducer) exists for
 display and for the exhaustive lemma checks, and is built through the
-same kernel one letter at a time.
+same kernel one letter at a time; the module writes no report format,
+and cli.cmd_transducer renders the table as text, CSV, DOT or JSON.
 The independent references are in the tests: _reference_feed_run, one
 call per escape step, _reference_close_cycle, one kernel call per block,
 and test_9's letter-by-letter edge walk.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -47,7 +45,6 @@ from .matrices import (
     _hermite,
     _primitive_forms,
     det,
-    format_mat2,
     in_D,
     in_DB,
     in_RB,
@@ -65,11 +62,10 @@ from .words import (
     _cyclic_runs,
     _feed_run,
     _peel,
-    format_word,
 )
 
 # ---------------------------------------------------------------------------
-# transducer construction and serialization
+# transducer construction
 
 
 @dataclass(frozen=True)
@@ -129,43 +125,6 @@ def build_transducer(n: int) -> Transducer:
                     stack.append((runs2, t2))
     edges.sort(key=lambda e: (e.src, e.input.runs))
     return Transducer(n, frozenset(states), tuple(edges))
-
-
-def to_dot(t: Transducer) -> str:
-    lines = [f"digraph T_{t.n} {{", "  rankdir=LR;"]
-    for s in sorted(t.states):
-        lines.append(f'  "{format_mat2(s)}";')
-    for e in t.edges:
-        label = f"{format_word(e.input)}|{format_word(e.output)}"
-        lines.append(f'  "{format_mat2(e.src)}" -> "{format_mat2(e.dst)}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def to_csv(t: Transducer) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["from", "input", "output", "to"])
-    for e in t.edges:
-        w.writerow([format_mat2(e.src), format_word(e.input), format_word(e.output), format_mat2(e.dst)])
-    return buf.getvalue()
-
-
-def to_json(t: Transducer) -> str:
-    doc = {
-        "n": t.n,
-        "states": [list(s) for s in sorted(t.states)],
-        "edges": [
-            {
-                "from": list(e.src),
-                "input": format_word(e.input),
-                "output": format_word(e.output),
-                "to": list(e.dst),
-            }
-            for e in t.edges
-        ],
-    }
-    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 """The period bound S_n: closed form, walk-sum dual, prime formula, verdicts."""
-import json
 import math
 import random
 import tracemalloc
@@ -9,7 +8,6 @@ import pytest
 
 from raneycf.bounds import (
     _s_n_terms,
-    breakdown_to_json,
     check_bound,
     prime_sharp_bound,
     s_n_closed_form,
@@ -194,12 +192,6 @@ def test_lower_bound_is_the_upper_bound_read_backwards():
         assert check_bound(n, per(x), per(y)) == check_bound(n, per(y), per(x)) == "holds"
         if ratio is not None:
             assert Fraction(per(y), per(x)) == ratio, (m, x)
-
-
-def test_breakdown_json_schema():
-    doc = json.loads(breakdown_to_json(s_n_closed_form(7)))
-    assert doc["n"] == 7 and doc["total"] == 24
-    assert all(set(t) == {"t", "j", "xi", "term"} for t in doc["terms"])
 
 
 def _euclid_steps(a, c):

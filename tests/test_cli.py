@@ -38,7 +38,9 @@ def test_bound_breakdown_and_json(capsys):
     code, out, _ = run(capsys, "bound", "7", "--breakdown")
     assert len(out.splitlines()) == 1 + 8  # total line + (t=1) + 7 terms of t=7
     code, out, _ = run(capsys, "bound", "7", "--format", "json")
-    assert json.loads(out)["total"] == 24
+    doc = json.loads(out)
+    assert doc["n"] == 7 and doc["total"] == 24
+    assert all(set(t) == {"t", "j", "xi", "term"} for t in doc["terms"])
 
 
 def test_bound_rejects_zero(capsys):
@@ -58,16 +60,114 @@ def test_transducer_table(capsys):
 
 
 def test_transducer_csv_and_dot(capsys):
-    code, out, _ = run(capsys, "transducer", "3", "--format", "csv")
-    assert len(out.strip().splitlines()) == 11  # header + 10 edges
-    code, out, _ = run(capsys, "transducer", "1", "--format", "dot")
-    assert out.count("->") == 2 and '"1,0,0,1"' in out
+    for n, edges, state in ((1, 2, "1,0,0,1"), (2, 6, "2,0,0,1"), (3, 10, "3,0,0,1")):
+        code, out, _ = run(capsys, "transducer", str(n), "--format", "csv")
+        lines = out.strip().splitlines()
+        assert lines[0] == "from,input,output,to" and len(lines) == 1 + edges, n
+        code, out, _ = run(capsys, "transducer", str(n), "--format", "dot")
+        assert out.startswith("digraph") and out.count("->") == edges, n
+        assert f'"{state}"' in out, n
 
 
 def test_transducer_json_roundtrip(capsys):
-    code, out, _ = run(capsys, "transducer", "3", "--format", "json")
-    doc = json.loads(out)
-    assert doc["n"] == 3 and len(doc["edges"]) == 10
+    for n, edges, states in (
+        (2, 6, [(1, 0, 0, 2), (2, 0, 0, 1)]),
+        (3, 10, [(1, 0, 0, 3), (2, 1, 1, 2), (3, 0, 0, 1)]),
+    ):
+        code, out, _ = run(capsys, "transducer", str(n), "--format", "json")
+        doc = json.loads(out)
+        assert doc["n"] == n and len(doc["edges"]) == edges, n
+        assert sorted(map(tuple, doc["states"])) == states, n
+
+
+_T2_TABLE = """\
+T_2: 2 states, 6 edges
+  1,0,0,2  --L|L^2-->  1,0,0,2
+  1,0,0,2  --RL|LR-->  2,0,0,1
+  1,0,0,2  --R^2|R-->  1,0,0,2
+  2,0,0,1  --LR|RL-->  1,0,0,2
+  2,0,0,1  --L^2|L-->  2,0,0,1
+  2,0,0,1  --R|R^2-->  2,0,0,1
+"""
+_T2_CSV = """\
+from,input,output,to
+"1,0,0,2",L,L^2,"1,0,0,2"
+"1,0,0,2",RL,LR,"2,0,0,1"
+"1,0,0,2",R^2,R,"1,0,0,2"
+"2,0,0,1",LR,RL,"1,0,0,2"
+"2,0,0,1",L^2,L,"2,0,0,1"
+"2,0,0,1",R,R^2,"2,0,0,1"
+"""
+_T2_DOT = """\
+digraph T_2 {
+  rankdir=LR;
+  "1,0,0,2";
+  "2,0,0,1";
+  "1,0,0,2" -> "1,0,0,2" [label="L|L^2"];
+  "1,0,0,2" -> "2,0,0,1" [label="RL|LR"];
+  "1,0,0,2" -> "1,0,0,2" [label="R^2|R"];
+  "2,0,0,1" -> "1,0,0,2" [label="LR|RL"];
+  "2,0,0,1" -> "2,0,0,1" [label="L^2|L"];
+  "2,0,0,1" -> "2,0,0,1" [label="R|R^2"];
+}
+"""
+_T2_JSON = json.dumps({
+    "n": 2,
+    "states": [[1, 0, 0, 2], [2, 0, 0, 1]],
+    "edges": [
+        {"from": [1, 0, 0, 2], "input": "L", "output": "L^2", "to": [1, 0, 0, 2]},
+        {"from": [1, 0, 0, 2], "input": "RL", "output": "LR", "to": [2, 0, 0, 1]},
+        {"from": [1, 0, 0, 2], "input": "R^2", "output": "R", "to": [1, 0, 0, 2]},
+        {"from": [2, 0, 0, 1], "input": "LR", "output": "RL", "to": [1, 0, 0, 2]},
+        {"from": [2, 0, 0, 1], "input": "L^2", "output": "L", "to": [2, 0, 0, 1]},
+        {"from": [2, 0, 0, 1], "input": "R", "output": "R^2", "to": [2, 0, 0, 1]},
+    ],
+}, indent=2) + "\n"
+_S7_BREAKDOWN = """\
+S_7 = 24
+  t=1 j=1 xi=1 term=1
+  t=7 j=7 xi=1 term=1
+  t=7 j=8 xi=2 term=3
+  t=7 j=9 xi=3 term=3
+  t=7 j=10 xi=3 term=3
+  t=7 j=11 xi=4 term=5
+  t=7 j=12 xi=4 term=5
+  t=7 j=13 xi=3 term=3
+"""
+_S7_JSON = json.dumps({
+    "n": 7,
+    "terms": [
+        {"t": 1, "j": 1, "xi": 1, "term": 1},
+        {"t": 7, "j": 7, "xi": 1, "term": 1},
+        {"t": 7, "j": 8, "xi": 2, "term": 3},
+        {"t": 7, "j": 9, "xi": 3, "term": 3},
+        {"t": 7, "j": 10, "xi": 3, "term": 3},
+        {"t": 7, "j": 11, "xi": 4, "term": 5},
+        {"t": 7, "j": 12, "xi": 4, "term": 5},
+        {"t": 7, "j": 13, "xi": 3, "term": 3},
+    ],
+    "total": 24,
+}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["transducer", "2"], _T2_TABLE),
+    (["transducer", "2", "--format", "csv"], _T2_CSV),
+    (["transducer", "2", "--format", "dot"], _T2_DOT),
+    (["transducer", "2", "--format", "json"], _T2_JSON),
+    (["bound", "7"], "S_7 = 24\n"),
+    (["bound", "7", "--breakdown"], _S7_BREAKDOWN),
+    (["bound", "7", "--format", "json"], _S7_JSON),
+    (["bound", "7", "--breakdown", "--format", "json"], _S7_JSON),
+], ids=["transducer-table", "transducer-csv", "transducer-dot", "transducer-json",
+        "bound", "bound-breakdown", "bound-json", "bound-breakdown-json"])
+def test_report_bytes(capsys, argv, expected):
+    """The exact stdout of `transducer 2` in its four formats and of
+    `bound 7` in its four modes: CSV quotes format_mat2's commas, DOT and
+    the table keep their separators, and JSON is json.dumps(..., indent=2)
+    of the documents spelled out here."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "dot", "table"])

@@ -1,5 +1,4 @@
 """Transducer construction, transduction of periodic input, LE walks, search."""
-import json
 import random
 import re
 from bisect import bisect_right
@@ -41,9 +40,6 @@ from raneycf.transducer import (
     lr_repetend,
     reduce_to_DB,
     search_max_ratio,
-    to_csv,
-    to_dot,
-    to_json,
     transduce_cycle,
     walk_LE,
 )
@@ -1241,23 +1237,6 @@ def test_walk_LE_rejects_out_of_range():
         walk_LE(14, Mat2(7, 0, 0, 2), 14)  # i must be <= 2*nu_L - 1 = 13
     with pytest.raises(ValueError):
         walk_LE(14, Mat2(2, 1, 1, 2), 2)  # not LE
-
-
-# -- serialization ---------------------------------------------------------------------
-
-
-def test_serializations():
-    t = build_transducer(2)
-    doc = json.loads(to_json(t))
-    assert doc["n"] == 2
-    assert len(doc["edges"]) == 6
-    assert sorted(map(tuple, doc["states"])) == [(1, 0, 0, 2), (2, 0, 0, 1)]
-    csv_text = to_csv(t)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "from,input,output,to"
-    assert len(lines) == 7
-    dot = to_dot(t)
-    assert dot.startswith("digraph") and '"2,0,0,1"' in dot
 
 
 # -- sharpness search -------------------------------------------------------------------
