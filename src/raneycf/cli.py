@@ -16,9 +16,9 @@ import os
 import random
 import sys
 import time
-from array import array
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, isqrt
+from struct import error as StructError, pack
 
 from .bounds import check_bound, s_n_closed_form, s_n_total
 from .matrices import J_MAT, L_MAT, R_MAT, Mat2, content_gcd, det, format_mat2, parse_mat2
@@ -64,18 +64,20 @@ def _random_cf(rng: random.Random, max_period: int, max_quotient: int) -> Period
 def _same_cycle(u: tuple, v: tuple) -> bool:
     """Whether v is a rotation of u: u found in v + v at a word boundary, by
     bytes.find on 8-byte words, searched on past any match that straddles
-    two words.  Past 2^63 the words hold each quotient's rank among u's
-    distinct values instead, so their size is u's length, not its widest
-    quotient's."""
+    two words.  struct.pack writes each tuple's words in one C call; a
+    quotient past 2^63 does not fit one (struct.error), and then the words
+    hold each quotient's rank among u's distinct values instead, so their
+    size is u's length, not its widest quotient's."""
     if len(u) != len(v):
         return False
+    fmt = f"{len(u)}q"
     try:
-        needle, hay = array("q", u).tobytes(), array("q", v).tobytes()
-    except OverflowError:
+        needle, hay = pack(fmt, *u), pack(fmt, *v)
+    except StructError:
         rank = {q: i for i, q in enumerate(set(u))}
         if not rank.keys() >= set(v):
             return False
-        needle, hay = (array("q", [rank[q] for q in w]).tobytes() for w in (u, v))
+        needle, hay = (pack(fmt, *map(rank.__getitem__, w)) for w in (u, v))
     hay *= 2
     i = hay.find(needle)
     while i > 0 and i % 8:

@@ -13,13 +13,20 @@ walks from a Hermite form (image_repetend): whole runs up to the end of
 the run of its first escape (_enter), then the one cycle reader,
 _close_cycle: one kernel call that feeds one pass of the repetend per
 block until a block-boundary state repeats (_feed_run with a boundary
-dict).  The output cycle's runs, read cyclically, are the image's partial
-quotients (lr_cycle_to_period), and the reader takes their exponents
-straight off the output's run counts (_Out.cyclic_exps).  The sharpness
-search keys its nodes on (run, Hermite form of the state) and keeps
-periods for run-0 keys only: it feeds each primitive Hermite form that no
-walk has reached yet straight to _close_cycle, whole blocks aligned to
-block boundaries, and reads the run-0 keys of its cycle off the kernel's
+dict).  An odd period's LR repetend is doubled to U star(U)
+(lr_repetend), and the transform feeds it one period per block,
+starred: after each pass the kernel takes the state's associate
+J M J, J = [[0, 1], [1, 0]], and so reads the next pass as the star of
+the last (J mu(W) J = mu(star W), and Raney's transducers commute with
+the associate).  A star-symmetric output cycle U star(U) then closes
+after U, on half the letters.  The output cycle's runs, read
+cyclically, are the image's partial quotients (lr_cycle_to_period), and
+the reader takes their exponents straight off the output's run counts
+(_Out.cyclic_exps, with the fold rule of U star(U) on a starred close).
+The sharpness search keys its nodes on (run, Hermite form of the
+state) and keeps periods for run-0 keys only: it feeds each primitive
+Hermite form that no walk has reached yet straight to _close_cycle,
+whole blocks aligned to block boundaries, never starred, and reads the run-0 keys of its cycle off the kernel's
 block-boundary states, one kernel call per run-0 key cycle.  Its witness
 scan reads run 0's starts first, computing each one's form only when it
 gets there, then one window per run, up to the next run's first offset,
@@ -170,7 +177,8 @@ def lr_cycle_to_period(cycle: LRWord) -> int:
     a slice of the run counts between two snaps, whose first and last runs
     share a letter exactly when the slice has odd length, and folding the
     last count into the first then is _cyclic_runs on counts
-    (_Out.cyclic_exps).
+    (_Out.cyclic_exps).  When the transform's starred walk closes on half a
+    cycle U star(U), the fold is for even length instead.
     """
     if len(cycle.runs) < 2:  # adjacent runs of a word differ in letter
         raise ValueError("cycle must contain both letters")
@@ -212,7 +220,7 @@ def _enter(t, runs, out):
     return t, runs[r:] + runs[:r]
 
 
-def _close_cycle(t, runs, states):
+def _close_cycle(t, runs, states, starred=False):
     """The repetend, up to rotation, of the output of the walk from t over
     the cyclic word runs, as a list of partial quotients; states, an empty
     dict, is left keyed by the walk's block-boundary states, t first, in
@@ -233,10 +241,24 @@ def _close_cycle(t, runs, states):
     included, with runs rotated to start at t's next run, the result is
     the repetend of h_H(y) for y = [; repetend], up to rotation, and its
     length is per(h_H(y)).
+
+    Starred, runs must be V star(V) for V = runs[:len(runs) // 2], as the
+    LR word of an odd period is: lr_repetend doubles it to U star(U), U of
+    odd run count, and a rotation by k whole runs is V star(V) again, with
+    V = U[k:] star(U[:k]).  The kernel is then fed V alone, each other pass
+    through the state's associate (_feed_run, "The starred cycle"), and
+    states holds the recorded states, an associate after each odd pass.
+    Its cycle is the walk's own when gamma is even.  When gamma is odd, the
+    walk's cycle is U star(U) for the output U from the cut on, whose
+    cyclic exponents are those that cyclic_exps reads with its starred fold
+    rule, twice; a sequence and its double have the same least cyclic
+    period, so the cut gives the same repetend.
     """
     out = _Out()
-    _, _, cut = _feed_run(t, runs, out, states)
-    exps = out.cyclic_exps(cut)
+    if starred:
+        runs = runs[: len(runs) // 2]
+    _, gamma, cut = _feed_run(t, runs, out, states, starred)
+    exps = out.cyclic_exps(cut, starred=starred and gamma % 2 == 1)
     return exps[: _primitive_period(exps)]
 
 
@@ -300,9 +322,11 @@ def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
     (_hermite_start, where the proof is) fed x's runs cyclically, entered
     with scratch output (_enter) and closed from there (_close_cycle).
     Entering first saves the walk a transient block: from H the kernel
-    usually needs one, from the entered node almost never."""
+    usually needs one, from the entered node almost never.  An odd period's
+    runs are U star(U) (lr_repetend), so the walk is closed starred: on
+    passes of one period, and after one when its cycle is star symmetric."""
     t, runs = _hermite_start(m, x)
-    return tuple(_close_cycle(*_enter(t, runs, _Out()), {}))
+    return tuple(_close_cycle(*_enter(t, runs, _Out()), {}, len(x.repetend) % 2 == 1))
 
 
 def image_period(m: Mat2, x: PeriodicCF) -> int:

@@ -11,7 +11,9 @@ input run whole on the right and then peels maximal output runs off the
 left, once, and _peel is that kernel with nothing to absorb.  The state
 carries its own determinant, so no n is passed along.  Given a dict of block-boundary states, it also
 feeds a block of runs again and again until a boundary state repeats,
-which closes a periodic walk in one call.  It sits below the transducer
+which closes a periodic walk in one call; starred, it reads every other
+pass as the block's star through the state's associate, which closes a
+walk over V star(V) on passes of V.  It sits below the transducer
 in the import graph, so word_of_matrix and the transducer share it.  Its
 output goes to an _Out, which stores only the exponents of the output's
 runs: merged runs alternate in letter, so run i is an L-run for even i
@@ -323,17 +325,25 @@ class _Out:
         first, exps = self._cut(start, stop)
         return LRWord(tuple(zip(cycle((R, L) if first % 2 else (L, R)), exps)))
 
-    def cyclic_exps(self, start, stop=None) -> list[int]:
+    def cyclic_exps(self, start, stop=None, starred=False) -> list[int]:
         """The run exponents of the output between two snaps, read
         cyclically: an odd number of runs starts and ends on one letter, so
-        the last exponent folds into the first (_cyclic_runs on counts)."""
+        the last exponent folds into the first (_cyclic_runs on counts).
+
+        When starred, the cycle is U star(U) for the output U between the
+        snaps, and the result is its exponents up to the second copy: U's
+        m runs start on one letter X.  For even m, U ends on star(X), where
+        star(U) starts, and star(U) ends on X, where U starts, so both seams
+        fuse, into the same sum: the last exponent folds into the first.
+        For odd m, U ends on X and star(U) on star(X), so neither fuses.
+        Either way _cyclic_runs of U star(U) is the result twice."""
         exps = self._cut(start, stop)[1]
-        if len(exps) % 2 and len(exps) > 1:
+        if (len(exps) % 2 == 1) != starred and len(exps) > 1:
             exps[0] += exps.pop()
         return exps
 
 
-def _feed_run(t, runs, out, boundary=None):
+def _feed_run(t, runs, out, boundary=None, starred=False):
     r"""Consume the input runs ((letter, count), ...) in order from the state
     t, a Mat2 or its entry tuple, peeling the output into out.counts;
     returns the balanced state left, as an entry tuple.
@@ -355,6 +365,34 @@ def _feed_run(t, runs, out, boundary=None):
     and boundary's keys are the block-boundary states in the order of
     their first visits.  t need not be in DB_n: the kernel checks every
     state that an escape leads to.
+
+    The starred cycle.  With starred, the cyclic input is V star(V), star
+    swapping L and R, and runs is V alone: after each pass the kernel
+    replaces the state (a, b, c, d) by its associate J M J = (d, c, b, a),
+    J = [[0, 1], [1, 0]], toggles on_l and records the associate.  Since
+    J L J = R and J R J = L, J mu(W) J = mu(star W).  So if
+    s star(V) = mu(W) s', then (J s J) V = J s star(V) J =
+    mu(star W) (J s' J): the pass over star(V) from s is the pass over V
+    from J s J, which peels star W, written to out as W through the
+    toggled on_l, and ends at the associate of s'.  Row balance (a > c, d > b) and double balance
+    (that and a > b, d > c) read the same on (d, c, b, a), so a
+    factorization's associate is the associate's factorization (by
+    uniqueness, see below), the escapes and peels of the two passes
+    correspond, and the inline DB test on an associate passes exactly when
+    it passes on the state itself; a failure names the associate.  So the
+    state s_k recorded after k passes is the walk's own state after k
+    passes of V, star(V), V, ... for even k and its associate for odd k,
+    and s_(k+1) is a function of s_k alone: a repeat s_i = s_j, i < j,
+    closes the walk, whose passes from j on repeat those from i, starred
+    when gamma = j - i is odd.  For even gamma the output U from i to j is
+    a cycle.  For odd gamma the walk from j is the walk from i starred, so
+    it writes star(U) up to pass 2j - i, where the state is the one at i
+    again (J J = I): the cycle is U star(U) (_Out.cyclic_exps, starred).
+    Every block boundary of the doubled block V star(V) is an s_k with k
+    even, so the doubled walk's first repeat is one of s, after
+    2 ceil(i / 2) + 2 gamma passes for odd gamma and 2 ceil(i / 2) + gamma
+    for even gamma: never fewer than the starred walk's i + gamma, and
+    twice as many on a star-symmetric cycle entered at once (i = 0).
 
     Why one peel per run gives the transducer's output.  A nonnegative M
     of det > 0 has at most one of L^-1 M = (a, b, c - a, d - b) and
@@ -459,9 +497,12 @@ def _feed_run(t, runs, out, boundary=None):
                 x = d - c * (b // a)
                 if x <= c:
                     _check_db((a, b % a, c, x))
-        t = (a, b, c, d)
         if boundary is None:
-            return t
+            return (a, b, c, d)
+        if starred:  # the next pass reads star(runs): feed runs to the associate
+            a, b, c, d = d, c, b, a
+            on_l = not on_l
+        t = (a, b, c, d)
         blocks += 1
         visit = (blocks, len(emitted), emitted[-1])
         first = boundary.setdefault(t, visit)

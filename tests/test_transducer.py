@@ -26,7 +26,7 @@ from raneycf.matrices import (
     primitive_part,
     xi,
 )
-from raneycf.surds import PeriodicCF, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
+from raneycf.surds import PeriodicCF, _primitive_period, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
     _close_cycle,
     _enter,
@@ -640,6 +640,57 @@ def test_block_mode_matches_one_kernel_call_per_block():
     assert all(seen.values()), seen
 
 
+def test_starred_walk_matches_the_doubled_reference():
+    """The transform's starred close of an odd period against
+    _reference_close_cycle, one kernel call per doubled block V star(V),
+    from the same entered state: the repetends agree up to rotation; the
+    starred walk of tau transient passes and gamma cycle passes of V feeds
+    the reference's ceil(tau / 2) + gamma doubled blocks for odd gamma (a
+    star-symmetric cycle, closed on half the letters when tau = 0) and
+    ceil(tau / 2) + gamma / 2 for even gamma, so never more letters; its
+    even-pass states are the reference's block-boundary states.  n in
+    {1, 2, 12, 720, 4096}, odd periods, quotients past 2^64."""
+    rng = random.Random(35)
+    seen = {"star symmetric": 0, "half the letters": 0, "even gamma": 0, "past 2^64": 0}
+    for i in range(200):
+        n = (1, 2, 12, 720, 4096)[i % 5]
+        rep = [rng.choice((rng.randint(1, 9), _log_uniform(rng, 10**6))) for _ in range(rng.choice((1, 3, 5)))]
+        if rng.random() < 0.25:
+            rep[rng.randrange(len(rep))] = 2**64 + rng.randint(1, 10**9)
+        cf = PeriodicCF.create([rng.randint(-9, 9)] if rng.random() < 0.5 else [], rep)
+        if per(cf) % 2 == 0:  # a repetend that is a power, such as [1, 1, 1]
+            continue
+        g = rng.choice([q for q in range(1, n + 1) if n % q == 0])
+        b = rng.choice([b for b in range(n // g) if gcd(g, b, n // g) == 1])
+        m = _random_unimodular(rng) * Mat2(g, b, 0, n // g) * _random_unimodular(rng)
+        t, runs = _enter(*_hermite_start(m, cf), _Out())
+        p = len(runs) // 2
+        assert runs[p:] == star(LRWord(runs[:p])).runs, runs
+        boundary = {}
+        _, gamma, _ = _feed_run(t, runs[:p], _Out(), boundary, True)
+        tau = len(boundary) - gamma
+        states = {}
+        repetend = _close_cycle(t, runs, states, True)
+        assert list(states) == list(boundary)
+        _, ref_gamma, ref_out, ref_cut, ref_states = _reference_close_cycle(t, runs)
+        ref_exps = ref_out.cyclic_exps(ref_cut)
+        key = (n, m, cf)
+        assert _same_cycle(tuple(repetend), tuple(ref_exps[: _primitive_period(ref_exps)])), key
+        assert (ref_gamma, len(ref_states)) == (
+            gamma if gamma % 2 else gamma // 2,
+            -(-tau // 2) + (gamma if gamma % 2 else gamma // 2),
+        ), key
+        assert len(boundary) <= 2 * len(ref_states), key  # letters fed: p runs a pass, 2p a block
+        even = list(boundary)[::2]
+        assert even == ref_states[: len(even)], key
+        assert tuple(repetend) == image_repetend(m, cf), key
+        seen["star symmetric"] += gamma % 2
+        seen["half the letters"] += len(boundary) == len(ref_states)
+        seen["even gamma"] += gamma % 2 == 0
+        seen["past 2^64"] += max(cf.repetend) > 2**64
+    assert all(seen.values()), seen
+
+
 def test_single_letter_loops_have_b_or_c_zero():
     """A fact about the single-letter loops of T_n, for every DB_n state,
     n <= 200, and both letters: following the escapes of one letter with
@@ -793,6 +844,38 @@ def test_run_counts_through_the_kernel():
                 ref.emit(letter, k)
             snaps.append((out.snap(), ref.snap()))
         _assert_slices_match(out, ref, snaps)
+    assert all(seen.values()), seen
+
+
+def test_cyclic_exps_fold_rule_on_a_starred_cycle():
+    """_Out.cyclic_exps, starred, reads the output U between two snaps as
+    the cycle U star(U): _cyclic_runs of that word, explicitly starred and
+    doubled, is the result twice.  By hand, U = R^2 L^3 gives
+    R^2 L^3 L^2 R^3 = R^5 L^5 cyclically, so [5]; then random U after
+    prior output ending in either letter, with exponents past 2^63."""
+    out = _Out()
+    _emit(out, R, 2)
+    _emit(out, L, 3)
+    assert out.cyclic_exps((1, 0), starred=True) == [5]
+    assert out.cyclic_exps((1, 0)) == [2, 3]
+    rng = random.Random(43)
+    seen = {"odd runs": 0, "even runs": 0, "one run": 0, "seam merge": 0, "past 2^63": 0}
+    for _ in range(500):
+        out = _Out()
+        for _ in range(rng.choice((0, 1, 2))):
+            _emit(out, rng.choice((L, R)), rng.randint(1, 4))
+        prior = out.word().runs
+        start = out.snap()
+        u = random_word(rng, max_runs=7, max_exp=rng.choice((9, 2**70)))
+        for letter, k in u.runs:
+            _emit(out, letter, k)
+        assert out.word(start) == u
+        doubled = (u + star(u)).runs
+        assert out.cyclic_exps(start, starred=True) * 2 == [e for _, e in _cyclic_runs(doubled)], u
+        m = len(u.runs)
+        seen["one run" if m == 1 else "odd runs" if m % 2 else "even runs"] += 1
+        seen["seam merge"] += bool(prior) and prior[-1][0] == u.runs[0][0]
+        seen["past 2^63"] += max(e for _, e in u.runs) >= 2**63
     assert all(seen.values()), seen
 
 
@@ -1682,9 +1765,9 @@ def test_close_cycle_is_one_kernel_call_from_H(monkeypatch):
 
     calls = []
 
-    def counting_feed(t, runs, out, boundary=None):
+    def counting_feed(t, runs, out, boundary=None, starred=False):
         calls.append(t)
-        return _feed_run(t, runs, out, boundary)
+        return _feed_run(t, runs, out, boundary, starred)
 
     entered, left = [], []
 
@@ -1695,9 +1778,9 @@ def test_close_cycle_is_one_kernel_call_from_H(monkeypatch):
 
     closed = []
 
-    def counting_close(t, runs, states):
+    def counting_close(t, runs, states, starred=False):
         closed.append((t, runs))
-        return _close_cycle(t, runs, states)
+        return _close_cycle(t, runs, states, starred)
 
     monkeypatch.setattr(transducer, "_feed_run", counting_feed)
     rng = random.Random(89)
