@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .matrices import det, enumerate_LE, nu_L, primitive_part, xi
+from .matrices import _divisors, det, enumerate_LE, nu_L, primitive_part, xi
 from .transducer import walk_LE
 from .words import sigma
 
@@ -32,9 +32,7 @@ def _s_n_terms(n: int):
     2*floor(x/2)+1 is x | 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for t in range(1, n + 1):
-        if n % t:
-            continue
+    for t in _divisors(n):
         g = gcd(t, n // t)
         for j in range(t, 2 * t):
             if g > 1 and j % g == 0:
@@ -77,21 +75,10 @@ def s_n_via_transducer(n: int) -> int:
     return total
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def prime_sharp_bound(n: int) -> int:
     """The sharp value conjectured for prime n: 5 for n=2, otherwise
     2 + 2*sum_{i=1}^{(n-1)/2} (xi(i,n)+2) shifted down by 1 when n = 1 mod 4."""
-    if not _is_prime(n):
+    if n < 1 or len(_divisors(n)) != 2:
         raise ValueError(f"{n} is not prime")
     if n == 2:
         return 5

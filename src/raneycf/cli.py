@@ -17,11 +17,11 @@ import random
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _json_str
-from math import gcd, isqrt
+from math import gcd
 from struct import error as StructError, pack
 
 from .bounds import check_bound, s_n_closed_form, s_n_total
-from .matrices import J_MAT, L_MAT, R_MAT, Mat2, content_gcd, det, format_mat2, parse_mat2
+from .matrices import J_MAT, L_MAT, R_MAT, Mat2, _divisors, content_gcd, det, format_mat2, parse_mat2
 from .surds import PeriodicCF, cf_from_surd, format_cf, image_surd, parse_cf, per
 from .transducer import build_transducer, image_repetend, search_max_ratio
 from .words import format_word
@@ -31,12 +31,12 @@ _DRESS = (L_MAT, R_MAT, Mat2(1, 0, -1, 1), Mat2(1, -1, 0, 1))  # and their inver
 
 def _random_matrix(rng: random.Random, n: int) -> Mat2:
     """A matrix with |det| = n and content 1: a primitive Hermite form
-    [[g, b], [0, d]] (g | n by trial division to sqrt(n), d = n/g, then
-    b < d drawn until gcd(g, b, d) = 1, as b = 1 is) dressed with short
-    unimodular words, optionally sign-flipped and column-swapped.  Each
-    step keeps |det| and content, so both hold by construction."""
-    small = [t for t in range(1, isqrt(n) + 1) if not n % t]
-    g = rng.choice(small + [n // t for t in reversed(small) if t * t != n])
+    [[g, b], [0, d]] (g drawn from n's divisors, matrices._divisors,
+    d = n/g, then b < d drawn until gcd(g, b, d) = 1, as b = 1 is) dressed
+    with short unimodular words, optionally sign-flipped and
+    column-swapped.  Each step keeps |det| and content, so both hold by
+    construction."""
+    g = rng.choice(_divisors(n))
     d = n // g
     b = rng.randrange(d)
     while gcd(g, b, d) > 1:

@@ -156,6 +156,14 @@ def _hermite(a, b, c, d):
     return a, b % d, d
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1 in ascending order, by trial division up to
+    isqrt(n): each divisor t <= sqrt(n) pairs with n // t >= sqrt(n), and
+    a square's root is listed once."""
+    small = [t for t in range(1, isqrt(n) + 1) if not n % t]
+    return small + [n // t for t in reversed(small) if t * t != n]
+
+
 def _primitive_forms(n: int) -> list[tuple[int, int, int]]:
     """The forms (g, b, d) of _hermite with g d = n, 0 <= b < d and
     gcd(g, b, d) = 1, by g then b: one per coset GL2(Z) M over the
@@ -163,8 +171,7 @@ def _primitive_forms(n: int) -> list[tuple[int, int, int]]:
     over the primes p | n."""
     return [
         (g, b, n // g)
-        for g in range(1, n + 1)
-        if n % g == 0
+        for g in _divisors(n)
         for b in range(n // g)
         if gcd(g, b, n // g) == 1
     ]
@@ -263,9 +270,7 @@ def enumerate_LE(n: int) -> set[Mat2]:
     if n < 1:
         raise ValueError("n must be >= 1")
     out = set()
-    for t in range(1, n + 1):
-        if n % t:
-            continue
+    for t in _divisors(n):
         m = n // t
         g = gcd(t, m)
         us = (0,) if g == 1 else range(1, g)

@@ -14,8 +14,9 @@ the run of its first escape (_enter), then the one cycle reader,
 _close_cycle: one kernel call that feeds one pass of the repetend per
 block until a block-boundary state repeats (_feed_run with a boundary
 dict).  An odd period's LR repetend is doubled to U star(U)
-(lr_repetend), and the transform feeds it one period per block,
-starred: after each pass the kernel takes the state's associate
+(lr_repetend), and every walk that _close_cycle reads is fed one period
+per block, and read starred when that period, so its run count, is
+odd: after each pass the kernel takes the state's associate
 J M J, J = [[0, 1], [1, 0]], and so reads the next pass as the star of
 the last (J mu(W) J = mu(star W), and Raney's transducers commute with
 the associate).  A star-symmetric output cycle U star(U) then closes
@@ -26,15 +27,19 @@ the reader takes their exponents straight off the output's run counts
 The sharpness search keys its nodes on (run, Hermite form of the
 state) and keeps periods for run-0 keys only: it feeds each primitive
 Hermite form that no walk has reached yet straight to _close_cycle,
-whole blocks aligned to block boundaries, never starred, and reads the run-0 keys of its cycle off the kernel's
-block-boundary states, one kernel call per run-0 key cycle.  Its witness
-scan reads run 0's starts first, computing each one's form only when it
-gets there, then one window per run, up to the next run's first offset,
-and steps the periods from run to run by key steps alone, with no step
-table of its own.  The explicit edge table (build_transducer) exists for
-display and for the exhaustive lemma checks, and is built through the
-same kernel one letter at a time; the module writes no report format,
-and cli.cmd_transducer renders the table as text, CSV, DOT or JSON.
+one period per block, starred for an odd period as the transform's walk
+is, and reads the run-0 keys of its cycle off the kernel's recorded
+states, associates included, one kernel call per key cycle of the block
+step.  Its witness scan reads run 0's starts first, computing each
+one's form only when it gets there, then one window per run of the one
+period, up to the next run's first offset, and steps the periods from
+run to run by key steps alone, with no step table of its own.  Neither
+reader reads past one period: lr_repetend's doubled word is left to
+_enter, reduce_to_DB and transduce_cycle.  The explicit edge table
+(build_transducer) exists for display and for the exhaustive lemma
+checks, and is built through the same kernel one letter at a time; the
+module writes no report format, and cli.cmd_transducer renders the
+table as text, CSV, DOT or JSON.
 The independent references are in the tests: _reference_feed_run, one
 call per escape step, _reference_close_cycle, one kernel call per block,
 and test_9's letter-by-letter edge walk.
@@ -177,7 +182,7 @@ def lr_cycle_to_period(cycle: LRWord) -> int:
     a slice of the run counts between two snaps, whose first and last runs
     share a letter exactly when the slice has odd length, and folding the
     last count into the first then is _cyclic_runs on counts
-    (_Out.cyclic_exps).  When the transform's starred walk closes on half a
+    (_Out.cyclic_exps).  When a starred walk (_close_cycle) closes on half a
     cycle U star(U), the fold is for even length instead.
     """
     if len(cycle.runs) < 2:  # adjacent runs of a word differ in letter
@@ -220,43 +225,47 @@ def _enter(t, runs, out):
     return t, runs[r:] + runs[:r]
 
 
-def _close_cycle(t, runs, states, starred=False):
+def _close_cycle(t, runs, states):
     """The repetend, up to rotation, of the output of the walk from t over
-    the cyclic word runs, as a list of partial quotients; states, an empty
-    dict, is left keyed by the walk's block-boundary states, t first, in
-    the order of their first visits.
+    the cyclic word of which runs is one period, as a list of partial
+    quotients; states, an empty dict, is left keyed by the states the walk
+    records at block boundaries, t first, in the order of their first
+    visits.
+
+    runs is one period of x's LR word: the first per(x) runs of
+    lr_repetend(x) rotated by whole runs, one run per quotient.  For an
+    even period it is the whole cyclic word.  For an odd one the cyclic
+    word is V star(V) with V = runs: lr_repetend doubles an odd period to
+    U star(U), U of odd run count, and a rotation by k whole runs is
+    V star(V) again, with V = U[k:] star(U[:k]), its first len(U) runs.
+    So the walk is read starred exactly when len(runs) is odd.
 
     One kernel call feeds t whole blocks, runs[0], runs[1], ..., until a
-    block-boundary state repeats (_feed_run with the boundary dict
-    states).  t must be nonnegative and row balanced, so it is a start for
-    the kernel as for _enter, and the kernel checks every state that an
-    escape leads to.  The output from the repeated state's first visit on
-    is a whole number of the orbit's output cycles, and the transient
-    blocks from t before it, with their output, are cut away at that
-    visit's snap.  Read cyclically, the cycle's run exponents are the
-    image's partial quotients (lr_cycle_to_period), taken straight off the
-    output's run counts (_Out.cyclic_exps) and cut at their least cyclic
-    period, which divides every period of the sequence.  So from any
-    state t of the walk from a Hermite form H (_hermite_start), H itself
-    included, with runs rotated to start at t's next run, the result is
-    the repetend of h_H(y) for y = [; repetend], up to rotation, and its
-    length is per(h_H(y)).
+    recorded state repeats (_feed_run with the boundary dict states).  t
+    must be nonnegative and row balanced, so it is a start for the kernel
+    as for _enter, and the kernel checks every state that an escape leads
+    to.  The output from the repeated state's first visit on is a whole
+    number of the orbit's output cycles, and the transient blocks from t
+    before it, with their output, are cut away at that visit's snap.  Read
+    cyclically, the cycle's run exponents are the image's partial
+    quotients (lr_cycle_to_period), taken straight off the output's run
+    counts (_Out.cyclic_exps) and cut at their least cyclic period, which
+    divides every period of the sequence.  So from any state t of the walk
+    from a Hermite form H (_hermite_start), H itself included, with runs
+    rotated to start at t's next run, the result is the repetend of h_H(y)
+    for y = [; repetend], up to rotation, and its length is per(h_H(y)).
 
-    Starred, runs must be V star(V) for V = runs[:len(runs) // 2], as the
-    LR word of an odd period is: lr_repetend doubles it to U star(U), U of
-    odd run count, and a rotation by k whole runs is V star(V) again, with
-    V = U[k:] star(U[:k]).  The kernel is then fed V alone, each other pass
-    through the state's associate (_feed_run, "The starred cycle"), and
-    states holds the recorded states, an associate after each odd pass.
-    Its cycle is the walk's own when gamma is even.  When gamma is odd, the
-    walk's cycle is U star(U) for the output U from the cut on, whose
-    cyclic exponents are those that cyclic_exps reads with its starred fold
-    rule, twice; a sequence and its double have the same least cyclic
-    period, so the cut gives the same repetend.
+    Starred, the kernel is fed V alone, each other pass through the state's
+    associate (_feed_run, "The starred cycle"), and states holds the
+    recorded states, an associate after each odd pass.  Its cycle is the
+    walk's own when gamma is even.  When gamma is odd, the walk's cycle is
+    U star(U) for the output U from the cut on, whose cyclic exponents are
+    those that cyclic_exps reads with its starred fold rule, twice; a
+    sequence and its double have the same least cyclic period, so the cut
+    gives the same repetend.
     """
     out = _Out()
-    if starred:
-        runs = runs[: len(runs) // 2]
+    starred = len(runs) % 2 == 1
     _, gamma, cut = _feed_run(t, runs, out, states, starred)
     exps = out.cyclic_exps(cut, starred=starred and gamma % 2 == 1)
     return exps[: _primitive_period(exps)]
@@ -322,11 +331,13 @@ def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
     (_hermite_start, where the proof is) fed x's runs cyclically, entered
     with scratch output (_enter) and closed from there (_close_cycle).
     Entering first saves the walk a transient block: from H the kernel
-    usually needs one, from the entered node almost never.  An odd period's
-    runs are U star(U) (lr_repetend), so the walk is closed starred: on
-    passes of one period, and after one when its cycle is star symmetric."""
-    t, runs = _hermite_start(m, x)
-    return tuple(_close_cycle(*_enter(t, runs, _Out()), {}, len(x.repetend) % 2 == 1))
+    usually needs one, from the entered node almost never.  The entered
+    runs are cut to one period, len(x.repetend) of them: for an odd period
+    they are V of the rotated V star(V) (lr_repetend), so the walk is
+    closed starred, on passes of V, and after one when its cycle is star
+    symmetric."""
+    t, runs = _enter(*_hermite_start(m, x), _Out())
+    return tuple(_close_cycle(t, runs[: len(x.repetend)], {}))
 
 
 def image_period(m: Mat2, x: PeriodicCF) -> int:
@@ -420,26 +431,37 @@ def search_max_ratio(n: int, cf: PeriodicCF):
 
     The maximum.  Each of the psi(n) primitive forms (g, b, d)
     (_primitive_forms) that no earlier walk reached is fed as the node
-    (0, H), H = (g, b, 0, d), straight to _close_cycle: one kernel call
-    feeds H whole blocks, so that every state it stops at is a run-0 node,
-    and the length of the repetend it returns is per(h_H(y)) for
-    y = [; repetend] (_hermite_start), which is the period of every node
-    (0, s) whose state s has the coset of a boundary state.  The boundary
-    states' forms, H's own first, are H's run-0 key cycle, with none off
-    it.  The state after j blocks is U H B^j, B the block's matrix and U
-    unimodular (the peels), so its form is H's stepped j times, j = 0
-    included.  The step of a run-0 key by one block is a bijection on the
-    psi(n) forms (_key_step), so the key cycle is pure: the transient
-    states' forms lie on it too.  The kernel records tau + gamma states,
-    the last gamma of them a cycle of states; a state's return implies its
-    form's, so the key cycle's length divides gamma, and those gamma
-    consecutive forms cover it.  Each of them gets the walk's period.  So
-    period_of holds the psi(n) run-0 keys, one walk per run-0 key cycle.
-    H is not entered first (_enter), as the transform's walk is: every
-    boundary state has to be a run-0 node.  So best_ratio, the largest
-    period over per(y), y = y_0, is the maximum of per(h_H(y)) / per(y)
-    over the primitive forms H by construction.  A key cycle steps through
-    every run index, so no run holds a larger period.  Any x with this
+    (0, H), H = (g, b, 0, d), straight to _close_cycle with the runs of
+    one period V, p = per(y) of them for y = [; repetend]: one kernel call
+    feeds H one pass of V per block, and the length of the repetend it
+    returns is per(h_H(y)) (_hermite_start).  For even p, V is the whole
+    cyclic word, so every state the walk records is a run-0 node.  For odd
+    p the cyclic word is V star(V), and the walk is starred: after an odd
+    number of passes it records A = J s J, J = [[0, 1], [1, 0]], where s
+    is the walk's real state at run p, the start of star(V).  A is a run-0
+    node with the walk's period too: h_A(y) = 1/h_s(1/y), the number 1/y,
+    whose LR word is the star of y's, is the one read from run p on, and
+    per(1/z) = per(z), so per(h_A(y)) = per(h_s(y_p)).  So every recorded
+    state s gets the walk's period under its form, the key of (0, s).
+    The state recorded after j blocks is U H B^j, U in GL2(Z) (the peels,
+    and for odd p the J's that the associates put on the left), and
+    B = mu(V), times J for odd p: so its form is H's stepped j times,
+    j = 0 included, by the block step: V's key steps (_key_step), then, for odd p, the form of the form
+    times J, [[g, b], [0, d]] J = [[b, g], [d, 0]], _hermite(b, g, d, 0).
+    Right multiplication by the unimodular B maps cosets to cosets and is
+    undone by B^-1, so the block step is a bijection on the psi(n) forms,
+    and its cycles are pure: the transient states' forms lie on the cycle
+    too.  The kernel records tau + gamma states, the last gamma of them a
+    cycle of states; a state's return implies its form's, so the key
+    cycle's length divides gamma, and those gamma consecutive forms cover
+    it.  So period_of holds the psi(n) run-0 keys, one walk per key cycle
+    of the block step, each key's entry per(h_H(y)) for H of that form,
+    whichever walk recorded it.  H is not entered first (_enter), as the
+    transform's walk is: every recorded state has to be a run-0 node.  So
+    best_ratio, the largest period over per(y), y = y_0, is the maximum of
+    per(h_H(y)) / per(y) over the primitive forms H by construction.  A
+    key cycle of the run-by-run step steps through every run index of the
+    cyclic word, so no run holds a larger period.  Any x with this
     repetend is h_P(y), P unimodular, so it is also the maximum of
     per(h_M(x)) / per(x) over every primitive M with |det M| = n.  Each
     coset's image has the tail of one (offset, DB_n state) node's orbit
@@ -463,19 +485,26 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     offsets of the window.  When e > n the window stops at k = e - n >= 1,
     short of the next run's first offset, but it holds a multiple of n,
     where each start's key is its k = 0 key: a hit there comes first.
+    The scan reads the runs of V alone, up to run p's first offset |V|
+    (the last window's k = 0).  For even p, V is the whole word.  For odd
+    p, the word read from an offset o >= |V| is the star of the word read
+    from o - |V|, so the node (o, s) has the period of (o - |V|, J s J),
+    as A has above, and J s J = (d, c, b, a) is in DB_n with s, whose
+    balance conditions read the same on it.  So a hit (o, s) means a hit
+    (o - |V|, J s J) at an earlier offset, and the first hit lies in V.
 
-    The cost is one kernel call per run-0 key cycle (_close_cycle), with
-    a Hermite form per block-boundary state, then the forms of the starts
-    that run 0's first offset reads, up to its first hit; only a scan that
-    gets past it pays for every start's form, psi(n) key steps and at most
-    n |DB_n| more per run that it reads.  None of it depends on the size of
+    The cost is one kernel call per key cycle of the block step
+    (_close_cycle), with a Hermite form per recorded state, then the forms
+    of the starts that run 0's first offset reads, up to its first hit;
+    only a scan that gets past it pays for every start's form, psi(n) key
+    steps and at most n |DB_n| more per run of V that it reads.  None of it depends on the size of
     the partial quotients.  The witness sits at run 0's first offset in
     nearly every search: in 59 of the benchmark's 60 search problems
     (seed 7), where it is the 3.5th of about 34 starts on average.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    runs = lr_repetend(cf).runs
+    runs = lr_repetend(cf).runs[: per(cf)]
     starts = _enumerate_DB(n)
     period_of: dict = {}  # Hermite form of a run-0 node -> its orbit's period
     for form in _primitive_forms(n):

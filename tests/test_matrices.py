@@ -12,6 +12,7 @@ from raneycf.matrices import (
     Mat2,
     R_MAT,
     _check_db,
+    _divisors,
     _enumerate_DB,
     associated,
     content_gcd,
@@ -352,6 +353,15 @@ def test_associated_preserves_DB_and_swaps_LE_RE(n):
 
 
 # -- LE / RE enumeration ----------------------------------------------------------
+
+
+def test_divisors_match_a_full_scan():
+    """_divisors(n), trial division to isqrt(n), is the ascending list of
+    a scan of 1..n: every n <= 2,000, a power of 2, a highly composite
+    number and a prime."""
+    for n in list(range(1, 2001)) + [262144, 720720, 1000003]:
+        assert _divisors(n) == [t for t in range(1, n + 1) if n % t == 0], n
+    assert len(_divisors(720720)) == 240 and _divisors(1000003) == [1, 1000003]
 
 
 def test_enumerate_LE_examples():

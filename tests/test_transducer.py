@@ -670,7 +670,7 @@ def test_starred_walk_matches_the_doubled_reference():
         _, gamma, _ = _feed_run(t, runs[:p], _Out(), boundary, True)
         tau = len(boundary) - gamma
         states = {}
-        repetend = _close_cycle(t, runs, states, True)
+        repetend = _close_cycle(t, runs[:p], states)
         assert list(states) == list(boundary)
         _, ref_gamma, ref_out, ref_cut, ref_states = _reference_close_cycle(t, runs)
         ref_exps = ref_out.cyclic_exps(ref_cut)
@@ -1714,13 +1714,30 @@ def test_search_maximum_is_the_oracle_maximum_over_every_coset():
 def test_search_matches_the_reference_scan_on_short_repetends():
     """The search resolves every coset from its own form and agrees with
     the reference scan over every (offset, state) pair on 60 seeded draws:
-    n up to 16, periods 1-3, quotients up to 3 or 60."""
+    n up to 16, periods 1-3, quotients up to 3 or 60.  Then odd periods,
+    whose search reads one period V starred while the reference scans the
+    whole doubled word V star(V): six witnesses past run 0 found by a
+    seeded hunt, and 40 seeded draws of periods 3 and 5 with a one-letter
+    run 0, which puts such witnesses at run 1's first offset."""
     rng = random.Random(41)
     for _ in range(60):
         n = rng.randint(1, 16)
         rep = [rng.choice((rng.randint(1, 3), rng.randint(1, 60))) for _ in range(rng.randint(1, 3))]
         cf = parse_cf(f"[;{','.join(map(str, rep))}]")
         assert search_max_ratio(n, cf) == _reference_search_max_ratio(n, cf), (n, rep)
+    hunted = [(16, [1, 7, 51]), (14, [1, 34, 59]), (9, [1, 42, 35]), (10, [1, 14, 3]), (12, [1, 3, 14]), (8, [1, 3, 31])]
+    drawn = [
+        (rng.randint(1, 16), [1] + [rng.choice((rng.randint(1, 3), rng.randint(1, 60))) for _ in range(rng.choice((2, 4)))])
+        for _ in range(40)
+    ]
+    odd = 0
+    for n, rep in hunted + drawn:
+        cf = PeriodicCF.create([], rep)
+        result = search_max_ratio(n, cf)
+        assert result == _reference_search_max_ratio(n, cf), (n, rep)
+        assert (n, rep) not in hunted or result[2] >= lr_repetend(cf).runs[0][1], (n, rep, result)
+        odd += per(cf) % 2
+    assert odd >= 40
 
 
 def test_orbit_fed_from_a_hermite_form():
@@ -1756,11 +1773,13 @@ def test_orbit_fed_from_a_hermite_form():
 
 
 def test_close_cycle_is_one_kernel_call_from_H(monkeypatch):
-    """_close_cycle makes exactly one _feed_run call per walk, started at
-    H itself, and H's own form is among its states' forms (H is the first
-    state); the transform's walk still enters through _enter before its
-    one _close_cycle call, which starts where _enter stops.  n up to 40
-    and from 100 to 400, repetends of 1-4 quotients, some past 2^63."""
+    """_close_cycle, fed one period as the search feeds it, makes exactly
+    one _feed_run call per walk, started at H itself, and H's own form is
+    among its states' forms (H is the first state); the transform's walk
+    still enters through _enter before its one _close_cycle call, which
+    starts where _enter stops, on _enter's runs cut to one period.  n up
+    to 40 and from 100 to 400, repetends of 1-4 quotients, some past
+    2^63."""
     import raneycf.transducer as transducer
 
     calls = []
@@ -1778,9 +1797,9 @@ def test_close_cycle_is_one_kernel_call_from_H(monkeypatch):
 
     closed = []
 
-    def counting_close(t, runs, states, starred=False):
+    def counting_close(t, runs, states):
         closed.append((t, runs))
-        return _close_cycle(t, runs, states, starred)
+        return _close_cycle(t, runs, states)
 
     monkeypatch.setattr(transducer, "_feed_run", counting_feed)
     rng = random.Random(89)
@@ -1790,7 +1809,7 @@ def test_close_cycle_is_one_kernel_call_from_H(monkeypatch):
         if i % 4 == 0:
             rep[rng.randrange(len(rep))] = 2**63 + rng.randint(1, 10**6)
         cf = PeriodicCF.create([], rep)
-        runs = lr_repetend(cf).runs
+        runs = lr_repetend(cf).runs[: per(cf)]
         for g, b, d in rng.sample(_primitive_forms(n), min(8, len(_primitive_forms(n)))):
             calls.clear()
             states = {}
@@ -1805,25 +1824,51 @@ def test_close_cycle_is_one_kernel_call_from_H(monkeypatch):
     calls.clear()
     image_repetend(m, cf)
     assert calls[0] == entered[0] == _hermite_start(m, cf)[0] and len(entered) == 1
-    assert closed == left
+    assert closed == [(t, runs[: per(cf)]) for t, runs in left]
+
+
+def _reference_block_cycle(runs, form):
+    """The forms of the states that the search's walk from the form
+    records, fed one period runs per block, up to the form's return: the
+    block step is runs' key steps, then, for an odd run count (an odd
+    period, read starred), the form of the form times J = [[0, 1], [1, 0]],
+    [[g, b], [0, d]] J = [[b, g], [d, 0]].  Each part is a bijection on
+    the forms, so the walk returns to its first form."""
+    cycle = [form]
+    while True:
+        for letter, e in runs:
+            form = _key_step(form, letter, e)
+        if len(runs) % 2:
+            g, b, d = form
+            form = _hermite(b, g, d, 0)
+        if form == cycle[0]:
+            return cycle
+        cycle.append(form)
 
 
 def test_search_walks_once_per_run0_key_cycle(monkeypatch):
-    """The search calls _close_cycle exactly once per run-0 key cycle of
-    the reference key walk, once from a form on each cycle: every later
-    form of a cycle is already read off its walk.  n <= 30, repetends of
-    1-4 quotients, some of them past 2^63."""
+    """The search calls _close_cycle exactly once per cycle of the block
+    step on run-0 keys (_reference_block_cycle, starred for an odd
+    period), once from a form on each cycle: every later form of a cycle
+    is already read off its walk.  That is never more walks than the
+    unstarred doubled block's run-0 key cycles, and fewer on some odd
+    periods.  Every state that a walk records, associates included, has
+    image_period equal to the walk's period.  n <= 30, repetends of 1-4
+    quotients, some of them past 2^63."""
     import raneycf.transducer as transducer
 
-    walked = []
+    walked, recorded = [], []
 
     def counting(t, runs, states):
         g, b, _, d = t
         walked.append((g, b, d))
-        return _close_cycle(t, runs, states)
+        repetend = _close_cycle(t, runs, states)
+        recorded.append((states, len(repetend)))
+        return repetend
 
     monkeypatch.setattr(transducer, "_close_cycle", counting)
     rng = random.Random(83)
+    seen = {"odd period": 0, "fewer walks": 0}
     for i in range(120):
         n = rng.randint(1, 30)
         rep = [rng.choice((rng.randint(1, 3), rng.randint(1, 300))) for _ in range(rng.randint(1, 4))]
@@ -1831,16 +1876,31 @@ def test_search_walks_once_per_run0_key_cycle(monkeypatch):
             rep[rng.randrange(len(rep))] = 2**63 + rng.randint(1, 10**6)
         cf = PeriodicCF.create([], rep)
         runs = lr_repetend(cf).runs
-        cycle_of = {}  # run-0 form -> index of its reference run-0 key cycle
+        cycle_of = {}  # run-0 form -> index of its reference block cycle
+        doubled = {}  # run-0 form -> index of its doubled block's key cycle
         for form in _primitive_forms(n):
             if form not in cycle_of:
                 index = len(set(cycle_of.values()))
+                for f in _reference_block_cycle(runs[: per(cf)], form):
+                    cycle_of[f] = index
+            if form not in doubled:
+                index = len(set(doubled.values()))
                 for r, f in _reference_key_cycle(runs, (0, form)):
                     if r == 0:
-                        cycle_of[f] = index
+                        doubled[f] = index
         walked.clear()
+        recorded.clear()
         search_max_ratio(n, cf)
+        monkeypatch.setattr(transducer, "_close_cycle", _close_cycle)  # image_period's own
+        for states, period in recorded:
+            for s in states:
+                assert image_period(Mat2(*s), cf) == period, (n, rep, s)
+        monkeypatch.setattr(transducer, "_close_cycle", counting)
         assert sorted(cycle_of[f] for f in walked) == list(range(len(set(cycle_of.values())))), (n, rep)
+        assert len(walked) <= len(set(doubled.values())), (n, rep)
+        seen["odd period"] += per(cf) % 2
+        seen["fewer walks"] += len(walked) < len(set(doubled.values()))
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize(
