@@ -15,20 +15,12 @@ from .matrices import (
     content_gcd,
     det,
     enumerate_DB,
-    enumerate_LE,
     in_D,
     in_DB,
     in_RB,
     inverse_times_det,
-    is_LE,
-    is_LS,
-    is_RE,
-    nu_L,
-    nu_R,
     parse_mat2,
-    primitive_part,
     format_mat2,
-    transpose,
     xi,
 )
 from .words import (
@@ -40,13 +32,11 @@ from .words import (
     format_word,
     kappa,
     mu,
-    parse_word,
     primitive_root,
     rotate,
     sigma,
     sigma_c,
     star,
-    transpose_word,
     word_of_matrix,
 )
 from .surds import (
@@ -73,7 +63,6 @@ from .transducer import (
     reduce_to_DB,
     search_max_ratio,
     transduce_cycle,
-    walk_LE,
 )
 from .bounds import (
     BoundBreakdown,
@@ -81,7 +70,6 @@ from .bounds import (
     check_bound,
     prime_sharp_bound,
     s_n_closed_form,
-    s_n_via_transducer,
 )
 
 __version__ = "0.1.0"

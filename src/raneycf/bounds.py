@@ -1,15 +1,15 @@
-"""The period bound S_n: divisor-sum closed form, the independent
-transducer-side sum over LE walks, and the (unproven) prime-case formula.
-The module computes; cli.cmd_bound writes the breakdown as text or JSON."""
+"""The period bound S_n: the divisor-sum closed form and the (unproven)
+prime-case formula, on matrices' divisor list and Euclid step count alone.
+The independent sum over Raney's LE walks, which the tests check the
+closed form against, is in tests/references.py.  The module computes;
+cli.cmd_bound writes the breakdown as text or JSON."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .matrices import _divisors, det, enumerate_LE, nu_L, primitive_part, xi
-from .transducer import walk_LE
-from .words import sigma
+from .matrices import _divisors, xi
 
 
 @dataclass(frozen=True)
@@ -53,26 +53,6 @@ def s_n_total(n: int) -> int:
     """The total of S_n, memoised, summed term by term without building the
     breakdown: memory stays constant in n."""
     return sum(term for _, _, _, term in _s_n_terms(n))
-
-
-def s_n_via_transducer(n: int) -> int:
-    """Same quantity from the walk side: sum over M in LE_n and
-    i in [nu_L(M), 2*nu_L(M)-1] of sigma(W_{L,M,i}) - 1.
-
-    Parametrized LE matrices with content k > 1 (possible when some
-    gcd(t, n/t) is composite, first at n = 16) are walked after dividing
-    the content out: scaling a state leaves escapes, peels and outputs
-    untouched, so the walk lives in T_{n/k^2} with identical sigma.
-    """
-    total = 0
-    for m in sorted(enumerate_LE(n)):
-        m = primitive_part(m)
-        nn = det(m)
-        nu = nu_L(m)
-        for i in range(nu, 2 * nu):
-            _, _, w = walk_LE(nn, m, i)
-            total += sigma(w) - 1
-    return total
 
 
 def prime_sharp_bound(n: int) -> int:

@@ -1,8 +1,10 @@
 """Exact 2x2 integer matrices and Raney's balanced matrix classes.
 
 Matrices are row-major [[a,b],[c,d]].  The class predicates (D_n, RB_n,
-DB_n, LE, RE, ...) follow Raney's definitions: determinant n, nonnegative
-entries, content 1, plus row/column balance inequalities.
+DB_n) follow Raney's definitions: determinant n, nonnegative entries,
+content 1, plus row/column balance inequalities.  The LE and RE classes,
+which only the walk side of S_n reads, are test references
+(tests/references.py).
 """
 from __future__ import annotations
 
@@ -44,21 +46,9 @@ def content_gcd(m: Mat2) -> int:
     return gcd(m.a, m.b, m.c, m.d)
 
 
-def primitive_part(m: Mat2) -> Mat2:
-    """m divided by its content gcd(a, b, c, d); m must not be zero."""
-    g = content_gcd(m)
-    if g == 1:
-        return m
-    return Mat2(m.a // g, m.b // g, m.c // g, m.d // g)
-
-
 def inverse_times_det(m: Mat2) -> Mat2:
     """Adjugate: m * inverse_times_det(m) = det(m) * identity."""
     return Mat2(m.d, -m.b, -m.c, m.a)
-
-
-def transpose(m: Mat2) -> Mat2:
-    return Mat2(m.a, m.c, m.b, m.d)
 
 
 def associated(m: Mat2) -> Mat2:
@@ -120,8 +110,9 @@ def _check_db(t):
     are integer combinations of those of t, so content(t) divides
     content(U t V), and t = U^-1 (U t V) V^-1 gives the converse.  So a walk
     keeps the content of its start, and each walk settles it once where it
-    enters: transduce_cycle's in_RB(start), factorize_to_DB's in_D and
-    walk_LE's is_LE check it, and the search's starts (_primitive_forms,
+    enters: transduce_cycle's in_RB(start) and factorize_to_DB's in_D check
+    it (as the tests' LE walks check theirs, tests/references.py's walk_LE
+    with is_LE), and the search's starts (_primitive_forms,
     _enumerate_DB) and the transform's (transducer._hermite_start) are
     built with content 1.  The determinant is kept for the same reason;
     absorbing only adds to entries, and the peel's quotients keep them
@@ -229,54 +220,6 @@ def enumerate_DB(n: int) -> set[Mat2]:
     if n < 1:
         raise ValueError("n must be >= 1")
     return {Mat2(*t) for t in _enumerate_DB(n)}
-
-
-def _require_DB(m: Mat2) -> int:
-    n = det(m)
-    if n < 1 or not in_DB(m, n):
-        raise ValueError(f"{m!r} is not doubly balanced")
-    return n
-
-
-def is_LS(m: Mat2) -> bool:
-    _require_DB(m)
-    return m.b == 0
-
-
-def is_LE(m: Mat2) -> bool:
-    _require_DB(m)
-    return m.b == 0 and m.c < gcd(m.a, m.d)
-
-
-def is_RE(m: Mat2) -> bool:
-    _require_DB(m)
-    return m.c == 0 and m.b < gcd(m.a, m.d)
-
-
-def nu_L(m: Mat2) -> int:
-    if not is_LE(m):
-        raise ValueError(f"{m!r} is not in LE")
-    return m.a // gcd(m.a, m.d)
-
-
-def nu_R(m: Mat2) -> int:
-    if not is_RE(m):
-        raise ValueError(f"{m!r} is not in RE")
-    return m.d // gcd(m.a, m.d)
-
-
-def enumerate_LE(n: int) -> set[Mat2]:
-    """All [[t,0],[u,m]] with t*m = n and u in I_t (0 if gcd(t,m)=1, else 1..gcd-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = set()
-    for t in _divisors(n):
-        m = n // t
-        g = gcd(t, m)
-        us = (0,) if g == 1 else range(1, g)
-        for u in us:
-            out.add(Mat2(t, 0, u, m))
-    return out
 
 
 def parse_mat2(text: str) -> Mat2:

@@ -9,7 +9,6 @@ PeriodicCF.create and cf_from_surd check what comes from outside.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -58,10 +57,6 @@ def surd(P: int, Q: int, D: int) -> QuadraticSurd:
     return QuadraticSurd(P, Q, D)
 
 
-def floor_surd(x: QuadraticSurd) -> int:
-    return _floor(x.P, x.Q, isqrt(x.D))
-
-
 def _floor(P: int, Q: int, r: int) -> int:
     """floor((P + sqrt(D))/Q) for r = isqrt(D), D nonsquare, in one floor
     division: P + sqrt(D) lies strictly between P + r and P + r + 1, so for
@@ -69,17 +64,6 @@ def _floor(P: int, Q: int, r: int) -> int:
     order, it is (P + r + 1) // Q, as no integer multiple of Q lies strictly
     between the two ends."""
     return (P + r) // Q if Q > 0 else (P + r + 1) // Q
-
-
-def approx(x: QuadraticSurd, digits: int = 30) -> Fraction:
-    """Rational approximation with error below |Q|^-1 * 10^-digits."""
-    scale = 10**digits
-    return Fraction(x.P * scale + isqrt(x.D * scale * scale), x.Q * scale)
-
-
-def conjugate_approx(x: QuadraticSurd, digits: int = 30) -> Fraction:
-    scale = 10**digits
-    return Fraction(x.P * scale - isqrt(x.D * scale * scale), x.Q * scale)
 
 
 class PeriodicCF(NamedTuple):
@@ -93,18 +77,29 @@ class PeriodicCF(NamedTuple):
     @classmethod
     def create(cls, preperiod, repetend) -> "PeriodicCF":
         """Check the signs, then normalize: primitive repetend, then roll the
-        cycle start back while the last preperiod entry matches its end."""
-        pre = list(preperiod)
+        cycle start back while the last preperiod entry matches its end.
+
+        Each step of the roll-back moves the preperiod's last entry onto the
+        front of the repetend, rotating it right by one, so after j steps
+        the repetend's last entry is the primitive one's rep[-1 - j % p].
+        The steps thus stop at the first j with pre[-1 - j] unequal to
+        rep[-1 - j % p], or j = len(pre): count j once, then rotate right
+        by j % p and cut pre once, O(k + p) for k = len(pre), where a
+        rotation per step would cost k p."""
+        pre = tuple(preperiod)
         rep = tuple(repetend)
         if not rep or min(rep) < 1:
             raise ValueError("the repetend must be nonempty and positive")
         if len(pre) > 1 and min(pre[1:]) < 1:
             raise ValueError("preperiod entries after the first must be positive")
-        rep = rep[: _primitive_period(rep)]
-        while pre and pre[-1] == rep[-1]:
-            rep = rep[-1:] + rep[:-1]
-            pre.pop()
-        return cls(tuple(pre), rep)
+        p = _primitive_period(rep)
+        rep = rep[:p]
+        k = len(pre)
+        j = 0
+        while j < k and pre[-1 - j] == rep[-1 - j % p]:
+            j += 1
+        cut = p - j % p  # rotate right by j % p
+        return cls(pre[: k - j], rep[cut:] + rep[:cut])
 
     def __str__(self) -> str:
         return format_cf(self)

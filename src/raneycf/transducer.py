@@ -42,7 +42,9 @@ module writes no report format, and cli.cmd_transducer renders the
 table as text, CSV, DOT or JSON.
 The independent references are in the tests: _reference_feed_run, one
 call per escape step, _reference_close_cycle, one kernel call per block,
-and test_9's letter-by-letter edge walk.
+and test_9's letter-by-letter edge walk.  The LE walks behind the walk
+side of S_n (walk_LE) feed the same kernel one letter at a time from
+tests/references.py; no command reads them.
 """
 from __future__ import annotations
 
@@ -60,10 +62,6 @@ from .matrices import (
     in_D,
     in_DB,
     in_RB,
-    is_LE,
-    is_RE,
-    nu_L,
-    nu_R,
 )
 from .surds import PeriodicCF, _primitive_period, per
 from .words import (
@@ -343,46 +341,6 @@ def image_repetend(m: Mat2, x: PeriodicCF) -> tuple[int, ...]:
 def image_period(m: Mat2, x: PeriodicCF) -> int:
     """per(h_m(x)): the length of image_repetend(m, x)."""
     return len(image_repetend(m, x))
-
-
-# ---------------------------------------------------------------------------
-# LE walks (the L^i R^j probes behind the bound's transducer-side sum)
-
-
-def walk_LE(n: int, m: Mat2, i: int):
-    """Simulate L^i then R's from m in LE_n; stop at the unique recurring RE
-    state N with j in {3n - nu_R(N) + 1, ..., 3n}.  Returns (N, j, w).
-
-    A letter completes an edge exactly when the state after it is doubly
-    balanced: a state s * letter^j with j > 0, absorbed without an escape,
-    never is, since s L^j has c + d j >= d and s R^j has a j + b >= a."""
-    if det(m) != n or not is_LE(m):
-        raise ValueError(f"{m!r} is not in LE_{n}")
-    nu = nu_L(m)
-    if not nu <= i <= 2 * nu - 1:
-        raise ValueError(f"i={i} outside [{nu}, {2 * nu - 1}]")
-    out = _Out()
-    cur = _feed_run(m, ((L, i),), out)
-    completions = []  # (j, state, snap)
-    for j in range(1, 3 * n + 1):
-        cur = _feed_run(cur, ((R, 1),), out)
-        a, b, c, d = cur
-        if a > b and d > c:
-            completions.append((j, Mat2(*cur), out.snap()))
-    re_states = {s for _, s, _ in completions if is_RE(s)}
-    if len(re_states) != 1:
-        raise RuntimeError(f"expected a unique recurring RE state, saw {re_states}")
-    target = re_states.pop()
-    vr = nu_R(target)
-    hits = [
-        (j, snap)
-        for j, s, snap in completions
-        if s == target and 3 * n - vr + 1 <= j <= 3 * n
-    ]
-    if len(hits) != 1:
-        raise RuntimeError(f"expected one window hit for {target!r}, got {hits}")
-    j, snap = hits[0]
-    return target, j, out.word(stop=snap)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ LRWord is cut out between two snaps (_Out.word).
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import cycle
 
@@ -70,7 +69,7 @@ def _cyclic_runs(runs):
 @dataclass(frozen=True)
 class LRWord:
     """A word as its runs, trusted as given: letters L and R, exponents >= 1,
-    adjacent letters distinct.  from_runs, from_letters, parse_word build it."""
+    adjacent letters distinct.  from_runs and from_letters build it."""
 
     runs: tuple[tuple[str, int], ...]
 
@@ -114,27 +113,6 @@ class LRWord:
 
 
 EPSILON = LRWord(())
-
-_RUN_RE = re.compile(r"\s*([LR])\s*(?:\^\s*(\d+))?")
-
-
-def parse_word(text: str) -> LRWord:
-    """Parse "L^2 R L R^3" or compact "LLRLRRR" (whitespace ignored);
-    "e" denotes the empty word, matching the emitter."""
-    if text.strip() == "e":
-        return EPSILON
-    runs = []
-    pos = 0
-    while pos < len(text):
-        m = _RUN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse word at {text[pos:]!r}")
-            break
-        runs.append((m.group(1), int(m.group(2) or 1)))
-        pos = m.end()
-    return LRWord.from_runs(runs)
-
 
 def format_word(word: LRWord) -> str:
     if not word.runs:
@@ -186,11 +164,6 @@ def star(word: LRWord) -> LRWord:
     return LRWord(tuple((star_letter(l), e) for l, e in word.runs))
 
 
-def transpose_word(word: LRWord) -> LRWord:
-    """Word of the transposed matrix: reverse the runs and swap letters."""
-    return LRWord(tuple((star_letter(l), e) for l, e in reversed(word.runs)))
-
-
 def rotate(word: LRWord, k: int) -> LRWord:
     """Cyclic left rotation by k letters (run-aware; k and the word's
     length may be huge, past what len() can return)."""
@@ -212,18 +185,6 @@ def conjugates(word: LRWord) -> set[LRWord]:
     if not word:
         raise ValueError("conjugates of the empty word")
     return {rotate(word, k) for k in range(len(word))}
-
-
-def boundary_conjugates(word: LRWord) -> list[LRWord]:
-    """The sigma(word) rotations starting at a run boundary."""
-    if not word:
-        raise ValueError("empty word")
-    out = []
-    acc = 0
-    for letter, exp in word.runs:
-        out.append(rotate(word, acc))
-        acc += exp
-    return out
 
 
 def primitive_root(word: LRWord) -> tuple[LRWord, int]:
@@ -440,8 +401,8 @@ def _feed_run(t, runs, out, boundary=None, starred=False):
     an R-run, likewise, a > c, a > b mod a and x > b mod a + (a - c) j.
     So the kernel tests the fourth inline, x > b after L and x > c after
     R, once per run that peels, and hands s to _check_db, which raises,
-    only when it fails.  One-letter feeds (build_transducer, walk_LE) still
-    check every escape.
+    only when it fails.  One-letter feeds (build_transducer, and the tests'
+    LE walks in tests/references.py) still check every escape.
 
     The output.  Whether out's last run is an L-run is the parity of its
     number of counts, read once at entry and then kept in on_l, so each

@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from raneycf.bounds import check_bound, prime_sharp_bound, s_n_closed_form, s_n_via_transducer
+from raneycf.bounds import check_bound, prime_sharp_bound, s_n_closed_form
 from raneycf.cli import main, run_trial
 from raneycf.matrices import (
     Mat2,
@@ -22,14 +22,9 @@ from raneycf.matrices import (
     _enumerate_DB,
     content_gcd,
     enumerate_DB,
-    enumerate_LE,
     associated,
     inverse_times_det,
-    is_LE,
-    is_LS,
-    nu_L,
     parse_mat2,
-    transpose,
     xi,
 )
 from raneycf.surds import apply_mobius, cf_from_surd, parse_cf, per, surd_from_cf
@@ -39,19 +34,27 @@ from raneycf.transducer import (
     lr_repetend,
     search_max_ratio,
     transduce_cycle,
-    walk_LE,
 )
 from raneycf.words import (
     LRWord,
     _feed_run,
     _peel,
     mu,
-    parse_word,
     sigma,
     sigma_c,
     star,
     tau_kappa,
+)
+from references import (
+    enumerate_LE,
+    is_LE,
+    is_LS,
+    nu_L,
+    parse_word,
+    s_n_via_transducer,
+    transpose,
     transpose_word,
+    walk_LE,
 )
 from test_transducer import _Out, _mul
 

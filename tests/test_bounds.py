@@ -12,12 +12,12 @@ from raneycf.bounds import (
     prime_sharp_bound,
     s_n_closed_form,
     s_n_total,
-    s_n_via_transducer,
 )
 from raneycf.cli import _same_cycle
-from raneycf.matrices import Mat2, det, inverse_times_det, primitive_part
+from raneycf.matrices import Mat2, det, inverse_times_det
 from raneycf.surds import PeriodicCF, apply_mobius, cf_from_surd, parse_cf, per, surd_from_cf
 from raneycf.transducer import image_repetend
+from references import primitive_part, s_n_via_transducer
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 

@@ -18,23 +18,16 @@ from raneycf.matrices import (
     content_gcd,
     det,
     enumerate_DB,
-    enumerate_LE,
     format_mat2,
     in_D,
     in_DB,
     in_RB,
     inverse_times_det,
-    is_LE,
-    is_LS,
-    is_RE,
-    nu_L,
-    nu_R,
     parse_mat2,
-    primitive_part,
-    transpose,
     xi,
 )
 from raneycf.surds import PeriodicCF, QuadraticSurd, surd
+from references import enumerate_LE, is_LE, is_LS, is_RE, nu_L, nu_R, primitive_part, transpose
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 

@@ -22,8 +22,6 @@ from raneycf.matrices import (
     in_D,
     in_DB,
     in_RB,
-    nu_R,
-    primitive_part,
     xi,
 )
 from raneycf.surds import PeriodicCF, _primitive_period, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
@@ -41,7 +39,6 @@ from raneycf.transducer import (
     reduce_to_DB,
     search_max_ratio,
     transduce_cycle,
-    walk_LE,
 )
 from raneycf.words import (
     L,
@@ -50,15 +47,14 @@ from raneycf.words import (
     _cyclic_runs,
     _feed_run,
     _peel,
-    boundary_conjugates,
     mu,
-    parse_word,
     rotate,
     sigma,
     star,
     star_letter,
     word_of_matrix,
 )
+from references import boundary_conjugates, nu_R, parse_word, primitive_part, walk_LE
 from test_words import _brute_root
 
 A2 = Mat2(2, 0, 0, 1)
@@ -1302,7 +1298,8 @@ def test_walk_LE_examples():
 def test_walk_LE_shape():
     rng = random.Random(3)
     for n in range(2, 13):
-        from raneycf.matrices import content_gcd, enumerate_LE, is_RE, nu_L
+        from raneycf.matrices import content_gcd
+        from references import enumerate_LE, is_RE, nu_L
 
         for m in sorted(enumerate_LE(n)):
             if content_gcd(m) != 1:

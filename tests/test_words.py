@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raneycf.matrices import IDENTITY, J_MAT, Mat2, transpose
+from raneycf.matrices import IDENTITY, J_MAT, Mat2
 from raneycf.words import (
     EPSILON,
     L,
@@ -14,7 +14,6 @@ from raneycf.words import (
     format_word,
     kappa,
     mu,
-    parse_word,
     primitive_root,
     rotate,
     sigma,
@@ -22,9 +21,9 @@ from raneycf.words import (
     star,
     star_letter,
     tau_kappa,
-    transpose_word,
     word_of_matrix,
 )
+from references import parse_word, transpose, transpose_word
 
 
 def words(max_runs=8, max_exp=6):
