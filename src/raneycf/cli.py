@@ -236,11 +236,11 @@ def cmd_verify(
     jobs = min(jobs, os.cpu_count() or 1)
     tasks = ((n, seed, i, max_period, max_quotient) for i in range(samples))
     failures = []
-    tick = max(1, samples // 10)
     for i, record in enumerate(_trials(tasks, jobs), 1):
         if record is not None:
             failures.append(record)
-        if i % tick == 0:
+        # A line where i * 10 // samples steps: min(10, samples) lines, the last at samples.
+        if i * 10 % samples < 10:
             print(f"verify n={n}: {i}/{samples}", file=sys.stderr)
     report = {
         "n": n,
@@ -293,7 +293,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="max period ratio over start states and rotations")
     s.add_argument("n", type=int)
-    s.add_argument("--cf", required=True)
+    s.add_argument(
+        "--cf",
+        required=True,
+        help='continued fraction "[p0,...;r0,...]"; only the repetend of its normal form is read',
+    )
     s.add_argument("--format", choices=["text", "json"], default="text")
     return p
 

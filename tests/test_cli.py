@@ -298,15 +298,18 @@ def test_verify_accepts_n_1_and_rejects_n_0(capsys):
 
 
 def test_verify_parallel_matches_serial(capsys):
-    _, serial, serial_err = run(capsys, "verify", "4", "--samples", "32", "--seed", "7")
-    _, parallel, parallel_err = run(
-        capsys, "verify", "4", "--samples", "32", "--seed", "7", "--jobs", "2"
-    )
-    a, b = json.loads(serial), json.loads(parallel)
-    a.pop("elapsed"), b.pop("elapsed")
-    assert a == b
-    progress = [f"verify n=4: {i}/32" for i in range(3, 33, 3)]
-    assert serial_err.splitlines() == parallel_err.splitlines() == progress
+    """Same report under --jobs; progress lines where i * 10 // samples
+    steps, so the last one reads samples/samples."""
+    for samples, ticks in ((32, (4, 7, 10, 13, 16, 20, 23, 26, 29, 32)),
+                           (25, (3, 5, 8, 10, 13, 15, 18, 20, 23, 25))):
+        argv = ("verify", "4", "--samples", str(samples), "--seed", "7")
+        _, serial, serial_err = run(capsys, *argv)
+        _, parallel, parallel_err = run(capsys, *argv, "--jobs", "2")
+        a, b = json.loads(serial), json.loads(parallel)
+        a.pop("elapsed"), b.pop("elapsed")
+        assert a == b
+        progress = [f"verify n=4: {i}/{samples}" for i in ticks]
+        assert serial_err.splitlines() == parallel_err.splitlines() == progress
 
 
 def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
@@ -489,6 +492,23 @@ def test_search_small(capsys):
     num, _, den = doc["best_ratio"].partition("/")
     assert int(num) <= 5 * int(den or 1)
     assert set(doc) == {"best_ratio", "witness_state", "witness_offset"}
+
+
+def test_search_reads_only_the_normal_forms_repetend(capsys):
+    """parse_cf rolls [3;1,2,3] back to [;3,1,2], and search reads only
+    the repetend of that normal form: a preperiod that does not roll back
+    changes nothing, and a rotated repetend may change the witness."""
+
+    def report(n, cf):
+        code, out, _ = run(capsys, "search", str(n), "--cf", cf, "--format", "json")
+        assert code == 0
+        return out
+
+    assert report(5, "[-4,7,1;2,3]") == report(5, "[;2,3]")
+    assert report(9, "[3;1,2,3]") == report(9, "[;3,1,2]")
+    rolled, plain = json.loads(report(9, "[3;1,2,3]")), json.loads(report(9, "[;1,2,3]"))
+    assert rolled["best_ratio"] == plain["best_ratio"] == "14/3"
+    assert (rolled["witness_state"], plain["witness_state"]) == ("1,0,0,9", "2,1,1,5")
 
 
 # -- the repetend gate --------------------------------------------------------------

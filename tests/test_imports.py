@@ -49,3 +49,20 @@ def test_src_imports_nothing_from_tests():
     for path in paths:
         roots = {name.split(".")[0] for name in _imports(path) if not name.startswith(".")}
         assert not roots & test_modules, (path.name, roots & test_modules)
+
+
+def test_the_package_root_is_its_docstring_alone():
+    """Each name has one import path, the module that defines it: the root
+    re-exports nothing and holds no statement past its docstring."""
+    root = ast.parse((SRC / "__init__.py").read_text())
+    assert len(root.body) == 1 and ast.get_docstring(root)
+
+
+def test_only_the_cli_imports_report_formats():
+    """The library computes and the CLI writes: json, csv and io are
+    imported by cli alone."""
+    writers = {
+        path.stem for path in SRC.glob("*.py")
+        if {name.split(".")[0] for name in _imports(path)} & {"json", "csv", "io"}
+    }
+    assert writers == {"cli"}
