@@ -112,7 +112,7 @@ def _check_db(t):
     keeps the content of its start, and each walk settles it once where it
     enters: transduce_cycle's in_RB(start) and factorize_to_DB's in_D check
     it (as the tests' LE walks check theirs, tests/references.py's walk_LE
-    with is_LE), and the search's starts (_primitive_forms,
+    with is_LE), and the search's starts (_primitive_forms, _iter_DB,
     _enumerate_DB) and the transform's (transducer._hermite_start) are
     built with content 1.  The determinant is kept for the same reason;
     absorbing only adds to entries, and the peel's quotients keep them
@@ -214,6 +214,59 @@ def _enumerate_DB(n: int) -> tuple[tuple[int, int, int, int], ...]:
                 b += step
     found.sort()
     return tuple(found)
+
+
+def _iter_DB(n: int):
+    """The entries (a, b, c, d) of DB_n in _enumerate_DB's sorted order,
+    read lazily while that is cheap, then off _enumerate_DB's tuple: for a
+    reader that usually stops within the first few states.
+
+    The order.  Balance gives c <= a - 1 and b <= d - 1, so
+    n = ad - bc >= ad - (a - 1)(d - 1) = a + d - 1 >= a, as d > b >= 0.  The
+    column balance a > b and the row balance a > c put b and c in range(a).
+    Given (a, b, c), d = (n + bc) / a is determined, a state exactly when
+    the division is exact, d > b, d > c and gcd(a, b, c, d) = 1.  So
+    walking a from 1 to n, then b, then c, each ascending, and keeping
+    those, yields all of DB_n, and in tuple order, since d never breaks a
+    tie.  For one row (a, b), a | n + bc reads bc = -n mod a: with
+    g = gcd(a, b) it has no solution unless g | n, and then g in
+    range(a), c = c0 mod a/g for c0 = -(n/g) (b/g)^-1 mod a/g.  The content
+    is gcd(g, c, d).
+
+    The budget.  A row costs one unit, and each of a solvable row's g
+    candidates one more; before each row the walk checks that fewer than
+    n L units, L = n.bit_length(), are spent.  A row adds at most
+    1 + g <= 1 + a <= n + 1, so the lazy part stops after at most
+    n L + n + 1 units, each O(1) operations on numbers below n + n^2, and
+    one modular inverse per row: O(n log n) steps, the order of
+    _enumerate_DB's own cost, which it then pays once.  It stops between
+    rows, so it has yielded the first k states of the tuple: every state of
+    an earlier row, in order, and none of a later one, whose states all
+    sort after them.  The tuple from index k on is the rest, and no state
+    is yielded twice.  The rows run by a, and at n = 2^18 the budget reaches
+    a = 2,120, 378,366 of DB_n's 392,449 states, in about the time of the
+    full build.
+    """
+    budget = n * n.bit_length()
+    k = 0
+    for a in range(1, n + 1):
+        for b in range(a):
+            if budget <= 0:
+                yield from _enumerate_DB(n)[k:]
+                return
+            budget -= 1
+            g = gcd(a, b)
+            if n % g:
+                continue
+            budget -= g
+            step = a // g
+            c = -(n // g) * pow(b // g, -1, step) % step
+            while c < a:
+                d = (n + b * c) // a
+                if d > b and d > c and (g == 1 or gcd(g, c, d) == 1):
+                    k += 1
+                    yield a, b, c, d
+                c += step
 
 
 def enumerate_DB(n: int) -> set[Mat2]:

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from raneycf import matrices
 from raneycf.matrices import (
     IDENTITY,
     L_MAT,
@@ -14,6 +15,7 @@ from raneycf.matrices import (
     _check_db,
     _divisors,
     _enumerate_DB,
+    _iter_DB,
     associated,
     content_gcd,
     det,
@@ -242,6 +244,45 @@ def _doubly_balanced_up_to(top):
 def test_enumerate_DB_matches_every_matrix_up_to_300():
     for n, states in _doubly_balanced_up_to(300).items():
         assert _enumerate_DB(n) == states, n
+
+
+def _lazy_cut(n, monkeypatch):
+    """(every state _iter_DB(n) yields, the number it had yielded when it
+    fell back to _enumerate_DB's tuple, or None when it read all of DB_n
+    lazily)."""
+    yielded, cuts = [], []
+
+    def recording(m):
+        cuts.append(len(yielded))
+        return _enumerate_DB(m)
+
+    monkeypatch.setattr(matrices, "_enumerate_DB", recording)
+    yielded.extend(_iter_DB(n))
+    monkeypatch.undo()
+    assert len(cuts) <= 1, cuts
+    return tuple(yielded), (cuts[0] if cuts else None)
+
+
+def test_iter_DB_is_enumerate_DB_in_order_up_to_300(monkeypatch):
+    """_iter_DB yields DB_n in _enumerate_DB's order; its lazy walk reads at
+    least three quarters of it before the budget runs out, and all of DB_1."""
+    for n, states in _doubly_balanced_up_to(300).items():
+        yielded, k = _lazy_cut(n, monkeypatch)
+        assert yielded == _enumerate_DB(n) == states, n
+        assert (k is None) == (n == 1), (n, k)
+        assert k is None or 4 * k >= 3 * len(states), (n, k, len(states))
+
+
+@pytest.mark.parametrize("n", [15, 20, 72, 2310, 4096])
+def test_iter_DB_resumes_the_tuple_where_its_budget_cuts_an_a(n, monkeypatch):
+    """At these n the budget runs out inside the states of one a: the lazy
+    walk has yielded the tuple's first k states, and the rest of the tuple,
+    from k on, completes it."""
+    yielded, k = _lazy_cut(n, monkeypatch)
+    states = _enumerate_DB(n)
+    assert 0 < k < len(states) and states[k - 1][0] == states[k][0], (k, len(states))
+    assert yielded[:k] == states[:k]  # the lazy walk's
+    assert yielded[k:] == states[k:]  # the tuple's
 
 
 def _pair_loop_enumerate_DB(n):

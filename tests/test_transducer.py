@@ -1991,6 +1991,66 @@ def test_search_pinned_witnesses(n, text, expected):
     assert search_max_ratio(n, parse_cf(text)) == expected
 
 
+@pytest.mark.parametrize(
+    "n, text, expected, falls_back",
+    [
+        # deep in DB_n, inside the lazy walk's budget
+        (45, "[;10,347,335]", (Fraction(80, 3), Mat2(9, 6, 3, 7), 0), False),
+        (35, "[;242,3,469,28]", (Fraction(8), Mat2(11, 3, 3, 4), 0), False),
+        (14, "[;472,26]", (Fraction(16), Mat2(5, 1, 1, 3), 0), False),
+        # past it: the scan reads them off _enumerate_DB's tuple; the first
+        # is the tuple's first state after the cut, the last its last
+        (21, "[;2,1,419,3]", (Fraction(4), Mat2(11, 1, 1, 2), 0), True),
+        (60, "[;357,461,4,4]", (Fraction(10), Mat2(20, 2, 0, 3), 0), True),
+        (10, "[;2,1,256,253]", (Fraction(9, 2), Mat2(10, 0, 0, 1), 0), True),
+    ],
+)
+def test_search_offset_0_witness_deep_in_DB_n(n, text, expected, falls_back, monkeypatch):
+    """Offset-0 witnesses late in DB_n's order.  The scan reads the starts
+    through _iter_DB, which builds _enumerate_DB's tuple once its budget
+    runs out and resumes it where it stopped; the search's own read of the
+    tuple, for the later offsets (transducer._enumerate_DB), never comes."""
+    import raneycf.matrices as matrices
+    import raneycf.transducer as transducer
+
+    cf = parse_cf(text)
+    assert _reference_search_max_ratio(n, cf) == expected
+    builds = []
+
+    def counting(m):
+        builds.append(m)
+        return _enumerate_DB(m)
+
+    def later_offsets(m):
+        raise AssertionError("the scan got past offset 0")
+
+    monkeypatch.setattr(matrices, "_enumerate_DB", counting)
+    monkeypatch.setattr(transducer, "_enumerate_DB", later_offsets)
+    assert search_max_ratio(n, cf) == expected
+    assert builds == ([n] if falls_back else [])
+
+
+@pytest.mark.parametrize(
+    "n, text, expected",
+    [
+        (16384, "[;1,2]", (Fraction(4532), Mat2(3, 2, 1, 5462), 0)),
+        (4096, "[;1,2]", (Fraction(1136), Mat2(1, 0, 0, 4096), 0)),
+    ],
+)
+def test_search_early_offset_0_witness_builds_no_DB_n(n, text, expected, monkeypatch):
+    """CI's pinned searches at these n find their witness among the first
+    states of the lazy walk, and never build DB_n."""
+    import raneycf.matrices as matrices
+    import raneycf.transducer as transducer
+
+    def build(m):
+        raise AssertionError(f"DB_{m} built")
+
+    monkeypatch.setattr(matrices, "_enumerate_DB", build)
+    monkeypatch.setattr(transducer, "_enumerate_DB", build)
+    assert search_max_ratio(n, parse_cf(text)) == expected
+
+
 def test_search_rejects_n_below_1():
     with pytest.raises(ValueError, match="n must be >= 1"):
         search_max_ratio(0, parse_cf("[;3]"))
