@@ -32,10 +32,10 @@ is, and reads the run-0 keys of its cycle off the kernel's recorded
 states, associates included, one kernel call per key cycle of the block
 step.  Its witness scan reads run 0's starts first, in DB_n's sorted
 order, computing each one's form only when it gets there; the starts
-come from matrices._iter_DB, a lazy walk of DB_n in that order that
-switches to _enumerate_DB's tuple where it stops, once it has cost about
-as much as building the tuple, so a scan that stops early builds no
-DB_n.  Then it reads one window per run of the one
+come from matrices._iter_DB, the one enumerator of DB_n, which walks it
+in that order in O(n log n) rows, so a scan that stops early reads only
+the rows up to its witness, and the search builds no DB_n.  Then it
+reads one window per run of the one
 period, up to the next run's first offset, and steps the periods from
 run to run by key steps alone, with no step table of its own.  Neither
 reader reads past one period: lr_repetend's doubled word is left to
@@ -438,14 +438,12 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     the run; k = 0 is run r + 1's first offset.  At run 0's first offset
     the key of (0, s) is s's own form, so each start's form is computed
     only when the scan reaches that start, and the starts themselves come
-    from _iter_DB: DB_n in _enumerate_DB's sorted order, walked lazily by
-    a, then b, with c solved mod a, and, once that walk has spent a budget
-    of the full build's order, O(n log n), read off _enumerate_DB's tuple
-    from the index where it stopped.  The lazy walk yields exactly the
-    tuple's prefix (proved in _iter_DB), so the entry order, and with it
-    the witness, is the tuple's, and no start is read twice.  Only when no
-    start hits there are all the forms held, once each, for the later
-    offsets, beside the tuple's states.  Run r + 1's
+    from _iter_DB: DB_n in sorted order, walked by a, then b, with c solved
+    mod a, over the rows that balance leaves (proved in _iter_DB).  The
+    entry order, and with it the witness, is DB_n's sorted order, and the
+    scan keeps each start it reads with its form.  Only when no start hits
+    there has it read all of DB_n, and the later offsets read that list,
+    each form computed once.  Run r + 1's
     periods come from run r's by one key step per form, the key cycle's
     own step, built only when the scan gets past run r's first offset.
     The key _key_step(form, letter, k) is periodic in k with a period
@@ -466,16 +464,15 @@ def search_max_ratio(n: int, cf: PeriodicCF):
     The cost is one kernel call per key cycle of the block step
     (_close_cycle), with a Hermite form per recorded state, then the forms
     of the starts that run 0's first offset reads, up to its first hit,
-    and the lazy walk's rows up to that start.  DB_n is built only when
-    the lazy walk's budget runs out, or the scan gets past run 0's first
-    offset, and the walk before it costs about as much as the build.  Only
-    a scan that gets past run 0's first offset pays for every start's form,
-    psi(n) key steps and at most n |DB_n| more per run of V that it reads.
+    and _iter_DB's rows up to that start, at most 2n ln n + 3n of them for
+    the whole walk.  Only a scan that gets past run 0's first offset walks
+    all of DB_n, and pays for every start's form, psi(n) key steps and at
+    most n |DB_n| more per run of V that it reads.
     None of it depends on the size of the partial quotients.  The witness
     sits at run 0's first offset in nearly every search: in 59 of the
     benchmark's 60 search problems (seed 7), where it is the 3.5th of about
-    34 starts on average and has a <= 6, so the lazy walk reads at most 21
-    rows; the one other problem builds DB_n.
+    34 starts on average and has a <= 6, so the walk reads at most 21
+    rows; the one other problem walks all of DB_n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -490,19 +487,18 @@ def search_max_ratio(n: int, cf: PeriodicCF):
                 period_of[_hermite(*s)] = period
     best = max(period_of.values())
     ratio = Fraction(best, per(cf))
-    forms = []  # the starts' forms, each computed once when reached
+    starts = []  # (start, its form) for each start read, in entry order
     for s in _iter_DB(n):
         form = _hermite(*s)
         if period_of[form] == best:
             return ratio, Mat2(*s), 0
-        forms.append(form)
-    starts = _enumerate_DB(n)
+        starts.append((s, form))
     offset = 0
     here = period_of  # Hermite form of a node of the run scanned -> period
     for letter, e in runs:
         here = {_key_step(f, letter, e): p for f, p in here.items()}
         for k in range(e - 1, max(0, e - n) - 1, -1):
-            for s, form in zip(starts, forms):
+            for s, form in starts:
                 if here[_key_step(form, letter, k)] == best:
                     return ratio, Mat2(*s), offset + e - k
         offset += e

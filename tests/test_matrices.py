@@ -1,4 +1,5 @@
 """Matrix classes D/RB/DB, LS/LE/RE, the xi step count, enumerations."""
+import math
 import random
 import re
 from math import gcd
@@ -246,48 +247,29 @@ def test_enumerate_DB_matches_every_matrix_up_to_300():
         assert _enumerate_DB(n) == states, n
 
 
-def _lazy_cut(n, monkeypatch):
-    """(every state _iter_DB(n) yields, the number it had yielded when it
-    fell back to _enumerate_DB's tuple, or None when it read all of DB_n
-    lazily)."""
-    yielded, cuts = [], []
+def _walk_alone(n, monkeypatch):
+    """Every state _iter_DB(n) yields, with _enumerate_DB's tuple out of
+    reach: the walk must never read it."""
 
-    def recording(m):
-        cuts.append(len(yielded))
-        return _enumerate_DB(m)
+    def build(m):
+        raise AssertionError(f"_iter_DB({n}) read DB_{m}'s tuple")
 
-    monkeypatch.setattr(matrices, "_enumerate_DB", recording)
-    yielded.extend(_iter_DB(n))
+    monkeypatch.setattr(matrices, "_enumerate_DB", build)
+    yielded = tuple(_iter_DB(n))
     monkeypatch.undo()
-    assert len(cuts) <= 1, cuts
-    return tuple(yielded), (cuts[0] if cuts else None)
+    return yielded
 
 
 def test_iter_DB_is_enumerate_DB_in_order_up_to_300(monkeypatch):
-    """_iter_DB yields DB_n in _enumerate_DB's order; its lazy walk reads at
-    least three quarters of it before the budget runs out, and all of DB_1."""
+    """_iter_DB yields DB_n in _enumerate_DB's order, on its own."""
     for n, states in _doubly_balanced_up_to(300).items():
-        yielded, k = _lazy_cut(n, monkeypatch)
-        assert yielded == _enumerate_DB(n) == states, n
-        assert (k is None) == (n == 1), (n, k)
-        assert k is None or 4 * k >= 3 * len(states), (n, k, len(states))
-
-
-@pytest.mark.parametrize("n", [15, 20, 72, 2310, 4096])
-def test_iter_DB_resumes_the_tuple_where_its_budget_cuts_an_a(n, monkeypatch):
-    """At these n the budget runs out inside the states of one a: the lazy
-    walk has yielded the tuple's first k states, and the rest of the tuple,
-    from k on, completes it."""
-    yielded, k = _lazy_cut(n, monkeypatch)
-    states = _enumerate_DB(n)
-    assert 0 < k < len(states) and states[k - 1][0] == states[k][0], (k, len(states))
-    assert yielded[:k] == states[:k]  # the lazy walk's
-    assert yielded[k:] == states[k:]  # the tuple's
+        assert _walk_alone(n, monkeypatch) == _enumerate_DB(n) == states, n
 
 
 def _pair_loop_enumerate_DB(n):
     """The loop over every (a, c) with one linear congruence for b each,
-    which the (u, v) enumeration replaced: n^2 / 2 pairs."""
+    n^2 / 2 pairs, none skipped: a reference for _iter_DB's walk, which
+    reads rows (a, b) and skips those that balance rules out."""
     found = []
     for a in range(1, n + 1):
         for c in range(0, a):
@@ -306,6 +288,39 @@ def _pair_loop_enumerate_DB(n):
 @pytest.mark.parametrize("n", sorted(random.Random(0).sample(range(301, 2001), 3)))
 def test_enumerate_DB_matches_pair_loop(n):
     assert _enumerate_DB(n) == _pair_loop_enumerate_DB(n)
+
+
+@pytest.mark.parametrize("n", [15, 20, 72, 2310, 4096])
+def test_iter_DB_walks_all_of_DB_n_alone(n, monkeypatch):
+    """The walk yields all of DB_n with no tuple to fall back on: the pair
+    loop's states up to 2,310, and at 4,096, where the pair loop is too
+    slow, 6,049 strictly increasing states of DB_n."""
+    yielded = _walk_alone(n, monkeypatch)
+    if n <= 2310:
+        assert yielded == _pair_loop_enumerate_DB(n)
+    else:
+        assert len(yielded) == 6049
+        assert all(s < t for s, t in zip(yielded, yielded[1:]))
+        assert all(in_DB(Mat2(*s), n) for s in yielded)
+
+
+@pytest.mark.parametrize("n", [4096, 5040, 65520])
+def test_iter_DB_reads_at_most_2n_ln_n_plus_3n_rows(n, monkeypatch):
+    """Each row (a, b) the walk reads costs one two-argument gcd(a, b), and
+    the balance bound proved in _iter_DB caps the rows at 2n ln n + 3n
+    (5040 and 65520 are highly composite, with the most candidates per
+    row)."""
+    rows = 0
+
+    def counting(*args):
+        nonlocal rows
+        rows += len(args) == 2
+        return gcd(*args)
+
+    monkeypatch.setattr(matrices, "gcd", counting)
+    for _ in _iter_DB(n):
+        pass
+    assert 0 < rows <= 2 * n * math.log(n) + 3 * n, rows
 
 
 @pytest.mark.parametrize("n", [2310, 4096, 16384])
