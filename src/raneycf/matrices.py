@@ -3,8 +3,8 @@
 Matrices are row-major [[a,b],[c,d]].  The class predicates (D_n, RB_n,
 DB_n) follow Raney's definitions: determinant n, nonnegative entries,
 content 1, plus row/column balance inequalities.  The LE and RE classes,
-which only the walk side of S_n reads, are test references
-(tests/references.py).
+which only the walk side of S_n reads, and the associate J M J are test
+references (tests/references.py).
 """
 from __future__ import annotations
 
@@ -50,11 +50,6 @@ def content_gcd(m: Mat2) -> int:
 def inverse_times_det(m: Mat2) -> Mat2:
     """Adjugate: m * inverse_times_det(m) = det(m) * identity."""
     return Mat2(m.d, -m.b, -m.c, m.a)
-
-
-def associated(m: Mat2) -> Mat2:
-    """The associated matrix M* = J M J (swap a<->d, b<->c)."""
-    return Mat2(m.d, m.c, m.b, m.a)
 
 
 def xi(a: int, c: int) -> int:
@@ -111,11 +106,11 @@ def _check_db(t):
     are integer combinations of those of t, so content(t) divides
     content(U t V), and t = U^-1 (U t V) V^-1 gives the converse.  So a walk
     keeps the content of its start, and each walk settles it once where it
-    enters: transduce_cycle's in_RB(start) and factorize_to_DB's in_D check
-    it (as the tests' LE walks check theirs, tests/references.py's walk_LE
-    with is_LE), and the search's starts (_primitive_forms, and _iter_DB,
-    which _enumerate_DB's memo reads whole) and the transform's
-    (transducer._hermite_start) are built with content 1.  The determinant is kept for the same reason;
+    enters: transduce_cycle's in_RB(start) checks it (as the tests' LE
+    walks check theirs, tests/references.py's walk_LE with is_LE), and the
+    search's starts (_primitive_forms, and _iter_DB, which _enumerate_DB's
+    memo reads whole) and the transform's (transducer._hermite_start) are
+    built with content 1.  The determinant is kept for the same reason;
     absorbing only adds to entries, and the peel's quotients keep them
     nonnegative.  So n = det(t), computed only on the way to raising, is
     the det of the walk's start, and no caller passes it.

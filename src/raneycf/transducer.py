@@ -44,11 +44,14 @@ _enter, reduce_to_DB and transduce_cycle.  The explicit edge table
 checks, and is built through the same kernel one letter at a time; the
 module writes no report format, and cli.cmd_transducer renders the
 table as text, CSV, DOT or JSON.
-The independent references are in the tests: _reference_feed_run, one
+The independent references are in tests/references.py, each with a
+note on why it does not lean on what it checks: _reference_feed_run, one
 call per escape step, _reference_close_cycle, one kernel call per block,
-and test_9's letter-by-letter edge walk.  The LE walks behind the walk
-side of S_n (walk_LE) feed the same kernel one letter at a time from
-tests/references.py; no command reads them.
+_reference_search_max_ratio, a scan over every (offset, state) pair, and
+_reference_key_cycle, the one walk of search keys; test_9_lemma_suites
+walks every edge letter by letter.  The LE walks behind the walk side of
+S_n (walk_LE) feed the same kernel one letter at a time from there too;
+no command reads them.
 """
 from __future__ import annotations
 
@@ -58,14 +61,11 @@ from math import gcd
 
 from .matrices import (
     Mat2,
-    _balanced,
     _enumerate_DB,
     _hermite,
     _iter_DB,
     _primitive_forms,
     det,
-    in_D,
-    in_DB,
     in_RB,
 )
 from .surds import PeriodicCF, _primitive_period, per
@@ -76,7 +76,6 @@ from .words import (
     _Out,
     _cyclic_runs,
     _feed_run,
-    _peel,
 )
 
 # ---------------------------------------------------------------------------
@@ -96,24 +95,6 @@ class Transducer:
     n: int
     states: frozenset[Mat2]
     edges: tuple[TransducerEdge, ...]
-
-
-def factorize_to_DB(p: Mat2, n: int) -> tuple[LRWord, Mat2]:
-    """Unique factorization p = mu(w) * k with w nonempty and k in DB_n.
-
-    The maximal peel leaves the one row-balanced k with p = mu(w) * k; a p
-    in D_n whose k is not column balanced as well, such as (1, 1, 1, 3)
-    with k = (1, 1, 0, 2), has no such factorization, and is a ValueError
-    that names k."""
-    if not in_D(p, n):
-        raise ValueError(f"{p!r} is not in D_{n}")
-    if _balanced(p):
-        raise ValueError(f"{p!r} is row balanced; the peeled word would be empty")
-    out = _Out()
-    k = Mat2(*_peel(p, out))
-    if not in_DB(k, n):
-        raise ValueError(f"{p!r} peels onto {k!r}, which is not in DB_{n}")
-    return out.word(), k
 
 
 def build_transducer(n: int) -> Transducer:

@@ -3,58 +3,36 @@
 An LRWord stores runs ((letter, exponent), ...) with adjacent letters
 distinct and exponents >= 1 (arbitrary precision — exponents in the tens
 of thousands occur routinely, so nothing here ever expands a word into
-individual letters unless the caller asks for it).
+individual letters).
 
 The package's one escape kernel lives here too: _feed_run takes a state,
 a Mat2 or any entry tuple (a, b, c, d) that equals one, absorbs each
 input run whole on the right and then peels maximal output runs off the
-left, once, and _peel is that kernel with nothing to absorb.  The state
-carries its own determinant, so no n is passed along.  Given a dict of block-boundary states, it also
-feeds a block of runs again and again until a boundary state repeats,
-which closes a periodic walk in one call; starred, it reads every other
-pass as the block's star through the state's associate, which closes a
-walk over V star(V) on passes of V.  It sits below the transducer
-in the import graph, so word_of_matrix and the transducer share it.  Its
-output goes to an _Out, which stores only the exponents of the output's
-runs: merged runs alternate in letter, so run i is an L-run for even i
-and an R-run for odd i, and a peel either adds to the last exponent or
-appends one.  Letters come back from the parity of the index when an
-LRWord is cut out between two snaps (_Out.word).
+left, once; fed no runs, it is a plain peel.  The state carries its own
+determinant, so no n is passed along.  Given a dict of block-boundary
+states, it also feeds a block of runs again and again until a boundary
+state repeats, which closes a periodic walk in one call; starred, it
+reads every other pass as the block's star through the state's
+associate, which closes a walk over V star(V) on passes of V.  It sits
+below the transducer in the import graph: build_transducer and the
+transform's and the search's walks call it, as do the tests' references
+(tests/references.py).  Its output goes to an _Out, which stores only
+the exponents of the output's runs: merged runs alternate in letter, so
+run i is an L-run for even i and an R-run for odd i, and a peel either
+adds to the last exponent or appends one.  Letters come back from the
+parity of the index when an LRWord is cut out between two snaps
+(_Out.word).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import cycle
 
-from .matrices import IDENTITY, Mat2, _check_db, in_D
+from .matrices import IDENTITY, Mat2, _check_db
 from .surds import _primitive_period
 
 L = "L"
 R = "R"
-
-
-def star_letter(letter: str) -> str:
-    if letter == L:
-        return R
-    if letter == R:
-        return L
-    raise ValueError(f"not a letter: {letter!r}")
-
-
-def _canonical(runs) -> tuple[tuple[str, int], ...]:
-    out: list[list] = []
-    for letter, exp in runs:
-        if letter not in (L, R):
-            raise ValueError(f"not a letter: {letter!r}")
-        if exp < 0:
-            raise ValueError("negative run exponent")
-        if exp == 0:
-            continue
-        if out and out[-1][0] == letter:
-            out[-1][1] += exp
-        else:
-            out.append([letter, exp])
-    return tuple((l, e) for l, e in out)
 
 
 def _cyclic_runs(runs):
@@ -69,28 +47,15 @@ def _cyclic_runs(runs):
 @dataclass(frozen=True)
 class LRWord:
     """A word as its runs, trusted as given: letters L and R, exponents >= 1,
-    adjacent letters distinct.  from_runs and from_letters build it."""
+    adjacent letters distinct."""
 
     runs: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def from_runs(cls, runs) -> "LRWord":
-        """The canonical word of any runs: _canonical rejects bad letters and
-        negative exponents, drops zeros and merges equal neighbours."""
-        return cls(_canonical(runs))
-
-    @classmethod
-    def from_letters(cls, letters) -> "LRWord":
-        return cls(_canonical((l, 1) for l in letters))
 
     def __len__(self) -> int:
         return sum(e for _, e in self.runs)
 
     def __bool__(self) -> bool:
         return bool(self.runs)
-
-    def __add__(self, other: "LRWord") -> "LRWord":
-        return LRWord.from_runs(self.runs + other.runs)
 
     def __pow__(self, k: int) -> "LRWord":
         if k < 0:
@@ -103,16 +68,6 @@ class LRWord:
         # the last and first runs of adjacent copies merge at each seam
         return LRWord(runs[:-1] + _cyclic_runs(runs) * (k - 1) + runs[-1:])
 
-    def __str__(self) -> str:
-        return format_word(self)
-
-    def letters(self):
-        for letter, exp in self.runs:
-            for _ in range(exp):
-                yield letter
-
-
-EPSILON = LRWord(())
 
 def format_word(word: LRWord) -> str:
     if not word.runs:
@@ -132,36 +87,6 @@ def mu(word: LRWord) -> Mat2:
     for letter, exp in word.runs:
         m = m * _mu_run(letter, exp)
     return m
-
-
-def word_of_matrix(m: Mat2) -> LRWord:
-    """Inverse of mu on D_1: greedy left-peeling of maximal L/R runs.
-
-    The peel ends at the identity: a balanced nonnegative matrix has
-    a >= c + 1 and d >= b + 1, so det 1 = ad - bc >= b + c + 1 forces
-    b = c = 0 and a = d = 1.
-    """
-    if not in_D(m, 1):  # det 1 gives content 1
-        raise ValueError(f"{m!r} is not a nonnegative matrix of determinant 1")
-    out = _Out()
-    _peel(m, out)
-    return out.word()
-
-
-def sigma(word: LRWord) -> int:
-    return len(word.runs)
-
-
-def sigma_c(word: LRWord) -> int:
-    """Minimum of sigma over all conjugates; equals 2*floor(sigma/2)."""
-    if not word:
-        raise ValueError("sigma_c of the empty word")
-    return 2 * (sigma(word) // 2)
-
-
-def star(word: LRWord) -> LRWord:
-    # swapping the letters of a canonical word leaves it canonical
-    return LRWord(tuple((star_letter(l), e) for l, e in word.runs))
 
 
 def rotate(word: LRWord, k: int) -> LRWord:
@@ -314,7 +239,7 @@ def _feed_run(t, runs, out, boundary=None, starred=False):
     maximal L/R runs off the left until the state is balanced.  t needs
     det(t) > 0 and nonnegative entries.  An unbalanced t is fed the empty
     run (None, 0) first, whose peel is not checked, so runs = () is a plain
-    peel (_peel).  Every state of the walk keeps det(t) (see "The peel"),
+    peel.  Every state of the walk keeps det(t) (see "The peel"),
     so DB_n below is for n = det(t), and no caller passes n.
 
     The cycle.  Given a dict `boundary`, empty, the kernel feeds the tuple
@@ -470,10 +395,3 @@ def _feed_run(t, runs, out, boundary=None, starred=False):
         if first is not visit:
             return t, blocks - first[0], first[1:]
         block = runs
-
-
-def _peel(t, out):
-    """Peel maximal L/R runs off the left of t until the remainder is
-    balanced, merging them into out.counts: the kernel with no letters to
-    absorb."""
-    return _feed_run(t, (), out)

@@ -22,8 +22,6 @@ from raneycf.matrices import (
     _enumerate_DB,
     content_gcd,
     enumerate_DB,
-    associated,
-    inverse_times_det,
     parse_mat2,
     xi,
 )
@@ -35,28 +33,26 @@ from raneycf.transducer import (
     search_max_ratio,
     transduce_cycle,
 )
-from raneycf.words import (
-    LRWord,
-    _feed_run,
-    _peel,
-    mu,
-    sigma,
-    sigma_c,
-    star,
-    tau_kappa,
-)
+from raneycf.words import _feed_run, format_word, mu, tau_kappa
 from references import (
+    _Out,
+    _mul,
+    associated,
     enumerate_LE,
     is_LE,
     is_LS,
+    letters_of,
     nu_L,
-    parse_word,
+    oracle_witness_period,
     s_n_via_transducer,
+    sigma,
+    sigma_c,
+    star,
     transpose,
     transpose_word,
     walk_LE,
+    word_from_runs,
 )
-from test_transducer import _Out, _mul
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -110,7 +106,7 @@ def test_3_golden_transducers():
     with stopwatch(1):
         for n, golden in ((2, t2_golden), (3, t3_golden)):
             t = build_transducer(n)
-            edges = {(e.src, str(e.input), str(e.output), e.dst) for e in t.edges}
+            edges = {(e.src, format_word(e.input), format_word(e.output), e.dst) for e in t.edges}
             assert edges == golden
 
 
@@ -134,22 +130,6 @@ def test_6_oracle_equivalence_and_sandwich():
             for idx in range(1000):
                 failure = run_trial((n, 20260824, idx, 8, 50))
                 assert failure is None, failure
-
-
-def oracle_witness_period(cf, state, offset):
-    """per of the witness's image by the surd oracle: rotate the input by
-    `offset` letters via its unimodular prefix, built from the runs, apply
-    the witness state as a Moebius map, and expand exactly."""
-    x = surd_from_cf(cf)
-    prefix = []
-    for letter, e in lr_repetend(cf).runs:
-        if offset <= 0:
-            break
-        prefix.append((letter, min(e, offset)))
-        offset -= e
-    if prefix:
-        x = apply_mobius(inverse_times_det(mu(LRWord.from_runs(prefix))), x)
-    return per(cf_from_surd(apply_mobius(state, x)))
 
 
 def test_7_sharpness_witnesses():
@@ -183,7 +163,7 @@ def _l_completions(m, max_letters):
     for k in range(1, max_letters + 1):
         cur = _mul(cur, "L", 1)
         if not _balanced(cur):
-            cur = _peel(cur, _Out())
+            cur = _feed_run(cur, (), _Out())
             _check_db(cur)
             out.append((k, Mat2(*cur)))
     return out
@@ -200,7 +180,7 @@ def test_9_lemma_suites():
             for src, vin, vout, dst in edge_set:
                 assert src * mu(vin) == mu(vout) * dst
                 cur = src
-                letters = list(vin.letters())
+                letters = list(letters_of(vin))
                 for letter in letters[:-1]:
                     cur = _mul(cur, letter, 1)
                     assert _balanced(cur)
@@ -215,7 +195,7 @@ def test_9_lemma_suites():
                 lens = sorted(len(v) for v in ins)
                 ell = lens[-1]
                 assert lens == list(range(1, ell)) + [ell, ell], (n, src, lens)
-                strs = ["".join(v.letters()) for v in ins]
+                strs = ["".join(letters_of(v)) for v in ins]
                 assert not any(
                     i != j and s2.startswith(s)
                     for i, s in enumerate(strs)
@@ -249,8 +229,8 @@ def test_9_lemma_suites():
             short = [r[:] for r in runs]
             next(r for r in short if r[1] >= 4 * n)[1] -= n
             o1, o2 = _Out(), _Out()
-            e1 = _feed_run(start, LRWord.from_runs(runs).runs, o1)
-            e2 = _feed_run(start, LRWord.from_runs(short).runs, o2)
+            e1 = _feed_run(start, word_from_runs(runs).runs, o1)
+            e2 = _feed_run(start, word_from_runs(short).runs, o2)
             assert e1 == e2 and len(o1.runs) == len(o2.runs)
             if o1.runs:
                 assert o1.runs[0][0] == o2.runs[0][0]
@@ -261,7 +241,7 @@ def test_9_lemma_suites():
             n = rng.randint(1, 5)
             seeds = sorted(enumerate_DB(n))
             first = rng.choice("LR")
-            rep = LRWord.from_runs(
+            rep = word_from_runs(
                 (first if i % 2 == 0 else ("R" if first == "L" else "L"),
                  rng.randint(1, 4))
                 for i in range(rng.randint(2, 4))

@@ -17,7 +17,7 @@ from raneycf.cli import _same_cycle
 from raneycf.matrices import Mat2, det, inverse_times_det
 from raneycf.surds import PeriodicCF, apply_mobius, cf_from_surd, parse_cf, per, surd_from_cf
 from raneycf.transducer import image_repetend
-from references import primitive_part, s_n_via_transducer
+from references import _euclid_steps, _reference_check_bound, primitive_part, s_n_via_transducer
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -114,16 +114,6 @@ def test_check_bound_verdicts():
         check_bound(7, 0, 1)
 
 
-def _reference_check_bound(n, per_x, per_hx):
-    """check_bound with the lower edge as a comparison of Fractions."""
-    s = s_n_closed_form(n).total
-    if per_hx > s * per_x:
-        return "violates_upper"
-    if Fraction(per_hx) < Fraction(per_x, s):
-        return "violates_lower"
-    return "holds"
-
-
 @pytest.mark.parametrize("n", range(1, 51))
 def test_check_bound_matches_fraction_formula_at_the_edges(n):
     s = s_n_closed_form(n).total
@@ -192,11 +182,6 @@ def test_lower_bound_is_the_upper_bound_read_backwards():
         assert check_bound(n, per(x), per(y)) == check_bound(n, per(y), per(x)) == "holds"
         if ratio is not None:
             assert Fraction(per(y), per(x)) == ratio, (m, x)
-
-
-def _euclid_steps(a, c):
-    """Division steps of Euclid on (a, c), by recursion."""
-    return 0 if min(a, c) == 0 else 1 + _euclid_steps(min(a, c), max(a, c) % min(a, c))
 
 
 def test_s_n_terms_match_the_definition():

@@ -7,15 +7,15 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
-from math import gcd
 from pathlib import Path
 
 import pytest
 
 from raneycf import cli
 from raneycf.cli import main
-from raneycf.matrices import J_MAT, Mat2, content_gcd, det
+from raneycf.matrices import Mat2, content_gcd, det
 from raneycf.surds import apply_mobius, cf_from_surd, format_cf, parse_cf, per, surd_from_cf
+from references import _reference_random_matrix
 
 
 def run(capsys, *argv):
@@ -406,26 +406,6 @@ def test_reader_closing_the_pipe_early_is_not_an_error(argv, lines):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0, err
     assert err == ""
-
-
-def _reference_random_matrix(rng, n):
-    """_random_matrix with its divisor drawn from a full scan of 1..n, and
-    b drawn until the Hermite form [[g, b], [0, n/g]] is primitive."""
-    g = rng.choice([t for t in range(1, n + 1) if n % t == 0])
-    while True:
-        b = rng.randrange(n // g)
-        if gcd(g, b, n // g) == 1:
-            break
-    m = Mat2(g, b, 0, n // g)
-    for _ in range(rng.randint(0, 4)):
-        m = rng.choice(cli._DRESS) * m
-    for _ in range(rng.randint(0, 4)):
-        m = m * rng.choice(cli._DRESS)
-    if rng.random() < 0.5:
-        m = m * J_MAT
-    if rng.random() < 0.5:
-        m = Mat2(-m.a, -m.b, -m.c, -m.d)
-    return m
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 36, 200])

@@ -17,7 +17,6 @@ from raneycf.matrices import (
     _divisors,
     _enumerate_DB,
     _iter_DB,
-    associated,
     content_gcd,
     det,
     enumerate_DB,
@@ -30,7 +29,19 @@ from raneycf.matrices import (
     xi,
 )
 from raneycf.surds import PeriodicCF, QuadraticSurd, surd
-from references import enumerate_LE, is_LE, is_LS, is_RE, nu_L, nu_R, primitive_part, transpose
+from references import (
+    _doubly_balanced_up_to,
+    _pair_loop_enumerate_DB,
+    associated,
+    enumerate_LE,
+    is_LE,
+    is_LS,
+    is_RE,
+    nu_L,
+    nu_R,
+    primitive_part,
+    transpose,
+)
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -183,66 +194,16 @@ def test_enumerate_DB_small():
     assert len(enumerate_DB(13)) == 13
 
 
-def brute_force_DB(n):
-    out = set()
-    for a in range(1, n + 1):
-        for b in range(0, n + 1):
-            for c in range(0, n + 1):
-                for d in range(0, n + 1):
-                    m = Mat2(a, b, c, d)
-                    if det(m) == n and in_DB(m, n):
-                        out.add(m)
-    return out
-
-
 @pytest.mark.parametrize("n", range(1, 16))
 def test_enumerate_DB_matches_brute_force(n):
-    assert enumerate_DB(n) == brute_force_DB(n)
-
-
-def _reference_enumerate_DB(n):
-    """The loop over every b in 0..n that enumerate_DB's congruence solve replaced."""
-    found = []
-    for a in range(1, n + 1):
-        for c in range(0, a):
-            for b in range(0, n + 1):
-                num = n + b * c
-                if num % a:
-                    continue
-                d = num // a
-                if d > b and d > c and a > b and gcd(a, b, c, d) == 1:
-                    found.append(Mat2(a, b, c, d))
-    return tuple(sorted(found))
-
-
-def test_enumerate_DB_matches_reference_loop():
-    for n in range(1, 101):
-        assert _enumerate_DB(n) == _reference_enumerate_DB(n), n
-
-
-def _doubly_balanced_up_to(top):
-    """DB_n for every n <= top at once, sorted by entries: every nonnegative
-    doubly balanced (a, b, c, d) with ad - bc <= top and content 1.
-
-    For fixed a and c, the least determinant over d > max(b, c) grows as b
-    moves away from c in either direction, so each b loop stops at the
-    first b past the top."""
-    found = {n: [] for n in range(1, top + 1)}
-    for a in range(1, top + 1):
-        for c in range(a):
-            for bs in (range(c, a), range(c - 1, -1, -1)):
-                for b in bs:
-                    d = max(b, c) + 1
-                    n = a * d - b * c
-                    if n > top:
-                        break
-                    for d in range(d, d + (top - n) // a + 1):
-                        if gcd(a, b, c, d) == 1:
-                            found[a * d - b * c].append(Mat2(a, b, c, d))
-    return {n: tuple(sorted(ms)) for n, ms in found.items()}
+    """The public set against the sweep over every doubly balanced matrix
+    of det up to 300 (tests/references.py)."""
+    assert enumerate_DB(n) == set(_doubly_balanced_up_to(300)[n])
 
 
 def test_enumerate_DB_matches_every_matrix_up_to_300():
+    """_enumerate_DB's sorted tuple is the sweep's for every n <= 300 (the
+    sweep is built once and shared by the tests that read it)."""
     for n, states in _doubly_balanced_up_to(300).items():
         assert _enumerate_DB(n) == states, n
 
@@ -266,25 +227,6 @@ def test_iter_DB_is_enumerate_DB_in_order_up_to_300(monkeypatch):
         assert _walk_alone(n, monkeypatch) == _enumerate_DB(n) == states, n
 
 
-def _pair_loop_enumerate_DB(n):
-    """The loop over every (a, c) with one linear congruence for b each,
-    n^2 / 2 pairs, none skipped: a reference for _iter_DB's walk, which
-    reads rows (a, b) and skips those that balance rules out."""
-    found = []
-    for a in range(1, n + 1):
-        for c in range(0, a):
-            g = gcd(c, a)
-            if n % g:
-                continue
-            step = a // g
-            b0 = -(n // g) * pow(c // g, -1, step) % step
-            for b in range(b0, a, step):
-                d = (n + b * c) // a
-                if d > b and d > c and gcd(a, b, c, d) == 1:
-                    found.append(Mat2(a, b, c, d))
-    return tuple(sorted(found))
-
-
 @pytest.mark.parametrize("n", sorted(random.Random(0).sample(range(301, 2001), 3)))
 def test_enumerate_DB_matches_pair_loop(n):
     assert _enumerate_DB(n) == _pair_loop_enumerate_DB(n)
@@ -292,11 +234,14 @@ def test_enumerate_DB_matches_pair_loop(n):
 
 @pytest.mark.parametrize("n", [15, 20, 72, 2310, 4096])
 def test_iter_DB_walks_all_of_DB_n_alone(n, monkeypatch):
-    """The walk yields all of DB_n with no tuple to fall back on: the pair
-    loop's states up to 2,310, and at 4,096, where the pair loop is too
-    slow, 6,049 strictly increasing states of DB_n."""
+    """The walk yields all of DB_n with no tuple to fall back on: the
+    sweep's states up to 300, the pair loop's up to 2,310, and at 4,096,
+    where the pair loop is too slow, 6,049 strictly increasing states of
+    DB_n."""
     yielded = _walk_alone(n, monkeypatch)
-    if n <= 2310:
+    if n <= 300:
+        assert yielded == _doubly_balanced_up_to(300)[n]
+    elif n <= 2310:
         assert yielded == _pair_loop_enumerate_DB(n)
     else:
         assert len(yielded) == 6049

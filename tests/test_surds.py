@@ -24,7 +24,17 @@ from raneycf.surds import (
     surd_from_cf,
 )
 from raneycf.transducer import image_period
-from references import approx, conjugate_approx, floor_surd
+from references import (
+    _normalised_thrice,
+    _reference_cf_from_surd,
+    _reference_create,
+    _reference_format_cf,
+    _reference_primitive_period,
+    _reference_surd,
+    approx,
+    conjugate_approx,
+    floor_surd,
+)
 
 X3 = parse_cf(
     "[-1,1,11;7,1,6,8,399,8,6,1,7,3,2,7,1,2,1,1,7,1,1,2,1,7,2,3]"
@@ -83,16 +93,6 @@ def test_surd_factory_rescales():
     assert (x.P, x.Q, x.D) == (3, 9, 27)
     x = surd(1, -3, 3)  # (1 + sqrt 3)/-3 -> (3 + sqrt 27)/-9
     assert (x.P, x.Q, x.D) == (3, -9, 27)
-
-
-def _reference_surd(P, Q, D):
-    """surd's normal form with two divisions: a remainder test, then the
-    rescaled quotient (D - P^2)/Q."""
-    if (D - P * P) % Q:
-        k = abs(Q)
-        P, Q, D = P * k, Q * k, D * k * k
-    g = gcd(P, Q, (D - P * P) // Q)
-    return P // g, Q // g, D // (g * g)
 
 
 def test_surd_matches_the_two_division_reference():
@@ -169,25 +169,6 @@ def test_cf_from_surd_examples():
     assert per(cf_from_surd(surd_from_cf(X3))) == 24
 
 
-# Reference: the textbook per-step expansion, with a fresh isqrt per step,
-# the next Q by an exact division, checked, and a dict of every (P, Q).
-def _reference_cf_from_surd(x: QuadraticSurd) -> PeriodicCF:
-    P, Q, D = x.P, x.Q, x.D
-    assert isqrt(D) ** 2 != D and (D - P * P) % Q == 0
-    seen: dict[tuple[int, int], int] = {}
-    quotients: list[int] = []
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(quotients)
-        a = floor_surd(QuadraticSurd(P, Q, D))
-        quotients.append(a)
-        P1 = a * Q - P
-        Q1, rem = divmod(D - P1 * P1, Q)
-        assert Q1 and not rem
-        P, Q = P1, Q1
-    s = seen[(P, Q)]
-    return PeriodicCF.create(quotients[:s], quotients[s:])
-
-
 @st.composite
 def direct_surds(draw):
     """(P + sqrt(D))/Q with either sign of Q and D nonsquare below ~10^5,
@@ -255,22 +236,6 @@ def _oracle_sweep(seed, count):
         if det(m):
             count -= 1
             yield (m * J_MAT if rng.random() < 0.5 else m), PeriodicCF.create(pre, rep)
-
-
-def _normalised_thrice(m, cf):
-    """h_m(cf) by three normalised steps: the repetend's fixed point
-    (a - d + sqrt(disc))/(2c), then the preperiod's convergent matrix, then
-    m, each through surd."""
-    a, b, c, d = IDENTITY
-    for q in cf.repetend:
-        a, b, c, d = a * q + b, a, c * q + d, c
-    y = surd(a - d, 2 * c, (a + d) ** 2 - 4 * (a * d - b * c))
-    if cf.preperiod:
-        p = IDENTITY
-        for q in cf.preperiod:
-            p = p * Mat2(q, 1, 1, 0)
-        y = apply_mobius(p, y)
-    return apply_mobius(m, y)
 
 
 def test_image_surd_is_one_mobius_step_of_the_three():
@@ -385,18 +350,6 @@ def test_periodiccf_normalization():
         PeriodicCF.create((1, 0), (2,))
 
 
-def _reference_create(preperiod, repetend):
-    """PeriodicCF.create's normal form by the step-by-step roll-back: the
-    repetend rotated right by one per matching preperiod entry."""
-    pre = list(preperiod)
-    rep = tuple(repetend)
-    rep = rep[: _reference_primitive_period(rep)]
-    while pre and pre[-1] == rep[-1]:
-        rep = rep[-1:] + rep[:-1]
-        pre.pop()
-    return PeriodicCF(tuple(pre), rep)
-
-
 def _matching_tail(root, j):
     """The j quotients that roll the cycle start of root back j steps:
     entry -1 - i of the tail is root[-1 - i % len(root)]."""
@@ -448,17 +401,6 @@ def test_periodiccf_create_is_linear_in_a_matching_preperiod():
     elapsed = time.process_time() - t0
     assert cf == PeriodicCF((0,), tuple(rep))
     assert elapsed < 0.5, f"took {elapsed:.2f}s, budget 0.5s"
-
-
-def _reference_primitive_period(seq):
-    """The least cyclic period of seq by a scan over every p <= len/2 that
-    divides its length, each tested by repeating seq[:p]."""
-    n = len(seq)
-    for p in range(1, n // 2 + 1):
-        # seq[p : 2p] == seq[:p] rules out most p before the full comparison
-        if not n % p and seq[p : 2 * p] == seq[:p] and seq[:p] * (n // p) == seq:
-            return p
-    return n
 
 
 def _powers(rng, length, alphabet):
@@ -619,9 +561,6 @@ def test_format_cf_matches_str_of_each_quotient():
     quotients of 5,001 digits, which raise the interpreter's int/str
     ValueError as str() does unless the limit is lifted."""
 
-    def old(cf):
-        return f"[{','.join(map(str, cf.preperiod))};{','.join(map(str, cf.repetend))}]"
-
     edges = [1, 2, 9, 10, 99, 100, 1022, 1023, 1024, 1025, 2**63, 10**40]
     rng = random.Random(1023)
     cases = [PeriodicCF((h,), (q,)) for h in (0, -1, -1023, -1024, 1023, 1024) for q in edges]
@@ -630,17 +569,17 @@ def test_format_cf_matches_str_of_each_quotient():
         pre = head + [rng.choice(edges) for _ in range(rng.randint(0, 3))]
         cases.append(PeriodicCF(tuple(pre), tuple(rng.choice(edges) for _ in range(rng.randint(1, 6)))))
     for cf in cases:
-        assert format_cf(cf) == old(cf), cf
+        assert format_cf(cf) == _reference_format_cf(cf), cf
     huge = PeriodicCF((-(10**5000),), (3, 10**5000))
     if hasattr(sys, "set_int_max_str_digits"):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
             with pytest.raises(ValueError):
-                old(huge)
+                _reference_format_cf(huge)
             with pytest.raises(ValueError):
                 format_cf(huge)
             sys.set_int_max_str_digits(0)
-            assert format_cf(huge) == old(huge)
+            assert format_cf(huge) == _reference_format_cf(huge)
         finally:
             sys.set_int_max_str_digits(limit)

@@ -1,7 +1,8 @@
-"""Transducer construction, transduction of periodic input, LE walks, search."""
+"""Transducer construction, the escape kernel, transduction of periodic
+input, LE walks, search.  The references these tests compare against
+are in tests/references.py."""
 import random
 import re
-from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
 
@@ -19,10 +20,8 @@ from raneycf.matrices import (
     _primitive_forms,
     det,
     enumerate_DB,
-    in_D,
     in_DB,
     in_RB,
-    xi,
 )
 from raneycf.surds import PeriodicCF, _primitive_period, parse_cf, per, surd_from_cf, apply_mobius, cf_from_surd
 from raneycf.transducer import (
@@ -31,7 +30,6 @@ from raneycf.transducer import (
     _hermite_start,
     _key_step,
     build_transducer,
-    factorize_to_DB,
     image_period,
     image_repetend,
     lr_cycle_to_period,
@@ -40,118 +38,44 @@ from raneycf.transducer import (
     search_max_ratio,
     transduce_cycle,
 )
-from raneycf.words import (
-    L,
-    R,
-    LRWord,
-    _cyclic_runs,
-    _feed_run,
-    _peel,
-    mu,
-    rotate,
+from raneycf.words import L, R, LRWord, _cyclic_runs, _feed_run, format_word, mu, rotate
+from references import (
+    _Out,
+    _RunsOut,
+    _brute_root,
+    _db_states,
+    _emit,
+    _escape,
+    _log_uniform,
+    _mul,
+    _psi,
+    _random_unimodular,
+    _reference_block_cycle,
+    _reference_close_cycle,
+    _reference_cycle_period,
+    _reference_enter,
+    _reference_feed_run,
+    _reference_hermite_start,
+    _reference_key_cycle,
+    _reference_peel,
+    _reference_search_max_ratio,
+    _reference_transduce_cycle,
+    enumerate_LE,
+    is_RE,
+    nu_L,
+    nu_R,
+    parse_word,
+    random_word,
     sigma,
     star,
     star_letter,
-    word_of_matrix,
+    walk_LE,
+    word_from_letters,
+    word_from_runs,
 )
-from references import boundary_conjugates, nu_R, parse_word, primitive_part, walk_LE
-from test_words import _brute_root
 
 A2 = Mat2(2, 0, 0, 1)
 A2S = Mat2(1, 0, 0, 2)
-A3 = Mat2(3, 0, 0, 1)
-A3S = Mat2(1, 0, 0, 3)
-
-
-def random_word(rng, max_runs=6, max_exp=8, min_runs=1):
-    k = rng.randint(min_runs, max_runs)
-    first = rng.choice("LR")
-    runs = []
-    for i in range(k):
-        letter = first if i % 2 == 0 else ("R" if first == "L" else "L")
-        runs.append((letter, rng.randint(1, max_exp)))
-    return LRWord(tuple(runs))
-
-
-def _feed_word(t, runs, out):
-    """Feed a word's runs through the kernel one call per run: the
-    reference for feeding a whole pass in one call."""
-    for run in runs:
-        t = _feed_run(t, (run,), out)
-    return t
-
-
-class _Out(words._Out):
-    """The package's output accumulator with a read-only view of its runs,
-    ((letter, count), ...), for assertions."""
-
-    __slots__ = ()
-
-    @property
-    def runs(self):
-        # run i is an L-run for even i; only counts[0] can be 0
-        return tuple((R if i % 2 else L, e) for i, e in enumerate(self.counts) if e)
-
-
-def _emit(out, letter, k):
-    """Append letter^k to an output accumulator, merging equal letters:
-    add k to the last count when that run has the letter (run i is an
-    L-run for even i), append it otherwise."""
-    if k <= 0:
-        return
-    counts = out.counts
-    if (letter == L) == (len(counts) % 2 == 1):
-        counts[-1] += k
-    else:
-        counts.append(k)
-
-
-# -- factorization -------------------------------------------------------------
-
-
-def test_factorize_examples():
-    assert factorize_to_DB(A2 * mu(parse_word("LR")), 2) == (parse_word("RL"), A2S)
-    assert factorize_to_DB(A3 * mu(parse_word("L^2R")), 3) == (parse_word("RL^2"), A3S)
-
-
-def test_factorize_rejects_balanced_and_foreign():
-    with pytest.raises(ValueError):
-        factorize_to_DB(A2, 2)  # empty peel
-    with pytest.raises(ValueError):
-        factorize_to_DB(Mat2(1, 0, -1, 2), 2)
-
-
-def test_factorize_and_word_of_matrix_reject_exactly_outside_D():
-    """factorize_to_DB(p, n) rejects p as outside D_n, and word_of_matrix(m)
-    rejects m, exactly when in_D does, on every matrix with entries in
-    -3..6 and, for factorize_to_DB, n = det(p) and a seeded other n.  A p
-    in D_n whose peel lands in RB_n outside DB_n is a ValueError that names
-    the remainder, which is row balanced and not column balanced."""
-    rng = random.Random(6)
-    box = range(-3, 7)
-    seen = {"in D": 0, "outside D": 0, "det 1": 0, "peels outside DB": 0}
-    for m in (Mat2(a, b, c, d) for a in box for b in box for c in box for d in box):
-        for n in {max(det(m), 1), rng.randint(1, 12)}:
-            try:
-                factorize_to_DB(m, n)
-                rejected = False
-            except ValueError as exc:  # outside D_n, row balanced, or peels outside DB_n
-                rejected = "is not in D_" in str(exc)
-                landed = re.search(rf"peels onto Mat2\((.*)\), which is not in DB_{n}$", str(exc))
-                if landed:
-                    k = Mat2(*map(int, landed[1].split(",")))
-                    assert in_D(m, n) and in_RB(k, n) and not in_DB(k, n), (m, n, k)
-                    seen["peels outside DB"] += 1
-            assert rejected == (not in_D(m, n)), (m, n)
-            seen["outside D" if rejected else "in D"] += 1
-        try:
-            word = word_of_matrix(m)
-        except ValueError:
-            assert not in_D(m, 1), m
-        else:
-            assert in_D(m, 1) and mu(word) == m, m
-            seen["det 1"] += 1
-    assert all(seen.values()), seen
 
 
 # -- construction ----------------------------------------------------------------
@@ -160,7 +84,7 @@ def test_factorize_and_word_of_matrix_reject_exactly_outside_D():
 def test_transducer_T1():
     t = build_transducer(1)
     assert t.states == frozenset({Mat2(1, 0, 0, 1)})
-    labels = {(str(e.input), str(e.output)) for e in t.edges}
+    labels = {(format_word(e.input), format_word(e.output)) for e in t.edges}
     assert labels == {("L", "L"), ("R", "R")}
 
 
@@ -200,25 +124,8 @@ def test_transduce_cycle_closure_identity():
 
 
 def test_transduce_cycle_matches_per_pass_concatenation():
-    """Reference: one fresh accumulator per pass, the cycle's passes joined."""
-
-    def ref(start, rep):
-        boundary = {start: 0}
-        outputs = []
-        cur = start
-        while True:
-            out = _Out()
-            cur = _feed_word(cur, rep.runs, out)
-            outputs.append(out.word())
-            if cur in boundary:
-                break
-            boundary[cur] = len(outputs)
-        idx = boundary[cur]
-        joined = [r for w in outputs[idx:] for r in w.runs]
-        before = [r for w in outputs[:idx] for r in w.runs]
-        straddles = bool(before and joined and before[-1][0] == joined[0][0])
-        return idx, len(outputs) - idx, LRWord.from_runs(joined), straddles
-
+    """Against _reference_transduce_cycle: one fresh accumulator per pass,
+    the cycle's passes joined."""
     rng = random.Random(29)
     seen = {"gamma>=2": 0, "idx>0": 0, "straddle": 0}
     for _ in range(400):
@@ -227,60 +134,13 @@ def test_transduce_cycle_matches_per_pass_concatenation():
         rep = random_word(rng, max_runs=6, max_exp=9, min_runs=2)
         if len({l for l, _ in rep.runs}) < 2:
             continue
-        idx, gamma, output, straddles = ref(start, rep)
+        idx, gamma, output, straddles = _reference_transduce_cycle(start, rep)
         walk = transduce_cycle(n, start, rep)
         assert (walk.gamma, walk.output) == (gamma, output)
         seen["gamma>=2"] += gamma >= 2
         seen["idx>0"] += idx > 0
         seen["straddle"] += straddles
     assert all(seen.values()), seen
-
-
-def _mul(t, letter, k):
-    """t * letter^k on entry tuples (a, b, c, d), as the kernel's states are."""
-    a, b, c, d = t
-    if letter == L:
-        return (a + b * k, b, c + d * k, d)
-    return (a, a * k + b, c, c * k + d)
-
-
-def _escape(t, letter):
-    """Least k >= 1 with t * letter^k unbalanced (t must be balanced)."""
-    a, b, c, d = t
-    if letter == L:
-        return -((a - c) // -(d - b))
-    return -((d - b) // -(a - c))
-
-
-def _reference_peel(t, out):
-    """The peel as a routine of its own: maximal L/R runs off the left until
-    the remainder is balanced, merged into out through _emit (out may be
-    None)."""
-    a, b, c, d = t
-    while not (a > c and d > b):
-        if c >= a and d >= b:
-            k = c // a
-            if b and d // b < k:
-                k = d // b
-            c -= k * a
-            d -= k * b
-            letter = L
-        elif a >= c and b >= d:
-            k = b // d
-            if c and a // c < k:
-                k = a // c
-            a -= k * c
-            b -= k * d
-            letter = R
-        else:
-            raise AssertionError(f"no peel applies to {(a, b, c, d)}")
-        if out is not None:
-            _emit(out, letter, k)
-    return (a, b, c, d)
-
-
-def _db_states(n):
-    return sorted(enumerate_DB(n))
 
 
 def _unbalanced_D_n():
@@ -290,7 +150,7 @@ def _unbalanced_D_n():
 
     def build(n, pick, exps):
         states = _db_states(n)
-        w = LRWord.from_runs((R if i % 2 else L, e) for i, e in enumerate(exps))
+        w = word_from_runs((R if i % 2 else L, e) for i, e in enumerate(exps))
         return mu(w) * states[pick % len(states)]
 
     exp = st.one_of(st.integers(1, 5), st.integers(1, 10**6))
@@ -309,7 +169,6 @@ def test_peel_only_kernel_matches_reference_peel(t, prior):
     same output merged into whatever out already holds, and no check."""
     if prior is None:
         assert _feed_run(t, (), _Out()) == _reference_peel(t, None)
-        assert _peel(t, _Out()) == _reference_peel(t, None)
         return
     out, ref = _Out(), _Out()
     for r in prior:
@@ -334,66 +193,6 @@ def test_single_step_kernel_matches_reference_peel(n, pick, letter, with_out):
     assert _feed_run(s, ((letter, k0),), out) == ref
     if with_out:
         assert out.runs == ref_out.runs
-
-
-def _reference_feed_run(t, letter, count, out):
-    """_feed_run as one call per step: escape, absorb, peel through
-    _emit, then loop detection on running letter totals from the first
-    escape on.  Returns (end state, whether a loop was fast-forwarded,
-    number of escapes taken one by one, the state the last escape landed
-    on or None).  A fast-forward skips whole turns of a loop, which end
-    where they start, so the last escape's state is still the last peel's."""
-    tot = {L: 0, R: 0}
-
-    def emit(letter, k):
-        if out is not None:
-            _emit(out, letter, k)
-        tot[letter] += k
-
-    def peel(t):
-        a, b, c, d = t
-        while not (a > c and d > b):
-            if c >= a and d >= b:
-                k = c // a if b == 0 else min(c // a, d // b)
-                emit(L, k)
-                c -= k * a
-                d -= k * b
-            elif a >= c and b >= d:
-                k = b // d if c == 0 else min(a // c, b // d)
-                emit(R, k)
-                a -= k * c
-                b -= k * d
-            else:
-                raise AssertionError(f"no peel applies to {(a, b, c, d)}")
-        return (a, b, c, d)
-
-    fast_forwarded = False
-    escapes = 0
-    last = None
-    seen = {}
-    while count > 0:
-        k0 = _escape(t, letter)
-        if k0 > count:
-            return _mul(t, letter, count), fast_forwarded, escapes, last
-        t = last = peel(_mul(t, letter, k0))
-        _check_db(t)
-        escapes += 1
-        count -= k0
-        snap = seen.get(t)
-        if snap is None:
-            seen[t] = (count, tot[L], tot[R])
-            continue
-        prev_count, pl, pr = snap
-        cyc = prev_count - count
-        q = count // cyc
-        if q:
-            dl, dr = tot[L] - pl, tot[R] - pr
-            assert not (dl and dr), "mixed emission on a single-letter loop"
-            emit(L if dl else R, q * (dl or dr))
-            count -= q * cyc
-            fast_forwarded = True
-        seen = {}
-    return t, fast_forwarded, escapes, last
 
 
 def test_feed_run_matches_reference():
@@ -576,21 +375,27 @@ def test_kernel_check_raises_outside_its_precondition(checked, t, runs, landed, 
     assert checked == [landed]
 
 
-def _reference_close_cycle(t, runs):
-    """The kernel's block mode as one kernel call per block: feed runs
-    from t until a block-boundary state repeats.  Returns (that state,
-    gamma, the output, the snap of its first visit, the block-boundary
-    states in the order of their first visits)."""
-    out = _Out()
-    snaps = [out.snap()]  # snaps[p]: end of the output after p blocks
-    boundary = {t: 0}
-    while True:
-        t = _feed_run(t, runs, out)
-        idx = boundary.get(t)
-        if idx is not None:
-            return t, len(snaps) - idx, out, snaps[idx], list(boundary)
-        boundary[t] = len(snaps)
-        snaps.append(out.snap())
+# Transform walks whose entered state is transient (tau >= 1 passes before
+# the cycle), about 3 % of random entered walks: (m, repetend, tau, gamma).
+# The first has an even period; the second an odd one, read starred.
+_TRANSIENT_WALKS = [
+    (Mat2(1, 1, 0, 7), "[;1,2]", 1, 4),
+    (Mat2(1, 1, 0, 5), "[;1]", 1, 5),
+]
+
+
+@pytest.mark.parametrize("m, text, tau, gamma", _TRANSIENT_WALKS, ids=["even-period", "odd-period-starred"])
+def test_transient_entered_walk_matches_the_oracle(m, text, tau, gamma):
+    """The transform's walk from the entered state spends tau passes before
+    its cycle, which _close_cycle cuts away, and its repetend is the surd
+    oracle's up to rotation."""
+    cf = parse_cf(text)
+    t, runs = _enter(*_hermite_start(m, cf), _Out())
+    boundary = {}
+    _, walk_gamma, _ = _feed_run(t, runs[: per(cf)], _Out(), boundary, per(cf) % 2 == 1)
+    assert (len(boundary) - walk_gamma, walk_gamma) == (tau, gamma)
+    oracle = cf_from_surd(apply_mobius(m, surd_from_cf(cf))).repetend
+    assert _same_cycle(image_repetend(m, cf), oracle)
 
 
 def test_block_mode_matches_one_kernel_call_per_block():
@@ -600,10 +405,13 @@ def test_block_mode_matches_one_kernel_call_per_block():
     (a Hermite start entered as image_repetend enters it, the block rotated
     to the run after the first escape) and search starts (a primitive form
     fed whole blocks with scratch output until one escapes, then fed to
-    the block mode as the search feeds _close_cycle), at n in {1, 2, 12, 720, 4096}, with odd periods
-    and quotients past 2^64."""
+    the block mode as the search feeds _close_cycle), at n in
+    {1, 2, 12, 720, 4096}, with odd periods and quotients past 2^64; and
+    the even-period transform walk of _TRANSIENT_WALKS, whose entered state
+    is transient, which the draws seldom reach."""
     rng = random.Random(24)
-    seen = {"transform": 0, "search": 0, "odd period": 0, "past 2^64": 0, "gamma>=2": 0}
+    seen = {"transform": 0, "search": 0, "odd period": 0, "past 2^64": 0, "gamma>=2": 0, "transient": 0}
+    cases = []  # (kind, cf, start, runs)
     for i in range(160):
         n = (1, 2, 12, 720, 4096)[i % 5]
         rep = [rng.choice((rng.randint(1, 9), _log_uniform(rng, 10**6))) for _ in range(rng.randint(1, 5))]
@@ -616,23 +424,28 @@ def test_block_mode_matches_one_kernel_call_per_block():
             m = _random_unimodular(rng) * Mat2(g, b, 0, n // g) * _random_unimodular(rng)
             t, runs = _hermite_start(m, cf)
             assert det(Mat2(*t)) == n
-            t, runs = _enter(t, runs, _Out())
-            seen["transform"] += 1
+            cases.append(("transform", cf, *_enter(t, runs, _Out())))
         else:
             g, b, d = rng.choice(_primitive_forms(n))
             t, runs, scratch = (g, b, 0, d), lr_repetend(cf).runs, _Out()
             while not scratch:
                 t = _feed_run(t, runs, scratch)
-            seen["search"] += 1
+            cases.append(("search", cf, t, runs))
+    m, text, _, _ = _TRANSIENT_WALKS[0]
+    cf = parse_cf(text)
+    cases.append(("transform", cf, *_enter(*_hermite_start(m, cf), _Out())))
+    for kind, cf, t, runs in cases:
         out, boundary = _Out(), {}
         state, gamma, cut = _feed_run(t, runs, out, boundary)
         ref_state, ref_gamma, ref_out, ref_cut, ref_states = _reference_close_cycle(t, runs)
-        assert (state, gamma, cut) == (ref_state, ref_gamma, ref_cut), (n, t, runs)
-        assert out.counts == ref_out.counts, (n, t, runs)
-        assert list(boundary) == ref_states, (n, t, runs)
+        assert (state, gamma, cut) == (ref_state, ref_gamma, ref_cut), (t, runs)
+        assert out.counts == ref_out.counts, (t, runs)
+        assert list(boundary) == ref_states, (t, runs)
+        seen[kind] += 1
         seen["odd period"] += per(cf) % 2
         seen["past 2^64"] += max(cf.repetend) > 2**64
         seen["gamma>=2"] += gamma >= 2
+        seen["transient"] += kind == "transform" and len(boundary) > gamma
     assert all(seen.values()), seen
 
 
@@ -645,9 +458,11 @@ def test_starred_walk_matches_the_doubled_reference():
     star-symmetric cycle, closed on half the letters when tau = 0) and
     ceil(tau / 2) + gamma / 2 for even gamma, so never more letters; its
     even-pass states are the reference's block-boundary states.  n in
-    {1, 2, 12, 720, 4096}, odd periods, quotients past 2^64."""
+    {1, 2, 12, 720, 4096}, odd periods, quotients past 2^64, and the
+    odd-period walk of _TRANSIENT_WALKS, whose entered state is transient."""
     rng = random.Random(35)
-    seen = {"star symmetric": 0, "half the letters": 0, "even gamma": 0, "past 2^64": 0}
+    seen = {"star symmetric": 0, "half the letters": 0, "even gamma": 0, "past 2^64": 0, "transient": 0}
+    cases = []  # (n, m, cf)
     for i in range(200):
         n = (1, 2, 12, 720, 4096)[i % 5]
         rep = [rng.choice((rng.randint(1, 9), _log_uniform(rng, 10**6))) for _ in range(rng.choice((1, 3, 5)))]
@@ -659,6 +474,10 @@ def test_starred_walk_matches_the_doubled_reference():
         g = rng.choice([q for q in range(1, n + 1) if n % q == 0])
         b = rng.choice([b for b in range(n // g) if gcd(g, b, n // g) == 1])
         m = _random_unimodular(rng) * Mat2(g, b, 0, n // g) * _random_unimodular(rng)
+        cases.append((n, m, cf))
+    m, text, _, _ = _TRANSIENT_WALKS[1]
+    cases.append((det(m), m, parse_cf(text)))
+    for n, m, cf in cases:
         t, runs = _enter(*_hermite_start(m, cf), _Out())
         p = len(runs) // 2
         assert runs[p:] == star(LRWord(runs[:p])).runs, runs
@@ -684,6 +503,7 @@ def test_starred_walk_matches_the_doubled_reference():
         seen["half the letters"] += len(boundary) == len(ref_states)
         seen["even gamma"] += gamma % 2 == 0
         seen["past 2^64"] += max(cf.repetend) > 2**64
+        seen["transient"] += tau >= 1
     assert all(seen.values()), seen
 
 
@@ -726,48 +546,16 @@ def test_out_word_slices_between_snaps():
             letters.extend(letter * k)
             snaps.append((out.snap(), len(letters)))
         (s0, p0), (s1, p1) = sorted(rng.sample(snaps, 2), key=lambda s: s[1])
-        assert out.word(s0, s1) == LRWord.from_letters(letters[p0:p1])
-        assert out.word(s0) == LRWord.from_letters(letters[p0:])
-        assert out.word(stop=s1) == LRWord.from_letters(letters[:p1])
-        assert out.word() == LRWord.from_letters(letters)
-
-
-class _RunsOut:
-    """The list-of-runs accumulator that the run counts replaced, as a
-    reference: runs[i] = [letter, count], each peel merged into the last
-    run when it has the peel's letter."""
-
-    def __init__(self):
-        self.runs = []
-
-    def emit(self, letter, k):
-        if self.runs and self.runs[-1][0] == letter:
-            self.runs[-1][1] += k
-        else:
-            self.runs.append([letter, k])
-
-    def snap(self):
-        return (len(self.runs), self.runs[-1][1] if self.runs else 0)
-
-    def word(self, start=(0, 0), stop=None):
-        i, a = start
-        j, b = self.snap() if stop is None else stop
-        runs = list(map(tuple, self.runs[max(i - 1, 0) : j]))
-        if j:
-            runs[-1] = (runs[-1][0], b)
-        if i:
-            runs[0] = (runs[0][0], runs[0][1] - a)
-        if runs and not runs[-1][1]:
-            runs.pop()
-        if runs and not runs[0][1]:
-            del runs[0]
-        return LRWord(tuple(runs))
+        assert out.word(s0, s1) == word_from_letters(letters[p0:p1])
+        assert out.word(s0) == word_from_letters(letters[p0:])
+        assert out.word(stop=s1) == word_from_letters(letters[:p1])
+        assert out.word() == word_from_letters(letters)
 
 
 def _peel_run(out, letter, k):
     """Peel letter^k into out through the kernel: letter^k peels to the
     identity in one step."""
-    assert _peel(_mul((1, 0, 0, 1), letter, k), out) == (1, 0, 0, 1)
+    assert _feed_run(_mul((1, 0, 0, 1), letter, k), (), out) == (1, 0, 0, 1)
 
 
 def _assert_slices_match(out, ref, snaps):
@@ -866,7 +654,7 @@ def test_cyclic_exps_fold_rule_on_a_starred_cycle():
         for letter, k in u.runs:
             _emit(out, letter, k)
         assert out.word(start) == u
-        doubled = (u + star(u)).runs
+        doubled = word_from_runs(u.runs + star(u).runs).runs
         assert out.cyclic_exps(start, starred=True) * 2 == [e for _, e in _cyclic_runs(doubled)], u
         m = len(u.runs)
         seen["one run" if m == 1 else "odd runs" if m % 2 else "even runs"] += 1
@@ -903,24 +691,8 @@ def test_lr_cycle_to_period_examples():
 
 
 def test_lr_cycle_to_period_matches_conjugate_scan():
-    """Reference: scan the boundary conjugates, with distinct end letters,
-    of the brute-force root."""
-
-    def ref(cycle):
-        root, _ = _brute_root(cycle)
-        fallback = None
-        for w in boundary_conjugates(root):
-            rs = w.runs
-            if rs[0][0] == rs[-1][0]:
-                continue
-            k = len(rs)
-            fallback = k
-            if k % 2 == 0 and all(
-                rs[i + k // 2] == (star_letter(rs[i][0]), rs[i][1])
-                for i in range(k // 2)
-            ):
-                return k // 2
-        return fallback
+    """Against _reference_cycle_period: a scan of the boundary conjugates,
+    with distinct end letters, of the brute-force root."""
 
     rng = random.Random(11)
     for _ in range(3000):
@@ -928,13 +700,13 @@ def test_lr_cycle_to_period_matches_conjugate_scan():
         if len({l for l, _ in w.runs}) < 2:
             continue
         w = w ** rng.randint(1, 3)
-        assert lr_cycle_to_period(w) == ref(w)
+        assert lr_cycle_to_period(w) == _reference_cycle_period(w)
 
     # odd run counts up to ~41, and V*star(V) rotated off its run boundaries
     odd = halves = 0
     for _ in range(1500):
         v = random_word(rng, max_runs=21, max_exp=4, min_runs=1)
-        w = v + star(v) if rng.random() < 0.5 else random_word(rng, 41, 4, 2)
+        w = word_from_runs(v.runs + star(v).runs) if rng.random() < 0.5 else random_word(rng, 41, 4, 2)
         if len({l for l, _ in w.runs}) < 2:
             continue
         w = rotate(w, rng.randrange(len(w)))
@@ -942,7 +714,7 @@ def test_lr_cycle_to_period_matches_conjugate_scan():
         odd += k % 2
         p = lr_cycle_to_period(w)
         halves += k % 2 == 1 and p == (k - 1) // 2
-        assert p == ref(w)
+        assert p == _reference_cycle_period(w)
     assert odd and halves, (odd, halves)
 
 
@@ -952,8 +724,6 @@ def test_lr_cycle_to_period_matches_surd_oracle():
     for _ in range(200):
         rep = [rng.randint(1, 9) for _ in range(2 * rng.randint(1, 4))]
         word = lr_repetend(parse_cf(f"[;{','.join(map(str, rep))}]"))
-        from raneycf.surds import PeriodicCF
-
         cf = PeriodicCF.create([], rep)
         assert lr_cycle_to_period(word) == per(cf)
 
@@ -962,7 +732,7 @@ def test_lr_cycle_to_period_matches_surd_oracle():
 def test_lr_repetend_equals_validated_construction(rep):
     cf = PeriodicCF.create([], rep)
     quotients = cf.repetend * (2 if len(cf.repetend) % 2 else 1)
-    expected = LRWord.from_runs((R if i % 2 == 0 else L, q) for i, q in enumerate(quotients))
+    expected = word_from_runs((R if i % 2 == 0 else L, q) for i, q in enumerate(quotients))
     assert lr_repetend(cf) == expected
     assert lr_repetend(cf).runs == expected.runs
 
@@ -1030,26 +800,17 @@ def test_image_period_oracle_equivalence_randomized():
         assert image_period(m, cf) == expected
 
 
-def _hermite_forms(n):
-    """Every primitive Hermite form [[g, b], [0, d]]: g d = n, 0 <= b < d."""
-    return [
-        (g, b, 0, n // g)
-        for g in range(1, n + 1)
-        if n % g == 0
-        for b in range(n // g)
-        if gcd(g, b, n // g) == 1
-    ]
-
-
 def test_hermite_form_escapes_once_into_DB():
     """The one-escape lemma behind reduce_to_DB, for every primitive
     Hermite form H with n <= 120: H is in DB_n when g > b, and otherwise
     every input word, whatever its first letter, escapes from H within
     2n - 1 letters, and the reference peel of that escape is in DB_n.
-    Every word is followed letter by letter up to its escape."""
+    Every word is followed letter by letter up to its escape.  The forms
+    are _primitive_forms', which test_coset_count_and_hermite_forms checks
+    to n = 200."""
     for n in range(1, 121):
         db = set(_db_states(n))
-        for h in _hermite_forms(n):
+        for h in ((g, b, 0, d) for g, b, d in _primitive_forms(n)):
             if h[0] > h[1]:
                 assert h in db, h
                 continue
@@ -1063,29 +824,6 @@ def test_hermite_form_escapes_once_into_DB():
                         continue
                     assert k <= 2 * n - 1, (n, h, k)
                     assert _reference_peel(t2, None) in db, (n, h, t2)
-
-
-def _reference_enter(t, runs, r):
-    """_enter at letter level: absorb each run up to its escape (_escape,
-    _mul); at the first escape, peel with _reference_peel, check DB_n, and
-    finish that run through _reference_feed_run.  Returns (state, next run,
-    output, the runs fed, letters up to and including the escaping one)."""
-    out = _Out()
-    fed = []
-    letters = 0
-    while True:
-        letter, e = runs[r]
-        fed.append(runs[r])
-        r = (r + 1) % len(runs)
-        k = _escape(t, letter)
-        if k > e:
-            t = _mul(t, letter, e)
-            letters += e
-            continue
-        t = _reference_peel(_mul(t, letter, k), out)
-        _check_db(t)
-        t = _reference_feed_run(t, letter, e - k, out)[0]
-        return t, r, out.word(), fed, letters + k
 
 
 def test_enter_matches_a_letter_by_letter_reference():
@@ -1114,7 +852,7 @@ def test_enter_matches_a_letter_by_letter_reference():
         assert tail == runs[nxt:] + runs[:nxt], (n, t, runs, r)
         assert letters <= 2 * n - 1, (n, t, runs, r)
         assert in_RB(Mat2(*state), n)
-        assert Mat2(*t) * mu(LRWord.from_runs(fed)) == mu(out.word()) * state
+        assert Mat2(*t) * mu(word_from_runs(fed)) == mu(out.word()) * state
         seen[kind] += 1
         seen["n=1"] += n == 1
         seen["run past 2^63"] += any(e > 2**63 for _, e in fed)
@@ -1131,19 +869,6 @@ def test_enter_matches_a_letter_by_letter_reference():
             if k0 > 1:
                 check(n, _mul(s, letter, rng.randint(1, k0 - 1)), "in-run")
     assert all(seen.values()), seen
-
-
-def _random_unimodular(rng):
-    """A random product of elementary matrices of determinant +-1."""
-    u = Mat2(1, 0, 0, 1)
-    for _ in range(rng.randint(0, 5)):
-        k = rng.randint(-9, 9)
-        u = u * rng.choice((Mat2(1, k, 0, 1), Mat2(1, 0, k, 1), Mat2(0, 1, 1, 0), Mat2(-1, 0, 0, 1)))
-    return u
-
-
-def _log_uniform(rng, hi):
-    return round(hi ** rng.random())
 
 
 def test_reduce_depends_only_on_the_coset():
@@ -1168,16 +893,6 @@ def test_reduce_depends_only_on_the_coset():
         um = u * m
         assert reduce_to_DB(Mat2(*(k * e for e in um)), cf) == reduce_to_DB(m, cf), (m, u, k, cf)
     assert dets == {1, -1}
-
-
-def _reference_hermite_start(m, x):
-    """_hermite_start through the product B = primitive_part(m) P: the whole
-    preperiod multiplied in, then one Euclid on B's O(k)-bit entries."""
-    a, b, c, d = primitive_part(m)
-    for q in x.preperiod:  # times [[q, 1], [1, 0]], which is unimodular
-        a, b, c, d = a * q + b, a, c * q + d, c
-    a, b, d = _hermite(a, b, c, d)
-    return (a, b, 0, d), lr_repetend(x).runs
 
 
 def _random_start_case(rng, k=None):
@@ -1298,11 +1013,8 @@ def test_walk_LE_examples():
 def test_walk_LE_shape():
     rng = random.Random(3)
     for n in range(2, 13):
-        from raneycf.matrices import content_gcd
-        from references import enumerate_LE, is_RE, nu_L
-
         for m in sorted(enumerate_LE(n)):
-            if content_gcd(m) != 1:
+            if gcd(*m) != 1:
                 continue
             nu = nu_L(m)
             i = rng.randint(nu, 2 * nu - 1)
@@ -1323,110 +1035,14 @@ def test_walk_LE_rejects_out_of_range():
 
 
 def test_search_matches_direct_enumeration():
-    """Oracle: per-offset functional-graph search feeding words directly."""
-    from fractions import Fraction
-
-    from raneycf.words import rotate
-
-    def brute(n, cf):
-        word = lr_repetend(cf)
-        best = None
-        for off in range(len(word)):
-            runs = rotate(word, off).runs
-            for seed in sorted(enumerate_DB(n)):
-                path, index, cur = [], {}, seed
-                while True:
-                    if cur in index:
-                        cyc = path[index[cur]:]
-                        out = _Out()
-                        node = cyc[0]
-                        for _ in cyc:
-                            node = _feed_word(node, runs, out)
-                        r = Fraction(lr_cycle_to_period(out.word()), per(cf))
-                        if best is None or r > best[0]:
-                            best = (r, seed, off)
-                        break
-                    index[cur] = len(path)
-                    path.append(cur)
-                    cur = _feed_word(cur, runs, _Out())
-        return best
-
+    """Against _reference_search_max_ratio, which feeds every (offset,
+    state) pair directly: n from 2 to 8, periods 1-3, quotients up to 9."""
     rng = random.Random(17)
     for _ in range(25):
         n = rng.randint(2, 8)
         rep = [rng.randint(1, 9) for _ in range(rng.randint(1, 3))]
         cf = parse_cf(f"[;{','.join(map(str, rep))}]")
-        assert search_max_ratio(n, cf) == brute(n, cf)
-
-
-def _reference_search_max_ratio(n, cf):
-    """search_max_ratio as a scan over every (offset, state) pair: one
-    partial-run feed per pair, then memoized orbit lookups."""
-    from fractions import Fraction
-
-    word = lr_repetend(cf)
-    runs = word.runs
-    nr = len(runs)
-    per_x = per(cf)
-    seeds = sorted(enumerate_DB(n))
-    step_memo = {}
-    orbit_of = {}  # node -> canonical node of its terminal orbit
-    ratio_of = {}  # canonical orbit node -> Fraction
-
-    def step(node):
-        nxt = step_memo.get(node)
-        if nxt is None:
-            r, t = node
-            letter, e = runs[r]
-            nxt = ((r + 1) % nr, _feed_run(t, ((letter, e),), _Out()))
-            step_memo[node] = nxt
-        return nxt
-
-    def resolve(node):
-        path = []
-        index = {}
-        cur = node
-        while True:
-            key = orbit_of.get(cur)
-            if key is not None:
-                break
-            if cur in index:
-                cycle = path[index[cur] :]
-                key = min(cycle)
-                if key not in ratio_of:  # the orbit's output, step by step
-                    out = _Out()
-                    r, t = key
-                    for i in range(len(cycle)):
-                        letter, e = runs[(r + i) % nr]
-                        t = _reference_feed_run(t, letter, e, out)[0]
-                    ratio_of[key] = Fraction(lr_cycle_to_period(out.word()), per_x)
-                break
-            index[cur] = len(path)
-            path.append(cur)
-            cur = step(cur)
-        for p in path:
-            orbit_of[p] = key
-        return key
-
-    starts = []
-    pos = 0
-    for letter, e in runs:
-        starts.append(pos)
-        pos += e
-    best = None
-    for off in range(len(word)):
-        r = bisect_right(starts, off) - 1
-        within = off - starts[r]
-        letter, e = runs[r]
-        for seed in seeds:
-            if within:
-                node = ((r + 1) % nr, _feed_run(seed, ((letter, e - within),), _Out()))
-            else:
-                node = (r, seed)
-            ratio = ratio_of[resolve(node)]
-            if best is None or ratio > best[0]:
-                best = (ratio, seed, off)
-    return best
+        assert search_max_ratio(n, cf) == _reference_search_max_ratio(n, cf), (n, rep)
 
 
 # small quotients give short escape chains, large ones reach the chain's loop
@@ -1476,7 +1092,7 @@ def test_run_states_match_letter_by_letter_walks():
             walk = [s]
             for _ in range(e - 1):
                 t = _mul(walk[-1], letter, 1)
-                walk.append(t if _balanced(t) else _peel(t, _Out()))
+                walk.append(t if _balanced(t) else _feed_run(t, (), _Out()))
             walks.append(walk)
         listed = _run_states(seeds, letter, e)
         assert len(set(listed)) == len(listed)
@@ -1529,21 +1145,6 @@ def test_search_nodes_of_one_coset_share_their_period():
         assert all(len(set(p)) == 1 for p in periods.values()), (n, rep)
         shared += sum(len(p) > 1 for p in periods.values())
     assert shared  # some cosets hold more than one node
-
-
-def _reference_key_cycle(runs, key):
-    """The keys (run index, Hermite form) of a search node's run-by-run
-    walk over the cyclic word runs, from key = (r, form) up to its return
-    there: each step is one _key_step by the run, with no kernel call."""
-    nr = len(runs)
-    r, form = key
-    keys = [key]
-    while True:
-        form = _key_step(form, *runs[r])
-        r = (r + 1) % nr
-        if (r, form) == key:
-            return keys
-        keys.append((r, form))
 
 
 def test_key_walk_matches_the_state_walk():
@@ -1603,24 +1204,9 @@ def test_key_walk_matches_the_state_walk():
     assert drawn
 
 
-def _psi(n):
-    """psi(n) = n prod(1 + 1/p) over the primes p | n, by trial division."""
-    count = m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            count += count // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        count += count // m
-    return count
-
-
 def test_coset_count_and_hermite_forms():
     """_primitive_forms(n) lists psi(n) distinct forms [[g, b], [0, n/g]],
-    0 <= b < n/g; for n <= 8 they are exactly the Hermite forms of every
+    0 <= b < n/g, of content 1, so all of them; for n <= 8 they are exactly the Hermite forms of every
     primitive matrix with entries in [-n, n] and |det| = n.  Every DB_n
     state's _hermite is one of them, no two DB_n states share one, and a
     unimodular factor on the left keeps it.  So the |DB_n| states lie in
@@ -1641,6 +1227,7 @@ def test_coset_count_and_hermite_forms():
     for n in range(1, 201):
         forms = set(_primitive_forms(n))
         assert len(forms) == len(_primitive_forms(n)) == _psi(n)
+        assert all(g * d == n and 0 <= b < d and gcd(g, b, d) == 1 for g, b, d in forms), n
         states = _enumerate_DB(n)
         state_forms = {_hermite(*s) for s in states}
         assert state_forms <= forms
@@ -1822,25 +1409,6 @@ def test_close_cycle_is_one_kernel_call_from_H(monkeypatch):
     image_repetend(m, cf)
     assert calls[0] == entered[0] == _hermite_start(m, cf)[0] and len(entered) == 1
     assert closed == [(t, runs[: per(cf)]) for t, runs in left]
-
-
-def _reference_block_cycle(runs, form):
-    """The forms of the states that the search's walk from the form
-    records, fed one period runs per block, up to the form's return: the
-    block step is runs' key steps, then, for an odd run count (an odd
-    period, read starred), the form of the form times J = [[0, 1], [1, 0]],
-    [[g, b], [0, d]] J = [[b, g], [d, 0]].  Each part is a bijection on
-    the forms, so the walk returns to its first form."""
-    cycle = [form]
-    while True:
-        for letter, e in runs:
-            form = _key_step(form, letter, e)
-        if len(runs) % 2:
-            g, b, d = form
-            form = _hermite(b, g, d, 0)
-        if form == cycle[0]:
-            return cycle
-        cycle.append(form)
 
 
 def test_search_walks_once_per_run0_key_cycle(monkeypatch):

@@ -6,24 +6,34 @@ from hypothesis import given, settings, strategies as st
 
 from raneycf.matrices import IDENTITY, J_MAT, Mat2
 from raneycf.words import (
-    EPSILON,
     L,
     LRWord,
     R,
+    _feed_run,
     conjugates,
     format_word,
     kappa,
     mu,
     primitive_root,
     rotate,
+    tau_kappa,
+)
+from references import (
+    EPSILON,
+    _Out,
+    _brute_root,
+    _brute_tau_kappa,
+    _validated_rotate,
+    parse_word,
     sigma,
     sigma_c,
     star,
     star_letter,
-    tau_kappa,
-    word_of_matrix,
+    transpose,
+    transpose_word,
+    word_from_letters,
+    word_from_runs,
 )
-from references import parse_word, transpose, transpose_word
 
 
 def words(max_runs=8, max_exp=6):
@@ -59,28 +69,28 @@ def _big_words(draw):
 
 
 def test_canonical_form_rejects_bad_runs():
-    # the raw constructor trusts its runs; from_runs, from_letters and
-    # parse_word validate in _canonical alone
+    # the raw constructor trusts its runs; the tests' word_from_runs,
+    # word_from_letters and parse_word validate in word_from_runs alone
     with pytest.raises(ValueError, match="not a letter"):
-        LRWord.from_runs((("X", 1),))
+        word_from_runs((("X", 1),))
     with pytest.raises(ValueError, match="not a letter"):
-        LRWord.from_runs(((L, 1), ("X", 2)))
+        word_from_runs(((L, 1), ("X", 2)))
     with pytest.raises(ValueError, match="negative run exponent"):
-        LRWord.from_runs(((L, 1), (R, -1)))
+        word_from_runs(((L, 1), (R, -1)))
     with pytest.raises(ValueError, match="not a letter"):
-        LRWord.from_letters("LRX")
+        word_from_letters("LRX")
 
 
 def test_from_runs_merges_and_drops():
-    assert LRWord.from_runs([(L, 1), (L, 2), (R, 0), (R, 3)]).runs == ((L, 3), (R, 3))
+    assert word_from_runs([(L, 1), (L, 2), (R, 0), (R, 3)]).runs == ((L, 3), (R, 3))
 
 
 @given(words(), st.integers(0, 5))
 def test_power_matches_canonical_repetition(w, k):
     """Powers are built from raw runs, so they must come out canonical
-    themselves: the runs from_runs builds."""
+    themselves: the runs word_from_runs builds."""
     p = w**k
-    assert p.runs == LRWord.from_runs(w.runs * k).runs
+    assert p.runs == word_from_runs(w.runs * k).runs
 
 
 def test_parse_word_both_syntaxes():
@@ -101,7 +111,7 @@ def test_parse_format_roundtrip(w):
     assert parse_word(format_word(w)) == w or not w
 
 
-# -- mu and its inverse ------------------------------------------------------
+# -- mu, and its inverse by the kernel's plain peel --------------------------
 
 
 def test_mu_generators():
@@ -110,28 +120,19 @@ def test_mu_generators():
     assert mu(parse_word("L^2RLR^3")) == Mat2(2, 7, 5, 18)
 
 
-def test_word_of_matrix_examples():
-    assert word_of_matrix(Mat2(1, 0, 1, 1)) == parse_word("L")
-    assert word_of_matrix(IDENTITY) == EPSILON
-    assert word_of_matrix(Mat2(2, 7, 5, 18)) == parse_word("L^2RLR^3")
-
-
-def test_word_of_matrix_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        word_of_matrix(Mat2(2, 0, 0, 1))
-    with pytest.raises(ValueError):
-        word_of_matrix(Mat2(0, 1, -1, 0))
-
-
 @given(words(), words())
 def test_mu_is_a_homomorphism(v, w):
-    assert mu(v + w) == mu(v) * mu(w)
+    assert mu(word_from_runs(v.runs + w.runs)) == mu(v) * mu(w)
 
 
 @given(st.one_of(words(), _big_words()))
 def test_mu_word_roundtrip(w):
-    m = mu(w)
-    assert word_of_matrix(m) == w
+    """The kernel fed no runs peels mu(w), of det 1, down to the identity
+    (a balanced nonnegative matrix of det 1 has a >= c + 1, d >= b + 1, so
+    1 = ad - bc >= b + c + 1), and what it peels is w."""
+    out = _Out()
+    assert _feed_run(mu(w), (), out) == (1, 0, 0, 1)
+    assert out.word() == w
 
 
 # -- runs --------------------------------------------------------------------
@@ -210,20 +211,6 @@ def test_rotate_preserves_length_and_composes(w, k):
     assert rotate(rotate(w, k), len(w) - (k % len(w))) == w
 
 
-def _validated_rotate(w, k):
-    """rotate as a validated construction: split the runs at letter k and
-    join the halves through LRWord.from_runs, which merges the seam."""
-    size = sum(e for _, e in w.runs)
-    k %= size
-    acc = 0
-    for i, (letter, exp) in enumerate(w.runs):
-        if acc + exp > k:
-            off = k - acc
-            return LRWord.from_runs(((letter, exp - off),) + w.runs[i + 1 :] + w.runs[:i] + ((letter, off),))
-        acc += exp
-    raise AssertionError("unreachable")
-
-
 def test_rotate_equals_validated_construction():
     cases = {"inside a run": 0, "at a boundary": 0, "seam merges": 0}
 
@@ -253,7 +240,7 @@ def test_rotate_equals_validated_construction():
 @given(_big_words())
 def test_star_equals_validated_construction(w):
     got = star(w)
-    assert got == LRWord.from_runs((star_letter(l), e) for l, e in w.runs)
+    assert got == word_from_runs((star_letter(l), e) for l, e in w.runs)
 
 
 def test_words_longer_than_maxsize():
@@ -279,16 +266,6 @@ def test_primitive_root_fine_wilf(u, j):
     root, mult = primitive_root(u**j)
     assert mult % j == 0
     assert root ** (mult // j) == u
-
-
-def _brute_root(w):
-    """(root, multiplicity) by brute force on the letters: the least p
-    dividing the letter count that rotates w into itself; the root is w's
-    first p letters."""
-    letters = list(w.letters())
-    n = len(letters)
-    p = next(p for p in range(1, n + 1) if n % p == 0 and letters[p:] + letters[:p] == letters)
-    return LRWord.from_letters(letters[:p]), n // p
 
 
 @given(nonempty_words)
@@ -325,16 +302,6 @@ def test_tau_kappa_examples():
     assert tau_kappa(parse_word("R^3L^3"), 2) == conjugates(parse_word("L^9R^9"))
     with pytest.raises(ValueError):
         tau_kappa(parse_word("L^4"), 2)
-
-
-def _brute_tau_kappa(w, n):
-    """tau_kappa by its definition on letter strings: the least (L < R)
-    rotation with sigma_c runs, kappa, then every rotation of the result."""
-    letters = "".join(w.letters())
-    rotations = (letters[k:] + letters[:k] for k in range(len(letters)))
-    least = min(r for r in rotations if sigma(LRWord.from_letters(r)) == sigma_c(w))
-    image = "".join(kappa(LRWord.from_letters(least), n).letters())
-    return {LRWord.from_letters(image[k:] + image[:k]) for k in range(len(image))}
 
 
 def test_tau_kappa_matches_definition():
